@@ -70,7 +70,7 @@ def cmd_bands(args) -> int:
     rows = [(b.band_index, q, e) for b in bands
             for q, e in zip(b.quasimomenta, b.energies)]
     scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"], rows)
-    eig = eigensolve.decompose(model.hamiltonian("down"))
+    eig = eigensolve.decompose(model.potential("down"), model.grid)
     scan.write_csv(os.path.join(out_dir, "energies.csv"), ["index", "energy_Er"],
                    list(enumerate(eig.energies[: args.n_levels])))
     hertz = model.recoil.hertz

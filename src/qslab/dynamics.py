@@ -20,12 +20,6 @@ from .model import Grid, HamiltonianMatrix, LatticeModel
 
 SHIFT_TOL = 1e-10
 NORM_TOL = 1e-12
-LEAKAGE_TOL = 1e-8
-# tail mass allowed outside the retained modes; far below LEAKAGE_TOL so the
-# fourth moment survives truncation (tail mass m at distance D shifts beta2
-# by ~ m D^4 / mu4, so 1e-15 keeps the direct/spectral agreement at 1e-6)
-TAIL_TOL = 1e-15
-MEAN_ENERGY_FACTOR = 6.0
 # an embedded site eigenstate carries up to ~1e-2 E_R of spurious width from
 # 1e-13-level zero-padding residues near the top of the spectrum; widths
 # below this cannot dephase within any simulated window (tau_MT > 2 ms)
@@ -48,17 +42,16 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """State expressed over retained eigenmodes of the evolution Hamiltonian."""
+    """State expressed over all eigenmodes of the evolution Hamiltonian."""
 
-    coefficients: np.ndarray   # complex amplitudes on the retained modes
+    coefficients: np.ndarray   # complex amplitudes on the sorted modes
     energies: np.ndarray       # referenced energies (ground state at 0), E_R
-    mode_indices: np.ndarray
-    leakage: float             # population outside the retained modes
+    bands: np.ndarray          # band index of each mode
 
     def __post_init__(self):
         self.coefficients.flags.writeable = False
         self.energies.flags.writeable = False
-        self.mode_indices.flags.writeable = False
+        self.bands.flags.writeable = False
 
     @property
     def populations(self) -> np.ndarray:
@@ -76,7 +69,6 @@ class SpectralMoments:
     e: float
     de: float
     beta2: float | None
-    e_cutoff: float
     stationary: bool
 
     @property
@@ -169,37 +161,14 @@ def prepare_initial(n: int, dx: float, model: LatticeModel,
     return QuantumState(amplitudes=shifted / norm, grid=grid)
 
 
-def to_spectral(state: QuantumState, eig: EigenDecomposition,
-                mean_energy_factor: float = MEAN_ENERGY_FACTOR,
-                tail_tol: float = TAIL_TOL) -> SpectralState:
-    """Expand the state over eigenmodes, truncating the negligible tail.
-
-    Retains all modes below mean_energy_factor times the mean energy, then
-    extends the cutoff until the excluded population drops under tail_tol
-    (well inside the 1e-8 leakage contract).
-    """
-    # modes are real, so <phi_k|psi> reduces to a plain projection
-    coeff = eig.modes.T @ state.amplitudes
-    pops = np.abs(coeff) ** 2
-    total = pops.sum()
+def to_spectral(state: QuantumState, eig: EigenDecomposition) -> SpectralState:
+    """Expand the state over every eigenmode (FFT, then the Bloch blocks)."""
+    coeff = eig.project(state.amplitudes)
+    total = float((np.abs(coeff) ** 2).sum())
     if abs(total - 1.0) > 1e-10:
         raise NumericError(f"Parseval defect {abs(total - 1.0):.2e}; basis incomplete")
-    energies = eig.referenced_energies
-    e_mean = float((pops * energies).sum())
-    cutoff = max(mean_energy_factor * e_mean, energies[min(2, eig.size - 1)])
-    keep = max(int(np.searchsorted(energies, cutoff, side="right")), 1)
-    # tail mass summed from the top of the spectrum (accurate for tiny tails)
-    tail = np.concatenate([np.cumsum(pops[::-1])[::-1][1:], [0.0]])
-    while keep < eig.size and tail[keep - 1] > tail_tol:
-        keep += 1
-    leakage = float(max(tail[keep - 1], 0.0)) if keep < eig.size else 0.0
-    if leakage > LEAKAGE_TOL:
-        raise NumericError(
-            f"spectral leakage {leakage:.2e} above {LEAKAGE_TOL:.0e}; "
-            "increase the retained mode count or the grid resolution")
-    idx = np.arange(keep)
-    return SpectralState(coefficients=coeff[:keep], energies=energies[:keep],
-                         mode_indices=idx, leakage=leakage)
+    return SpectralState(coefficients=coeff, energies=eig.referenced_energies,
+                         bands=eig.bands)
 
 
 def moments(spectral: SpectralState) -> SpectralMoments:
@@ -209,11 +178,10 @@ def moments(spectral: SpectralState) -> SpectralMoments:
     e = float((p * e_k).sum())
     var = float((p * (e_k - e) ** 2).sum())
     de = np.sqrt(max(var, 0.0))
-    e_cut = float(e_k[-1]) if e_k.size else 0.0
     if de < STATIONARY_DE:
-        return SpectralMoments(e=e, de=de, beta2=None, e_cutoff=e_cut, stationary=True)
+        return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
     mu4 = float((p * (e_k - e) ** 4).sum())
-    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, e_cutoff=e_cut, stationary=False)
+    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
 
 
 def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
@@ -235,10 +203,8 @@ def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
 
 
 def reconstruct(spectral: SpectralState, eig: EigenDecomposition, t: float) -> np.ndarray:
-    """psi(t) on the grid from the retained modes (independent overlap route)."""
-    keep = spectral.mode_indices
-    phases = spectral.coefficients * np.exp(-1j * spectral.energies * t)
-    return eig.modes[:, keep] @ phases
+    """psi(t) on the grid by the inverse transform (independent overlap route)."""
+    return eig.synthesize(spectral.coefficients * np.exp(-1j * spectral.energies * t))
 
 
 def direct_moments(state: QuantumState, h: HamiltonianMatrix,
@@ -246,7 +212,7 @@ def direct_moments(state: QuantumState, h: HamiltonianMatrix,
     """Moments from repeated operator application, no diagonalization.
 
     Cross-checks the spectral route: e and de agree to 1e-8 relative and
-    beta2 to 1e-6 when the spectral truncation is healthy.
+    beta2 to 1e-6.
     """
     psi = state.amplitudes.astype(complex)
     h_psi = h.apply(psi) - ground_offset * psi
@@ -254,26 +220,20 @@ def direct_moments(state: QuantumState, h: HamiltonianMatrix,
     d_psi = h_psi - e * psi                       # (H - E) psi
     var = float(np.real(np.vdot(d_psi, d_psi)))
     de = np.sqrt(max(var, 0.0))
-    e_cut = float(np.abs(h.matrix).sum(axis=1).max())
     if de < STATIONARY_DE:
-        return SpectralMoments(e=e, de=de, beta2=None, e_cutoff=e_cut, stationary=True)
+        return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
     d2_psi = h.apply(d_psi) - (ground_offset + e) * d_psi   # (H - E)^2 psi
     mu4 = float(np.real(np.vdot(d2_psi, d2_psi)))
-    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, e_cutoff=e_cut, stationary=False)
+    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
 
 
-def band_populations(spectral: SpectralState, gap: float = 1.0) -> np.ndarray:
-    """Populations aggregated over near-degenerate bands.
+def band_populations(spectral: SpectralState) -> np.ndarray:
+    """Populations summed per Bloch band, indexed by band.
 
-    Eigenvalues separated by less than `gap` (E_R) are merged; for the deep
-    lattice this groups the S quasi-degenerate Bloch states of each low band,
-    giving the vibrational-level distribution that closed-form models use.
+    For the deep lattice the low bands are the vibrational levels, so this is
+    the level distribution that closed-form models use.
     """
-    e = spectral.energies
-    p = spectral.populations
-    splits = np.where(np.diff(e) > gap)[0]
-    groups = np.split(np.arange(e.size), splits + 1)
-    return np.array([p[g].sum() for g in groups])
+    return np.bincount(spectral.bands, weights=spectral.populations)
 
 
 def edge_probability(psi: np.ndarray, grid: Grid, edge_sites: int = 2) -> float:

@@ -182,25 +182,22 @@ def simulate_series(times_us: np.ndarray, visibility: np.ndarray,
     return records
 
 
-def _nearest_branch_unwrap(wrapped: np.ndarray) -> np.ndarray:
-    return np.unwrap(wrapped)
-
-
 def extract_mean_energy(times_us: np.ndarray, phi_series: np.ndarray, e_n: float,
                         light_shift_slope: float, recoil_hertz: float,
                         tau_mt_us: float, window: float = 0.35):
     """Mean energy from the phase series, E = a1 + E_n (E_R).
 
-    Subtracts the known light-shift slope, unwraps by nearest-branch
-    continuation, then fits phi(t) = a1 t + a3 t^3 + a5 t^5 on
-    [0, min(window * tau_MT, first wrap)].  Returns (e, e_err) in E_R.
+    Subtracts the known light-shift slope, rewraps to (-pi, pi], unwraps
+    with np.unwrap (each step to the nearest branch), then fits
+    phi(t) = a1 t + a3 t^3 + a5 t^5 on [0, min(window * tau_MT, first wrap)].
+    Returns (e, e_err) in E_R.
     """
     times_us = np.asarray(times_us, dtype=float)
     phi_series = np.asarray(phi_series, dtype=float)
     rad_per_us_per_er = 2.0 * np.pi * recoil_hertz * 1e-6
     detrended = phi_series - light_shift_slope * times_us
     wrapped = np.angle(np.exp(1j * detrended))
-    unwrapped = _nearest_branch_unwrap(wrapped)
+    unwrapped = np.unwrap(wrapped)
     t_max = window * tau_mt_us
     beyond = np.nonzero(np.abs(unwrapped) > np.pi)[0]
     if beyond.size:

@@ -215,32 +215,19 @@ def _kinetic_spectral(n: int, length: float) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def _kinetic_fd3(n: int, spacing: float) -> np.ndarray:
-    # three-point periodic Laplacian: diagonal 2 kappa/h^2, off-diagonal
-    # -kappa/h^2 plus the two corner entries
-    c = KAPPA / spacing**2
-    mat = np.zeros((n, n))
-    idx = np.arange(n)
-    mat[idx, idx] = 2.0 * c
-    mat[idx, (idx + 1) % n] = -c
-    mat[idx, (idx - 1) % n] = -c
-    return mat
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Real symmetric single-particle Hamiltonian on the periodic grid.
 
-    kinetic="spectral" uses the Fourier-grid kinetic operator (dense circulant,
-    exponentially convergent for the smooth lattice states); kinetic="fd3"
-    keeps the banded three-point form (tridiagonal plus periodic corners),
-    whose truncation error scales as h^2.
+    The kinetic term is the Fourier-grid operator (dense circulant,
+    exponentially convergent for the smooth lattice states).  The pipeline
+    assembles it for one site only; the S-site lattice is solved through its
+    Bloch blocks (eigensolve.decompose), checked against this matrix.
     """
 
     matrix: np.ndarray
     grid: Grid
     potential: Potential
-    kinetic: str = "spectral"
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
@@ -252,35 +239,25 @@ class HamiltonianMatrix:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """Apply H to a state without forming the dense product.
 
-        Uses an FFT for the spectral kinetic term and rolls for fd3, so the
-        result is an independent code path from the stored matrix.
+        Uses an FFT for the kinetic term, so the result is an independent
+        code path from the stored matrix.
         """
-        if self.kinetic == "spectral":
-            n = self.size
-            k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.grid.length / n)
-            kin = np.fft.ifft(KAPPA * k**2 * np.fft.fft(psi))
-            if np.isrealobj(psi):
-                kin = kin.real
-        else:
-            c = KAPPA / self.grid.spacing**2
-            kin = c * (2.0 * psi - np.roll(psi, 1) - np.roll(psi, -1))
+        n = self.size
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.grid.length / n)
+        kin = np.fft.ifft(KAPPA * k**2 * np.fft.fft(psi))
+        if np.isrealobj(psi):
+            kin = kin.real
         return kin + self.potential.values * psi
 
 
-def build_hamiltonian(potential: Potential, grid: Grid, kinetic: str = "spectral") -> HamiltonianMatrix:
+def build_hamiltonian(potential: Potential, grid: Grid) -> HamiltonianMatrix:
     """Assemble H = T + diag(V) for one spin state."""
     if potential.values.shape != grid.positions.shape:
         raise ConstructionError(
             f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
-    if kinetic == "spectral":
-        mat = _kinetic_spectral(grid.size, grid.length)
-    elif kinetic == "fd3":
-        mat = _kinetic_fd3(grid.size, grid.spacing)
-    else:
-        raise ParameterError(f"unknown kinetic discretization {kinetic!r}")
-    mat = mat + np.diag(potential.values)
+    mat = _kinetic_spectral(grid.size, grid.length) + np.diag(potential.values)
     mat = (mat + mat.T) / 2.0
-    return HamiltonianMatrix(matrix=mat, grid=grid, potential=potential, kinetic=kinetic)
+    return HamiltonianMatrix(matrix=mat, grid=grid, potential=potential)
 
 
 @dataclass(frozen=True)
@@ -338,8 +315,8 @@ class LatticeModel:
     def potential(self, spin: str) -> Potential:
         return build_potential(self.params, spin, self.grid)
 
-    def hamiltonian(self, spin: str, kinetic: str = "spectral") -> HamiltonianMatrix:
-        return build_hamiltonian(self.potential(spin), self.grid, kinetic=kinetic)
+    def hamiltonian(self, spin: str) -> HamiltonianMatrix:
+        return build_hamiltonian(self.potential(spin), self.grid)
 
     def coherent_alpha(self, dx: float) -> float:
         """Coherent-state amplitude |alpha| = sqrt(m omega/(2 hbar)) * dx.

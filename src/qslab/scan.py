@@ -78,42 +78,58 @@ def load_config(path: str) -> ScanConfig:
     return config_from_dict(raw)
 
 
+def _section(raw: dict, name: str) -> dict:
+    body = raw.get(name) or {}
+    if not isinstance(body, dict):
+        raise ParameterError(f"config section {name!r} must be a mapping")
+    return dict(body)
+
+
 def config_from_dict(raw: dict) -> ScanConfig:
-    lat = raw.get("lattice", {})
+    """Build a ScanConfig from nested sections; an unknown section or key raises."""
+    sections = ("lattice", "state", "scan", "ramsey")
+    if not isinstance(raw, dict):
+        raise ParameterError("config must be a mapping of sections")
+    unknown = [name for name in raw if name not in sections]
+    if unknown:
+        raise ParameterError(f"unknown config section {unknown[0]!r}")
+    lat, state, scan, ram = (_section(raw, name) for name in sections)
     params = LatticeParams(
-        wavelength=float(lat.get("wavelength_nm", 866.0)) * 1e-9,
-        depth_at_zero=float(lat.get("depth_Er", 270.0)),
-        sites=int(lat.get("sites", 33)),
-        points_per_site=int(lat.get("points_per_site", 64)),
+        wavelength=float(lat.pop("wavelength_nm", 866.0)) * 1e-9,
+        depth_at_zero=float(lat.pop("depth_Er", 270.0)),
+        sites=int(lat.pop("sites", 33)),
+        points_per_site=int(lat.pop("points_per_site", 64)),
     )
-    scan = raw.get("scan", {})
-    pts = scan.get("points")
+    pts = scan.pop("points", None)
     points = tuple((int(n), float(dx)) for n, dx in pts) if pts else tuple(default_grid())
-    state = raw.get("state", {})
-    state_point = None
-    if "dx_halflambda" in state:
-        state_point = (int(state.get("n", 0)), float(state["dx_halflambda"]))
-    ram = raw.get("ramsey", {})
+    state_n = int(state.pop("n", 0))
+    state_dx = state.pop("dx_halflambda", None)
+    state_point = None if state_dx is None else (state_n, float(state_dx))
     ramsey = interferometer.RamseyConfig(
-        phase_grid=interferometer.default_phase_grid(int(ram.get("phases", 12))),
-        atoms_per_shot=int(ram.get("atoms_per_shot", 20)),
-        repetitions=int(ram.get("repetitions", 10)),
-        loss_fraction=float(ram.get("loss_fraction", 0.05)),
-        light_shift_slope=float(ram.get("light_shift_slope_rad_per_us", 0.0)),
+        phase_grid=interferometer.default_phase_grid(int(ram.pop("phases", 12))),
+        atoms_per_shot=int(ram.pop("atoms_per_shot", 20)),
+        repetitions=int(ram.pop("repetitions", 10)),
+        loss_fraction=float(ram.pop("loss_fraction", 0.05)),
+        light_shift_slope=float(ram.pop("light_shift_slope_rad_per_us", 0.0)),
     )
-    return ScanConfig(
+    config = ScanConfig(
         points=points,
         params=params,
-        estimator=str(scan.get("estimator", "exact")),
-        seed=int(scan.get("seed", DEFAULT_SEED)),
-        out_dir=str(scan.get("out", "qslab-out")),
-        time_points=int(scan.get("time_points", 64)),
-        workers=int(scan.get("workers", 2)),
-        curves=bool(scan.get("curves", True)),
-        curve_points=int(scan.get("curve_points", 25)),
+        estimator=str(scan.pop("estimator", "exact")),
+        seed=int(scan.pop("seed", DEFAULT_SEED)),
+        out_dir=str(scan.pop("out", "qslab-out")),
+        time_points=int(scan.pop("time_points", 64)),
+        workers=int(scan.pop("workers", 2)),
+        curves=bool(scan.pop("curves", True)),
+        curve_points=int(scan.pop("curve_points", 25)),
         ramsey=ramsey,
         state_point=state_point,
     )
+    # every known key was popped above; whatever is left is a typo
+    for name, rest in zip(sections, (lat, state, scan, ram)):
+        if rest:
+            raise ParameterError(f"unknown config key {name}.{next(iter(rest))}")
+    return config
 
 
 @dataclass
@@ -135,28 +151,24 @@ class PointResult:
         return f"n{self.n}_dx{self.dx:.4f}"
 
 
-class _DecompositionCache:
-    """Per-displacement eigensolutions shared by the n = 0, 1, 2 points."""
+def solve_displacement(dx: float, params: LatticeParams, constants: PhysicalConstants):
+    """Model, eigensolution and site eigenstates shared by the n = 0, 1, 2 points.
 
-    def __init__(self, params: LatticeParams, constants: PhysicalConstants):
-        self.params = params
-        self.constants = constants
-
-    def solve(self, dx: float):
-        model = LatticeModel.from_displacement(dx, self.params, self.constants)
-        hamiltonian = model.hamiltonian("down")  # wells at integer sites; the
-        # packet carries the relative displacement dx (see prepare_initial)
-        eig = eigensolve.decompose(hamiltonian)
-        site_e, site_states, _ = eigensolve.single_site_eigenstates(model, 3)
-        return model, hamiltonian, eig, site_e, site_states
+    The evolution wells sit at integer sites; the packet carries the relative
+    displacement dx (see dynamics.prepare_initial).
+    """
+    model = LatticeModel.from_displacement(dx, params, constants)
+    eig = eigensolve.decompose(model.potential("down"), model.grid)
+    site_e, site_states, _ = eigensolve.single_site_eigenstates(model, 3)
+    return model, eig, site_e, site_states
 
 
 def run_point(n: int, dx: float, config: ScanConfig, solved=None,
               point_index: int = 0) -> PointResult:
     """Full pipeline for one (n, dx) combination."""
     if solved is None:
-        solved = _DecompositionCache(config.params, config.constants).solve(dx)
-    model, hamiltonian, eig, site_e, site_states = solved
+        solved = solve_displacement(dx, config.params, config.constants)
+    model, eig, site_e, site_states = solved
     state = dynamics.prepare_initial(n, dx, model, site_states=site_states)
     spectral = dynamics.to_spectral(state, eig)
     moms = dynamics.moments(spectral)
@@ -232,14 +244,13 @@ def qubit_reference_curve(zetas: np.ndarray) -> np.ndarray:
 
 def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[dict]:
     """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape."""
-    cache = _DecompositionCache(config.params, config.constants)
     rows = []
     for dx in dx_values:
-        solved = cache.solve(float(dx))
-        model = solved[0]
+        model, eig, _, site_states = solve_displacement(float(dx), config.params,
+                                                        config.constants)
         for n in (0, 1, 2):
-            state = dynamics.prepare_initial(n, float(dx), model, site_states=solved[4])
-            moms = dynamics.moments(dynamics.to_spectral(state, solved[2]))
+            state = dynamics.prepare_initial(n, float(dx), model, site_states=site_states)
+            moms = dynamics.moments(dynamics.to_spectral(state, eig))
             rows.append({"n": n, "dx": float(dx),
                          "inv_tau_ml": 4.0 * moms.e / model.homega,
                          "inv_tau_mt": 4.0 * moms.de / model.homega})
@@ -334,7 +345,6 @@ def run_scan(config: ScanConfig) -> dict:
     by_dx: dict[float, list[int]] = {}
     for n, dx in config.points:
         by_dx.setdefault(round(float(dx), 12), []).append(n)
-    cache = _DecompositionCache(config.params, config.constants)
     point_order = {(n, round(float(dx), 12)): i for i, (n, dx) in enumerate(config.points)}
     results: dict[int, PointResult] = {}
     failures = []
@@ -342,7 +352,7 @@ def run_scan(config: ScanConfig) -> dict:
     def run_group(dx_key: float):
         group_results, group_failures = [], []
         try:
-            solved = cache.solve(dx_key)
+            solved = solve_displacement(dx_key, config.params, config.constants)
         except Exception as exc:  # noqa: BLE001 - continue-on-error policy
             for n in by_dx[dx_key]:
                 group_failures.append({"point": f"n{n}_dx{dx_key:.4f}", "error": str(exc)})

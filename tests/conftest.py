@@ -3,29 +3,26 @@
 import numpy as np
 import pytest
 
-from qslab import dynamics, eigensolve
-from qslab.model import LatticeModel, LatticeParams
+from qslab import dynamics, scan
+from qslab.model import LatticeParams, PhysicalConstants
 
 
 class LatticeSolver:
-    """Caches the expensive per-displacement eigensolutions across tests."""
+    """Memoises scan.solve_displacement across tests."""
 
     def __init__(self, params: LatticeParams | None = None):
         self.params = params or LatticeParams()
         self._cache = {}
 
     def solve(self, dx: float):
+        """(model, eig, site_e, site_states) for one displacement."""
         key = round(dx, 12)
         if key not in self._cache:
-            model = LatticeModel.from_displacement(dx, self.params)
-            hamiltonian = model.hamiltonian("down")
-            eig = eigensolve.decompose(hamiltonian)
-            site_e, site_states, site_u = eigensolve.single_site_eigenstates(model, 3)
-            self._cache[key] = (model, hamiltonian, eig, site_e, site_states, site_u)
+            self._cache[key] = scan.solve_displacement(dx, self.params, PhysicalConstants())
         return self._cache[key]
 
     def spectral_point(self, n: int, dx: float):
-        model, hamiltonian, eig, site_e, site_states, _ = self.solve(dx)
+        model, eig, site_e, site_states = self.solve(dx)
         state = dynamics.prepare_initial(n, dx, model, site_states=site_states)
         spectral = dynamics.to_spectral(state, eig)
         return model, eig, state, spectral, dynamics.moments(spectral)

@@ -29,8 +29,7 @@ def sweep(solver):
     config = scan.ScanConfig(curves=False)
     results = []
     for index, (n, dx) in enumerate(scan.default_grid()):
-        solved = solver.solve(dx)[:5]
-        results.append(scan.run_point(n, dx, config, solved, index))
+        results.append(scan.run_point(n, dx, config, solver.solve(dx), index))
     _SWEEP_TIME["elapsed"] = time.perf_counter() - t0
     return results
 
@@ -225,11 +224,11 @@ def test_criterion_08_band_tunneling(solver):
 
 
 def test_criterion_09_numerical_hygiene(solver):
-    lattice, ham, eig, *_ = solver.solve(0.04)
-    checks = eig.validate(ham)
+    lattice, eig, *_ = solver.solve(0.04)
+    checks = eig.validate(lattice.hamiltonian("down"))
     # second spot check at the opposite end of the displacement range
-    lattice5, ham5, eig5, *_ = solver.solve(0.5)
-    checks5 = eig5.validate(ham5)
+    lattice5, eig5, *_ = solver.solve(0.5)
+    checks5 = eig5.validate(lattice5.hamiltonian("down"))
     checks = {key: max(checks[key], checks5[key]) for key in checks}
     params = lattice.params
     refined = LatticeParams(wavelength=params.wavelength,

@@ -15,7 +15,7 @@ def poisson_pmf(k, x):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_prepare_stationary_at_zero_displacement(solver, n):
-    model, _, eig, *_ = solver.solve(0.0)
+    model, eig, *_ = solver.solve(0.0)
     state = dyn.prepare_initial(n, 0.0, model)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     spectral = dyn.to_spectral(state, eig)
@@ -30,7 +30,7 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
     assert moms.stationary
     assert moms.beta2 is None
     # mean energy pinned to the vibrational level above the ground state
-    site_e = solver.solve(0.0)[3]
+    site_e = solver.solve(0.0)[2]
     assert moms.e == pytest.approx(site_e[n] - site_e[0], abs=1e-2)
 
 
@@ -64,18 +64,17 @@ def test_populations_poisson_at_small_displacement(solver):
 
 
 def test_to_spectral_identity_and_parseval(solver):
-    model, _, eig, *_ = solver.solve(0.0)
+    model, eig, *_ = solver.solve(0.0)
     # a pure eigenmode maps to a delta in coefficients
-    mode = eig.modes[:, 40].copy()
-    state = dyn.QuantumState(amplitudes=mode, grid=model.grid)
+    delta = np.zeros(eig.size)
+    delta[40] = 1.0
+    state = dyn.QuantumState(amplitudes=eig.synthesize(delta), grid=model.grid)
     spectral = dyn.to_spectral(state, eig)
     pops = spectral.populations
     assert pops[40] == pytest.approx(1.0, abs=1e-12)
-    assert spectral.leakage <= 1e-10
     for dx in (0.04, 0.16, 0.5):
         spectral = solver.spectral_point(0, dx)[3]
         assert spectral.populations.sum() == pytest.approx(1.0, abs=1e-10)
-        assert spectral.leakage <= 1e-8
 
 
 def test_moments_coherent_oracle(solver):
@@ -92,7 +91,7 @@ def test_moments_two_mode_bernoulli():
     energies = np.array([0.0, 1.0])
     coeff = np.sqrt(np.array([0.5, 0.5])).astype(complex)
     spectral = dyn.SpectralState(coefficients=coeff, energies=energies,
-                                 mode_indices=np.arange(2), leakage=0.0)
+                                 bands=np.arange(2))
     moms = dyn.moments(spectral)
     assert moms.beta2 == pytest.approx(1.0, abs=1e-12)
     assert moms.e == pytest.approx(0.5, abs=1e-15)
@@ -105,7 +104,7 @@ def test_evolve_overlap_two_mode_closed_form():
     pops = np.array([np.cos(zeta / 2) ** 2, np.sin(zeta / 2) ** 2])
     spectral = dyn.SpectralState(coefficients=np.sqrt(pops).astype(complex),
                                  energies=np.array([0.0, omega]),
-                                 mode_indices=np.arange(2), leakage=0.0)
+                                 bands=np.arange(2))
     times = np.linspace(0.0, 5.0, 200)
     trace = dyn.evolve_overlap(spectral, times)
     expected = np.sqrt(1.0 - np.sin(zeta) ** 2 * np.sin(omega * times / 2.0) ** 2)
@@ -154,7 +153,8 @@ def test_min_overlap_near_forty_degrees(solver):
 
 
 def test_direct_moments_cross_check(solver):
-    model, ham, eig, site_e, site_states, _ = solver.solve(0.08)
+    model, eig, site_e, site_states = solver.solve(0.08)
+    ham = model.hamiltonian("down")
     for n in (0, 1, 2):
         state = dyn.prepare_initial(n, 0.08, model, site_states=site_states)
         spectral = dyn.to_spectral(state, eig)
@@ -166,8 +166,11 @@ def test_direct_moments_cross_check(solver):
 
 
 def test_direct_moments_stationary_and_plane_wave(solver):
-    model, ham, eig, *_ = solver.solve(0.0)
-    ground = dyn.QuantumState(amplitudes=eig.modes[:, 0].copy(), grid=model.grid)
+    model, eig, *_ = solver.solve(0.0)
+    ham = model.hamiltonian("down")
+    ground_mode = np.zeros(eig.size)
+    ground_mode[0] = 1.0
+    ground = dyn.QuantumState(amplitudes=eig.synthesize(ground_mode), grid=model.grid)
     moms = dyn.direct_moments(ground, ham, eig.ground_offset)
     assert moms.e == pytest.approx(0.0, abs=1e-9)
     assert moms.stationary
@@ -198,8 +201,8 @@ def test_displacement_gauge_equivalence():
     params = LatticeParams(sites=9, points_per_site=32)
     model = LatticeModel.from_displacement(dx, params)
     site_e, site_states, _ = eigensolve.single_site_eigenstates(model, 3)
-    eig_down = eigensolve.decompose(model.hamiltonian("down"))
-    eig_up = eigensolve.decompose(model.hamiltonian("up"))
+    eig_down = eigensolve.decompose(model.potential("down"), model.grid)
+    eig_up = eigensolve.decompose(model.potential("up"), model.grid)
     packet = np.zeros(model.grid.size)
     p = params.points_per_site
     start = model.grid.size // 2 - p // 2

@@ -3,30 +3,77 @@
 import numpy as np
 import pytest
 
+from qslab import dynamics as dyn
 from qslab import eigensolve as es
-from qslab.errors import ParameterError
-from qslab.model import KAPPA, LatticeModel, LatticeParams
+from qslab.errors import ConstructionError, ParameterError
+from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, Potential
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+SMALL = LatticeParams(sites=9, points_per_site=32)
 
 
-def test_decompose_2x2_exchange():
-    eig = es.decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(eig.energies, [-1.0, 1.0], atol=1e-14)
+def test_block_solve_matches_dense_oracle():
+    # all modes kept on both routes; the dense eigh of the assembled matrix
+    # is the reference for every quantity the pipeline derives from the blocks
+    dx = 0.11
+    model = LatticeModel.from_displacement(dx, SMALL)
+    s = SMALL.sites
+    eig = es.decompose(model.potential("down"), model.grid)
+    w, v = np.linalg.eigh(model.hamiltonian("down").matrix)
+    assert np.abs(eig.energies - w).max() <= 1e-10
+    # bound bands are separated by gaps, so dense band b is the b-th run of S
+    bound = es.bound_level_count(model)
+    assert np.array_equal(eig.bands[:bound * s], np.repeat(np.arange(bound), s))
+    _, site_states, _ = es.single_site_eigenstates(model, 3)
+    for n in (0, 1, 2):
+        state = dyn.prepare_initial(n, dx, model, site_states=site_states)
+        spectral = dyn.to_spectral(state, eig)
+        coeff = v.T @ state.amplitudes
+        dense_pops = np.abs(coeff) ** 2
+        dense_bands = dense_pops[:bound * s].reshape(bound, s).sum(axis=1)
+        assert np.abs(dyn.band_populations(spectral)[:bound] - dense_bands).max() <= 1e-12
+        dense = dyn.SpectralState(coefficients=coeff, energies=w - w[0], bands=eig.bands)
+        moms, ref = dyn.moments(spectral), dyn.moments(dense)
+        assert moms.e == pytest.approx(ref.e, rel=1e-10)
+        assert moms.de == pytest.approx(ref.de, rel=1e-10)
+        assert moms.beta2 == pytest.approx(ref.beta2, rel=1e-8)
+        times = dyn.default_times(moms, 32)
+        delta = (dyn.evolve_overlap(spectral, times).overlaps
+                 - dyn.evolve_overlap(dense, times).overlaps)
+        assert np.abs(delta).max() <= 1e-12
+        for t in times[::8]:
+            psi_dense = v @ (coeff * np.exp(-1j * (w - w[0]) * t))
+            assert np.abs(dyn.reconstruct(spectral, eig, t) - psi_dense).max() <= 1e-9
 
 
-def test_decompose_diagonal():
-    diag = np.diag([3.0, -1.0, 2.0])
-    eig = es.decompose(diag)
-    assert np.allclose(eig.energies, [-1.0, 2.0, 3.0], atol=1e-14)
-    # modes are signed unit vectors
-    assert np.allclose(np.abs(eig.modes), np.eye(3)[:, [1, 2, 0]], atol=1e-14)
+def test_band_structure_matches_lattice_spectrum():
+    # for odd S, every other one of 2S quasimomenta is a lattice
+    # quasimomentum 2 pi j / S, where the bands are the S-site spectrum
+    model = LatticeModel.from_displacement(0.11, SMALL)
+    s = SMALL.sites
+    n_bands = es.bound_level_count(model)
+    bands = es.band_structure(model, n_bands, 2 * s)
+    at_lattice_q = np.sort(np.concatenate([b.energies[::2] for b in bands]))
+    w = np.linalg.eigvalsh(model.hamiltonian("down").matrix)
+    assert np.abs(at_lattice_q - w[:n_bands * s]).max() <= 1e-10
+
+
+def test_decompose_input_errors():
+    model = LatticeModel(params=SMALL)
+    pot = model.potential("down")
+    # the Bloch blocks need a potential that repeats with the site period
+    bumped = Potential(spin="down", values=pot.values + (model.grid.positions > 0),
+                       displacement=0.0, depth=pot.depth)
+    with pytest.raises(ConstructionError):
+        es.decompose(bumped, model.grid)
+    with pytest.raises(ConstructionError):
+        es.decompose(pot, Grid.for_params(LatticeParams(sites=3, points_per_site=32)))
 
 
 def test_decompose_lattice_contract(solver):
-    lattice, ham, eig, *_ = solver.solve(0.0)
-    checks = eig.validate(ham)
+    lattice, eig, *_ = solver.solve(0.0)
+    checks = eig.validate(lattice.hamiltonian("down"))
     assert checks["orthonormality"] <= ORTHO_TOL
     assert checks["residual"] <= RESIDUAL_TOL
     # spectrum bounded below by the potential minimum (kinetic part is PSD)
@@ -37,17 +84,17 @@ def test_decompose_lattice_contract(solver):
 
 
 def test_decompose_deterministic(solver):
-    _, ham, eig, *_ = solver.solve(0.0)
-    again = es.decompose(ham)
+    lattice, eig, *_ = solver.solve(0.0)
+    again = es.decompose(lattice.potential("down"), lattice.grid)
     assert np.array_equal(eig.energies, again.energies)
-    assert np.array_equal(eig.modes, again.modes)
+    assert np.array_equal(eig.vectors, again.vectors)
 
 
 def test_level_spacing_against_anharmonic_ladder(solver):
     # E1 - E0 of the cos^2 well sits 2 sqrt(U0) - 1 (E_R) to second order;
     # the deviation from the harmonic 2 sqrt(U0) is therefore ~3 percent at
     # 270 E_R, reproduced here to a few parts in 1e3
-    lattice, _, eig, *_ = solver.solve(0.0)
+    lattice, eig, *_ = solver.solve(0.0)
     homega = lattice.homega
     spacing = eig.energies[lattice.params.sites] - eig.energies[0]
     assert spacing == pytest.approx(homega - 1.0, rel=2e-3)
@@ -81,7 +128,7 @@ def test_single_site_count_errors():
 
 
 def test_single_site_matches_full_lattice_band_centers(solver):
-    lattice, _, eig, site_e, *_ = solver.solve(0.0)
+    lattice, eig, site_e, _ = solver.solve(0.0)
     s = lattice.params.sites
     for n in range(3):
         band = eig.energies[n * s:(n + 1) * s]

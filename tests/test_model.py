@@ -117,37 +117,30 @@ def test_grid_min_matches_closed_form_depth():
 
 def test_hamiltonian_symmetry_exact_and_size_check():
     lattice = m.LatticeModel(params=m.LatticeParams(sites=5, points_per_site=32))
-    for kinetic in ("spectral", "fd3"):
-        ham = lattice.hamiltonian("down", kinetic=kinetic)
-        assert np.abs(ham.matrix - ham.matrix.T).max() == 0.0
+    ham = lattice.hamiltonian("down")
+    assert np.abs(ham.matrix - ham.matrix.T).max() == 0.0
     small = m.Grid.for_params(m.LatticeParams(sites=3, points_per_site=32))
     with pytest.raises(ConstructionError):
         m.build_hamiltonian(lattice.potential("down"), small)
 
 
-@pytest.mark.parametrize("kinetic", ["spectral", "fd3"])
-def test_free_particle_spectrum(kinetic):
-    # V = 0: spectral kinetic reproduces kappa k^2, fd3 the circulant
-    # three-point values 2 kappa (1 - cos(2 pi j / N)) / h^2
+def test_free_particle_spectrum():
+    # V = 0: the Fourier-grid kinetic term reproduces kappa k^2
     params = m.LatticeParams(sites=5, points_per_site=32)
     grid = m.Grid.for_params(params)
     flat = m.Potential(spin="down", values=np.zeros(grid.size), displacement=0.0,
                        depth=params.depth_at_zero)
-    ham = m.build_hamiltonian(flat, grid, kinetic=kinetic)
+    ham = m.build_hamiltonian(flat, grid)
     w = np.linalg.eigvalsh(ham.matrix)
     n = grid.size
-    j = np.arange(n)
-    if kinetic == "spectral":
-        k = 2 * np.pi * np.fft.fftfreq(n, d=grid.length / n)
-        expected = np.sort(m.KAPPA * k**2)
-    else:
-        expected = np.sort(2 * m.KAPPA * (1 - np.cos(2 * np.pi * j / n)) / grid.spacing**2)
+    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.length / n)
+    expected = np.sort(m.KAPPA * k**2)
     assert np.allclose(w, expected, atol=1e-9)
     assert w[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lattice_ground_state_near_harmonic_value(solver):
-    lattice, ham, eig, *_ = solver.solve(0.0)
+    lattice, eig, *_ = solver.solve(0.0)
     homega = lattice.homega
     expected = -lattice.depth + homega / 2.0
     # anharmonic correction stays below 2 percent of the zero-point shift scale
@@ -159,11 +152,10 @@ def test_apply_matches_matrix():
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(lattice.grid.size) + 1j * rng.standard_normal(lattice.grid.size)
     psi /= np.linalg.norm(psi)
-    for kinetic in ("spectral", "fd3"):
-        ham = lattice.hamiltonian("down", kinetic=kinetic)
-        direct = ham.apply(psi)
-        dense = ham.matrix @ psi
-        assert np.abs(direct - dense).max() < 1e-10 * np.abs(dense).max()
+    ham = lattice.hamiltonian("down")
+    direct = ham.apply(psi)
+    dense = ham.matrix @ psi
+    assert np.abs(direct - dense).max() < 1e-10 * np.abs(dense).max()
 
 
 def test_coherent_alpha_reference_value():

@@ -53,7 +53,8 @@ def test_config_yaml_round_trip(tmp_path):
                     "sites": 9, "points_per_site": 32},
         "state": {"n": 1, "dx_halflambda": 0.1},
         "scan": {"points": [[1, 0.1], [0, 0.2]], "estimator": "experiment",
-                 "seed": 7, "out": "here", "workers": 1},
+                 "seed": 7, "out": "here", "workers": 1, "time_points": 32,
+                 "curves": False, "curve_points": 5},
         "ramsey": {"phases": 8, "atoms_per_shot": 10, "repetitions": 5,
                    "loss_fraction": 0.02, "light_shift_slope_rad_per_us": 81.0},
     }
@@ -68,6 +69,17 @@ def test_config_yaml_round_trip(tmp_path):
     assert cfg.seed == 7
     assert cfg.ramsey.phase_grid.size == 8
     assert cfg.ramsey.light_shift_slope == 81.0
+    assert (cfg.time_points, cfg.curves, cfg.curve_points) == (32, False, 5)
+
+
+def test_config_rejects_unknown_keys():
+    # a lower-case typo of depth_Er used to run silently at the default 270 E_R
+    with pytest.raises(ParameterError, match="lattice.depth_er"):
+        scan.config_from_dict({"lattice": {"depth_er": 200.0}})
+    with pytest.raises(ParameterError, match="'lattise'"):
+        scan.config_from_dict({"lattise": {"sites": 9}})
+    with pytest.raises(ParameterError, match="mapping"):
+        scan.config_from_dict({"scan": [1, 2]})
 
 
 def test_run_scan_artifacts_exact(tmp_path):
