@@ -18,7 +18,7 @@ from .model import (
     trap_depth,
     trap_frequency,
 )
-from .eigensolve import band_structure, decompose, single_site_eigenstates
+from .eigensolve import band_structure, decompose
 from .dynamics import (
     direct_moments,
     evolve_overlap,
@@ -57,7 +57,7 @@ __all__ = [
     "LatticeModel", "LatticeParams", "PhysicalConstants",
     "recoil_energy", "displacement_from_angle", "angle_from_displacement",
     "trap_depth", "trap_frequency", "build_potential", "build_hamiltonian",
-    "decompose", "single_site_eigenstates", "band_structure",
+    "decompose", "band_structure",
     "prepare_initial", "to_spectral", "moments", "evolve_overlap", "direct_moments",
     "mt_bound", "ml_bound", "unified_bound", "crossover_time", "report",
     "deviation_from_kurtosis", "deviation_from_geometry", "bhatia_davis_cap",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError
-from .eigensolve import EigenDecomposition, single_site_eigenstates
+from .eigensolve import EigenDecomposition
 from .model import Grid, HamiltonianMatrix, LatticeModel
 
 SHIFT_TOL = 1e-10
@@ -127,23 +127,22 @@ def _spectral_shift(values: np.ndarray, shift: float, grid: Grid) -> np.ndarray:
 
 
 def prepare_initial(n: int, dx: float, model: LatticeModel,
-                    site_states: np.ndarray | None = None) -> QuantumState:
+                    eig: EigenDecomposition) -> QuantumState:
     """Displaced vibrational state: single-site level n, zero-padded, shifted by dx.
 
-    The site eigenstate of the (theta-dependent) well is embedded at the
-    central site of the full grid and translated by dx with band-limited
-    interpolation, leaving the evolution wells at integer coordinates.  The
-    wells and the packet then differ by exactly dx, which is the only
-    physically meaningful displacement.
+    The site eigenstate of the (theta-dependent) well, read from the q = 0
+    Bloch block of `eig`, is embedded at the central site of the full grid
+    and translated by dx with band-limited interpolation, leaving the
+    evolution wells at integer coordinates.  The wells and the packet then
+    differ by exactly dx, which is the only physically meaningful
+    displacement.
     """
     if n not in (0, 1, 2):
         raise ParameterError(f"vibrational index must be 0, 1 or 2, got {n}")
     if not 0.0 <= dx <= 0.5 + 1e-15:
         raise ParameterError(f"displacement must lie in [0, 0.5] lambda/2, got {dx}")
     grid = model.grid
-    if site_states is None:
-        _, site_states, _ = single_site_eigenstates(model, n + 1)
-    packet = site_states[:, n]
+    packet = eig.site_states(n + 1)[1][:, n]
     p = model.params.points_per_site
     psi = np.zeros(grid.size)
     start = grid.size // 2 - p // 2

@@ -10,7 +10,7 @@ randomized pivoting, so repeated solves of the same input are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,6 +103,30 @@ class EigenDecomposition:
             (s, p) + flat.shape[1:])
         return np.fft.ifft(spectrum, axis=0, norm="ortho")
 
+    def site_states(self, count: int):
+        """Energies (E_R, raw) and states of the first `count` q = 0 modes.
+
+        A q = 0 mode repeats from site to site, so one cell of it, times
+        sqrt(S), is an eigenstate of a single site with periodic closure: the
+        initial wave packets for n = 0, 1, 2.  Each column's phase is fixed
+        so the state is real.
+
+        Returns
+        -------
+        energies : (count,) array
+        states : (P, count) array, orthonormal real columns
+        """
+        s, p = self.bins.shape
+        if not 1 <= count <= p:
+            raise ParameterError(f"count must lie in [1, {p}] (points per site)")
+        modes = np.flatnonzero(self.order // p == s // 2)[:count]
+        picks = np.zeros((self.size, count))
+        picks[modes, np.arange(count)] = 1.0
+        cells = self.synthesize(picks)[:p] * np.sqrt(s)
+        # for a real column r times exp(i a), sum of squares = exp(2 i a) |r|^2
+        cells *= np.exp(-0.5j * np.angle((cells**2).sum(axis=0)))
+        return self.energies[modes], cells.real
+
     def validate(self, h: HamiltonianMatrix) -> dict:
         """Residual and orthonormality of the synthesized grid modes against
         the assembled matrix, for assertion in tests."""
@@ -146,29 +170,6 @@ def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
 def bound_level_count(model: LatticeModel) -> int:
     """Approximate number of bound levels, U0/(hbar omega_HO)."""
     return int(model.depth / model.homega)
-
-
-def single_site_eigenstates(model: LatticeModel, count: int):
-    """First `count` eigenpairs of one isolated site with periodic closure.
-
-    The site spans one lattice period sampled on points_per_site points; the
-    returned states are the initial wave packets for n = 0, 1, 2.
-
-    Returns
-    -------
-    energies : (count,) array, E_R
-    states : (P, count) array, orthonormal columns
-    positions : (P,) site-local coordinates in lambda/2 units
-    """
-    if count < 1:
-        raise ParameterError("count must be at least 1")
-    if count > bound_level_count(model):
-        raise ParameterError(
-            f"count={count} exceeds the ~{bound_level_count(model)} bound levels "
-            f"at depth {model.depth:.1f} E_R")
-    site = LatticeModel(params=replace(model.params, sites=1), constants=model.constants)
-    energies, states = np.linalg.eigh(site.hamiltonian("down").matrix)
-    return energies[:count], states[:, :count], site.grid.positions
 
 
 @dataclass(frozen=True)

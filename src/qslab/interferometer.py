@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EstimationError, ParameterError
 from .dynamics import OverlapTrace
-from .qsl import deviation_from_geometry
+from .qsl import deviation_from_geometry, geodesic_ratio
 
 # differential light shift of the interrogation beams, subtracted during analysis
 LIGHT_SHIFT_PRESET_RAD_PER_US = 81.0
@@ -109,19 +109,15 @@ def sample_fringe(visibility: float, phase: float, config: RamseyConfig,
     """Detected spin-down counts per phase point.
 
     Counts are binomial with success probability p_down * (1 - loss); the
-    stream for each (seed, t-index, phase-index) triple is independent, so
-    records can be generated concurrently with reproducible output.
+    stream for each (seed, t-index) pair is independent, so records can be
+    generated concurrently with reproducible output.
     """
     p_down = ideal_fringe(visibility, phase, config.phase_grid)
     p_eff = np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
     n = config.detections_per_point
     if config.noiseless:
         return p_eff * n
-    counts = np.empty(p_eff.size, dtype=np.int64)
-    for j, p in enumerate(p_eff):
-        rng = np.random.default_rng([config.rng_seed, t_index, j])
-        counts[j] = rng.binomial(n, p)
-    return counts
+    return np.random.default_rng([config.rng_seed, t_index]).binomial(n, p_eff)
 
 
 def fit_fringe(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
@@ -218,7 +214,7 @@ def extract_mean_energy(times_us: np.ndarray, phi_series: np.ndarray, e_n: float
 
 def extract_uncertainty(times_us: np.ndarray, v_series: np.ndarray,
                         recoil_hertz: float, tau_mt_us: float,
-                        window: float = 1.0, v_weights: np.ndarray | None = None):
+                        window: float = 1.0):
     """Energy uncertainty from the visibility series (E_R).
 
     Fits V(t) = 1 + b2 t^2 + b4 t^4 + b6 t^6 on [0, window * tau_MT] and
@@ -234,10 +230,6 @@ def extract_uncertainty(times_us: np.ndarray, v_series: np.ndarray,
     t = times_us[mask]
     design = np.column_stack([t**2, t**4, t**6])
     y = v_series[mask] - 1.0
-    if v_weights is not None:
-        w = np.asarray(v_weights, dtype=float)[mask]
-        design = design * w[:, None]
-        y = y * w
     coef, residuals, *_ = np.linalg.lstsq(design, y, rcond=None)
     if coef[0] >= 0.0:
         raise EstimationError("fitted quadratic visibility coefficient is not negative; "
@@ -260,8 +252,5 @@ def extract_xi(times_us: np.ndarray, v_series: np.ndarray, tau_mt_us: float):
     times_us = np.asarray(times_us, dtype=float)
     v_series = np.asarray(v_series, dtype=float)
     de_rad = np.pi / (2.0 * tau_mt_us)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(times_us > 0,
-                         np.arccos(np.clip(v_series, -1.0, 1.0)) / (de_rad * times_us),
-                         1.0)
+    ratio = geodesic_ratio(v_series, de_rad * times_us)
     return deviation_from_geometry(times_us, ratio, tau_mt_us)

@@ -10,7 +10,7 @@ happen at the I/O boundary through :class:`LatticeModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,7 +22,6 @@ KAPPA = 1.0 / np.pi**2
 
 # CODATA-2018 constants; atom mass is cesium-133
 HBAR_SI = 1.054571817e-34       # J s
-BOLTZMANN_SI = 1.380649e-23     # J/K
 ATOMIC_MASS_SI = 1.66053906892e-27  # kg
 CS133_MASS_U = 132.905451961
 CS133_MASS_SI = CS133_MASS_U * ATOMIC_MASS_SI
@@ -30,14 +29,13 @@ CS133_MASS_SI = CS133_MASS_U * ATOMIC_MASS_SI
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """hbar, k_B and the atom mass, all in SI units."""
+    """hbar and the atom mass, in SI units."""
 
     hbar: float = HBAR_SI
-    boltzmann: float = BOLTZMANN_SI
     atom_mass: float = CS133_MASS_SI
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.boltzmann <= 0 or self.atom_mass <= 0:
+        if self.hbar <= 0 or self.atom_mass <= 0:
             raise ParameterError("physical constants must be strictly positive")
 
 
@@ -131,7 +129,6 @@ class LatticeParams:
     wavelength: float = 866e-9
     depth_at_zero: float = 270.0
     polarization_angle: float = 0.0
-    vibrational_index: int = 0
     sites: int = 33
     points_per_site: int = 64
 
@@ -142,8 +139,6 @@ class LatticeParams:
             raise ParameterError("lattice depth must be positive")
         if not 0.0 <= self.polarization_angle <= np.pi / 2.0 + 1e-15:
             raise ParameterError("polarization angle must lie in [0, pi/2]")
-        if self.vibrational_index < 0:
-            raise ParameterError("vibrational index must be non-negative")
         if self.sites < 1 or self.sites % 2 == 0:
             raise ParameterError("sites must be a positive odd integer")
         p = self.points_per_site
@@ -221,8 +216,8 @@ class HamiltonianMatrix:
 
     The kinetic term is the Fourier-grid operator (dense circulant,
     exponentially convergent for the smooth lattice states).  The pipeline
-    assembles it for one site only; the S-site lattice is solved through its
-    Bloch blocks (eigensolve.decompose), checked against this matrix.
+    never assembles it: the lattice is solved through its Bloch blocks
+    (eigensolve.decompose), which tests check against this matrix.
     """
 
     matrix: np.ndarray
@@ -275,11 +270,7 @@ class LatticeModel:
     def from_displacement(cls, dx: float, params: LatticeParams | None = None,
                           constants: PhysicalConstants | None = None) -> "LatticeModel":
         """Configure the lattice so the spin-up wells sit at dx (lambda/2 units)."""
-        base = params or LatticeParams()
-        theta = angle_from_displacement(dx)
-        p = LatticeParams(wavelength=base.wavelength, depth_at_zero=base.depth_at_zero,
-                          polarization_angle=theta, vibrational_index=base.vibrational_index,
-                          sites=base.sites, points_per_site=base.points_per_site)
+        p = replace(params or LatticeParams(), polarization_angle=angle_from_displacement(dx))
         return cls(params=p, constants=constants or PhysicalConstants())
 
     @property
@@ -332,7 +323,3 @@ class LatticeModel:
 
     def energy_er(self, e_hz: float) -> float:
         return e_hz / self.recoil.hertz
-
-    def time_us(self, t: float) -> float:
-        """Dimensionless time (hbar/E_R) to microseconds."""
-        return t * self.recoil.time_us_per_unit

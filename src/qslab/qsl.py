@@ -1,4 +1,4 @@
-"""Evolution-speed bounds, crossover, path geometry and the deviation coefficient.
+"""Evolution-speed bounds, crossover and the geometric deviation coefficient.
 
 Two lower bounds constrain the two-time overlap of a state evolving under a
 static Hamiltonian (hbar = 1 throughout):
@@ -71,23 +71,11 @@ def crossover_time(e: float, de: float) -> float | None:
     return np.pi * e / (2.0 * de**2)
 
 
-@dataclass(frozen=True)
-class PathGeometry:
-    """Fubini-Study path length against the geodesic distance."""
-
-    times: np.ndarray
-    path_length: np.ndarray     # ell(t) = dE * t = (pi/2) t / tau_MT
-    geodesic: np.ndarray        # arccos |A(t)|
-
-    @property
-    def ratio(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.path_length > 0, self.geodesic / self.path_length, 1.0)
-
-
-def path_geometry(trace: OverlapTrace, de: float) -> PathGeometry:
-    return PathGeometry(times=trace.times, path_length=de * trace.times,
-                        geodesic=trace.fs_distance)
+def geodesic_ratio(visibility, path_length):
+    """Geodesic-to-path length ratio arccos|A| / (dE t), 1 at t = 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(path_length > 0,
+                        np.arccos(np.clip(visibility, -1.0, 1.0)) / path_length, 1.0)
 
 
 def deviation_from_kurtosis(beta2: float) -> float:
@@ -295,8 +283,8 @@ def report(moms: SpectralMoments, trace: OverlapTrace,
     vis = trace.visibility
     valid = ~np.isnan(bound)
     min_margin = float((vis[valid] - bound[valid]).min())
-    geo = path_geometry(trace, moms.de)
-    xi_fit, _ = deviation_from_geometry(trace.times, geo.ratio, tau_mt)
+    ratio = geodesic_ratio(vis, moms.de * trace.times)
+    xi_fit, _ = deviation_from_geometry(trace.times, ratio, tau_mt)
     xi_spec = deviation_from_kurtosis(moms.beta2)
     regime = "ML" if moms.de > moms.e else "MT"
     return QslReport(e=moms.e, de=moms.de, tau_mt=tau_mt, tau_ml=moms.tau_ml,

@@ -85,8 +85,24 @@ def _section(raw: dict, name: str) -> dict:
     return dict(body)
 
 
+def _pop(body: dict, section: str, key: str, kind, default):
+    """Pop one key and convert it with `kind`; an optional key may be None."""
+    value = body.pop(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"config key {section}.{key} has an invalid value {value!r}") from exc
+
+
+def _points(raw) -> tuple:
+    return tuple((int(n), float(dx)) for n, dx in raw)
+
+
 def config_from_dict(raw: dict) -> ScanConfig:
-    """Build a ScanConfig from nested sections; an unknown section or key raises."""
+    """Build a ScanConfig from nested sections; an unknown section or key, or a
+    value of the wrong type, raises ParameterError."""
     sections = ("lattice", "state", "scan", "ramsey")
     if not isinstance(raw, dict):
         raise ParameterError("config must be a mapping of sections")
@@ -95,33 +111,32 @@ def config_from_dict(raw: dict) -> ScanConfig:
         raise ParameterError(f"unknown config section {unknown[0]!r}")
     lat, state, scan, ram = (_section(raw, name) for name in sections)
     params = LatticeParams(
-        wavelength=float(lat.pop("wavelength_nm", 866.0)) * 1e-9,
-        depth_at_zero=float(lat.pop("depth_Er", 270.0)),
-        sites=int(lat.pop("sites", 33)),
-        points_per_site=int(lat.pop("points_per_site", 64)),
+        wavelength=_pop(lat, "lattice", "wavelength_nm", float, 866.0) * 1e-9,
+        depth_at_zero=_pop(lat, "lattice", "depth_Er", float, 270.0),
+        sites=_pop(lat, "lattice", "sites", int, 33),
+        points_per_site=_pop(lat, "lattice", "points_per_site", int, 64),
     )
-    pts = scan.pop("points", None)
-    points = tuple((int(n), float(dx)) for n, dx in pts) if pts else tuple(default_grid())
-    state_n = int(state.pop("n", 0))
-    state_dx = state.pop("dx_halflambda", None)
-    state_point = None if state_dx is None else (state_n, float(state_dx))
+    points = _pop(scan, "scan", "points", _points, None) or tuple(default_grid())
+    state_n = _pop(state, "state", "n", int, 0)
+    state_dx = _pop(state, "state", "dx_halflambda", float, None)
+    state_point = None if state_dx is None else (state_n, state_dx)
     ramsey = interferometer.RamseyConfig(
-        phase_grid=interferometer.default_phase_grid(int(ram.pop("phases", 12))),
-        atoms_per_shot=int(ram.pop("atoms_per_shot", 20)),
-        repetitions=int(ram.pop("repetitions", 10)),
-        loss_fraction=float(ram.pop("loss_fraction", 0.05)),
-        light_shift_slope=float(ram.pop("light_shift_slope_rad_per_us", 0.0)),
+        phase_grid=interferometer.default_phase_grid(_pop(ram, "ramsey", "phases", int, 12)),
+        atoms_per_shot=_pop(ram, "ramsey", "atoms_per_shot", int, 20),
+        repetitions=_pop(ram, "ramsey", "repetitions", int, 10),
+        loss_fraction=_pop(ram, "ramsey", "loss_fraction", float, 0.05),
+        light_shift_slope=_pop(ram, "ramsey", "light_shift_slope_rad_per_us", float, 0.0),
     )
     config = ScanConfig(
         points=points,
         params=params,
-        estimator=str(scan.pop("estimator", "exact")),
-        seed=int(scan.pop("seed", DEFAULT_SEED)),
-        out_dir=str(scan.pop("out", "qslab-out")),
-        time_points=int(scan.pop("time_points", 64)),
-        workers=int(scan.pop("workers", 2)),
-        curves=bool(scan.pop("curves", True)),
-        curve_points=int(scan.pop("curve_points", 25)),
+        estimator=_pop(scan, "scan", "estimator", str, "exact"),
+        seed=_pop(scan, "scan", "seed", int, DEFAULT_SEED),
+        out_dir=_pop(scan, "scan", "out", str, "qslab-out"),
+        time_points=_pop(scan, "scan", "time_points", int, 64),
+        workers=_pop(scan, "scan", "workers", int, 2),
+        curves=_pop(scan, "scan", "curves", bool, True),
+        curve_points=_pop(scan, "scan", "curve_points", int, 25),
         ramsey=ramsey,
         state_point=state_point,
     )
@@ -152,15 +167,19 @@ class PointResult:
 
 
 def solve_displacement(dx: float, params: LatticeParams, constants: PhysicalConstants):
-    """Model, eigensolution and site eigenstates shared by the n = 0, 1, 2 points.
+    """Model and eigensolution shared by the n = 0, 1, 2 points of one dx.
 
     The evolution wells sit at integer sites; the packet carries the relative
-    displacement dx (see dynamics.prepare_initial).
+    displacement dx (see dynamics.prepare_initial).  A well too shallow to
+    bind the n = 2 level raises ParameterError.
     """
     model = LatticeModel.from_displacement(dx, params, constants)
-    eig = eigensolve.decompose(model.potential("down"), model.grid)
-    site_e, site_states, _ = eigensolve.single_site_eigenstates(model, 3)
-    return model, eig, site_e, site_states
+    levels = eigensolve.bound_level_count(model)
+    if levels < 3:
+        raise ParameterError(
+            f"the packets n = 0, 1, 2 need 3 bound levels; ~{levels} at depth "
+            f"{model.depth:.1f} E_R")
+    return model, eigensolve.decompose(model.potential("down"), model.grid)
 
 
 def run_point(n: int, dx: float, config: ScanConfig, solved=None,
@@ -168,8 +187,8 @@ def run_point(n: int, dx: float, config: ScanConfig, solved=None,
     """Full pipeline for one (n, dx) combination."""
     if solved is None:
         solved = solve_displacement(dx, config.params, config.constants)
-    model, eig, site_e, site_states = solved
-    state = dynamics.prepare_initial(n, dx, model, site_states=site_states)
+    model, eig = solved
+    state = dynamics.prepare_initial(n, dx, model, eig)
     spectral = dynamics.to_spectral(state, eig)
     moms = dynamics.moments(spectral)
     times = dynamics.default_times(moms, config.time_points)
@@ -178,6 +197,7 @@ def run_point(n: int, dx: float, config: ScanConfig, solved=None,
     rep = qsl.report(moms, trace, time_us_per_unit=scale)
     psi_end = dynamics.reconstruct(spectral, eig, times[-1])
     edge = dynamics.edge_probability(psi_end, model.grid)
+    site_e = eig.site_states(n + 1)[0]
     e_n = float(site_e[n] - site_e[0])
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
                          moments=moms, trace=trace, report=rep,
@@ -246,10 +266,9 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
     """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape."""
     rows = []
     for dx in dx_values:
-        model, eig, _, site_states = solve_displacement(float(dx), config.params,
-                                                        config.constants)
+        model, eig = solve_displacement(float(dx), config.params, config.constants)
         for n in (0, 1, 2):
-            state = dynamics.prepare_initial(n, float(dx), model, site_states=site_states)
+            state = dynamics.prepare_initial(n, float(dx), model, eig)
             moms = dynamics.moments(dynamics.to_spectral(state, eig))
             rows.append({"n": n, "dx": float(dx),
                          "inv_tau_ml": 4.0 * moms.e / model.homega,

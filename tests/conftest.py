@@ -15,15 +15,15 @@ class LatticeSolver:
         self._cache = {}
 
     def solve(self, dx: float):
-        """(model, eig, site_e, site_states) for one displacement."""
+        """(model, eig) for one displacement."""
         key = round(dx, 12)
         if key not in self._cache:
             self._cache[key] = scan.solve_displacement(dx, self.params, PhysicalConstants())
         return self._cache[key]
 
     def spectral_point(self, n: int, dx: float):
-        model, eig, site_e, site_states = self.solve(dx)
-        state = dynamics.prepare_initial(n, dx, model, site_states=site_states)
+        model, eig = self.solve(dx)
+        state = dynamics.prepare_initial(n, dx, model, eig)
         spectral = dynamics.to_spectral(state, eig)
         return model, eig, state, spectral, dynamics.moments(spectral)
 

@@ -15,8 +15,8 @@ def poisson_pmf(k, x):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_prepare_stationary_at_zero_displacement(solver, n):
-    model, eig, *_ = solver.solve(0.0)
-    state = dyn.prepare_initial(n, 0.0, model)
+    model, eig = solver.solve(0.0)
+    state = dyn.prepare_initial(n, 0.0, model, eig)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     spectral = dyn.to_spectral(state, eig)
     # all population inside the quasi-degenerate band n
@@ -30,25 +30,25 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
     assert moms.stationary
     assert moms.beta2 is None
     # mean energy pinned to the vibrational level above the ground state
-    site_e = solver.solve(0.0)[2]
+    site_e = eig.site_states(3)[0]
     assert moms.e == pytest.approx(site_e[n] - site_e[0], abs=1e-2)
 
 
 def test_prepare_input_validation(solver):
-    model = solver.solve(0.0)[0]
+    model, eig = solver.solve(0.0)
     with pytest.raises(ParameterError):
-        dyn.prepare_initial(3, 0.1, model)
+        dyn.prepare_initial(3, 0.1, model, eig)
     with pytest.raises(ParameterError):
-        dyn.prepare_initial(0, 0.7, model)
+        dyn.prepare_initial(0, 0.7, model, eig)
 
 
 def test_shift_is_norm_preserving_and_silent(solver):
     import warnings
 
-    model = solver.solve(0.13)[0]
+    model, eig = solver.solve(0.13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = dyn.prepare_initial(0, 0.13, model)  # dx not a grid multiple
+        state = dyn.prepare_initial(0, 0.13, model, eig)  # dx not a grid multiple
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,10 +153,10 @@ def test_min_overlap_near_forty_degrees(solver):
 
 
 def test_direct_moments_cross_check(solver):
-    model, eig, site_e, site_states = solver.solve(0.08)
+    model, eig = solver.solve(0.08)
     ham = model.hamiltonian("down")
     for n in (0, 1, 2):
-        state = dyn.prepare_initial(n, 0.08, model, site_states=site_states)
+        state = dyn.prepare_initial(n, 0.08, model, eig)
         spectral = dyn.to_spectral(state, eig)
         spec_moms = dyn.moments(spectral)
         direct = dyn.direct_moments(state, ham, eig.ground_offset)
@@ -200,9 +200,9 @@ def test_displacement_gauge_equivalence():
     dx = 0.11
     params = LatticeParams(sites=9, points_per_site=32)
     model = LatticeModel.from_displacement(dx, params)
-    site_e, site_states, _ = eigensolve.single_site_eigenstates(model, 3)
     eig_down = eigensolve.decompose(model.potential("down"), model.grid)
     eig_up = eigensolve.decompose(model.potential("up"), model.grid)
+    site_states = eig_down.site_states(3)[1]
     packet = np.zeros(model.grid.size)
     p = params.points_per_site
     start = model.grid.size // 2 - p // 2
@@ -211,7 +211,7 @@ def test_displacement_gauge_equivalence():
         packet[start:start + p] = site_states[:, n]
         packet /= np.linalg.norm(packet)
         centered = dyn.QuantumState(amplitudes=packet.copy(), grid=model.grid)
-        shifted = dyn.prepare_initial(n, dx, model, site_states=site_states)
+        shifted = dyn.prepare_initial(n, dx, model, eig_down)
         spec_a = dyn.to_spectral(shifted, eig_down)
         spec_b = dyn.to_spectral(centered, eig_up)
         # mode-by-mode weights are basis-dependent inside quasi-degenerate

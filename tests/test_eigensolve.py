@@ -1,12 +1,15 @@
 """Eigendecomposition contract and band-structure claims."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qslab import dynamics as dyn
 from qslab import eigensolve as es
 from qslab.errors import ConstructionError, ParameterError
-from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, Potential
+from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, PhysicalConstants, Potential
+from qslab.scan import solve_displacement
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -25,9 +28,8 @@ def test_block_solve_matches_dense_oracle():
     # bound bands are separated by gaps, so dense band b is the b-th run of S
     bound = es.bound_level_count(model)
     assert np.array_equal(eig.bands[:bound * s], np.repeat(np.arange(bound), s))
-    _, site_states, _ = es.single_site_eigenstates(model, 3)
     for n in (0, 1, 2):
-        state = dyn.prepare_initial(n, dx, model, site_states=site_states)
+        state = dyn.prepare_initial(n, dx, model, eig)
         spectral = dyn.to_spectral(state, eig)
         coeff = v.T @ state.amplitudes
         dense_pops = np.abs(coeff) ** 2
@@ -101,10 +103,13 @@ def test_level_spacing_against_anharmonic_ladder(solver):
     assert spacing == pytest.approx(homega, rel=0.035)
 
 
-def test_single_site_eigenstates_nodes_and_orthonormality():
-    lattice = LatticeModel(params=LatticeParams())
-    energies, states, positions = es.single_site_eigenstates(lattice, 3)
+def test_single_site_eigenstates_nodes_and_orthonormality(solver):
+    eig = solver.solve(0.0)[1]
+    energies, states = eig.site_states(3)
+    p = states.shape[0]
+    positions = np.arange(p) / p - 0.5
     assert np.all(np.diff(energies) > 0)
+    assert np.isrealobj(states)
     gram = states.T @ states
     assert np.abs(gram - np.eye(3)).max() < 1e-10
     # node counts 0, 1, 2 in the classically allowed center region
@@ -119,16 +124,34 @@ def test_single_site_eigenstates_nodes_and_orthonormality():
     assert np.abs(g - mirrored).max() < 1e-8 * np.abs(g).max()
 
 
-def test_single_site_count_errors():
-    lattice = LatticeModel(params=LatticeParams())
+def test_single_site_count_errors(solver):
+    eig = solver.solve(0.0)[1]
     with pytest.raises(ParameterError):
-        es.single_site_eigenstates(lattice, 0)
+        eig.site_states(0)
     with pytest.raises(ParameterError):
-        es.single_site_eigenstates(lattice, 50)
+        eig.site_states(LatticeParams().points_per_site + 1)
+    # sqrt(20 E_R)/2 ~ 2.2 bound levels cannot hold the n = 2 packet
+    shallow = LatticeParams(depth_at_zero=20.0, sites=9, points_per_site=32)
+    with pytest.raises(ParameterError, match="bound levels"):
+        solve_displacement(0.1, shallow, PhysicalConstants())
+
+
+@pytest.mark.parametrize("dx", [0.0, 0.5])
+def test_site_states_match_one_site_dense_oracle(solver, dx):
+    # an isolated site with periodic closure, solved densely, is an
+    # independent route to the q = 0 Bloch block
+    lattice, eig = solver.solve(dx)
+    site = LatticeModel(params=replace(lattice.params, sites=1))
+    w, v = np.linalg.eigh(site.hamiltonian("down").matrix)
+    energies, states = eig.site_states(4)
+    assert np.abs(energies - w[:4]).max() <= 1e-10
+    signs = np.sign((v[:, :4] * states).sum(axis=0))
+    assert np.abs(states - v[:, :4] * signs).max() <= 1e-12
 
 
 def test_single_site_matches_full_lattice_band_centers(solver):
-    lattice, eig, site_e, _ = solver.solve(0.0)
+    lattice, eig = solver.solve(0.0)
+    site_e = eig.site_states(3)[0]
     s = lattice.params.sites
     for n in range(3):
         band = eig.energies[n * s:(n + 1) * s]
@@ -144,10 +167,10 @@ def test_empty_lattice_band_folds_free_dispersion():
     assert np.allclose(bands[0].energies, KAPPA * q**2, atol=1e-9)
 
 
-def test_band_zero_at_q0_matches_single_site():
-    lattice = LatticeModel(params=LatticeParams())
+def test_band_zero_at_q0_matches_single_site(solver):
+    lattice, eig = solver.solve(0.0)
     bands = es.band_structure(lattice, 3, 32)
-    site_e, *_ = es.single_site_eigenstates(lattice, 3)
+    site_e = eig.site_states(3)[0]
     i0 = int(np.argmin(np.abs(bands[0].quasimomenta)))
     for n in range(3):
         assert bands[n].energies[i0] == pytest.approx(site_e[n], abs=1e-8)

@@ -98,9 +98,8 @@ def test_geometric_and_overlap_forms_agree(solver):
     _, _, _, spectral, moms = solver.spectral_point(0, 0.08)
     times = dyn.default_times(moms, 64)
     trace = dyn.evolve_overlap(spectral, times)
-    geo = qsl.path_geometry(trace, moms.de)
     overlap_margin = trace.visibility - np.cos(moms.de * times)
-    geo_margin = geo.path_length - geo.geodesic
+    geo_margin = moms.de * times - trace.fs_distance
     # identical sign wherever the overlap margin is numerically resolved; the
     # arccos map amplifies rounding near |A| = 1 by 1/sqrt(1 - A^2), so the
     # geodesic margin gets a correspondingly scaled floor
@@ -109,7 +108,7 @@ def test_geometric_and_overlap_forms_agree(solver):
             assert np.sign(om) == np.sign(gm)
         amplify = 1.0 / np.sqrt(max(1.0 - vis**2, 1e-14))
         assert gm >= -1e-12 * amplify
-    assert geo.geodesic[0] == pytest.approx(0.0, abs=1e-6)
+    assert trace.fs_distance[0] == pytest.approx(0.0, abs=1e-6)
     assert np.all(overlap_margin >= -1e-12)
 
 

@@ -80,6 +80,9 @@ def test_config_rejects_unknown_keys():
         scan.config_from_dict({"lattise": {"sites": 9}})
     with pytest.raises(ParameterError, match="mapping"):
         scan.config_from_dict({"scan": [1, 2]})
+    # a wrongly typed value names its key instead of leaking int()'s ValueError
+    with pytest.raises(ParameterError, match="lattice.sites"):
+        scan.config_from_dict({"lattice": {"sites": "x"}})
 
 
 def test_run_scan_artifacts_exact(tmp_path):
