@@ -3,7 +3,8 @@
 The S-site periodic Fourier-grid Hamiltonian commutes with a shift by one
 site, so an FFT over the grid splits it into S Hermitian P x P blocks, one
 per quasimomentum q = 2 pi j / S (Bloch's theorem; Marston and
-Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  The same block builder
+Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  Time reversal pairs q with
+-q, so only (S + 1) / 2 blocks are diagonalised.  The same block builder
 gives the band energies at any q.  LAPACK's Hermitian solver uses no
 randomized pivoting, so repeated solves of the same input are bit-identical.
 """
@@ -143,20 +144,32 @@ def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
 
     Takes the inputs of model.build_hamiltonian but never assembles the
     (S P) x (S P) matrix, so the potential must repeat with the site period.
+    The blocks are built from the central site, u in [-1/2, 1/2), whose
+    samples are the same floats for every S.
     """
     if potential.values.shape != grid.positions.shape:
         raise ConstructionError(
             f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
     s, p = grid.sites, grid.points_per_site
+    if s % 2 == 0:
+        raise ConstructionError("the q <-> -q pairing of the blocks needs an odd site count")
     cells = potential.values.reshape(s, p)
-    if np.abs(cells - cells[0]).max() > 1e-9 * max(np.abs(cells).max(), 1.0):
+    cell = cells[s // 2]
+    if np.abs(cells - cell).max() > 1e-9 * max(np.abs(cells).max(), 1.0):
         raise ConstructionError("potential does not repeat with the site period")
-    j = np.arange(s) - s // 2
-    blocks, orders = _bloch_blocks(potential.values[:p], 2.0 * np.pi * j / s)
+    # a real potential makes block -q the complex conjugate of block q, with
+    # plane-wave orders m -> -m (odd S, so the Nyquist windows mirror), so
+    # only q >= 0 is solved
+    half = np.arange(s // 2 + 1)
+    blocks, orders = _bloch_blocks(cell, 2.0 * np.pi * half / s)
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    energies = np.concatenate([energies[:0:-1], energies])
+    vectors = np.concatenate([vectors[:0:-1].conj(), vectors])
+    orders = np.concatenate([-orders[:0:-1], orders])
+    j = np.arange(s) - s // 2
     # wavenumber 2 pi n / S sits in FFT bin n mod S P; (-1)^n moves the
     # transform's origin from the first grid point to u = 0
     n = j[:, None] + s * orders
@@ -200,7 +213,8 @@ def band_structure(model: LatticeModel, n_bands: int, q_points: int) -> list[Ban
     # include q = 0 and the zone edge q = pi exactly so cosine-like bands
     # report their full width
     q_grid = np.linspace(-np.pi, np.pi, q_points + 1)[1:]
-    blocks, _ = _bloch_blocks(model.potential("down").values[:p], q_grid)
+    cells = model.potential("down").values.reshape(-1, p)
+    blocks, _ = _bloch_blocks(cells[len(cells) // 2], q_grid)
     energies = np.linalg.eigvalsh(blocks)[:, :n_bands]
     bands = []
     for b in range(n_bands):

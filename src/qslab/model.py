@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import ConstructionError, ParameterError
 
@@ -129,7 +128,7 @@ class LatticeParams:
     wavelength: float = 866e-9
     depth_at_zero: float = 270.0
     polarization_angle: float = 0.0
-    sites: int = 33
+    sites: int = 11
     points_per_site: int = 64
 
     def __post_init__(self):
@@ -206,7 +205,8 @@ def _kinetic_spectral(n: int, length: float) -> np.ndarray:
     # real even multiplier gives its first row, symmetrized to kill rounding
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
     row = np.fft.irfft(KAPPA * k**2, n=n)
-    mat = sla.circulant(row)
+    i = np.arange(n)
+    mat = row[np.subtract.outer(i, i) % n]
     return (mat + mat.T) / 2.0
 
 

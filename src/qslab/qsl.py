@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dynamics import OverlapTrace, SpectralMoments
 from .errors import NumericError, ParameterError
@@ -162,8 +161,8 @@ def displaced_populations(n: int, alpha: float, n_max: int | None = None) -> np.
         p = np.zeros(n_max)
         p[n] = 1.0
         return p
-    with np.errstate(divide="ignore"):
-        log_pois = -x + k * np.log(x) - gammaln(k + 1)
+    # log k! by a running sum, since k is an integer
+    log_pois = -x + k * np.log(x) - np.cumsum(np.log(np.maximum(k, 1)))
     base = np.exp(log_pois)
     if n == 0:
         return base

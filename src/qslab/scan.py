@@ -78,73 +78,60 @@ def load_config(path: str) -> ScanConfig:
     return config_from_dict(raw)
 
 
-def _section(raw: dict, name: str) -> dict:
-    body = raw.get(name) or {}
-    if not isinstance(body, dict):
-        raise ParameterError(f"config section {name!r} must be a mapping")
-    return dict(body)
-
-
-def _pop(body: dict, section: str, key: str, kind, default):
-    """Pop one key and convert it with `kind`; an optional key may be None."""
-    value = body.pop(key, default)
-    if value is None and default is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"config key {section}.{key} has an invalid value {value!r}") from exc
-
-
 def _points(raw) -> tuple:
-    return tuple((int(n), float(dx)) for n, dx in raw)
+    # null or an empty list keeps the default grid
+    return tuple((int(n), float(dx)) for n, dx in raw or ()) or ScanConfig.points
+
+
+# config key -> (field name, converter) per section; a key left out keeps its
+# dataclass default, so each default is set in one place
+_KEYS = {
+    "lattice": {"wavelength_nm": ("wavelength", lambda nm: float(nm) * 1e-9),
+                "depth_Er": ("depth_at_zero", float), "sites": ("sites", int),
+                "points_per_site": ("points_per_site", int)},
+    "state": {"n": ("n", int),
+              "dx_halflambda": ("dx", lambda dx: None if dx is None else float(dx))},
+    "scan": {"points": ("points", _points), "estimator": ("estimator", str),
+             "seed": ("seed", int), "out": ("out_dir", str),
+             "time_points": ("time_points", int), "workers": ("workers", int),
+             "curves": ("curves", bool), "curve_points": ("curve_points", int)},
+    "ramsey": {"phases": ("phase_grid", lambda k: interferometer.default_phase_grid(int(k))),
+               "atoms_per_shot": ("atoms_per_shot", int),
+               "repetitions": ("repetitions", int), "loss_fraction": ("loss_fraction", float),
+               "light_shift_slope_rad_per_us": ("light_shift_slope", float)},
+}
+
+
+def _fields(raw: dict, section: str) -> dict:
+    """Converted keyword arguments for the keys present in one section."""
+    body = raw.get(section) or {}
+    if not isinstance(body, dict):
+        raise ParameterError(f"config section {section!r} must be a mapping")
+    fields = {}
+    for key, value in body.items():
+        if key not in _KEYS[section]:
+            raise ParameterError(f"unknown config key {section}.{key}")
+        name, kind = _KEYS[section][key]
+        try:
+            fields[name] = kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                f"config key {section}.{key} has an invalid value {value!r}") from exc
+    return fields
 
 
 def config_from_dict(raw: dict) -> ScanConfig:
     """Build a ScanConfig from nested sections; an unknown section or key, or a
     value of the wrong type, raises ParameterError."""
-    sections = ("lattice", "state", "scan", "ramsey")
     if not isinstance(raw, dict):
         raise ParameterError("config must be a mapping of sections")
-    unknown = [name for name in raw if name not in sections]
+    unknown = [name for name in raw if name not in _KEYS]
     if unknown:
         raise ParameterError(f"unknown config section {unknown[0]!r}")
-    lat, state, scan, ram = (_section(raw, name) for name in sections)
-    params = LatticeParams(
-        wavelength=_pop(lat, "lattice", "wavelength_nm", float, 866.0) * 1e-9,
-        depth_at_zero=_pop(lat, "lattice", "depth_Er", float, 270.0),
-        sites=_pop(lat, "lattice", "sites", int, 33),
-        points_per_site=_pop(lat, "lattice", "points_per_site", int, 64),
-    )
-    points = _pop(scan, "scan", "points", _points, None) or tuple(default_grid())
-    state_n = _pop(state, "state", "n", int, 0)
-    state_dx = _pop(state, "state", "dx_halflambda", float, None)
-    state_point = None if state_dx is None else (state_n, state_dx)
-    ramsey = interferometer.RamseyConfig(
-        phase_grid=interferometer.default_phase_grid(_pop(ram, "ramsey", "phases", int, 12)),
-        atoms_per_shot=_pop(ram, "ramsey", "atoms_per_shot", int, 20),
-        repetitions=_pop(ram, "ramsey", "repetitions", int, 10),
-        loss_fraction=_pop(ram, "ramsey", "loss_fraction", float, 0.05),
-        light_shift_slope=_pop(ram, "ramsey", "light_shift_slope_rad_per_us", float, 0.0),
-    )
-    config = ScanConfig(
-        points=points,
-        params=params,
-        estimator=_pop(scan, "scan", "estimator", str, "exact"),
-        seed=_pop(scan, "scan", "seed", int, DEFAULT_SEED),
-        out_dir=_pop(scan, "scan", "out", str, "qslab-out"),
-        time_points=_pop(scan, "scan", "time_points", int, 64),
-        workers=_pop(scan, "scan", "workers", int, 2),
-        curves=_pop(scan, "scan", "curves", bool, True),
-        curve_points=_pop(scan, "scan", "curve_points", int, 25),
-        ramsey=ramsey,
-        state_point=state_point,
-    )
-    # every known key was popped above; whatever is left is a typo
-    for name, rest in zip(sections, (lat, state, scan, ram)):
-        if rest:
-            raise ParameterError(f"unknown config key {name}.{next(iter(rest))}")
-    return config
+    lat, state, scan, ram = (_fields(raw, name) for name in _KEYS)
+    state_point = None if state.get("dx") is None else (state.get("n", 0), state["dx"])
+    return ScanConfig(params=LatticeParams(**lat), ramsey=interferometer.RamseyConfig(**ram),
+                      state_point=state_point, **scan)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """State preparation, spectral evolution and moment cross-checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -7,6 +9,8 @@ from scipy.special import gammaln
 from qslab import dynamics as dyn
 from qslab.errors import ParameterError
 from qslab.model import LatticeModel, LatticeParams
+
+from conftest import LatticeSolver
 
 
 def poisson_pmf(k, x):
@@ -224,6 +228,23 @@ def test_displacement_gauge_equivalence():
         m_b = dyn.moments(spec_b)
         assert m_a.e == pytest.approx(m_b.e, rel=1e-9)
         assert m_a.de == pytest.approx(m_b.de, rel=1e-9)
+
+
+@pytest.mark.parametrize("dx", [0.04, 0.5])
+def test_default_box_converged_against_33_sites(solver, dx):
+    # A(t) is a trapezoid rule over the S lattice quasimomenta of a smooth
+    # periodic function, so the default box already gives the 33-site result
+    wide = LatticeSolver(replace(solver.params, sites=33))
+    for n in (0, 1, 2):
+        *_, spectral, moms = solver.spectral_point(n, dx)
+        *_, spectral_33, moms_33 = wide.spectral_point(n, dx)
+        assert moms.e == pytest.approx(moms_33.e, rel=1e-11)
+        assert moms.de == pytest.approx(moms_33.de, rel=1e-11)
+        assert moms.xi == pytest.approx(moms_33.xi, rel=1e-7)
+        times = dyn.default_times(moms_33, 64)
+        delta = (dyn.evolve_overlap(spectral, times).overlaps
+                 - dyn.evolve_overlap(spectral_33, times).overlaps)
+        assert np.abs(delta).max() <= 1e-12
 
 
 def test_leakage_monitor_edges_quiet(solver):

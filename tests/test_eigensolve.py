@@ -49,6 +49,25 @@ def test_block_solve_matches_dense_oracle():
             assert np.abs(dyn.reconstruct(spectral, eig, t) - psi_dense).max() <= 1e-9
 
 
+@pytest.mark.parametrize("sites", [1, 3, 9])
+def test_time_reversal_half_zone_solve(sites, monkeypatch):
+    # the displaced spin-up cell is asymmetric, so its blocks are truly
+    # complex and block -q is the conjugate of block q, not a copy
+    model = LatticeModel.from_displacement(0.11, replace(SMALL, sites=sites))
+    eigh, solved = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(len(b)) or eigh(b))
+    eig = es.decompose(model.potential("up"), model.grid)
+    # only the q >= 0 blocks are diagonalised
+    assert solved == [(sites + 1) // 2]
+    per_block = np.empty(eig.size)
+    per_block[eig.order] = eig.energies
+    per_block = per_block.reshape(sites, -1)
+    assert np.array_equal(per_block, per_block[::-1])
+    checks = eig.validate(model.hamiltonian("up"))
+    assert checks["residual"] <= RESIDUAL_TOL
+    assert checks["orthonormality"] <= ORTHO_TOL
+
+
 def test_band_structure_matches_lattice_spectrum():
     # for odd S, every other one of 2S quasimomenta is a lattice
     # quasimomentum 2 pi j / S, where the bands are the S-site spectrum
@@ -71,6 +90,12 @@ def test_decompose_input_errors():
         es.decompose(bumped, model.grid)
     with pytest.raises(ConstructionError):
         es.decompose(pot, Grid.for_params(LatticeParams(sites=3, points_per_site=32)))
+    # an even S has an unpaired zone-edge block, q = pi
+    even = Grid(positions=np.arange(4 * 32) / 32 - 2.0, spacing=1 / 32, sites=4,
+                points_per_site=32)
+    flat = Potential(spin="down", values=np.zeros(even.size), displacement=0.0, depth=1.0)
+    with pytest.raises(ConstructionError, match="odd"):
+        es.decompose(flat, even)
 
 
 def test_decompose_lattice_contract(solver):
@@ -147,6 +172,17 @@ def test_site_states_match_one_site_dense_oracle(solver, dx):
     assert np.abs(energies - w[:4]).max() <= 1e-10
     signs = np.sign((v[:, :4] * states).sum(axis=0))
     assert np.abs(states - v[:, :4] * signs).max() <= 1e-12
+
+
+def test_site_energies_independent_of_box_size():
+    # the blocks are built from the central site, whose samples are the same
+    # floats for every S, so the q = 0 block and its energies are too
+    energies = []
+    for sites in (1, 3, 33):
+        model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=sites))
+        eig = es.decompose(model.potential("down"), model.grid)
+        energies.append(eig.site_states(3)[0])
+    assert all(np.array_equal(e, energies[0]) for e in energies[1:])
 
 
 def test_single_site_matches_full_lattice_band_centers(solver):

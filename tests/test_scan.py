@@ -1,13 +1,16 @@
 """Sweep orchestration, figure artifacts, determinism and the CLI."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from qslab import cli, scan
+from qslab import cli, interferometer, scan
 from qslab.errors import ParameterError
 from qslab.model import LatticeParams
 
@@ -70,6 +73,26 @@ def test_config_yaml_round_trip(tmp_path):
     assert cfg.ramsey.phase_grid.size == 8
     assert cfg.ramsey.light_shift_slope == 81.0
     assert (cfg.time_points, cfg.curves, cfg.curve_points) == (32, False, 5)
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    # every default is set once, on the dataclasses; the config reader adds none
+    cfg, ref = scan.config_from_dict({}), scan.ScanConfig()
+    for f in dataclasses.fields(scan.ScanConfig):
+        if f.name != "ramsey":
+            assert getattr(cfg, f.name) == getattr(ref, f.name), f.name
+    for f in dataclasses.fields(interferometer.RamseyConfig):
+        assert np.array_equal(getattr(cfg.ramsey, f.name), getattr(ref.ramsey, f.name)), f.name
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only as a test oracle; a fresh interpreter shows what the
+    # command line pulls in at start-up
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = "import sys, qslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_config_rejects_unknown_keys():
