@@ -3,10 +3,13 @@
 The S-site periodic Fourier-grid Hamiltonian commutes with a shift by one
 site, so an FFT over the grid splits it into S Hermitian P x P blocks, one
 per quasimomentum q = 2 pi j / S (Bloch's theorem; Marston and
-Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  Time reversal pairs q with
--q, so only (S + 1) / 2 blocks are diagonalised.  The same block builder
-gives the band energies at any q.  LAPACK's Hermitian solver uses no
-randomized pivoting, so repeated solves of the same input are bit-identical.
+Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  A cell that is its own
+mirror image, such as the spin-down cos^2 well, has real Fourier components,
+so its blocks are real symmetric (the Mathieu problem) and are solved in
+real arithmetic.  Time reversal pairs q with -q, so only (S + 1) / 2 blocks
+are diagonalised.  The same block builder gives the band energies at any q.
+LAPACK's symmetric and Hermitian solvers use no randomized pivoting, so
+repeated solves of the same input are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ from .model import KAPPA, Grid, HamiltonianMatrix, LatticeModel, Potential
 
 
 def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
-    """Hermitian Bloch blocks of one lattice cell, one per quasimomentum.
+    """Bloch blocks of one lattice cell, one per quasimomentum.
 
     `cell` holds the potential (E_R) on the P points (l - P/2)/P of one site.
     Block q acts on the P plane waves exp(i (q + 2 pi m) u) whose wavenumber
     lies in the grid's Nyquist window [-pi P, pi P): kappa (q + 2 pi m)^2 on
     the diagonal plus the discrete Fourier components of the cell potential,
     which couple orders m and m' through (m - m') mod P.  At q = 2 pi j / S
-    these blocks are exactly the S-site Fourier-grid operator.
+    these blocks are exactly the S-site Fourier-grid operator.  When the cell
+    is bitwise its own mirror image on the periodic grid, cell[l] ==
+    cell[-l mod P], its Fourier components are real up to rounding, which is
+    dropped: the blocks are then real symmetric, otherwise Hermitian.
 
     The plane waves are ordered by |q + 2 pi m|, so the kinetic diagonal
     grows down each block.  LAPACK's rounding in the deep bands is then
@@ -36,7 +42,7 @@ def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
 
     Returns
     -------
-    blocks : (Q, P, P) complex array
+    blocks : (Q, P, P) float array for a mirror-symmetric cell, else complex
     orders : (Q, P) integer plane-wave order m of each row
     """
     p = cell.size
@@ -46,6 +52,8 @@ def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
         window, np.argsort(np.abs(q + 2.0 * np.pi * window), axis=1, kind="stable"), axis=1)
     # (-1)^g moves the transform's origin from the cell's first point to u = 0
     v_g = (-1.0) ** np.arange(p) * np.fft.fft(cell) / p
+    if np.array_equal(cell, cell[-np.arange(p) % p]):
+        v_g = v_g.real
     coupling = v_g[(orders[:, :, None] - orders[:, None, :]) % p]
     kinetic = KAPPA * (q + 2.0 * np.pi * orders) ** 2
     return coupling + kinetic[:, :, None] * np.eye(p), orders
@@ -60,7 +68,7 @@ class EigenDecomposition:
     ground state sits at zero.  Sorted mode k is column `band` of
     vectors[block] with (block, band) = divmod(order[k], P); the column holds
     the mode's orthonormal grid-FFT coefficients on the bins[block] of that
-    block.
+    block.  vectors are real for a mirror-symmetric cell.
     """
 
     energies: np.ndarray

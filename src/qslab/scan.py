@@ -47,7 +47,7 @@ class ScanConfig:
     seed: int = DEFAULT_SEED
     out_dir: str = "qslab-out"
     time_points: int = 64
-    workers: int = 2
+    workers: int = 1
     curves: bool = True
     curve_points: int = 25
     ramsey: interferometer.RamseyConfig = field(
@@ -59,6 +59,8 @@ class ScanConfig:
             raise ParameterError(f"estimator must be 'exact' or 'experiment', got {self.estimator!r}")
         if self.time_points < 8:
             raise ParameterError("time grid needs at least 8 points")
+        if self.workers < 1:
+            raise ParameterError(f"workers must be at least 1, got {self.workers}")
         seen = set()
         for n, dx in self.points:
             if n not in (0, 1, 2):
@@ -78,26 +80,42 @@ def load_config(path: str) -> ScanConfig:
     return config_from_dict(raw)
 
 
+def _integer(value) -> int:
+    """An int that is not a bool, or an integral float such as 9.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _points(raw) -> tuple:
     # null or an empty list keeps the default grid
-    return tuple((int(n), float(dx)) for n, dx in raw or ()) or ScanConfig.points
+    return tuple((_integer(n), float(dx)) for n, dx in raw or ()) or ScanConfig.points
 
 
 # config key -> (field name, converter) per section; a key left out keeps its
 # dataclass default, so each default is set in one place
 _KEYS = {
     "lattice": {"wavelength_nm": ("wavelength", lambda nm: float(nm) * 1e-9),
-                "depth_Er": ("depth_at_zero", float), "sites": ("sites", int),
-                "points_per_site": ("points_per_site", int)},
-    "state": {"n": ("n", int),
+                "depth_Er": ("depth_at_zero", float), "sites": ("sites", _integer),
+                "points_per_site": ("points_per_site", _integer)},
+    "state": {"n": ("n", _integer),
               "dx_halflambda": ("dx", lambda dx: None if dx is None else float(dx))},
     "scan": {"points": ("points", _points), "estimator": ("estimator", str),
-             "seed": ("seed", int), "out": ("out_dir", str),
-             "time_points": ("time_points", int), "workers": ("workers", int),
-             "curves": ("curves", bool), "curve_points": ("curve_points", int)},
-    "ramsey": {"phases": ("phase_grid", lambda k: interferometer.default_phase_grid(int(k))),
-               "atoms_per_shot": ("atoms_per_shot", int),
-               "repetitions": ("repetitions", int), "loss_fraction": ("loss_fraction", float),
+             "seed": ("seed", _integer), "out": ("out_dir", str),
+             "time_points": ("time_points", _integer), "workers": ("workers", _integer),
+             "curves": ("curves", _boolean), "curve_points": ("curve_points", _integer)},
+    "ramsey": {"phases": ("phase_grid",
+                          lambda k: interferometer.default_phase_grid(_integer(k))),
+               "atoms_per_shot": ("atoms_per_shot", _integer),
+               "repetitions": ("repetitions", _integer), "loss_fraction": ("loss_fraction", float),
                "light_shift_slope_rad_per_us": ("light_shift_slope", float)},
 }
 
@@ -371,11 +389,10 @@ def run_scan(config: ScanConfig) -> dict:
                 group_failures.append({"point": f"n{n}_dx{dx_key:.4f}", "error": str(exc)})
         return group_results, group_failures
 
-    workers = max(1, config.workers)
-    if workers == 1:
+    if config.workers == 1:
         batches = [run_group(k) for k in by_dx]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
             batches = list(pool.map(run_group, by_dx))
     for group_results, group_failures in batches:
         failures.extend(group_failures)

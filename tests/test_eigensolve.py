@@ -68,6 +68,35 @@ def test_time_reversal_half_zone_solve(sites, monkeypatch):
     assert checks["orthonormality"] <= ORTHO_TOL
 
 
+def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
+    # the spin-down cos^2 cell is even, so its blocks are real symmetric; the
+    # displaced spin-up cell is not, and keeps complex Hermitian blocks
+    up = solver.solve(0.11)[0]
+    assert es.decompose(up.potential("up"), up.grid).vectors.dtype == np.complex128
+    eigh = np.linalg.eigh
+    for dx in (0.04, 0.5):
+        model, eig = solver.solve(dx)
+        assert eig.vectors.dtype == np.float64
+        # the same blocks through the complex driver are the reference
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", lambda b: eigh(b.astype(complex)))
+            ref = es.decompose(model.potential("down"), model.grid)
+        assert ref.vectors.dtype == np.complex128
+        assert np.abs(eig.energies - ref.energies).max() <= 1e-10
+        # far above the well, bands 21 and 22 of one block are degenerate to
+        # 3e-13 E_R at dx = 0.5, so how a packet splits between them is a
+        # choice of basis; the bound bands and the moments are not
+        bound = es.bound_level_count(model)
+        for n in (0, 1, 2):
+            spectral = [dyn.to_spectral(dyn.prepare_initial(n, dx, model, e), e)
+                        for e in (eig, ref)]
+            pops = [dyn.band_populations(s)[:bound] for s in spectral]
+            assert np.abs(pops[0] - pops[1]).max() <= 1e-12
+            moms, ref_moms = (dyn.moments(s) for s in spectral)
+            assert moms.e == pytest.approx(ref_moms.e, rel=1e-12)
+            assert moms.de == pytest.approx(ref_moms.de, rel=1e-12)
+
+
 def test_band_structure_matches_lattice_spectrum():
     # for odd S, every other one of 2S quasimomenta is a lattice
     # quasimomentum 2 pi j / S, where the bands are the S-site spectrum

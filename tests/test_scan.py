@@ -108,6 +108,38 @@ def test_config_rejects_unknown_keys():
         scan.config_from_dict({"lattice": {"sites": "x"}})
 
 
+INTEGER_KEYS = [("lattice", "sites"), ("lattice", "points_per_site"), ("state", "n"),
+                ("scan", "seed"), ("scan", "time_points"), ("scan", "workers"),
+                ("scan", "curve_points"), ("ramsey", "phases"),
+                ("ramsey", "atoms_per_shot"), ("ramsey", "repetitions")]
+
+
+@pytest.mark.parametrize("section,key", INTEGER_KEYS)
+def test_config_integer_keys_do_not_truncate(section, key):
+    # lattice.sites: 3.9 used to run silently at 3 sites
+    for bad in (3.9, 8.7, "9", True, None):
+        with pytest.raises(ParameterError, match=f"{section}.{key}"):
+            scan.config_from_dict({section: {key: bad}})
+
+
+def test_config_reads_integral_floats_real_booleans_and_positive_workers():
+    # an integral float is the integer it spells
+    sites = scan.config_from_dict({"lattice": {"sites": 9.0}}).params.sites
+    assert sites == 9 and type(sites) is int
+    with pytest.raises(ParameterError, match="scan.points"):
+        scan.config_from_dict({"scan": {"points": [[0.7, 0.1]]}})
+    # a quoted YAML "false" used to switch the reference curves on
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ParameterError, match="scan.curves"):
+            scan.config_from_dict({"scan": {"curves": bad}})
+    assert scan.config_from_dict({"scan": {"curves": False}}).curves is False
+    for workers in (0, -3):
+        with pytest.raises(ParameterError, match="workers"):
+            scan.config_from_dict({"scan": {"workers": workers}})
+        with pytest.raises(ParameterError, match="workers"):
+            scan.ScanConfig(workers=workers)
+
+
 def test_run_scan_artifacts_exact(tmp_path):
     cfg = small_config(tmp_path)
     summary = scan.run_scan(cfg)
