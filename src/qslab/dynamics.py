@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError
 from .eigensolve import EigenDecomposition
-from .model import Grid, HamiltonianMatrix, LatticeModel
+from .model import Grid, LatticeModel, Potential, apply_hamiltonian
 
 SHIFT_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -127,26 +127,25 @@ def _spectral_shift(values: np.ndarray, shift: float, grid: Grid) -> np.ndarray:
 
 
 def prepare_initial(n: int, dx: float, model: LatticeModel,
-                    eig: EigenDecomposition) -> QuantumState:
+                    site_states: np.ndarray) -> QuantumState:
     """Displaced vibrational state: single-site level n, zero-padded, shifted by dx.
 
-    The site eigenstate of the (theta-dependent) well, read from the q = 0
-    Bloch block of `eig`, is embedded at the central site of the full grid
-    and translated by dx with band-limited interpolation, leaving the
-    evolution wells at integer coordinates.  The wells and the packet then
-    differ by exactly dx, which is the only physically meaningful
-    displacement.
+    Column n of `site_states`, the (theta-dependent) well's eigenstates from
+    eigensolve.single_site_eigenstates, is embedded at the central site of
+    the full grid and translated by dx with band-limited interpolation,
+    leaving the evolution wells at integer coordinates.  The wells and the
+    packet then differ by exactly dx, which is the only physically
+    meaningful displacement.
     """
     if n not in (0, 1, 2):
         raise ParameterError(f"vibrational index must be 0, 1 or 2, got {n}")
     if not 0.0 <= dx <= 0.5 + 1e-15:
         raise ParameterError(f"displacement must lie in [0, 0.5] lambda/2, got {dx}")
     grid = model.grid
-    packet = eig.site_states(n + 1)[1][:, n]
     p = model.params.points_per_site
     psi = np.zeros(grid.size)
     start = grid.size // 2 - p // 2
-    psi[start:start + p] = packet
+    psi[start:start + p] = site_states[:, n]
     psi /= np.linalg.norm(psi)
     shifted = _spectral_shift(psi, dx, grid)
     imag_residue = float(np.abs(shifted.imag).max())
@@ -196,8 +195,9 @@ def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
     if np.any(np.diff(times) < 0):
         raise ParameterError("time grid must be sorted")
     p = spectral.populations
-    phases = np.exp(-1j * np.outer(times, spectral.energies))
-    overlaps = phases @ p
+    phases = np.outer(times, spectral.energies)
+    # cos, sin and two real products cost less than a complex exp and product
+    overlaps = np.cos(phases) @ p - 1j * (np.sin(phases) @ p)
     return OverlapTrace(times=times, overlaps=overlaps)
 
 
@@ -206,22 +206,22 @@ def reconstruct(spectral: SpectralState, eig: EigenDecomposition, t: float) -> n
     return eig.synthesize(spectral.coefficients * np.exp(-1j * spectral.energies * t))
 
 
-def direct_moments(state: QuantumState, h: HamiltonianMatrix,
+def direct_moments(state: QuantumState, potential: Potential,
                    ground_offset: float = 0.0) -> SpectralMoments:
-    """Moments from repeated operator application, no diagonalization.
+    """Moments from matrix-free applications of H (model.apply_hamiltonian).
 
-    Cross-checks the spectral route: e and de agree to 1e-8 relative and
-    beta2 to 1e-6.
+    The reference curves' route; the spectral one (to_spectral, moments) is
+    its oracle: e and de agree to 1e-8 relative and beta2 to 1e-6.
     """
     psi = state.amplitudes.astype(complex)
-    h_psi = h.apply(psi) - ground_offset * psi
+    h_psi = apply_hamiltonian(potential, state.grid, psi) - ground_offset * psi
     e = float(np.real(np.vdot(psi, h_psi)))
     d_psi = h_psi - e * psi                       # (H - E) psi
     var = float(np.real(np.vdot(d_psi, d_psi)))
     de = np.sqrt(max(var, 0.0))
     if de < STATIONARY_DE:
         return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
-    d2_psi = h.apply(d_psi) - (ground_offset + e) * d_psi   # (H - E)^2 psi
+    d2_psi = apply_hamiltonian(potential, state.grid, d_psi) - (ground_offset + e) * d_psi
     mu4 = float(np.real(np.vdot(d2_psi, d2_psi)))
     return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
 
@@ -229,8 +229,11 @@ def direct_moments(state: QuantumState, h: HamiltonianMatrix,
 def band_populations(spectral: SpectralState) -> np.ndarray:
     """Populations summed per Bloch band, indexed by band.
 
-    For the deep lattice the low bands are the vibrational levels, so this is
-    the level distribution that closed-form models use.
+    A band index is a mode's rank inside its Bloch block, so only bands not
+    degenerate inside a block, such as the bound bands, have a well-defined
+    sum: above the well bands 21 and 22 lie 3.4e-13 E_R apart at dx = 0.5,
+    and LAPACK's choice of basis splits a packet between them.  The low
+    bands are the vibrational levels that closed-form models use.
     """
     return np.bincount(spectral.bands, weights=spectral.populations)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, NumericError, ParameterError
-from .model import KAPPA, Grid, HamiltonianMatrix, LatticeModel, Potential
+from .model import KAPPA, Grid, LatticeModel, Potential
 
 
 def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
@@ -112,59 +112,63 @@ class EigenDecomposition:
             (s, p) + flat.shape[1:])
         return np.fft.ifft(spectrum, axis=0, norm="ortho")
 
-    def site_states(self, count: int):
-        """Energies (E_R, raw) and states of the first `count` q = 0 modes.
-
-        A q = 0 mode repeats from site to site, so one cell of it, times
-        sqrt(S), is an eigenstate of a single site with periodic closure: the
-        initial wave packets for n = 0, 1, 2.  Each column's phase is fixed
-        so the state is real.
-
-        Returns
-        -------
-        energies : (count,) array
-        states : (P, count) array, orthonormal real columns
-        """
-        s, p = self.bins.shape
-        if not 1 <= count <= p:
-            raise ParameterError(f"count must lie in [1, {p}] (points per site)")
-        modes = np.flatnonzero(self.order // p == s // 2)[:count]
-        picks = np.zeros((self.size, count))
-        picks[modes, np.arange(count)] = 1.0
-        cells = self.synthesize(picks)[:p] * np.sqrt(s)
-        # for a real column r times exp(i a), sum of squares = exp(2 i a) |r|^2
-        cells *= np.exp(-0.5j * np.angle((cells**2).sum(axis=0)))
-        return self.energies[modes], cells.real
-
-    def validate(self, h: HamiltonianMatrix) -> dict:
+    def validate(self, h: np.ndarray) -> dict:
         """Residual and orthonormality of the synthesized grid modes against
         the assembled matrix, for assertion in tests."""
         modes = self.synthesize(np.eye(self.size))
         ortho = float(np.abs(modes.conj().T @ modes - np.eye(self.size)).max())
-        resid = h.matrix @ modes - modes * self.energies
+        resid = h @ modes - modes * self.energies
         scale = float(np.abs(self.energies).max())
         residual = float(np.linalg.norm(resid, axis=0).max()) / max(scale, 1.0)
         return {"orthonormality": ortho, "residual": residual, "norm_scale": scale}
+
+
+def _central_cell(potential: Potential, grid: Grid) -> np.ndarray:
+    """The potential on the central site, u in [-1/2, 1/2), the same floats
+    for every S; the potential must repeat with the site period."""
+    if potential.values.shape != grid.positions.shape:
+        raise ConstructionError(
+            f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
+    cells = potential.values.reshape(grid.sites, grid.points_per_site)
+    cell = cells[grid.sites // 2]
+    if np.abs(cells - cell).max() > 1e-9 * max(np.abs(cells).max(), 1.0):
+        raise ConstructionError("potential does not repeat with the site period")
+    return cell
+
+
+def single_site_eigenstates(potential: Potential, grid: Grid, count: int):
+    """Raw energies (E_R) and (P, count) states of the first `count` q = 0 modes.
+
+    A q = 0 mode repeats from site to site, so its samples on one cell,
+    u = (l - P/2)/P, are a single-site eigenstate with periodic closure: the
+    packets n = 0, 1, 2.  Band 0 is lowest at q = 0, so energies[0] is the
+    lattice's ground energy up to rounding.  Columns are orthonormal and
+    phased to be real.
+    """
+    p = grid.points_per_site
+    if not 1 <= count <= p:
+        raise ParameterError(f"count must lie in [1, {p}] (points per site)")
+    blocks, orders = _bloch_blocks(_central_cell(potential, grid), np.zeros(1))
+    energies, vectors = np.linalg.eigh(blocks[0])
+    # plane wave m sampled at u_l is (-1)^m exp(2 pi i m l / P) / sqrt(P)
+    spectrum = np.zeros((p, count), dtype=complex)
+    spectrum[orders[0] % p] = ((-1.0) ** orders[0])[:, None] * vectors[:, :count]
+    cells = np.fft.ifft(spectrum, axis=0, norm="ortho")
+    # for a real column r times exp(i a), sum of squares = exp(2 i a) |r|^2
+    cells *= np.exp(-0.5j * np.angle((cells**2).sum(axis=0)))
+    return energies[:count], cells.real
 
 
 def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
     """All eigenmodes of H = T + diag(V) on the periodic grid, by Bloch blocks.
 
     Takes the inputs of model.build_hamiltonian but never assembles the
-    (S P) x (S P) matrix, so the potential must repeat with the site period.
-    The blocks are built from the central site, u in [-1/2, 1/2), whose
-    samples are the same floats for every S.
+    (S P) x (S P) matrix; the blocks are built from the central cell.
     """
-    if potential.values.shape != grid.positions.shape:
-        raise ConstructionError(
-            f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
     s, p = grid.sites, grid.points_per_site
+    cell = _central_cell(potential, grid)
     if s % 2 == 0:
         raise ConstructionError("the q <-> -q pairing of the blocks needs an odd site count")
-    cells = potential.values.reshape(s, p)
-    cell = cells[s // 2]
-    if np.abs(cells - cell).max() > 1e-9 * max(np.abs(cells).max(), 1.0):
-        raise ConstructionError("potential does not repeat with the site period")
     # a real potential makes block -q the complex conjugate of block q, with
     # plane-wave orders m -> -m (odd S, so the Nyquist windows mirror), so
     # only q >= 0 is solved
@@ -221,8 +225,7 @@ def band_structure(model: LatticeModel, n_bands: int, q_points: int) -> list[Ban
     # include q = 0 and the zone edge q = pi exactly so cosine-like bands
     # report their full width
     q_grid = np.linspace(-np.pi, np.pi, q_points + 1)[1:]
-    cells = model.potential("down").values.reshape(-1, p)
-    blocks, _ = _bloch_blocks(cells[len(cells) // 2], q_grid)
+    blocks, _ = _bloch_blocks(_central_cell(model.potential("down"), model.grid), q_grid)
     energies = np.linalg.eigvalsh(blocks)[:, :n_bands]
     bands = []
     for b in range(n_bands):

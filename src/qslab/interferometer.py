@@ -55,6 +55,8 @@ class RamseyConfig:
             raise ParameterError("atoms_per_shot and repetitions must be positive")
         if not 0.0 <= self.loss_fraction < 1.0:
             raise ParameterError("loss fraction must lie in [0, 1)")
+        if not np.isfinite(self.light_shift_slope):
+            raise ParameterError("light-shift slope must be finite")
 
     @property
     def detections_per_point(self) -> int:

@@ -132,10 +132,10 @@ class LatticeParams:
     points_per_site: int = 64
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ParameterError("wavelength must be positive")
-        if self.depth_at_zero <= 0:
-            raise ParameterError("lattice depth must be positive")
+        if not 0 < self.wavelength < np.inf:
+            raise ParameterError("wavelength must be positive and finite")
+        if not 0 < self.depth_at_zero < np.inf:
+            raise ParameterError("lattice depth must be positive and finite")
         if not 0.0 <= self.polarization_angle <= np.pi / 2.0 + 1e-15:
             raise ParameterError("polarization angle must lie in [0, pi/2]")
         if self.sites < 1 or self.sites % 2 == 0:
@@ -210,49 +210,29 @@ def _kinetic_spectral(n: int, length: float) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Real symmetric single-particle Hamiltonian on the periodic grid.
+def apply_hamiltonian(potential: Potential, grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """H psi on the periodic grid without a matrix: the kinetic term by FFT,
+    the potential pointwise."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.size, d=grid.spacing)
+    kin = np.fft.ifft(KAPPA * k**2 * np.fft.fft(psi))
+    if np.isrealobj(psi):
+        kin = kin.real
+    return kin + potential.values * psi
 
-    The kinetic term is the Fourier-grid operator (dense circulant,
-    exponentially convergent for the smooth lattice states).  The pipeline
-    never assembles it: the lattice is solved through its Bloch blocks
-    (eigensolve.decompose), which tests check against this matrix.
+
+def build_hamiltonian(potential: Potential, grid: Grid) -> np.ndarray:
+    """Dense read-only H = T + diag(V) for one spin state, the tests' oracle.
+
+    The kinetic term is the Fourier-grid operator as a dense circulant; the
+    pipeline solves the Bloch blocks and applies H by FFT instead.
     """
-
-    matrix: np.ndarray
-    grid: Grid
-    potential: Potential
-
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Apply H to a state without forming the dense product.
-
-        Uses an FFT for the kinetic term, so the result is an independent
-        code path from the stored matrix.
-        """
-        n = self.size
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.grid.length / n)
-        kin = np.fft.ifft(KAPPA * k**2 * np.fft.fft(psi))
-        if np.isrealobj(psi):
-            kin = kin.real
-        return kin + self.potential.values * psi
-
-
-def build_hamiltonian(potential: Potential, grid: Grid) -> HamiltonianMatrix:
-    """Assemble H = T + diag(V) for one spin state."""
     if potential.values.shape != grid.positions.shape:
         raise ConstructionError(
             f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
     mat = _kinetic_spectral(grid.size, grid.length) + np.diag(potential.values)
     mat = (mat + mat.T) / 2.0
-    return HamiltonianMatrix(matrix=mat, grid=grid, potential=potential)
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)
@@ -306,7 +286,7 @@ class LatticeModel:
     def potential(self, spin: str) -> Potential:
         return build_potential(self.params, spin, self.grid)
 
-    def hamiltonian(self, spin: str) -> HamiltonianMatrix:
+    def hamiltonian(self, spin: str) -> np.ndarray:
         return build_hamiltonian(self.potential(spin), self.grid)
 
     def coherent_alpha(self, dx: float) -> float:

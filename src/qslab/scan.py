@@ -61,6 +61,10 @@ class ScanConfig:
             raise ParameterError("time grid needs at least 8 points")
         if self.workers < 1:
             raise ParameterError(f"workers must be at least 1, got {self.workers}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        if self.curve_points < 1:
+            raise ParameterError(f"curve_points must be at least 1, got {self.curve_points}")
         seen = set()
         for n, dx in self.points:
             if n not in (0, 1, 2):
@@ -171,29 +175,33 @@ class PointResult:
         return f"n{self.n}_dx{self.dx:.4f}"
 
 
-def solve_displacement(dx: float, params: LatticeParams, constants: PhysicalConstants):
-    """Model and eigensolution shared by the n = 0, 1, 2 points of one dx.
-
-    The evolution wells sit at integer sites; the packet carries the relative
-    displacement dx (see dynamics.prepare_initial).  A well too shallow to
-    bind the n = 2 level raises ParameterError.
-    """
+def _site_solve(dx: float, params: LatticeParams, constants: PhysicalConstants):
+    """Model and q = 0 site (energies, states) of one dx; see solve_displacement."""
     model = LatticeModel.from_displacement(dx, params, constants)
     levels = eigensolve.bound_level_count(model)
     if levels < 3:
         raise ParameterError(
             f"the packets n = 0, 1, 2 need 3 bound levels; ~{levels} at depth "
             f"{model.depth:.1f} E_R")
-    return model, eigensolve.decompose(model.potential("down"), model.grid)
+    return model, eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)
 
 
-def run_point(n: int, dx: float, config: ScanConfig, solved=None,
+def solve_displacement(dx: float, params: LatticeParams, constants: PhysicalConstants):
+    """(model, eig, (site energies, site states)) shared by the points of one dx.
+
+    The evolution wells sit at integer sites; the packet carries the relative
+    displacement dx (see dynamics.prepare_initial).  A well too shallow to
+    bind the n = 2 level raises ParameterError.
+    """
+    model, sites = _site_solve(dx, params, constants)
+    return model, eigensolve.decompose(model.potential("down"), model.grid), sites
+
+
+def run_point(n: int, dx: float, config: ScanConfig, solved,
               point_index: int = 0) -> PointResult:
-    """Full pipeline for one (n, dx) combination."""
-    if solved is None:
-        solved = solve_displacement(dx, config.params, config.constants)
-    model, eig = solved
-    state = dynamics.prepare_initial(n, dx, model, eig)
+    """Full pipeline for one (n, dx) combination, given solve_displacement(dx)."""
+    model, eig, (site_e, site_states) = solved
+    state = dynamics.prepare_initial(n, dx, model, site_states)
     spectral = dynamics.to_spectral(state, eig)
     moms = dynamics.moments(spectral)
     times = dynamics.default_times(moms, config.time_points)
@@ -202,7 +210,6 @@ def run_point(n: int, dx: float, config: ScanConfig, solved=None,
     rep = qsl.report(moms, trace, time_us_per_unit=scale)
     psi_end = dynamics.reconstruct(spectral, eig, times[-1])
     edge = dynamics.edge_probability(psi_end, model.grid)
-    site_e = eig.site_states(n + 1)[0]
     e_n = float(site_e[n] - site_e[0])
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
                          moments=moms, trace=trace, report=rep,
@@ -268,13 +275,18 @@ def qubit_reference_curve(zetas: np.ndarray) -> np.ndarray:
 
 
 def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[dict]:
-    """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape."""
+    """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape.
+
+    E and dE need no eigenbasis: the q = 0 block gives the packets and E_0,
+    and dynamics.direct_moments applies H to each packet by FFT.
+    """
     rows = []
     for dx in dx_values:
-        model, eig = solve_displacement(float(dx), config.params, config.constants)
+        model, (site_e, site_states) = _site_solve(float(dx), config.params, config.constants)
+        down = model.potential("down")
         for n in (0, 1, 2):
-            state = dynamics.prepare_initial(n, float(dx), model, eig)
-            moms = dynamics.moments(dynamics.to_spectral(state, eig))
+            state = dynamics.prepare_initial(n, float(dx), model, site_states)
+            moms = dynamics.direct_moments(state, down, site_e[0])
             rows.append({"n": n, "dx": float(dx),
                          "inv_tau_ml": 4.0 * moms.e / model.homega,
                          "inv_tau_mt": 4.0 * moms.de / model.homega})

@@ -15,15 +15,15 @@ class LatticeSolver:
         self._cache = {}
 
     def solve(self, dx: float):
-        """(model, eig) for one displacement."""
+        """(model, eig, (site energies, site states)) for one displacement."""
         key = round(dx, 12)
         if key not in self._cache:
             self._cache[key] = scan.solve_displacement(dx, self.params, PhysicalConstants())
         return self._cache[key]
 
     def spectral_point(self, n: int, dx: float):
-        model, eig = self.solve(dx)
-        state = dynamics.prepare_initial(n, dx, model, eig)
+        model, eig, (_, site_states) = self.solve(dx)
+        state = dynamics.prepare_initial(n, dx, model, site_states)
         spectral = dynamics.to_spectral(state, eig)
         return model, eig, state, spectral, dynamics.moments(spectral)
 

@@ -237,7 +237,7 @@ def test_criterion_09_numerical_hygiene(solver):
                             sites=params.sites,
                             points_per_site=2 * params.points_per_site)
     fine = LatticeModel(params=refined, constants=lattice.constants)
-    w_fine = np.linalg.eigvalsh(fine.hamiltonian("down").matrix)
+    w_fine = np.linalg.eigvalsh(fine.hamiltonian("down"))
     drift = np.abs((w_fine[:40] - eig.energies[:40]) / eig.energies[:40]).max()
     ok = (drift < 1e-6 and checks["orthonormality"] <= 1e-10
           and checks["residual"] <= 1e-9)

@@ -19,8 +19,8 @@ def poisson_pmf(k, x):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_prepare_stationary_at_zero_displacement(solver, n):
-    model, eig = solver.solve(0.0)
-    state = dyn.prepare_initial(n, 0.0, model, eig)
+    model, eig, (site_e, site_states) = solver.solve(0.0)
+    state = dyn.prepare_initial(n, 0.0, model, site_states)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     spectral = dyn.to_spectral(state, eig)
     # all population inside the quasi-degenerate band n
@@ -34,25 +34,24 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
     assert moms.stationary
     assert moms.beta2 is None
     # mean energy pinned to the vibrational level above the ground state
-    site_e = eig.site_states(3)[0]
     assert moms.e == pytest.approx(site_e[n] - site_e[0], abs=1e-2)
 
 
 def test_prepare_input_validation(solver):
-    model, eig = solver.solve(0.0)
+    model, _, (_, site_states) = solver.solve(0.0)
     with pytest.raises(ParameterError):
-        dyn.prepare_initial(3, 0.1, model, eig)
+        dyn.prepare_initial(3, 0.1, model, site_states)
     with pytest.raises(ParameterError):
-        dyn.prepare_initial(0, 0.7, model, eig)
+        dyn.prepare_initial(0, 0.7, model, site_states)
 
 
 def test_shift_is_norm_preserving_and_silent(solver):
     import warnings
 
-    model, eig = solver.solve(0.13)
+    model, _, (_, site_states) = solver.solve(0.13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = dyn.prepare_initial(0, 0.13, model, eig)  # dx not a grid multiple
+        state = dyn.prepare_initial(0, 0.13, model, site_states)  # dx not a grid multiple
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -157,13 +156,13 @@ def test_min_overlap_near_forty_degrees(solver):
 
 
 def test_direct_moments_cross_check(solver):
-    model, eig = solver.solve(0.08)
-    ham = model.hamiltonian("down")
+    model, eig, (_, site_states) = solver.solve(0.08)
+    down = model.potential("down")
     for n in (0, 1, 2):
-        state = dyn.prepare_initial(n, 0.08, model, eig)
+        state = dyn.prepare_initial(n, 0.08, model, site_states)
         spectral = dyn.to_spectral(state, eig)
         spec_moms = dyn.moments(spectral)
-        direct = dyn.direct_moments(state, ham, eig.ground_offset)
+        direct = dyn.direct_moments(state, down, eig.ground_offset)
         assert abs(direct.e / spec_moms.e - 1.0) <= 1e-8
         assert abs(direct.de / spec_moms.de - 1.0) <= 1e-8
         assert abs(direct.beta2 / spec_moms.beta2 - 1.0) <= 1e-6
@@ -171,25 +170,23 @@ def test_direct_moments_cross_check(solver):
 
 def test_direct_moments_stationary_and_plane_wave(solver):
     model, eig, *_ = solver.solve(0.0)
-    ham = model.hamiltonian("down")
     ground_mode = np.zeros(eig.size)
     ground_mode[0] = 1.0
     ground = dyn.QuantumState(amplitudes=eig.synthesize(ground_mode), grid=model.grid)
-    moms = dyn.direct_moments(ground, ham, eig.ground_offset)
+    moms = dyn.direct_moments(ground, model.potential("down"), eig.ground_offset)
     assert moms.e == pytest.approx(0.0, abs=1e-9)
     assert moms.stationary
     # plane wave on a flat potential is an exact eigenstate of the kinetic term
-    from qslab.model import KAPPA, Grid, Potential, build_hamiltonian
+    from qslab.model import KAPPA, Grid, Potential
 
     params = LatticeParams(sites=5, points_per_site=32)
     grid = Grid.for_params(params)
     flat = Potential(spin="down", values=np.zeros(grid.size), displacement=0.0,
                      depth=1.0)
-    ham0 = build_hamiltonian(flat, grid)
     k1 = 2.0 * np.pi / grid.length
     psi = np.exp(1j * k1 * grid.positions) / np.sqrt(grid.size)
     state = dyn.QuantumState(amplitudes=psi, grid=grid)
-    moms0 = dyn.direct_moments(state, ham0)
+    moms0 = dyn.direct_moments(state, flat)
     assert moms0.e == pytest.approx(KAPPA * k1**2, rel=1e-12)
     assert moms0.de == pytest.approx(0.0, abs=1e-9)
 
@@ -199,14 +196,14 @@ def test_displacement_gauge_equivalence():
     # keeping the packet at the origin inside the displaced spin-up lattice;
     # populations (hence every downstream quantity) must agree
     from qslab import eigensolve
-    from qslab.model import LatticeModel, LatticeParams, build_hamiltonian
+    from qslab.model import LatticeModel, LatticeParams
 
     dx = 0.11
     params = LatticeParams(sites=9, points_per_site=32)
     model = LatticeModel.from_displacement(dx, params)
     eig_down = eigensolve.decompose(model.potential("down"), model.grid)
     eig_up = eigensolve.decompose(model.potential("up"), model.grid)
-    site_states = eig_down.site_states(3)[1]
+    site_states = eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
     packet = np.zeros(model.grid.size)
     p = params.points_per_site
     start = model.grid.size // 2 - p // 2
@@ -215,7 +212,7 @@ def test_displacement_gauge_equivalence():
         packet[start:start + p] = site_states[:, n]
         packet /= np.linalg.norm(packet)
         centered = dyn.QuantumState(amplitudes=packet.copy(), grid=model.grid)
-        shifted = dyn.prepare_initial(n, dx, model, eig_down)
+        shifted = dyn.prepare_initial(n, dx, model, site_states)
         spec_a = dyn.to_spectral(shifted, eig_down)
         spec_b = dyn.to_spectral(centered, eig_up)
         # mode-by-mode weights are basis-dependent inside quasi-degenerate

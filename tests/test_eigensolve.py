@@ -23,13 +23,14 @@ def test_block_solve_matches_dense_oracle():
     model = LatticeModel.from_displacement(dx, SMALL)
     s = SMALL.sites
     eig = es.decompose(model.potential("down"), model.grid)
-    w, v = np.linalg.eigh(model.hamiltonian("down").matrix)
+    site_states = es.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
+    w, v = np.linalg.eigh(model.hamiltonian("down"))
     assert np.abs(eig.energies - w).max() <= 1e-10
     # bound bands are separated by gaps, so dense band b is the b-th run of S
     bound = es.bound_level_count(model)
     assert np.array_equal(eig.bands[:bound * s], np.repeat(np.arange(bound), s))
     for n in (0, 1, 2):
-        state = dyn.prepare_initial(n, dx, model, eig)
+        state = dyn.prepare_initial(n, dx, model, site_states)
         spectral = dyn.to_spectral(state, eig)
         coeff = v.T @ state.amplitudes
         dense_pops = np.abs(coeff) ** 2
@@ -75,7 +76,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
     assert es.decompose(up.potential("up"), up.grid).vectors.dtype == np.complex128
     eigh = np.linalg.eigh
     for dx in (0.04, 0.5):
-        model, eig = solver.solve(dx)
+        model, eig, (_, site_states) = solver.solve(dx)
         assert eig.vectors.dtype == np.float64
         # the same blocks through the complex driver are the reference
         with monkeypatch.context() as patch:
@@ -88,8 +89,8 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
         # choice of basis; the bound bands and the moments are not
         bound = es.bound_level_count(model)
         for n in (0, 1, 2):
-            spectral = [dyn.to_spectral(dyn.prepare_initial(n, dx, model, e), e)
-                        for e in (eig, ref)]
+            state = dyn.prepare_initial(n, dx, model, site_states)
+            spectral = [dyn.to_spectral(state, e) for e in (eig, ref)]
             pops = [dyn.band_populations(s)[:bound] for s in spectral]
             assert np.abs(pops[0] - pops[1]).max() <= 1e-12
             moms, ref_moms = (dyn.moments(s) for s in spectral)
@@ -105,7 +106,7 @@ def test_band_structure_matches_lattice_spectrum():
     n_bands = es.bound_level_count(model)
     bands = es.band_structure(model, n_bands, 2 * s)
     at_lattice_q = np.sort(np.concatenate([b.energies[::2] for b in bands]))
-    w = np.linalg.eigvalsh(model.hamiltonian("down").matrix)
+    w = np.linalg.eigvalsh(model.hamiltonian("down"))
     assert np.abs(at_lattice_q - w[:n_bands * s]).max() <= 1e-10
 
 
@@ -158,8 +159,8 @@ def test_level_spacing_against_anharmonic_ladder(solver):
 
 
 def test_single_site_eigenstates_nodes_and_orthonormality(solver):
-    eig = solver.solve(0.0)[1]
-    energies, states = eig.site_states(3)
+    lattice = solver.solve(0.0)[0]
+    energies, states = es.single_site_eigenstates(lattice.potential("down"), lattice.grid, 3)
     p = states.shape[0]
     positions = np.arange(p) / p - 0.5
     assert np.all(np.diff(energies) > 0)
@@ -179,11 +180,12 @@ def test_single_site_eigenstates_nodes_and_orthonormality(solver):
 
 
 def test_single_site_count_errors(solver):
-    eig = solver.solve(0.0)[1]
+    lattice = solver.solve(0.0)[0]
+    pot, grid = lattice.potential("down"), lattice.grid
     with pytest.raises(ParameterError):
-        eig.site_states(0)
+        es.single_site_eigenstates(pot, grid, 0)
     with pytest.raises(ParameterError):
-        eig.site_states(LatticeParams().points_per_site + 1)
+        es.single_site_eigenstates(pot, grid, LatticeParams().points_per_site + 1)
     # sqrt(20 E_R)/2 ~ 2.2 bound levels cannot hold the n = 2 packet
     shallow = LatticeParams(depth_at_zero=20.0, sites=9, points_per_site=32)
     with pytest.raises(ParameterError, match="bound levels"):
@@ -194,10 +196,10 @@ def test_single_site_count_errors(solver):
 def test_site_states_match_one_site_dense_oracle(solver, dx):
     # an isolated site with periodic closure, solved densely, is an
     # independent route to the q = 0 Bloch block
-    lattice, eig = solver.solve(dx)
+    lattice = solver.solve(dx)[0]
     site = LatticeModel(params=replace(lattice.params, sites=1))
-    w, v = np.linalg.eigh(site.hamiltonian("down").matrix)
-    energies, states = eig.site_states(4)
+    w, v = np.linalg.eigh(site.hamiltonian("down"))
+    energies, states = es.single_site_eigenstates(lattice.potential("down"), lattice.grid, 4)
     assert np.abs(energies - w[:4]).max() <= 1e-10
     signs = np.sign((v[:, :4] * states).sum(axis=0))
     assert np.abs(states - v[:, :4] * signs).max() <= 1e-12
@@ -209,14 +211,24 @@ def test_site_energies_independent_of_box_size():
     energies = []
     for sites in (1, 3, 33):
         model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=sites))
-        eig = es.decompose(model.potential("down"), model.grid)
-        energies.append(eig.site_states(3)[0])
+        energies.append(es.single_site_eigenstates(model.potential("down"), model.grid, 3)[0])
     assert all(np.array_equal(e, energies[0]) for e in energies[1:])
 
 
+@pytest.mark.parametrize("sites", [11, 33])
+def test_site_ground_energy_is_lattice_ground_offset(sites):
+    # band 0 is lowest at q = 0, so the q = 0 block alone gives E_0, which
+    # the reference curves subtract without a full solve; at dx = 0.1 the
+    # two differ by eigensolver rounding (7.4e-13 E_R at 33 sites)
+    for dx in (0.025, 0.1, 0.5):
+        model = LatticeModel.from_displacement(dx, LatticeParams(sites=sites))
+        pot = model.potential("down")
+        e_0 = es.single_site_eigenstates(pot, model.grid, 1)[0][0]
+        assert e_0 == pytest.approx(es.decompose(pot, model.grid).ground_offset, abs=1e-12)
+
+
 def test_single_site_matches_full_lattice_band_centers(solver):
-    lattice, eig = solver.solve(0.0)
-    site_e = eig.site_states(3)[0]
+    lattice, eig, (site_e, _) = solver.solve(0.0)
     s = lattice.params.sites
     for n in range(3):
         band = eig.energies[n * s:(n + 1) * s]
@@ -233,9 +245,8 @@ def test_empty_lattice_band_folds_free_dispersion():
 
 
 def test_band_zero_at_q0_matches_single_site(solver):
-    lattice, eig = solver.solve(0.0)
+    lattice, _, (site_e, _) = solver.solve(0.0)
     bands = es.band_structure(lattice, 3, 32)
-    site_e = eig.site_states(3)[0]
     i0 = int(np.argmin(np.abs(bands[0].quasimomenta)))
     for n in range(3):
         assert bands[n].energies[i0] == pytest.approx(site_e[n], abs=1e-8)

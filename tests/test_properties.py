@@ -1,8 +1,9 @@
 """Theorems the paper states for every spectrum, checked on random ones.
 
-Each example is a handful of levels with random populations on
+Each spectrum example is a handful of levels with random populations on
 non-negative energies (measured from the ground state), run through the
-library's own moments and overlap routines.
+library's own moments and overlap routines; the qubit and fringe-fit
+examples draw their angles, frequencies and visibilities at random.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qslab import dynamics as dyn
-from qslab import qsl
+from qslab import interferometer, qsl
 
 PROFILE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -59,3 +60,35 @@ def test_crossover_time_is_tau_mt_squared_over_tau_ml(pairs):
         assert tau_c == pytest.approx(moms.tau_mt**2 / moms.tau_ml, rel=1e-12)
     else:
         assert tau_c is None
+
+
+@PROFILE
+@given(st.floats(0.01, 1.0), st.floats(-np.pi, np.pi), st.floats(0.0, 0.5))
+def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
+    config = interferometer.RamseyConfig(loss_fraction=loss, noiseless=True)
+    counts = interferometer.sample_fringe(visibility, phase, config, 0)
+    fit = interferometer.fit_fringe(config.phase_grid, counts, config.detections_per_point,
+                                    loss)
+    assert fit.v == pytest.approx(visibility, abs=1e-12)
+    assert abs(np.angle(np.exp(1j * (fit.phi - phase)))) <= 1e-10
+
+
+@PROFILE
+@given(st.floats(0.01, np.pi - 0.01), st.floats(0.1, 100.0))
+def test_qubit_obeys_mt_bound_and_saturates_it_when_balanced(zeta, omega):
+    qubit = qsl.qubit_model(zeta, omega)
+    times = np.linspace(0.0, np.pi / (2.0 * qubit.de), 257)
+    assert np.all(qubit.overlap(times) >= qsl.mt_bound(qubit.de, times) - 1e-12)
+    balanced = qsl.qubit_model(np.pi / 2.0, omega)
+    times = np.linspace(0.0, np.pi / (2.0 * balanced.de), 257)
+    assert np.abs(balanced.overlap(times) - qsl.mt_bound(balanced.de, times)).max() <= 1e-12
+
+
+@PROFILE
+@given(st.floats(np.pi / 2.0 + 0.01, np.pi - 0.01), st.floats(0.1, 100.0))
+def test_inverted_qubit_obeys_energy_from_above_bound(zeta, omega):
+    # the bound's domain ends where its argument reaches pi/2, at
+    # t = pi / (2 E_top) with E_top = omega cos^2(zeta/2) measured from the top level
+    qubit = qsl.qubit_model(zeta, omega)
+    times = np.linspace(0.0, np.pi / (2.0 * omega * np.cos(zeta / 2.0) ** 2), 257)
+    assert np.all(qubit.overlap(times) >= qubit.inverted_population_bound(times) - 1e-12)

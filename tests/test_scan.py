@@ -108,6 +108,23 @@ def test_config_rejects_unknown_keys():
         scan.config_from_dict({"lattice": {"sites": "x"}})
 
 
+def test_config_rejects_non_finite_and_out_of_range_values():
+    # NaN passes a "<= 0" check, and every point then failed at solve or
+    # sampling time; a negative seed failed every experiment point; a
+    # negative curve_points failed after every point had run
+    bad = [("lattice", "wavelength_nm", "wavelength"), ("lattice", "depth_Er", "depth"),
+           ("ramsey", "light_shift_slope_rad_per_us", "light-shift slope")]
+    for section, key, name in bad:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match=name):
+                scan.config_from_dict({section: {key: value}})
+    with pytest.raises(ParameterError, match="seed"):
+        scan.config_from_dict({"scan": {"seed": -1}})
+    for points in (0, -1):
+        with pytest.raises(ParameterError, match="curve_points"):
+            scan.config_from_dict({"scan": {"curve_points": points}})
+
+
 INTEGER_KEYS = [("lattice", "sites"), ("lattice", "points_per_site"), ("state", "n"),
                 ("scan", "seed"), ("scan", "time_points"), ("scan", "workers"),
                 ("scan", "curve_points"), ("ramsey", "phases"),
@@ -265,6 +282,30 @@ def test_points_sit_on_lattice_theory_curve(tmp_path):
         match = [r for r in rows if r["n"] == int(n)][0]
         assert float(inv_ml) == pytest.approx(match["inv_tau_ml"], abs=1e-6)
         assert float(inv_mt) == pytest.approx(match["inv_tau_mt"], abs=1e-6)
+
+
+def test_reference_curves_match_spectral_moments(solver, monkeypatch):
+    # the curves take E and dE from two FFT applications of H; the full
+    # Bloch solve, projection and spectral moments are their oracle
+    dx_values = np.array([0.025, 0.16, 0.5])
+    for dx in dx_values:
+        solver.solve(dx)
+    calls = []
+    decompose = scan.eigensolve.decompose
+    monkeypatch.setattr(scan.eigensolve, "decompose",
+                        lambda *a: calls.append(a) or decompose(*a))
+    rows = scan.lattice_reference_curves(scan.ScanConfig(params=solver.params), dx_values)
+    assert calls == []
+    for row in rows:
+        model, *_, moms = solver.spectral_point(row["n"], row["dx"])
+        assert row["inv_tau_ml"] == pytest.approx(4.0 * moms.e / model.homega, rel=1e-10)
+        assert row["inv_tau_mt"] == pytest.approx(4.0 * moms.de / model.homega, rel=1e-10)
+    assert len(rows) == 9
+    # sqrt(20 E_R)/2 ~ 2.2 bound levels cannot hold the n = 2 packet
+    shallow = scan.ScanConfig(params=LatticeParams(depth_at_zero=20.0, sites=9,
+                                                   points_per_site=32))
+    with pytest.raises(ParameterError, match="bound levels"):
+        scan.lattice_reference_curves(shallow, np.array([0.1]))
 
 
 def test_aggregate_reports(tmp_path):
