@@ -17,9 +17,6 @@ from .model import LatticeModel
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML configuration file")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="RNG seed")
-    parser.add_argument("--estimator", choices=["exact", "experiment"])
-    parser.add_argument("--workers", type=int)
 
 
 def _build_config(args) -> scan.ScanConfig:
@@ -27,12 +24,10 @@ def _build_config(args) -> scan.ScanConfig:
     overrides = {}
     if args.out:
         overrides["out_dir"] = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if args.estimator:
+    if getattr(args, "estimator", None):
         overrides["estimator"] = args.estimator
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -54,11 +49,14 @@ def cmd_point(args) -> int:
         point = [cfg.points[0]]
     cfg = replace(cfg, points=tuple(point), curves=False)
     summary = scan.run_scan(cfg)
+    if summary["points_failed"]:    # a failed point has no report, only its failure record
+        with open(os.path.join(cfg.out_dir, "failures.json"), "r", encoding="utf-8") as fh:
+            print(fh.read().rstrip(), file=sys.stderr)
+        return 1
     label = f"n{point[0][0]}_dx{point[0][1]:.4f}"
     with open(os.path.join(cfg.out_dir, label, "report.json"), "r", encoding="utf-8") as fh:
         print(fh.read().rstrip())
-    ok = summary["points_failed"] == 0 and summary["bound_violations"] == 0
-    return 0 if ok else 1
+    return 0 if summary["bound_violations"] == 0 else 1
 
 
 def cmd_bands(args) -> int:
@@ -117,6 +115,9 @@ def main(argv=None) -> int:
     p_point.add_argument("--n", type=int, default=0, help="packet shape (nodes)")
     p_point.add_argument("--dx", type=float, help="displacement in lambda/2 units")
     p_point.set_defaults(func=cmd_point)
+    for p_run in (p_scan, p_point):     # the verbs that run scan points
+        p_run.add_argument("--seed", type=int, help="RNG seed")
+        p_run.add_argument("--estimator", choices=["exact", "experiment"])
 
     p_bands = sub.add_parser("bands", help="band structure and tunneling times")
     _add_common(p_bands)

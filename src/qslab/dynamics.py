@@ -198,6 +198,7 @@ def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
     phases = np.outer(times, spectral.energies)
     # cos, sin and two real products cost less than a complex exp and product
     overlaps = np.cos(phases) @ p - 1j * (np.sin(phases) @ p)
+    overlaps[0] = 1.0   # the norm; sum p rounds either side of it (to_spectral bounds the defect)
     return OverlapTrace(times=times, overlaps=overlaps)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,34 +46,40 @@ class ScanConfig:
     seed: int = DEFAULT_SEED
     out_dir: str = "qslab-out"
     time_points: int = 64
-    workers: int = 1
     curves: bool = True
     curve_points: int = 25
     ramsey: interferometer.RamseyConfig = field(
         default_factory=interferometer.RamseyConfig)
     state_point: tuple | None = None    # (n, dx) from the config's state section
+    workers = 1     # not a field: perfbench/child.py records it until the next benchmark change
 
     def __post_init__(self):
         if self.estimator not in ("exact", "experiment"):
             raise ParameterError(f"estimator must be 'exact' or 'experiment', got {self.estimator!r}")
-        if self.time_points < 8:
-            raise ParameterError("time grid needs at least 8 points")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be at least 1, got {self.workers}")
+        # linspace(0, tau_MT, N) puts floor(0.3 (N - 1)) samples in (0, 0.3 tau_MT], the
+        # xi fit window of qsl.deviation_from_geometry, which needs 6; N = 21 is the least
+        if self.time_points < 21:
+            raise ParameterError(f"time_points must be at least 21, got {self.time_points}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if self.curve_points < 1:
             raise ParameterError(f"curve_points must be at least 1, got {self.curve_points}")
+        if self.state_point is not None:
+            _check_point("state", *self.state_point)
         seen = set()
         for n, dx in self.points:
-            if n not in (0, 1, 2):
-                raise ParameterError(f"packet shape n must be 0, 1 or 2, got {n}")
-            if not 0.0 < dx <= 0.5:
-                raise ParameterError(f"displacement must lie in (0, 0.5], got {dx}")
+            _check_point("scan.points", n, dx)
             key = (n, round(dx, 12))
             if key in seen:
                 raise ParameterError(f"duplicate scan point {key}")
             seen.add(key)
+
+
+def _check_point(where: str, n: int, dx: float) -> None:
+    if n not in (0, 1, 2):
+        raise ParameterError(f"{where}: packet shape n must be 0, 1 or 2, got {n}")
+    if not 0.0 < dx <= 0.5:
+        raise ParameterError(f"{where}: displacement must lie in (0, 0.5], got {dx}")
 
 
 def load_config(path: str) -> ScanConfig:
@@ -110,11 +115,10 @@ _KEYS = {
     "lattice": {"wavelength_nm": ("wavelength", lambda nm: float(nm) * 1e-9),
                 "depth_Er": ("depth_at_zero", float), "sites": ("sites", _integer),
                 "points_per_site": ("points_per_site", _integer)},
-    "state": {"n": ("n", _integer),
-              "dx_halflambda": ("dx", lambda dx: None if dx is None else float(dx))},
+    "state": {"n": ("n", _integer), "dx_halflambda": ("dx", float)},
     "scan": {"points": ("points", _points), "estimator": ("estimator", str),
              "seed": ("seed", _integer), "out": ("out_dir", str),
-             "time_points": ("time_points", _integer), "workers": ("workers", _integer),
+             "time_points": ("time_points", _integer),
              "curves": ("curves", _boolean), "curve_points": ("curve_points", _integer)},
     "ramsey": {"phases": ("phase_grid",
                           lambda k: interferometer.default_phase_grid(_integer(k))),
@@ -151,7 +155,9 @@ def config_from_dict(raw: dict) -> ScanConfig:
     if unknown:
         raise ParameterError(f"unknown config section {unknown[0]!r}")
     lat, state, scan, ram = (_fields(raw, name) for name in _KEYS)
-    state_point = None if state.get("dx") is None else (state.get("n", 0), state["dx"])
+    if state and "dx" not in state:
+        raise ParameterError("config section state needs state.dx_halflambda")
+    state_point = (state.get("n", 0), state["dx"]) if state else None
     return ScanConfig(params=LatticeParams(**lat), ramsey=interferometer.RamseyConfig(**ram),
                       state_point=state_point, **scan)
 
@@ -375,41 +381,31 @@ def _figure_rows(results: list[PointResult], estimator: str):
     return fig2, fig3, fig4
 
 
+def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
+               results: dict, failures: list) -> None:
+    """Run the (point index, n) pairs of one dx; its Bloch solve is freed on return."""
+    try:
+        solved = solve_displacement(dx, config.params, config.constants)
+    except Exception as exc:  # noqa: BLE001 - continue-on-error policy
+        failures.extend({"point": f"n{n}_dx{dx:.4f}", "error": str(exc)} for _, n in group)
+        return
+    for idx, n in group:
+        try:
+            results[idx] = run_point(n, dx, config, solved, idx)
+        except Exception as exc:  # noqa: BLE001
+            failures.append({"point": f"n{n}_dx{dx:.4f}", "error": str(exc)})
+
+
 def run_scan(config: ScanConfig) -> dict:
     """Execute every scan point, write artifacts, return the summary."""
     os.makedirs(config.out_dir, exist_ok=True)
-    by_dx: dict[float, list[int]] = {}
-    for n, dx in config.points:
-        by_dx.setdefault(round(float(dx), 12), []).append(n)
-    point_order = {(n, round(float(dx), 12)): i for i, (n, dx) in enumerate(config.points)}
+    by_dx: dict[float, list[tuple[int, int]]] = {}
+    for idx, (n, dx) in enumerate(config.points):
+        by_dx.setdefault(round(float(dx), 12), []).append((idx, n))
     results: dict[int, PointResult] = {}
     failures = []
-
-    def run_group(dx_key: float):
-        group_results, group_failures = [], []
-        try:
-            solved = solve_displacement(dx_key, config.params, config.constants)
-        except Exception as exc:  # noqa: BLE001 - continue-on-error policy
-            for n in by_dx[dx_key]:
-                group_failures.append({"point": f"n{n}_dx{dx_key:.4f}", "error": str(exc)})
-            return group_results, group_failures
-        for n in by_dx[dx_key]:
-            idx = point_order[(n, dx_key)]
-            try:
-                group_results.append((idx, run_point(n, dx_key, config, solved, idx)))
-            except Exception as exc:  # noqa: BLE001
-                group_failures.append({"point": f"n{n}_dx{dx_key:.4f}", "error": str(exc)})
-        return group_results, group_failures
-
-    if config.workers == 1:
-        batches = [run_group(k) for k in by_dx]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            batches = list(pool.map(run_group, by_dx))
-    for group_results, group_failures in batches:
-        failures.extend(group_failures)
-        for idx, res in group_results:
-            results[idx] = res
+    for dx, group in by_dx.items():
+        _run_group(dx, group, config, results, failures)
     ordered = [results[i] for i in sorted(results)]
     for res in ordered:
         _write_point(res, config.out_dir)

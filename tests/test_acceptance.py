@@ -251,7 +251,7 @@ def test_criterion_10_determinism(tmp_path):
     runs = []
     for tag in ("a", "b"):
         cfg = scan.ScanConfig(points=points, estimator="experiment", seed=99,
-                              out_dir=str(tmp_path / tag), curves=False, workers=2)
+                              out_dir=str(tmp_path / tag), curves=False)
         scan.run_scan(cfg)
         runs.append(cfg.out_dir)
     import filecmp

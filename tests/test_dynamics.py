@@ -116,6 +116,16 @@ def test_evolve_overlap_two_mode_closed_form():
     assert trace.fs_distance[0] == pytest.approx(0.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("dx", [0.04, 0.08, 0.16, 0.5])
+def test_overlap_starts_at_exactly_one(solver, dx):
+    # sum p rounds either side of 1, and arccos turns 1 - 1e-16 into 1.5e-8
+    for n in (0, 1, 2):
+        spectral, moms = solver.spectral_point(n, dx)[3:]
+        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 8))
+        assert trace.overlaps[0] == 1.0
+        assert trace.fs_distance[0] == 0.0
+
+
 def test_evolve_overlap_validation(solver):
     spectral = solver.spectral_point(0, 0.04)[3]
     with pytest.raises(ParameterError):

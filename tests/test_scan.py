@@ -19,7 +19,7 @@ SMALL = LatticeParams(sites=9, points_per_site=32)
 
 def small_config(tmp_path, **kw):
     defaults = dict(points=((0, 0.04), (0, 0.16)), params=SMALL,
-                    out_dir=str(tmp_path / "out"), curves=False, workers=1)
+                    out_dir=str(tmp_path / "out"), curves=False)
     defaults.update(kw)
     return scan.ScanConfig(**defaults)
 
@@ -56,7 +56,7 @@ def test_config_yaml_round_trip(tmp_path):
                     "sites": 9, "points_per_site": 32},
         "state": {"n": 1, "dx_halflambda": 0.1},
         "scan": {"points": [[1, 0.1], [0, 0.2]], "estimator": "experiment",
-                 "seed": 7, "out": "here", "workers": 1, "time_points": 32,
+                 "seed": 7, "out": "here", "time_points": 32,
                  "curves": False, "curve_points": 5},
         "ramsey": {"phases": 8, "atoms_per_shot": 10, "repetitions": 5,
                    "loss_fraction": 0.02, "light_shift_slope_rad_per_us": 81.0},
@@ -123,12 +123,29 @@ def test_config_rejects_non_finite_and_out_of_range_values():
     for points in (0, -1):
         with pytest.raises(ParameterError, match="curve_points"):
             scan.config_from_dict({"scan": {"curve_points": points}})
+    # a state without its displacement was dropped silently, and an
+    # out-of-range one failed only when `qslab point` used it
+    with pytest.raises(ParameterError, match="state.dx_halflambda"):
+        scan.config_from_dict({"state": {"n": 2}})
+    for n, dx in ((7, 0.1), (0, 0.9)):
+        with pytest.raises(ParameterError, match="state"):
+            scan.config_from_dict({"state": {"n": n, "dx_halflambda": dx}})
+
+
+def test_time_points_fill_the_xi_fit_window(tmp_path):
+    # 20 points put 5 samples in (0, 0.3 tau_MT], and every xi fit needs 6
+    with pytest.raises(ParameterError, match="time_points"):
+        scan.config_from_dict({"scan": {"time_points": 20}})
+    for estimator in ("exact", "experiment"):
+        cfg = small_config(tmp_path, out_dir=str(tmp_path / estimator), time_points=21,
+                           estimator=estimator, points=((0, 0.12),))
+        summary = scan.run_scan(cfg)
+        assert (summary["points_completed"], summary["points_failed"]) == (1, 0)
 
 
 INTEGER_KEYS = [("lattice", "sites"), ("lattice", "points_per_site"), ("state", "n"),
-                ("scan", "seed"), ("scan", "time_points"), ("scan", "workers"),
-                ("scan", "curve_points"), ("ramsey", "phases"),
-                ("ramsey", "atoms_per_shot"), ("ramsey", "repetitions")]
+                ("scan", "seed"), ("scan", "time_points"), ("scan", "curve_points"),
+                ("ramsey", "phases"), ("ramsey", "atoms_per_shot"), ("ramsey", "repetitions")]
 
 
 @pytest.mark.parametrize("section,key", INTEGER_KEYS)
@@ -139,7 +156,7 @@ def test_config_integer_keys_do_not_truncate(section, key):
             scan.config_from_dict({section: {key: bad}})
 
 
-def test_config_reads_integral_floats_real_booleans_and_positive_workers():
+def test_config_reads_integral_floats_real_booleans():
     # an integral float is the integer it spells
     sites = scan.config_from_dict({"lattice": {"sites": 9.0}}).params.sites
     assert sites == 9 and type(sites) is int
@@ -150,11 +167,18 @@ def test_config_reads_integral_floats_real_booleans_and_positive_workers():
         with pytest.raises(ParameterError, match="scan.curves"):
             scan.config_from_dict({"scan": {"curves": bad}})
     assert scan.config_from_dict({"scan": {"curves": False}}).curves is False
-    for workers in (0, -3):
-        with pytest.raises(ParameterError, match="workers"):
-            scan.config_from_dict({"scan": {"workers": workers}})
-        with pytest.raises(ParameterError, match="workers"):
-            scan.ScanConfig(workers=workers)
+
+
+def test_scan_runs_on_one_thread_without_a_workers_option():
+    # the thread pool is gone; ScanConfig.workers stays only as the constant
+    # that perfbench/child.py records
+    with pytest.raises(ParameterError, match="scan.workers"):
+        scan.config_from_dict({"scan": {"workers": 2}})
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["scan", "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "workers" not in {f.name for f in dataclasses.fields(scan.ScanConfig)}
+    assert scan.config_from_dict({}).workers == 1
 
 
 def test_run_scan_artifacts_exact(tmp_path):
@@ -220,18 +244,6 @@ def test_scan_different_seed_changes_experiment(tmp_path):
     a = read(os.path.join(cfg_a.out_dir, "n0_dx0.1200", "fringes.csv"))
     b = read(os.path.join(cfg_b.out_dir, "n0_dx0.1200", "fringes.csv"))
     assert a != b
-
-
-def test_scan_workers_do_not_change_output(tmp_path):
-    cfg_a = small_config(tmp_path, out_dir=str(tmp_path / "w1"), workers=1,
-                         points=((0, 0.04), (1, 0.1), (0, 0.3)))
-    cfg_b = small_config(tmp_path, out_dir=str(tmp_path / "w2"), workers=3,
-                         points=((0, 0.04), (1, 0.1), (0, 0.3)))
-    scan.run_scan(cfg_a)
-    scan.run_scan(cfg_b)
-    a = read(os.path.join(cfg_a.out_dir, "fig3.csv"))
-    b = read(os.path.join(cfg_b.out_dir, "fig3.csv"))
-    assert a == b
 
 
 def test_failure_manifest_and_continue(tmp_path, monkeypatch):
@@ -321,7 +333,7 @@ def write_small_yaml(tmp_path, **scan_extra):
     payload = {
         "lattice": {"sites": 9, "points_per_site": 32},
         "state": {"n": 0, "dx_halflambda": 0.1},
-        "scan": {"points": [[0, 0.1]], "workers": 1, "curves": False,
+        "scan": {"points": [[0, 0.1]], "curves": False,
                  **scan_extra},
     }
     path = tmp_path / "cfg.yaml"
@@ -340,6 +352,18 @@ def test_cli_point_and_report(tmp_path, capsys):
     assert os.path.isdir(os.path.join(out, "n0_dx0.1000"))
     rc = cli.main(["report", "--dir", out])
     assert rc == 0
+
+
+def test_cli_point_prints_the_failure_of_a_failed_point(tmp_path, capsys):
+    # a 20 E_R well binds fewer than 3 levels; the point has no report.json,
+    # which used to end in FileNotFoundError
+    path = tmp_path / "shallow.yaml"
+    path.write_text(yaml.safe_dump({"lattice": {"depth_Er": 20.0, "sites": 9,
+                                                "points_per_site": 32}}))
+    rc = cli.main(["point", "--config", str(path), "--out", str(tmp_path / "out"),
+                   "--dx", "0.1"])
+    assert rc == 1
+    assert "bound levels" in capsys.readouterr().err
 
 
 def test_cli_scan_experiment(tmp_path, capsys):
@@ -365,3 +389,9 @@ def test_cli_bands_and_qubit(tmp_path, capsys):
     rc = cli.main(["qubit", "--config", cfgfile, "--out", out, "--count", "10"])
     assert rc == 0
     assert os.path.isfile(os.path.join(out, "qubit.csv"))
+    # --seed and --estimator belong to the verbs that run scan points
+    for verb in ("bands", "qubit"):
+        for flag in (["--seed", "3"], ["--estimator", "experiment"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main([verb, "--config", cfgfile, "--out", out, *flag])
+            assert exit_info.value.code == 2
