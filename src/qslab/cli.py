@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import eigensolve, qsl, scan
+from .errors import ParameterError
 from .model import LatticeModel
 
 
@@ -42,6 +43,7 @@ def cmd_scan(args) -> int:
 def cmd_point(args) -> int:
     cfg = _build_config(args)
     if args.dx is not None:
+        scan.check_point("--n/--dx", args.n, args.dx)
         point = [(args.n, args.dx)]
     elif cfg.state_point is not None:
         point = [cfg.state_point]
@@ -70,7 +72,7 @@ def cmd_bands(args) -> int:
     scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"], rows)
     eig = eigensolve.decompose(model.potential("down"), model.grid)
     scan.write_csv(os.path.join(out_dir, "energies.csv"), ["index", "energy_Er"],
-                   list(enumerate(eig.energies[: args.n_levels])))
+                   list(enumerate(eig.spectrum[: args.n_levels])))
     hertz = model.recoil.hertz
     print(json.dumps({
         "bandwidths_Er": [b.bandwidth for b in bands],
@@ -139,7 +141,11 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParameterError as exc:     # bad input from a flag or the config
+        print(f"qslab {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

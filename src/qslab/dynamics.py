@@ -4,22 +4,21 @@ The displaced wave packet evolves under a static Hamiltonian, so everything
 follows from the populations p_k over its eigenmodes:
 A(t) = <psi(0)|psi(t)> = sum_k p_k exp(-i E_k t), with energies referenced to
 the trap ground state (E_0 = 0).  The visibility is |A|, the Fubini-Study
-distance arccos|A|.
+distance arccos|A|.  The packet never exists on the grid: it is held as its
+plane-wave coefficients on the half-zone Bloch blocks of
+eigensolve.decompose, in closed form, and its populations, moments and
+overlap follow block by block.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ParameterError
 from .eigensolve import EigenDecomposition
-from .model import Grid, LatticeModel, Potential, apply_hamiltonian
 
-SHIFT_TOL = 1e-10
-NORM_TOL = 1e-12
 # an embedded site eigenstate carries up to ~1e-2 E_R of spurious width from
 # 1e-13-level zero-padding residues near the top of the spectrum; widths
 # below this cannot dephase within any simulated window (tau_MT > 2 ms)
@@ -27,35 +26,17 @@ STATIONARY_DE = 0.05
 
 
 @dataclass(frozen=True)
-class QuantumState:
-    """Normalized wave function sampled on the lattice grid."""
-
-    amplitudes: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.amplitudes.flags.writeable = False
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NumericError(f"state norm deviates from 1 by {abs(norm - 1.0):.2e}")
-
-
-@dataclass(frozen=True)
 class SpectralState:
-    """State expressed over all eigenmodes of the evolution Hamiltonian."""
+    """Populations of a state over the eigenmodes of the evolution Hamiltonian."""
 
-    coefficients: np.ndarray   # complex amplitudes on the sorted modes
+    populations: np.ndarray    # per mode, summing to one
     energies: np.ndarray       # referenced energies (ground state at 0), E_R
     bands: np.ndarray          # band index of each mode
 
     def __post_init__(self):
-        self.coefficients.flags.writeable = False
+        self.populations.flags.writeable = False
         self.energies.flags.writeable = False
         self.bands.flags.writeable = False
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.abs(self.coefficients) ** 2
 
 
 @dataclass(frozen=True)
@@ -113,60 +94,48 @@ class OverlapTrace:
         return np.arccos(np.clip(self.visibility, -1.0, 1.0))
 
 
-def _spectral_shift(values: np.ndarray, shift: float, grid: Grid) -> np.ndarray:
-    # band-limited translation; the Nyquist bin gets cos(k dx) so a real
-    # input stays real up to rounding
-    n = values.size
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    phase = np.exp(-1j * k * shift)
-    if n % 2 == 0:
-        nyq = n // 2
-        phase[nyq] = np.cos(k[nyq] * shift)
-    shifted = np.fft.ifft(np.fft.fft(values) * phase)
-    return shifted
-
-
-def prepare_initial(n: int, dx: float, model: LatticeModel,
-                    site_states: np.ndarray) -> QuantumState:
+def prepare_initial(n: int, dx: float, site_states: np.ndarray, quasimomenta: np.ndarray,
+                    orders: np.ndarray) -> np.ndarray:
     """Displaced vibrational state: single-site level n, zero-padded, shifted by dx.
 
-    Column n of `site_states`, the (theta-dependent) well's eigenstates from
-    eigensolve.single_site_eigenstates, is embedded at the central site of
-    the full grid and translated by dx with band-limited interpolation,
-    leaving the evolution wells at integer coordinates.  The wells and the
-    packet then differ by exactly dx, which is the only physically
-    meaningful displacement.
+    Column n of `site_states` (eigensolve.single_site_eigenstates, on the P
+    points u = (l - P/2)/P) sits on the central site of the S-site grid and
+    is translated by dx, so the packet and the integer-site wells differ by
+    exactly dx.  Returns its (Q, P) coefficients on the plane waves
+    exp(i k u), k = q + 2 pi m, of the blocks with these quasimomenta and
+    orders (S = 2 Q - 1): a_q(m) = sum_u cell(u) exp(-i k (u + dx)) / sqrt(S P),
+    a P-point FFT of cell(u) exp(-i q u) read at m mod P, times (-1)^m for
+    the cell's first point at u = -1/2 and the translation's phase.
     """
     if n not in (0, 1, 2):
         raise ParameterError(f"vibrational index must be 0, 1 or 2, got {n}")
     if not 0.0 <= dx <= 0.5 + 1e-15:
         raise ParameterError(f"displacement must lie in [0, 0.5] lambda/2, got {dx}")
-    grid = model.grid
-    p = model.params.points_per_site
-    psi = np.zeros(grid.size)
-    start = grid.size // 2 - p // 2
-    psi[start:start + p] = site_states[:, n]
-    psi /= np.linalg.norm(psi)
-    shifted = _spectral_shift(psi, dx, grid)
-    imag_residue = float(np.abs(shifted.imag).max())
-    norm = np.linalg.norm(shifted)
-    drift = abs(norm - 1.0)
-    if max(imag_residue, drift) > SHIFT_TOL:
-        warnings.warn(
-            f"band-limited shift residue {max(imag_residue, drift):.2e} exceeds "
-            f"{SHIFT_TOL:.0e}; displacement {dx} not cleanly representable",
-            RuntimeWarning, stacklevel=2)
-    return QuantumState(amplitudes=shifted / norm, grid=grid)
+    p = site_states.shape[0]
+    q = np.asarray(quasimomenta, dtype=float)[:, None]
+    u = (np.arange(p) - p // 2) / p
+    spectra = np.fft.fft(site_states[:, n] * np.exp(-1j * q * u), axis=1)
+    k = q + 2.0 * np.pi * orders
+    norm = np.sqrt((2 * q.size - 1) * p)
+    return (-1.0) ** orders * np.take_along_axis(spectra, orders % p, axis=1) \
+        * np.exp(-1j * k * dx) / norm
 
 
-def to_spectral(state: QuantumState, eig: EigenDecomposition) -> SpectralState:
-    """Expand the state over every eigenmode (FFT, then the Bloch blocks)."""
-    coeff = eig.project(state.amplitudes)
-    total = float((np.abs(coeff) ** 2).sum())
+def to_spectral(packet: np.ndarray, eig: EigenDecomposition) -> SpectralState:
+    """Populations p(q, b) = w_q |V_q^dagger a_q|^2 over the half-zone modes.
+
+    Time reversal maps a real packet's coefficients in block q onto block
+    -q, whose modes are the conjugates, so w_q = 2 for q > 0 counts both.
+    """
+    amplitudes = np.einsum("qab,qa->qb", eig.vectors.conj(), packet)
+    populations = eig.weights[:, None] * np.abs(amplitudes) ** 2
+    total = float(populations.sum())
     if abs(total - 1.0) > 1e-10:
-        raise NumericError(f"Parseval defect {abs(total - 1.0):.2e}; basis incomplete")
-    return SpectralState(coefficients=coeff, energies=eig.referenced_energies,
-                         bands=eig.bands)
+        raise NumericError(f"Parseval defect {abs(total - 1.0):.2e}; packet not normalised")
+    blocks, p = populations.shape
+    return SpectralState(populations=populations.ravel(),
+                         energies=(eig.energies - eig.ground_offset).ravel(),
+                         bands=np.tile(np.arange(p), blocks))
 
 
 def moments(spectral: SpectralState) -> SpectralMoments:
@@ -182,49 +151,50 @@ def moments(spectral: SpectralState) -> SpectralMoments:
     return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
 
 
+def _overlap_sum(populations: np.ndarray, energies: np.ndarray, times: np.ndarray):
+    phases = np.outer(times, energies)
+    # cos, sin and two real products cost less than a complex exp and product
+    return np.cos(phases) @ populations - 1j * (np.sin(phases) @ populations)
+
+
 def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
     """A(t) = sum_k p_k exp(-i E_k t) for the autocorrelation of a static H.
 
-    The populations carry no phases, so only |c_k|^2 enters; the global
-    phase convention matches a stationary reference branch with the ground
-    state energy at zero.
+    The global phase convention matches a stationary reference branch with
+    the ground state energy at zero.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise ParameterError("time grid must start at t = 0")
     if np.any(np.diff(times) < 0):
         raise ParameterError("time grid must be sorted")
-    p = spectral.populations
-    phases = np.outer(times, spectral.energies)
-    # cos, sin and two real products cost less than a complex exp and product
-    overlaps = np.cos(phases) @ p - 1j * (np.sin(phases) @ p)
+    overlaps = _overlap_sum(spectral.populations, spectral.energies, times)
     overlaps[0] = 1.0   # the norm; sum p rounds either side of it (to_spectral bounds the defect)
     return OverlapTrace(times=times, overlaps=overlaps)
 
 
-def reconstruct(spectral: SpectralState, eig: EigenDecomposition, t: float) -> np.ndarray:
-    """psi(t) on the grid by the inverse transform (independent overlap route)."""
-    return eig.synthesize(spectral.coefficients * np.exp(-1j * spectral.energies * t))
-
-
-def direct_moments(state: QuantumState, potential: Potential,
+def direct_moments(blocks: np.ndarray, packet: np.ndarray, weights: np.ndarray,
                    ground_offset: float = 0.0) -> SpectralMoments:
-    """Moments from matrix-free applications of H (model.apply_hamiltonian).
+    """Moments from the half-zone Bloch blocks applied to a packet's (Q, P)
+    coefficients, with no eigenbasis: E = sum_q w_q a_q^dagger H_q a_q - E_0.
 
     The reference curves' route; the spectral one (to_spectral, moments) is
     its oracle: e and de agree to 1e-8 relative and beta2 to 1e-6.
     """
-    psi = state.amplitudes.astype(complex)
-    h_psi = apply_hamiltonian(potential, state.grid, psi) - ground_offset * psi
-    e = float(np.real(np.vdot(psi, h_psi)))
-    d_psi = h_psi - e * psi                       # (H - E) psi
-    var = float(np.real(np.vdot(d_psi, d_psi)))
-    de = np.sqrt(max(var, 0.0))
+    def shifted(x, shift):          # (H_q - shift) x_q in every block
+        return np.einsum("qab,qb->qa", blocks, x) - shift * x
+
+    def mean(x, y):                 # sum_q w_q x_q^dagger y_q
+        return float(np.einsum("q,qa,qa->", weights, x.conj(), y).real)
+
+    h_psi = shifted(packet, ground_offset)
+    e = mean(packet, h_psi)
+    d_psi = h_psi - e * packet                    # (H - E) psi
+    de = np.sqrt(max(mean(d_psi, d_psi), 0.0))
     if de < STATIONARY_DE:
         return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
-    d2_psi = apply_hamiltonian(potential, state.grid, d_psi) - (ground_offset + e) * d_psi
-    mu4 = float(np.real(np.vdot(d2_psi, d2_psi)))
-    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
+    d2_psi = shifted(d_psi, ground_offset + e)
+    return SpectralMoments(e=e, de=de, beta2=mean(d2_psi, d2_psi) / de**4, stationary=False)
 
 
 def band_populations(spectral: SpectralState) -> np.ndarray:
@@ -239,11 +209,25 @@ def band_populations(spectral: SpectralState) -> np.ndarray:
     return np.bincount(spectral.bands, weights=spectral.populations)
 
 
-def edge_probability(psi: np.ndarray, grid: Grid, edge_sites: int = 2) -> float:
-    """Population within the outermost sites; monitors periodic wrap-around."""
-    boundary = grid.sites / 2.0 - edge_sites
-    mask = np.abs(grid.positions) > boundary
-    return float(np.sum(np.abs(psi[mask]) ** 2))
+def quadrature_defect(spectral: SpectralState, trace: OverlapTrace, sites: int) -> float | None:
+    """max_t |A(t) - A_S'(t)|, the error estimate of the S-point q quadrature.
+
+    A(t) is an S-point trapezoid rule over q of a smooth periodic function,
+    which converges exponentially in S (Trefethen and Weideman, SIAM Rev. 56,
+    385 (2014)).  A_S' is the coarser rule of S', the largest proper divisor
+    of S: it keeps the blocks with q in (2 pi / S') Z, reweighted by S / S'.
+    None at S = 1, which has no coarser rule.
+    """
+    coarse = max((d for d in range(1, sites) if sites % d == 0), default=None)
+    if coarse is None:
+        return None
+    step = sites // coarse
+    blocks = (sites + 1) // 2
+    kept = np.arange(blocks) % step == 0
+    populations = spectral.populations.reshape(blocks, -1)[kept].ravel()
+    energies = spectral.energies.reshape(blocks, -1)[kept].ravel()
+    coarse_overlaps = step * _overlap_sum(populations, energies, trace.times)
+    return float(np.abs(trace.overlaps - coarse_overlaps).max())
 
 
 def default_times(moms: SpectralMoments, n_points: int = 64) -> np.ndarray:

@@ -6,8 +6,8 @@ per quasimomentum q = 2 pi j / S (Bloch's theorem; Marston and
 Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  A cell that is its own
 mirror image, such as the spin-down cos^2 well, has real Fourier components,
 so its blocks are real symmetric (the Mathieu problem) and are solved in
-real arithmetic.  Time reversal pairs q with -q, so only (S + 1) / 2 blocks
-are diagonalised.  The same block builder gives the band energies at any q.
+real arithmetic.  Time reversal pairs q with -q, so only the (S + 1) / 2
+blocks with q >= 0 are built, diagonalised and kept.  The same block builder gives the band energies at any q.
 LAPACK's symmetric and Hermitian solvers use no randomized pivoting, so
 repeated solves of the same input are bit-identical.
 """
@@ -61,66 +61,32 @@ def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """All S*P eigenmodes of the lattice, held as S Bloch blocks.
+    """The lattice's eigenmodes on the (S + 1)/2 Bloch blocks with q >= 0.
 
-    energies are raw (E_R), ascending over all blocks; ground_offset =
-    energies[0] is the shift that downstream consumers subtract so the trap
-    ground state sits at zero.  Sorted mode k is column `band` of
-    vectors[block] with (block, band) = divmod(order[k], P); the column holds
-    the mode's orthonormal grid-FFT coefficients on the bins[block] of that
-    block.  vectors are real for a mirror-symmetric cell.
+    Row j holds block q = quasimomenta[j]: its raw energies (E_R, ascending)
+    and, as the columns of vectors[j], its modes' coefficients on the plane
+    waves exp(i (q + 2 pi m) u) with m = orders[j].  Time reversal gives
+    block -q the same energies, so weights[j], 1 at q = 0 and 2 otherwise,
+    counts each block for its pair.  ground_offset is the lowest energy, the
+    shift that downstream consumers subtract so the trap ground state sits at
+    zero.  vectors are real for a mirror-symmetric cell.
     """
 
-    energies: np.ndarray
-    vectors: np.ndarray      # (S, P, P)
-    bins: np.ndarray         # (S, P)
-    order: np.ndarray        # (S*P,)
+    energies: np.ndarray       # (Q, P)
+    vectors: np.ndarray        # (Q, P, P)
+    orders: np.ndarray         # (Q, P)
+    quasimomenta: np.ndarray   # (Q,)
+    weights: np.ndarray        # (Q,)
     ground_offset: float
 
     def __post_init__(self):
-        for name in ("energies", "vectors", "bins", "order"):
+        for name in ("energies", "vectors", "orders", "quasimomenta", "weights"):
             getattr(self, name).flags.writeable = False
 
     @property
-    def size(self) -> int:
-        return self.energies.size
-
-    @property
-    def bands(self) -> np.ndarray:
-        """Band index of each sorted mode: its rank inside its Bloch block."""
-        return self.order % self.bins.shape[1]
-
-    @property
-    def referenced_energies(self) -> np.ndarray:
-        """Energies with the ground state at zero."""
-        return self.energies - self.ground_offset
-
-    def project(self, psi: np.ndarray) -> np.ndarray:
-        """Coefficients <phi_k|psi> of a grid state over the sorted modes."""
-        spectrum = np.fft.fft(psi, norm="ortho")[self.bins]
-        coeff = np.einsum("sab,sa->sb", self.vectors.conj(), spectrum)
-        return coeff.ravel()[self.order]
-
-    def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
-        """Grid state sum_k c_k phi_k by the inverse transform; an (S*P, K)
-        input gives one state per column."""
-        s, p = self.bins.shape
-        flat = np.zeros(np.shape(coefficients), dtype=complex)
-        flat[self.order] = coefficients
-        spectrum = np.empty(flat.shape, dtype=complex)
-        spectrum[self.bins] = (self.vectors @ flat.reshape(s, p, -1)).reshape(
-            (s, p) + flat.shape[1:])
-        return np.fft.ifft(spectrum, axis=0, norm="ortho")
-
-    def validate(self, h: np.ndarray) -> dict:
-        """Residual and orthonormality of the synthesized grid modes against
-        the assembled matrix, for assertion in tests."""
-        modes = self.synthesize(np.eye(self.size))
-        ortho = float(np.abs(modes.conj().T @ modes - np.eye(self.size)).max())
-        resid = h @ modes - modes * self.energies
-        scale = float(np.abs(self.energies).max())
-        residual = float(np.linalg.norm(resid, axis=0).max()) / max(scale, 1.0)
-        return {"orthonormality": ortho, "residual": residual, "norm_scale": scale}
+    def spectrum(self) -> np.ndarray:
+        """All S P raw energies, ascending, each q > 0 block counted twice."""
+        return np.sort(np.repeat(self.energies, self.weights.astype(int), axis=0), axis=None)
 
 
 def _central_cell(potential: Potential, grid: Grid) -> np.ndarray:
@@ -159,37 +125,34 @@ def single_site_eigenstates(potential: Potential, grid: Grid, count: int):
     return energies[:count], cells.real
 
 
-def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
-    """All eigenmodes of H = T + diag(V) on the periodic grid, by Bloch blocks.
-
-    Takes the inputs of model.build_hamiltonian but never assembles the
-    (S P) x (S P) matrix; the blocks are built from the central cell.
-    """
-    s, p = grid.sites, grid.points_per_site
+def half_zone(potential: Potential, grid: Grid):
+    """(blocks, orders, quasimomenta, weights) of the (S + 1)/2 Bloch blocks
+    with q >= 0; see _bloch_blocks and EigenDecomposition."""
+    s = grid.sites
     cell = _central_cell(potential, grid)
     if s % 2 == 0:
         raise ConstructionError("the q <-> -q pairing of the blocks needs an odd site count")
     # a real potential makes block -q the complex conjugate of block q, with
-    # plane-wave orders m -> -m (odd S, so the Nyquist windows mirror), so
-    # only q >= 0 is solved
-    half = np.arange(s // 2 + 1)
-    blocks, orders = _bloch_blocks(cell, 2.0 * np.pi * half / s)
+    # plane-wave orders m -> -m (odd S, so the Nyquist windows mirror)
+    q = 2.0 * np.pi * np.arange(s // 2 + 1) / s
+    blocks, orders = _bloch_blocks(cell, q)
+    return blocks, orders, q, np.where(q > 0, 2.0, 1.0)
+
+
+def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
+    """All eigenmodes of H = T + diag(V) on the periodic grid, by Bloch blocks.
+
+    Takes the inputs of model.build_hamiltonian but never assembles the
+    (S P) x (S P) matrix: one batched eigh solves the half-zone blocks of
+    half_zone, and block -q is left implicit (EigenDecomposition.weights).
+    """
+    blocks, orders, q, weights = half_zone(potential, grid)
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    energies = np.concatenate([energies[:0:-1], energies])
-    vectors = np.concatenate([vectors[:0:-1].conj(), vectors])
-    orders = np.concatenate([-orders[:0:-1], orders])
-    j = np.arange(s) - s // 2
-    # wavenumber 2 pi n / S sits in FFT bin n mod S P; (-1)^n moves the
-    # transform's origin from the first grid point to u = 0
-    n = j[:, None] + s * orders
-    vectors *= ((-1.0) ** n)[:, :, None]
-    order = np.argsort(energies, axis=None, kind="stable")
-    sorted_energies = energies.ravel()[order]
-    return EigenDecomposition(energies=sorted_energies, vectors=vectors, bins=n % (s * p),
-                              order=order, ground_offset=float(sorted_energies[0]))
+    return EigenDecomposition(energies=energies, vectors=vectors, orders=orders, quasimomenta=q,
+                              weights=weights, ground_offset=float(energies.min()))
 
 
 def bound_level_count(model: LatticeModel) -> int:

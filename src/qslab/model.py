@@ -128,7 +128,7 @@ class LatticeParams:
     wavelength: float = 866e-9
     depth_at_zero: float = 270.0
     polarization_angle: float = 0.0
-    sites: int = 11
+    sites: int = 9
     points_per_site: int = 64
 
     def __post_init__(self):
@@ -210,21 +210,11 @@ def _kinetic_spectral(n: int, length: float) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def apply_hamiltonian(potential: Potential, grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """H psi on the periodic grid without a matrix: the kinetic term by FFT,
-    the potential pointwise."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.size, d=grid.spacing)
-    kin = np.fft.ifft(KAPPA * k**2 * np.fft.fft(psi))
-    if np.isrealobj(psi):
-        kin = kin.real
-    return kin + potential.values * psi
-
-
 def build_hamiltonian(potential: Potential, grid: Grid) -> np.ndarray:
     """Dense read-only H = T + diag(V) for one spin state, the tests' oracle.
 
     The kinetic term is the Fourier-grid operator as a dense circulant; the
-    pipeline solves the Bloch blocks and applies H by FFT instead.
+    pipeline solves and applies the Bloch blocks instead.
     """
     if potential.values.shape != grid.positions.shape:
         raise ConstructionError(

@@ -65,17 +65,17 @@ class ScanConfig:
         if self.curve_points < 1:
             raise ParameterError(f"curve_points must be at least 1, got {self.curve_points}")
         if self.state_point is not None:
-            _check_point("state", *self.state_point)
+            check_point("state", *self.state_point)
         seen = set()
         for n, dx in self.points:
-            _check_point("scan.points", n, dx)
+            check_point("scan.points", n, dx)
             key = (n, round(dx, 12))
             if key in seen:
                 raise ParameterError(f"duplicate scan point {key}")
             seen.add(key)
 
 
-def _check_point(where: str, n: int, dx: float) -> None:
+def check_point(where: str, n: int, dx: float) -> None:
     if n not in (0, 1, 2):
         raise ParameterError(f"{where}: packet shape n must be 0, 1 or 2, got {n}")
     if not 0.0 < dx <= 0.5:
@@ -172,7 +172,7 @@ class PointResult:
     moments: dynamics.SpectralMoments
     trace: dynamics.OverlapTrace
     report: qsl.QslReport
-    edge_probability: float
+    quadrature_defect: float | None
     records: list | None = None
     estimates: dict | None = None
 
@@ -207,19 +207,18 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
               point_index: int = 0) -> PointResult:
     """Full pipeline for one (n, dx) combination, given solve_displacement(dx)."""
     model, eig, (site_e, site_states) = solved
-    state = dynamics.prepare_initial(n, dx, model, site_states)
-    spectral = dynamics.to_spectral(state, eig)
+    packet = dynamics.prepare_initial(n, dx, site_states, eig.quasimomenta, eig.orders)
+    spectral = dynamics.to_spectral(packet, eig)
     moms = dynamics.moments(spectral)
     times = dynamics.default_times(moms, config.time_points)
     trace = dynamics.evolve_overlap(spectral, times)
     scale = model.recoil.time_us_per_unit
     rep = qsl.report(moms, trace, time_us_per_unit=scale)
-    psi_end = dynamics.reconstruct(spectral, eig, times[-1])
-    edge = dynamics.edge_probability(psi_end, model.grid)
+    defect = dynamics.quadrature_defect(spectral, trace, model.params.sites)
     e_n = float(site_e[n] - site_e[0])
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
                          moments=moms, trace=trace, report=rep,
-                         edge_probability=edge)
+                         quadrature_defect=defect)
     if config.estimator == "experiment":
         result.records, result.estimates = _run_experiment(result, config, point_index)
     return result
@@ -283,16 +282,17 @@ def qubit_reference_curve(zetas: np.ndarray) -> np.ndarray:
 def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[dict]:
     """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape.
 
-    E and dE need no eigenbasis: the q = 0 block gives the packets and E_0,
-    and dynamics.direct_moments applies H to each packet by FFT.
+    E and dE need no eigenbasis: the q = 0 block gives the packets' cell
+    states and E_0, and dynamics.direct_moments applies the half-zone Bloch
+    blocks to each packet's block coefficients, with the points' weights.
     """
     rows = []
     for dx in dx_values:
         model, (site_e, site_states) = _site_solve(float(dx), config.params, config.constants)
-        down = model.potential("down")
+        blocks, orders, q, weights = eigensolve.half_zone(model.potential("down"), model.grid)
         for n in (0, 1, 2):
-            state = dynamics.prepare_initial(n, float(dx), model, site_states)
-            moms = dynamics.direct_moments(state, down, site_e[0])
+            packet = dynamics.prepare_initial(n, float(dx), site_states, q, orders)
+            moms = dynamics.direct_moments(blocks, packet, weights, site_e[0])
             rows.append({"n": n, "dx": float(dx),
                          "inv_tau_ml": 4.0 * moms.e / model.homega,
                          "inv_tau_mt": 4.0 * moms.de / model.homega})
@@ -335,7 +335,7 @@ def _write_point(result: PointResult, out_dir: str) -> None:
                   result.trace.visibility, result.trace.fs_distance))
     write_json(os.path.join(pdir, "report.json"), result.report.to_json_dict())
     write_json(os.path.join(pdir, "diagnostics.json"), {
-        "edge_probability": result.edge_probability,
+        "quadrature_defect": result.quadrature_defect,
         "e_n_Er": result.e_n,
         "depth_Er": result.model.depth,
         "homega_Er": result.model.homega,

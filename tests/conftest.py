@@ -1,4 +1,5 @@
-"""Shared fixtures: cached lattice solutions and the default-grid sweep."""
+"""Shared fixtures: cached lattice solutions, the default-grid sweep and the
+grid oracle the half-zone Bloch route is checked against."""
 
 import numpy as np
 import pytest
@@ -22,10 +23,94 @@ class LatticeSolver:
         return self._cache[key]
 
     def spectral_point(self, n: int, dx: float):
+        """(model, eig, packet, spectral, moments) of the point (n, dx)."""
         model, eig, (_, site_states) = self.solve(dx)
-        state = dynamics.prepare_initial(n, dx, model, site_states)
-        spectral = dynamics.to_spectral(state, eig)
-        return model, eig, state, spectral, dynamics.moments(spectral)
+        packet = block_packet(n, dx, eig, site_states)
+        spectral = dynamics.to_spectral(packet, eig)
+        return model, eig, packet, spectral, dynamics.moments(spectral)
+
+
+def block_packet(n, dx, eig, site_states):
+    """The pipeline's packet: (Q, P) plane-wave coefficients on eig's blocks."""
+    return dynamics.prepare_initial(n, dx, site_states, eig.quasimomenta, eig.orders)
+
+
+def grid_packet(n, dx, grid, site_states):
+    """The packet on the S P grid: site state n zero-padded to the central
+    site, then translated by dx with band-limited interpolation (the Nyquist
+    bin takes cos(k dx), so a real input stays real) and renormalised."""
+    p = grid.points_per_site
+    psi = np.zeros(grid.size)
+    start = grid.size // 2 - p // 2
+    psi[start:start + p] = site_states[:, n]
+    psi /= np.linalg.norm(psi)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.size, d=grid.spacing)
+    phase = np.exp(-1j * k * dx)
+    phase[grid.size // 2] = np.cos(k[grid.size // 2] * dx)
+    shifted = np.fft.ifft(np.fft.fft(psi) * phase)
+    return shifted / np.linalg.norm(shifted)
+
+
+class FullZone:
+    """All S Bloch blocks of a half-zone EigenDecomposition, on the grid.
+
+    Block -q is the complex conjugate of block q with plane-wave orders
+    m -> -m.  Wavenumber 2 pi n / S, n = j + S m, sits in FFT bin n mod S P,
+    and (-1)^n moves the transform's origin from the first grid point to
+    u = 0.  Sorted mode k is column `band` of vectors[block] with
+    (block, band) = divmod(order[k], P).
+    """
+
+    def __init__(self, eig):
+        half, p = eig.energies.shape
+        s = 2 * half - 1
+        energies = np.concatenate([eig.energies[:0:-1], eig.energies])
+        vectors = np.concatenate([eig.vectors[:0:-1].conj(), eig.vectors])
+        orders = np.concatenate([-eig.orders[:0:-1], eig.orders])
+        n = (np.arange(s) - s // 2)[:, None] + s * orders
+        self.vectors = vectors * ((-1.0) ** n)[:, :, None]
+        self.bins = n % (s * p)
+        self.order = np.argsort(energies, axis=None, kind="stable")
+        self.energies = energies.ravel()[self.order]
+        self.bands = self.order % p
+        self.ground_offset = eig.ground_offset
+
+    @property
+    def size(self) -> int:
+        return self.energies.size
+
+    def project(self, psi: np.ndarray) -> np.ndarray:
+        """Coefficients <phi_k|psi> of a grid state over the sorted modes."""
+        spectrum = np.fft.fft(psi, norm="ortho")[self.bins]
+        coeff = np.einsum("sab,sa->sb", self.vectors.conj(), spectrum)
+        return coeff.ravel()[self.order]
+
+    def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
+        """Grid state sum_k c_k phi_k by the inverse transform; an (S*P, K)
+        input gives one state per column."""
+        s, p = self.bins.shape
+        flat = np.zeros(np.shape(coefficients), dtype=complex)
+        flat[self.order] = coefficients
+        spectrum = np.empty(flat.shape, dtype=complex)
+        spectrum[self.bins] = (self.vectors @ flat.reshape(s, p, -1)).reshape(
+            (s, p) + flat.shape[1:])
+        return np.fft.ifft(spectrum, axis=0, norm="ortho")
+
+    def spectral(self, psi: np.ndarray) -> dynamics.SpectralState:
+        """Populations of a grid state over all S P modes."""
+        return dynamics.SpectralState(populations=np.abs(self.project(psi)) ** 2,
+                                      energies=self.energies - self.ground_offset,
+                                      bands=self.bands)
+
+    def validate(self, h: np.ndarray) -> dict:
+        """Residual and orthonormality of the synthesized grid modes against
+        the assembled matrix."""
+        modes = self.synthesize(np.eye(self.size))
+        ortho = float(np.abs(modes.conj().T @ modes - np.eye(self.size)).max())
+        resid = h @ modes - modes * self.energies
+        scale = float(np.abs(self.energies).max())
+        residual = float(np.linalg.norm(resid, axis=0).max()) / max(scale, 1.0)
+        return {"orthonormality": ortho, "residual": residual, "norm_scale": scale}
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from qslab import qsl, scan
 from qslab.eigensolve import band_structure, decompose
 from qslab.model import KAPPA, LatticeModel, LatticeParams
 
-from conftest import ml_domain_margin
+from conftest import FullZone, ml_domain_margin
 
 _SWEEP_TIME = {}
 
@@ -144,7 +144,7 @@ def test_criterion_06_xi_consistency(sweep):
         worst_rel = max(worst_rel, rel)
         ok &= rel <= 0.10
         cap = qsl.bhatia_davis_cap(res.moments.e, res.moments.de,
-                                   float(res.spectral.energies[-1]))
+                                   float(res.spectral.energies.max()))
         ok &= xi_spec <= cap + 1e-9
     assert _verdict(6, ok, f"xi_spectral >= 0, worst |xi_fit/xi_spectral - 1| = "
                            f"{worst_rel:.2%} (<= 10%), Bhatia-Davis cap intact, "
@@ -225,10 +225,10 @@ def test_criterion_08_band_tunneling(solver):
 
 def test_criterion_09_numerical_hygiene(solver):
     lattice, eig, *_ = solver.solve(0.04)
-    checks = eig.validate(lattice.hamiltonian("down"))
+    checks = FullZone(eig).validate(lattice.hamiltonian("down"))
     # second spot check at the opposite end of the displacement range
     lattice5, eig5, *_ = solver.solve(0.5)
-    checks5 = eig5.validate(lattice5.hamiltonian("down"))
+    checks5 = FullZone(eig5).validate(lattice5.hamiltonian("down"))
     checks = {key: max(checks[key], checks5[key]) for key in checks}
     params = lattice.params
     refined = LatticeParams(wavelength=params.wavelength,
@@ -238,7 +238,7 @@ def test_criterion_09_numerical_hygiene(solver):
                             points_per_site=2 * params.points_per_site)
     fine = LatticeModel(params=refined, constants=lattice.constants)
     w_fine = np.linalg.eigvalsh(fine.hamiltonian("down"))
-    drift = np.abs((w_fine[:40] - eig.energies[:40]) / eig.energies[:40]).max()
+    drift = np.abs((w_fine[:40] - eig.spectrum[:40]) / eig.spectrum[:40]).max()
     ok = (drift < 1e-6 and checks["orthonormality"] <= 1e-10
           and checks["residual"] <= 1e-9)
     assert _verdict(9, ok, f"P -> 2P shifts first 40 eigenvalues by {drift:.1e} "

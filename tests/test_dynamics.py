@@ -7,10 +7,11 @@ import pytest
 from scipy.special import gammaln
 
 from qslab import dynamics as dyn
-from qslab.errors import ParameterError
+from qslab import eigensolve
+from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
-from conftest import LatticeSolver
+from conftest import FullZone, LatticeSolver, block_packet, grid_packet
 
 
 def poisson_pmf(k, x):
@@ -20,9 +21,9 @@ def poisson_pmf(k, x):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_prepare_stationary_at_zero_displacement(solver, n):
     model, eig, (site_e, site_states) = solver.solve(0.0)
-    state = dyn.prepare_initial(n, 0.0, model, site_states)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    spectral = dyn.to_spectral(state, eig)
+    packet = block_packet(n, 0.0, eig, site_states)
+    assert eig.weights @ (np.abs(packet) ** 2).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+    spectral = dyn.to_spectral(packet, eig)
     # all population inside the quasi-degenerate band n
     bands = dyn.band_populations(spectral)
     assert bands[n] == pytest.approx(1.0, abs=1e-10)
@@ -38,21 +39,22 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
 
 
 def test_prepare_input_validation(solver):
-    model, _, (_, site_states) = solver.solve(0.0)
+    _, eig, (_, site_states) = solver.solve(0.0)
     with pytest.raises(ParameterError):
-        dyn.prepare_initial(3, 0.1, model, site_states)
+        block_packet(3, 0.1, eig, site_states)
     with pytest.raises(ParameterError):
-        dyn.prepare_initial(0, 0.7, model, site_states)
+        block_packet(0, 0.7, eig, site_states)
 
 
 def test_shift_is_norm_preserving_and_silent(solver):
     import warnings
 
-    model, _, (_, site_states) = solver.solve(0.13)
+    _, eig, (_, site_states) = solver.solve(0.13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        state = dyn.prepare_initial(0, 0.13, model, site_states)  # dx not a grid multiple
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        packet = block_packet(0, 0.13, eig, site_states)  # dx not a grid multiple
+    # the shift is a phase per plane wave; the weights count each q > 0 block twice
+    assert eig.weights @ (np.abs(packet) ** 2).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_populations_poisson_at_small_displacement(solver):
@@ -67,17 +69,21 @@ def test_populations_poisson_at_small_displacement(solver):
 
 
 def test_to_spectral_identity_and_parseval(solver):
-    model, eig, *_ = solver.solve(0.0)
-    # a pure eigenmode maps to a delta in coefficients
-    delta = np.zeros(eig.size)
-    delta[40] = 1.0
-    state = dyn.QuantumState(amplitudes=eig.synthesize(delta), grid=model.grid)
-    spectral = dyn.to_spectral(state, eig)
-    pops = spectral.populations
-    assert pops[40] == pytest.approx(1.0, abs=1e-12)
+    _, eig, *_ = solver.solve(0.0)
+    # a pure eigenmode (band 40 of block 1, with its -q partner) maps to a
+    # delta in populations
+    packet = np.zeros(eig.orders.shape, dtype=complex)
+    packet[1] = eig.vectors[1][:, 40] / np.sqrt(eig.weights[1])
+    pops = dyn.to_spectral(packet, eig).populations
+    mode = eig.orders.shape[1] + 40
+    assert pops[mode] == pytest.approx(1.0, abs=1e-12)
+    assert np.delete(pops, mode).max() <= 1e-12
     for dx in (0.04, 0.16, 0.5):
         spectral = solver.spectral_point(0, dx)[3]
         assert spectral.populations.sum() == pytest.approx(1.0, abs=1e-10)
+    # a packet that is not normalised breaks Parseval's sum
+    with pytest.raises(NumericError, match="Parseval"):
+        dyn.to_spectral(packet * (1.0 + 1e-9), eig)
 
 
 def test_moments_coherent_oracle(solver):
@@ -92,8 +98,7 @@ def test_moments_coherent_oracle(solver):
 
 def test_moments_two_mode_bernoulli():
     energies = np.array([0.0, 1.0])
-    coeff = np.sqrt(np.array([0.5, 0.5])).astype(complex)
-    spectral = dyn.SpectralState(coefficients=coeff, energies=energies,
+    spectral = dyn.SpectralState(populations=np.array([0.5, 0.5]), energies=energies,
                                  bands=np.arange(2))
     moms = dyn.moments(spectral)
     assert moms.beta2 == pytest.approx(1.0, abs=1e-12)
@@ -105,8 +110,7 @@ def test_evolve_overlap_two_mode_closed_form():
     zeta = 0.9
     omega = 2.7
     pops = np.array([np.cos(zeta / 2) ** 2, np.sin(zeta / 2) ** 2])
-    spectral = dyn.SpectralState(coefficients=np.sqrt(pops).astype(complex),
-                                 energies=np.array([0.0, omega]),
+    spectral = dyn.SpectralState(populations=pops, energies=np.array([0.0, omega]),
                                  bands=np.arange(2))
     times = np.linspace(0.0, 5.0, 200)
     trace = dyn.evolve_overlap(spectral, times)
@@ -146,14 +150,18 @@ def test_unitarity_and_time_reversal(solver):
 
 
 def test_spectral_sum_matches_grid_reconstruction(solver):
-    # two independent routes to A(t): the population sum and the explicit
-    # wave function on the grid
-    model, eig, state, spectral, moms = solver.spectral_point(0, 0.08)
+    # two independent routes to A(t): the half-zone population sum and the
+    # explicit wave function on the grid, evolved over all S blocks
+    model, eig, (_, site_states) = solver.solve(0.08)
+    spectral, moms = solver.spectral_point(0, 0.08)[3:]
+    full = FullZone(eig)
+    psi = grid_packet(0, 0.08, model.grid, site_states)
+    coeff = full.project(psi)
     times = dyn.default_times(moms, 9)
     trace = dyn.evolve_overlap(spectral, times)
     for t, a_spec in zip(times, trace.overlaps):
-        psi_t = dyn.reconstruct(spectral, eig, t)
-        a_grid = np.vdot(state.amplitudes, psi_t)
+        psi_t = full.synthesize(coeff * np.exp(-1j * (full.energies - full.ground_offset) * t))
+        a_grid = np.vdot(psi, psi_t)
         assert abs(a_grid - a_spec) < 1e-9
 
 
@@ -167,12 +175,12 @@ def test_min_overlap_near_forty_degrees(solver):
 
 def test_direct_moments_cross_check(solver):
     model, eig, (_, site_states) = solver.solve(0.08)
-    down = model.potential("down")
+    blocks, *_ = eigensolve.half_zone(model.potential("down"), model.grid)
     for n in (0, 1, 2):
-        state = dyn.prepare_initial(n, 0.08, model, site_states)
-        spectral = dyn.to_spectral(state, eig)
+        packet = block_packet(n, 0.08, eig, site_states)
+        spectral = dyn.to_spectral(packet, eig)
         spec_moms = dyn.moments(spectral)
-        direct = dyn.direct_moments(state, down, eig.ground_offset)
+        direct = dyn.direct_moments(blocks, packet, eig.weights, eig.ground_offset)
         assert abs(direct.e / spec_moms.e - 1.0) <= 1e-8
         assert abs(direct.de / spec_moms.de - 1.0) <= 1e-8
         assert abs(direct.beta2 / spec_moms.beta2 - 1.0) <= 1e-6
@@ -180,23 +188,26 @@ def test_direct_moments_cross_check(solver):
 
 def test_direct_moments_stationary_and_plane_wave(solver):
     model, eig, *_ = solver.solve(0.0)
-    ground_mode = np.zeros(eig.size)
-    ground_mode[0] = 1.0
-    ground = dyn.QuantumState(amplitudes=eig.synthesize(ground_mode), grid=model.grid)
-    moms = dyn.direct_moments(ground, model.potential("down"), eig.ground_offset)
+    blocks, *_ = eigensolve.half_zone(model.potential("down"), model.grid)
+    ground = np.zeros(eig.orders.shape)
+    ground[0] = eig.vectors[0][:, 0]
+    moms = dyn.direct_moments(blocks, ground, eig.weights, eig.ground_offset)
     assert moms.e == pytest.approx(0.0, abs=1e-9)
     assert moms.stationary
-    # plane wave on a flat potential is an exact eigenstate of the kinetic term
+    # a standing wave on a flat potential is an exact eigenstate of the
+    # kinetic term: cos(k1 u) is the plane wave k1 and its -q partner
     from qslab.model import KAPPA, Grid, Potential
 
     params = LatticeParams(sites=5, points_per_site=32)
     grid = Grid.for_params(params)
     flat = Potential(spin="down", values=np.zeros(grid.size), displacement=0.0,
                      depth=1.0)
+    blocks, orders, q, weights = eigensolve.half_zone(flat, grid)
     k1 = 2.0 * np.pi / grid.length
-    psi = np.exp(1j * k1 * grid.positions) / np.sqrt(grid.size)
-    state = dyn.QuantumState(amplitudes=psi, grid=grid)
-    moms0 = dyn.direct_moments(state, flat)
+    assert q[1] == pytest.approx(k1, rel=1e-15)
+    wave = np.zeros(orders.shape, dtype=complex)
+    wave[1, orders[1] == 0] = np.sqrt(0.5)
+    moms0 = dyn.direct_moments(blocks, wave, weights)
     assert moms0.e == pytest.approx(KAPPA * k1**2, rel=1e-12)
     assert moms0.de == pytest.approx(0.0, abs=1e-9)
 
@@ -214,17 +225,9 @@ def test_displacement_gauge_equivalence():
     eig_down = eigensolve.decompose(model.potential("down"), model.grid)
     eig_up = eigensolve.decompose(model.potential("up"), model.grid)
     site_states = eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
-    packet = np.zeros(model.grid.size)
-    p = params.points_per_site
-    start = model.grid.size // 2 - p // 2
     for n in (0, 1, 2):
-        packet[:] = 0.0
-        packet[start:start + p] = site_states[:, n]
-        packet /= np.linalg.norm(packet)
-        centered = dyn.QuantumState(amplitudes=packet.copy(), grid=model.grid)
-        shifted = dyn.prepare_initial(n, dx, model, site_states)
-        spec_a = dyn.to_spectral(shifted, eig_down)
-        spec_b = dyn.to_spectral(centered, eig_up)
+        spec_a = dyn.to_spectral(block_packet(n, dx, eig_down, site_states), eig_down)
+        spec_b = dyn.to_spectral(block_packet(n, 0.0, eig_up, site_states), eig_up)
         # mode-by-mode weights are basis-dependent inside quasi-degenerate
         # bands; band totals and moments are the physical content
         bands_a = dyn.band_populations(spec_a)
@@ -255,13 +258,17 @@ def test_default_box_converged_against_33_sites(solver, dx):
 
 
 def test_leakage_monitor_edges_quiet(solver):
-    # worst case: largest displacement, longest trace
-    model, eig, state, spectral, moms = solver.spectral_point(0, 0.5)
-    times = dyn.default_times(moms, 8)
+    # worst case: largest displacement, longest trace; the packet, evolved on
+    # the grid over all S blocks, never reaches the two outermost sites
+    model, eig, (_, site_states) = solver.solve(0.5)
+    moms = solver.spectral_point(0, 0.5)[4]
+    full = FullZone(eig)
+    coeff = full.project(grid_packet(0, 0.5, model.grid, site_states))
+    edges = np.abs(model.grid.positions) > model.params.sites / 2.0 - 2
     worst = 0.0
-    for t in times:
-        psi_t = dyn.reconstruct(spectral, eig, t)
-        worst = max(worst, dyn.edge_probability(psi_t, model.grid))
+    for t in dyn.default_times(moms, 8):
+        psi_t = full.synthesize(coeff * np.exp(-1j * full.energies * t))
+        worst = max(worst, float((np.abs(psi_t[edges]) ** 2).sum()))
     assert worst < 1e-6
 
 
@@ -271,3 +278,75 @@ def test_default_times_cover_tau_mt(solver):
     assert times.size == 64
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(moms.tau_mt, rel=1e-12)
+
+
+def _folded_oracle_populations(model, eig, n, dx, site_states):
+    """Grid-route populations of the packet over all S blocks, with block -q
+    added onto block q: (Q, P), the layout of to_spectral."""
+    full = FullZone(eig)
+    pops = np.zeros(full.size)
+    pops[full.order] = np.abs(full.project(grid_packet(n, dx, model.grid, site_states))) ** 2
+    s = model.params.sites
+    pops = pops.reshape(s, -1)
+    folded = pops[s // 2:].copy()
+    folded[1:] += pops[s // 2 - 1::-1]
+    return folded
+
+
+def test_block_populations_match_grid_oracle():
+    # the closed-form packet against zero padding, band-limited shift and
+    # projection over all S blocks, mode by mode
+    rng = np.random.default_rng(2026)
+    for sites in (1, 3, 5):
+        params = LatticeParams(sites=sites, points_per_site=32)
+        for dx in 0.5 - rng.uniform(0.0, 0.5, 4):     # in (0, 0.5]
+            model, eig, (_, site_states) = LatticeSolver(params).solve(float(dx))
+            for n in (0, 1, 2):
+                packet = block_packet(n, float(dx), eig, site_states)
+                pops = dyn.to_spectral(packet, eig).populations.reshape(eig.energies.shape)
+                oracle = _folded_oracle_populations(model, eig, n, float(dx), site_states)
+                assert np.abs(pops - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spin, dx", [("down", 0.11), ("up", 0.0)])
+def test_half_zone_weights_reproduce_full_zone(spin, dx):
+    # time reversal pairs q with -q, so the half zone weighted (1, 2, ..., 2)
+    # gives the full zone's moments and overlap, for the real spin-down and
+    # the complex spin-up blocks alike (wells displaced by 0.11 from the packet)
+    model = LatticeModel.from_displacement(0.11, LatticeParams(sites=9, points_per_site=32))
+    eig = eigensolve.decompose(model.potential(spin), model.grid)
+    assert eig.energies.shape == (5, 32)
+    assert np.array_equal(eig.weights, [1.0, 2.0, 2.0, 2.0, 2.0])
+    site_states = eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
+    full = FullZone(eig)
+    for n in (0, 1, 2):
+        half = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)
+        whole = full.spectral(grid_packet(n, dx, model.grid, site_states))
+        m_half, m_whole = dyn.moments(half), dyn.moments(whole)
+        assert m_half.e == pytest.approx(m_whole.e, rel=1e-12)
+        assert m_half.de == pytest.approx(m_whole.de, rel=1e-12)
+        assert m_half.beta2 == pytest.approx(m_whole.beta2, rel=1e-10)
+        times = dyn.default_times(m_whole, 32)
+        delta = (dyn.evolve_overlap(half, times).overlaps
+                 - dyn.evolve_overlap(whole, times).overlaps)
+        assert np.abs(delta).max() <= 1e-12
+
+
+def test_quadrature_defect_bounds_the_box_error(solver):
+    # at S = 9 the coarser rule is S' = 3; its difference from the S-point
+    # rule overstates the true error, against 33 sites, without reaching 1e-10
+    wide = LatticeSolver(replace(solver.params, sites=33))
+    for n in (0, 2):
+        *_, spectral, moms = solver.spectral_point(n, 0.5)
+        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 64))
+        wide_trace = dyn.evolve_overlap(wide.spectral_point(n, 0.5)[3], trace.times)
+        true_error = np.abs(trace.overlaps - wide_trace.overlaps)
+        defect = dyn.quadrature_defect(spectral, trace, solver.params.sites)
+        assert true_error.max() <= defect <= 1e-10
+    # a single site has no coarser rule; at a prime S only q = 0 is left
+    for sites, low, high in ((1, None, None), (3, 1e-8, 1e-3)):
+        lattice = LatticeSolver(replace(solver.params, sites=sites))
+        *_, spectral, moms = lattice.spectral_point(0, 0.5)
+        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 64))
+        defect = dyn.quadrature_defect(spectral, trace, sites)
+        assert defect is None if low is None else low <= defect <= high

@@ -11,6 +11,8 @@ from qslab.errors import ConstructionError, ParameterError
 from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, PhysicalConstants, Potential
 from qslab.scan import solve_displacement
 
+from conftest import FullZone, block_packet, grid_packet
+
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 SMALL = LatticeParams(sites=9, points_per_site=32)
@@ -23,20 +25,21 @@ def test_block_solve_matches_dense_oracle():
     model = LatticeModel.from_displacement(dx, SMALL)
     s = SMALL.sites
     eig = es.decompose(model.potential("down"), model.grid)
+    full = FullZone(eig)
     site_states = es.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
     w, v = np.linalg.eigh(model.hamiltonian("down"))
-    assert np.abs(eig.energies - w).max() <= 1e-10
+    assert np.abs(eig.spectrum - w).max() <= 1e-10
     # bound bands are separated by gaps, so dense band b is the b-th run of S
     bound = es.bound_level_count(model)
-    assert np.array_equal(eig.bands[:bound * s], np.repeat(np.arange(bound), s))
+    assert np.array_equal(full.bands[:bound * s], np.repeat(np.arange(bound), s))
     for n in (0, 1, 2):
-        state = dyn.prepare_initial(n, dx, model, site_states)
-        spectral = dyn.to_spectral(state, eig)
-        coeff = v.T @ state.amplitudes
+        spectral = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)
+        psi = grid_packet(n, dx, model.grid, site_states)
+        coeff = v.T @ psi
         dense_pops = np.abs(coeff) ** 2
         dense_bands = dense_pops[:bound * s].reshape(bound, s).sum(axis=1)
         assert np.abs(dyn.band_populations(spectral)[:bound] - dense_bands).max() <= 1e-12
-        dense = dyn.SpectralState(coefficients=coeff, energies=w - w[0], bands=eig.bands)
+        dense = dyn.SpectralState(populations=dense_pops, energies=w - w[0], bands=full.bands)
         moms, ref = dyn.moments(spectral), dyn.moments(dense)
         assert moms.e == pytest.approx(ref.e, rel=1e-10)
         assert moms.de == pytest.approx(ref.de, rel=1e-10)
@@ -45,9 +48,12 @@ def test_block_solve_matches_dense_oracle():
         delta = (dyn.evolve_overlap(spectral, times).overlaps
                  - dyn.evolve_overlap(dense, times).overlaps)
         assert np.abs(delta).max() <= 1e-12
+        # the grid oracle's inverse transform against the dense modes
+        grid_coeff = full.project(psi)
         for t in times[::8]:
             psi_dense = v @ (coeff * np.exp(-1j * (w - w[0]) * t))
-            assert np.abs(dyn.reconstruct(spectral, eig, t) - psi_dense).max() <= 1e-9
+            psi_t = full.synthesize(grid_coeff * np.exp(-1j * (full.energies - w[0]) * t))
+            assert np.abs(psi_t - psi_dense).max() <= 1e-9
 
 
 @pytest.mark.parametrize("sites", [1, 3, 9])
@@ -58,13 +64,14 @@ def test_time_reversal_half_zone_solve(sites, monkeypatch):
     eigh, solved = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(len(b)) or eigh(b))
     eig = es.decompose(model.potential("up"), model.grid)
-    # only the q >= 0 blocks are diagonalised
+    # only the q >= 0 blocks are diagonalised, and nothing is kept for -q
     assert solved == [(sites + 1) // 2]
-    per_block = np.empty(eig.size)
-    per_block[eig.order] = eig.energies
-    per_block = per_block.reshape(sites, -1)
-    assert np.array_equal(per_block, per_block[::-1])
-    checks = eig.validate(model.hamiltonian("up"))
+    half = (sites + 1) // 2
+    p = SMALL.points_per_site
+    assert eig.energies.shape == (half, p) and eig.vectors.shape == (half, p, p)
+    assert np.array_equal(eig.quasimomenta, 2.0 * np.pi * np.arange(half) / sites)
+    # the conjugate blocks complete the full zone's eigenmodes
+    checks = FullZone(eig).validate(model.hamiltonian("up"))
     assert checks["residual"] <= RESIDUAL_TOL
     assert checks["orthonormality"] <= ORTHO_TOL
 
@@ -89,8 +96,8 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
         # choice of basis; the bound bands and the moments are not
         bound = es.bound_level_count(model)
         for n in (0, 1, 2):
-            state = dyn.prepare_initial(n, dx, model, site_states)
-            spectral = [dyn.to_spectral(state, e) for e in (eig, ref)]
+            packet = block_packet(n, dx, eig, site_states)
+            spectral = [dyn.to_spectral(packet, e) for e in (eig, ref)]
             pops = [dyn.band_populations(s)[:bound] for s in spectral]
             assert np.abs(pops[0] - pops[1]).max() <= 1e-12
             moms, ref_moms = (dyn.moments(s) for s in spectral)
@@ -130,14 +137,16 @@ def test_decompose_input_errors():
 
 def test_decompose_lattice_contract(solver):
     lattice, eig, *_ = solver.solve(0.0)
-    checks = eig.validate(lattice.hamiltonian("down"))
+    checks = FullZone(eig).validate(lattice.hamiltonian("down"))
     assert checks["orthonormality"] <= ORTHO_TOL
     assert checks["residual"] <= RESIDUAL_TOL
     # spectrum bounded below by the potential minimum (kinetic part is PSD)
-    assert eig.energies[0] >= lattice.potential("down").values.min() - 1e-9
-    assert np.all(np.diff(eig.energies) >= -1e-12)
-    assert eig.ground_offset == eig.energies[0]
-    assert eig.referenced_energies[0] == 0.0
+    spectrum = eig.spectrum
+    assert spectrum[0] >= lattice.potential("down").values.min() - 1e-9
+    assert np.all(np.diff(spectrum) >= 0.0)
+    assert np.all(np.diff(eig.energies, axis=1) >= -1e-12)
+    assert eig.ground_offset == spectrum[0] == eig.energies[0, 0]
+    assert spectrum.size == lattice.grid.size
 
 
 def test_decompose_deterministic(solver):
@@ -153,7 +162,7 @@ def test_level_spacing_against_anharmonic_ladder(solver):
     # 270 E_R, reproduced here to a few parts in 1e3
     lattice, eig, *_ = solver.solve(0.0)
     homega = lattice.homega
-    spacing = eig.energies[lattice.params.sites] - eig.energies[0]
+    spacing = eig.spectrum[lattice.params.sites] - eig.spectrum[0]
     assert spacing == pytest.approx(homega - 1.0, rel=2e-3)
     assert spacing == pytest.approx(homega, rel=0.035)
 
@@ -231,7 +240,7 @@ def test_single_site_matches_full_lattice_band_centers(solver):
     lattice, eig, (site_e, _) = solver.solve(0.0)
     s = lattice.params.sites
     for n in range(3):
-        band = eig.energies[n * s:(n + 1) * s]
+        band = eig.spectrum[n * s:(n + 1) * s]
         assert site_e[n] == pytest.approx(band.mean(), abs=1e-6)
 
 

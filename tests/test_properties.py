@@ -24,8 +24,8 @@ def spectrum(pairs):
     """Normalized populations over energies, as a SpectralState, and its moments."""
     weights, energies = (np.array(col) for col in zip(*pairs))
     pops = weights / weights.sum()
-    spectral = dyn.SpectralState(coefficients=np.sqrt(pops).astype(complex),
-                                 energies=energies, bands=np.zeros(energies.size, int))
+    spectral = dyn.SpectralState(populations=pops, energies=energies,
+                                 bands=np.zeros(energies.size, int))
     moms = dyn.moments(spectral)
     assume(not moms.stationary)
     return spectral, moms
@@ -92,3 +92,23 @@ def test_inverted_qubit_obeys_energy_from_above_bound(zeta, omega):
     qubit = qsl.qubit_model(zeta, omega)
     times = np.linspace(0.0, np.pi / (2.0 * omega * np.cos(zeta / 2.0) ** 2), 257)
     assert np.all(qubit.overlap(times) >= qubit.inverted_population_bound(times) - 1e-12)
+
+
+@PROFILE
+@given(st.floats(0.5, 30.0), st.floats(0.2, 2.5), st.floats(-0.5, 0.5),
+       st.floats(-200.0, 200.0))
+def test_light_shift_slope_injected_then_subtracted(energy, window_phase, curvature, slope):
+    # a noiseless phase series, the mean energy's linear term plus a cubic one,
+    # with a light-shift slope added and the same slope passed to the
+    # estimator, gives the slope-free estimate; tau_MT is set so that the
+    # phase reaches window_phase (< pi, no wrap) at the end of the fit window
+    hertz = 2.0e3
+    rate = 2.0 * np.pi * hertz * 1e-6 * energy          # rad/us
+    tau_mt_us = window_phase / (0.35 * rate)
+    times_us = np.linspace(0.0, tau_mt_us, 64)
+    phase = rate * times_us * (1.0 + curvature * (times_us / tau_mt_us) ** 2)
+    clean, _ = interferometer.extract_mean_energy(times_us, phase, 0.0, 0.0, hertz, tau_mt_us)
+    shifted, _ = interferometer.extract_mean_energy(times_us, phase + slope * times_us, 0.0,
+                                                    slope, hertz, tau_mt_us)
+    assert clean == pytest.approx(energy, rel=1e-6)
+    assert shifted == pytest.approx(clean, rel=1e-9)

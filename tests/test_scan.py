@@ -198,6 +198,11 @@ def test_run_scan_artifacts_exact(tmp_path):
         assert set(rep) == {"e_Er", "de_Er", "tau_mt_us", "tau_ml_us", "tau_c_us",
                             "regime", "xi_spectral", "xi_fit", "min_margin"}
         assert rep["min_margin"] >= -1e-9
+        with open(os.path.join(pdir, "diagnostics.json")) as fh:
+            diag = json.load(fh)
+        assert set(diag) == {"quadrature_defect", "e_n_Er", "depth_Er", "homega_Er",
+                             "theta_rad"}
+        assert 0.0 < diag["quadrature_defect"] <= 1e-10
     header = read(os.path.join(out, "n0_dx0.0400", "trace.csv")).decode().splitlines()[0]
     assert header == "t_us,re_A,im_A,abs_A,fs_distance"
 
@@ -297,8 +302,9 @@ def test_points_sit_on_lattice_theory_curve(tmp_path):
 
 
 def test_reference_curves_match_spectral_moments(solver, monkeypatch):
-    # the curves take E and dE from two FFT applications of H; the full
-    # Bloch solve, projection and spectral moments are their oracle
+    # the curves take E and dE from the half-zone Bloch blocks applied to
+    # each packet; the Bloch solve, populations and spectral moments are
+    # their oracle
     dx_values = np.array([0.025, 0.16, 0.5])
     for dx in dx_values:
         solver.solve(dx)
@@ -364,6 +370,24 @@ def test_cli_point_prints_the_failure_of_a_failed_point(tmp_path, capsys):
                    "--dx", "0.1"])
     assert rc == 1
     assert "bound levels" in capsys.readouterr().err
+
+
+def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
+    # a value out of range on the command line or in the config is an error
+    # message naming where it came from, not a traceback
+    out = str(tmp_path / "out")
+    for flags, text in ((["--dx", "0.9"], "--n/--dx: displacement must lie in (0, 0.5]"),
+                        (["--n", "4", "--dx", "0.1"], "--n/--dx: packet shape n")):
+        assert cli.main(["point", "--out", out, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslab point: error: ") and text in err
+        assert err.count("\n") == 1 and "scan.points" not in err
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({"scan": {"time_points": 5}}))
+    assert cli.main(["scan", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "time_points must be at least 21" in err
+    assert not os.path.exists(out)
 
 
 def test_cli_scan_experiment(tmp_path, capsys):
