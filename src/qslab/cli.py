@@ -82,6 +82,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_qubit(args) -> int:
+    if args.count < 1:
+        raise ParameterError(f"--count must be at least 1, got {args.count}")
     cfg = _build_config(args)
     model = LatticeModel(params=cfg.params, constants=cfg.constants)
     omega = model.homega
@@ -97,6 +99,8 @@ def cmd_qubit(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not os.path.isdir(args.dir):
+        raise ParameterError(f"--dir: no scan directory {args.dir!r}")
     summary = scan.aggregate_reports(args.dir)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if summary["bound_violations"] == 0 else 1

@@ -11,7 +11,7 @@ visibility) and the geometric deviation coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,35 +84,35 @@ def fringe_phase(trace: OverlapTrace, e_n: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Cosine-fit results for one evolution time."""
+    """Cosine-fit results: floats for one time (fit_fringe), length-T arrays for a series."""
 
-    v: float          # clipped to [0, 1]
-    v_raw: float      # unclipped amplitude estimate
-    v_err: float
-    phi: float        # in (-pi, pi]
-    phi_err: float
-    offset: float
-    flagged: bool     # True when the amplitude is too small to date the phase
+    v: np.ndarray          # clipped to [0, 1]
+    v_raw: np.ndarray      # unclipped amplitude estimate
+    v_err: np.ndarray
+    phi: np.ndarray        # in (-pi, pi]
+    phi_err: np.ndarray
+    offset: np.ndarray
+    flagged: np.ndarray    # True when the amplitude is too small to date the phase
 
 
 @dataclass(frozen=True)
-class FringeRecord:
-    """Samples and fit for one evolution time."""
+class FringeSeries:
+    """Counts and fits of an evolution-time series: T times by K control phases."""
 
-    t_us: float
-    phi_r: np.ndarray
+    t_us: np.ndarray       # (T,)
+    phi_r: np.ndarray      # (K,)
     n_total: int
-    n_down: np.ndarray
-    fit: FringeFit
+    n_down: np.ndarray     # (T, K)
+    fit: FringeFit         # length-T arrays
 
 
 def sample_fringe(visibility: float, phase: float, config: RamseyConfig,
                   t_index: int) -> np.ndarray:
     """Detected spin-down counts per phase point.
 
-    Counts are binomial with success probability p_down * (1 - loss); the
-    stream for each (seed, t-index) pair is independent, so records can be
-    generated concurrently with reproducible output.
+    Counts are binomial with success probability p_down * (1 - loss); each
+    (seed, t-index) draw has its own generator, independent of the order in
+    which points run.
     """
     p_down = ideal_fringe(visibility, phase, config.phase_grid)
     p_eff = np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
@@ -122,62 +122,75 @@ def sample_fringe(visibility: float, phase: float, config: RamseyConfig,
     return np.random.default_rng([config.rng_seed, t_index]).binomial(n, p_eff)
 
 
-def fit_fringe(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
-               loss_fraction: float = 0.0) -> FringeFit:
-    """Linear least squares of a + b cos(phi_R) + c sin(phi_R) on normalized counts.
-
+def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
+                loss_fraction: float = 0.0) -> FringeFit:
+    """Least squares of a + b cos(phi_R) + c sin(phi_R) on each row of the
+    (T, K) normalized counts, every row against one design matrix.
     V = 2 sqrt(b^2 + c^2), phi = atan2(-c, -b) to match the fringe sign
-    convention; standard errors come from the residual covariance.
+    convention; standard errors come from each row's residual covariance.
     """
     phi_r = np.asarray(phi_r, dtype=float)
-    n_down = np.asarray(n_down, dtype=float)
     if phi_r.size < 6 or np.unique(np.round(phi_r, 12)).size < 6:
         raise ParameterError("need at least 6 distinct Ramsey phases")
-    y = n_down / (n_total * (1.0 - loss_fraction))
+    y = np.asarray(n_down, dtype=float) / (n_total * (1.0 - loss_fraction))
     design = np.column_stack([np.ones_like(phi_r), np.cos(phi_r), np.sin(phi_r)])
     gram = design.T @ design
     if np.linalg.cond(gram) > 1e12:
         raise ParameterError("degenerate phase design; spread the phase grid")
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = max(phi_r.size - 3, 1)
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(gram)
-    a, b, c = coef
-    v_raw = 2.0 * float(np.hypot(b, c))
-    phi = float(np.arctan2(-c, -b))
-    if v_raw > 1e-12:
-        grad_v = np.array([0.0, 4.0 * b, 4.0 * c]) / v_raw
-        v_err = float(np.sqrt(max(grad_v @ cov @ grad_v, 0.0)))
-        grad_p = np.array([0.0, c, -b]) / (b**2 + c**2)
-        phi_err = float(np.sqrt(max(grad_p @ cov @ grad_p, 0.0)))
-    else:
-        v_err = 2.0 * float(np.sqrt(cov[1, 1] + cov[2, 2]))
-        phi_err = np.pi
-    flagged = v_raw < 2.0 * v_err
-    return FringeFit(v=float(np.clip(v_raw, 0.0, 1.0)), v_raw=v_raw, v_err=v_err,
-                     phi=phi, phi_err=min(phi_err, np.pi), offset=float(a),
-                     flagged=flagged)
+    coef = np.linalg.lstsq(design, y.T, rcond=None)[0].T
+    resid = y - coef @ design.T
+    sigma2 = np.einsum("tk,tk->t", resid, resid) / max(phi_r.size - 3, 1)
+    a, b, c = coef.T
+    v_raw = 2.0 * np.hypot(b, c)
+    resolved = v_raw > 1e-12
+    norm = np.where(resolved, v_raw / 2.0, 1.0)
+    along = coef[:, 1:] / norm[:, None]      # V moves along (b, c), phi across it
+    across = along[:, ::-1] * [1.0, -1.0]
+    inv_bc = np.linalg.inv(gram)[1:, 1:]
+    var_v = np.where(resolved, np.einsum("ti,ij,tj->t", along, inv_bc, along), np.trace(inv_bc))
+    var_p = np.einsum("ti,ij,tj->t", across, inv_bc, across)
+    v_err = 2.0 * np.sqrt(np.maximum(sigma2 * var_v, 0.0))
+    phi_err = np.where(resolved, np.sqrt(np.maximum(sigma2 * var_p, 0.0)) / norm, np.pi)
+    return FringeFit(v=np.clip(v_raw, 0.0, 1.0), v_raw=v_raw, v_err=v_err,
+                     phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi), offset=a,
+                     flagged=v_raw < 2.0 * v_err)
+
+
+def fit_fringe(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
+               loss_fraction: float = 0.0) -> FringeFit:
+    """fit_fringes on the counts of one evolution time, as Python scalars."""
+    fit = fit_fringes(phi_r, np.reshape(n_down, (1, -1)), n_total, loss_fraction)
+    return FringeFit(**{f.name: getattr(fit, f.name)[0].item() for f in fields(FringeFit)})
 
 
 def simulate_series(times_us: np.ndarray, visibility: np.ndarray,
-                    phase: np.ndarray, config: RamseyConfig) -> list[FringeRecord]:
-    """Fringe records over an evolution-time series.
+                    phase: np.ndarray, config: RamseyConfig) -> FringeSeries:
+    """Counts and fits over an evolution-time series.
 
     The light-shift systematic enters here as a phase slope in rad/us; the
     extraction step subtracts the same slope, mirroring how the measured
     shift is calibrated out.
     """
-    records = []
-    for i, (t_us, v, p) in enumerate(zip(times_us, visibility, phase)):
-        p_tot = p + config.light_shift_slope * t_us
-        counts = sample_fringe(v, p_tot, config, t_index=i)
-        fit = fit_fringe(config.phase_grid, counts, config.detections_per_point,
-                         config.loss_fraction)
-        records.append(FringeRecord(t_us=float(t_us), phi_r=config.phase_grid,
-                                    n_total=config.detections_per_point,
-                                    n_down=counts, fit=fit))
-    return records
+    times_us = np.asarray(times_us, dtype=float)
+    n_total = config.detections_per_point
+    counts = np.array([sample_fringe(v, p + config.light_shift_slope * t, config, t_index=i)
+                       for i, (t, v, p) in enumerate(zip(times_us, visibility, phase))])
+    fit = fit_fringes(config.phase_grid, counts, n_total, config.loss_fraction)
+    return FringeSeries(times_us, config.phase_grid, n_total, counts, fit)
+
+
+def _window_fit(times_us: np.ndarray, y: np.ndarray, t_max: float, powers: tuple, what: str):
+    """Least squares of y on the three powers t^p over t <= t_max, with the
+    residual covariance of the coefficients."""
+    times_us, y = np.asarray(times_us, dtype=float), np.asarray(y, dtype=float)
+    mask = times_us <= t_max * (1 + 1e-12)
+    if mask.sum() < 7:
+        raise ParameterError(f"need at least 7 {what} samples in the window, got {int(mask.sum())}")
+    t = times_us[mask]
+    design = np.column_stack([t**p for p in powers])
+    coef, residuals, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
+    rss = float(residuals[0]) if residuals.size else float(((design @ coef - y[mask]) ** 2).sum())
+    return coef, rss / max(t.size - 3, 1) * np.linalg.inv(design.T @ design)
 
 
 def extract_mean_energy(times_us: np.ndarray, phi_series: np.ndarray, e_n: float,
@@ -200,15 +213,7 @@ def extract_mean_energy(times_us: np.ndarray, phi_series: np.ndarray, e_n: float
     beyond = np.nonzero(np.abs(unwrapped) > np.pi)[0]
     if beyond.size:
         t_max = min(t_max, times_us[beyond[0]])
-    mask = times_us <= t_max * (1 + 1e-12)
-    if mask.sum() < 7:
-        raise ParameterError(f"need at least 7 phase samples in the window, got {int(mask.sum())}")
-    t = times_us[mask]
-    design = np.column_stack([t, t**3, t**5])
-    coef, residuals, *_ = np.linalg.lstsq(design, unwrapped[mask], rcond=None)
-    rss = float(residuals[0]) if residuals.size else float(
-        ((design @ coef - unwrapped[mask]) ** 2).sum())
-    cov = rss / max(t.size - 3, 1) * np.linalg.inv(design.T @ design)
+    coef, cov = _window_fit(times_us, unwrapped, t_max, (1, 3, 5), "phase")
     e = coef[0] / rad_per_us_per_er + e_n
     e_err = np.sqrt(max(cov[0, 0], 0.0)) / rad_per_us_per_er
     return float(e), float(e_err)
@@ -224,20 +229,11 @@ def extract_uncertainty(times_us: np.ndarray, v_series: np.ndarray,
     O(t^8) terms below counting noise over the full trace window; b2 >= 0
     after the fit means the visibility decay is unresolved.
     """
-    times_us = np.asarray(times_us, dtype=float)
-    v_series = np.asarray(v_series, dtype=float)
-    mask = times_us <= window * tau_mt_us * (1 + 1e-12)
-    if mask.sum() < 7:
-        raise ParameterError(f"need at least 7 visibility samples in the window, got {int(mask.sum())}")
-    t = times_us[mask]
-    design = np.column_stack([t**2, t**4, t**6])
-    y = v_series[mask] - 1.0
-    coef, residuals, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, cov = _window_fit(times_us, np.asarray(v_series, dtype=float) - 1.0,
+                            window * tau_mt_us, (2, 4, 6), "visibility")
     if coef[0] >= 0.0:
         raise EstimationError("fitted quadratic visibility coefficient is not negative; "
                               "signal too flat to resolve dE")
-    rss = float(residuals[0]) if residuals.size else float(((design @ coef - y) ** 2).sum())
-    cov = rss / max(t.size - 3, 1) * np.linalg.inv(design.T @ design)
     rad_per_us_per_er = 2.0 * np.pi * recoil_hertz * 1e-6
     de_rad_us = np.sqrt(-2.0 * coef[0])
     de = de_rad_us / rad_per_us_per_er

@@ -173,7 +173,7 @@ class PointResult:
     trace: dynamics.OverlapTrace
     report: qsl.QslReport
     quadrature_defect: float | None
-    records: list | None = None
+    records: interferometer.FringeSeries | None = None
     estimates: dict | None = None
 
     @property
@@ -225,37 +225,33 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
 
 
 def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
-    model = result.model
-    scale = model.recoil.time_us_per_unit
+    scale = result.model.recoil.time_us_per_unit
     times_us = result.trace.times * scale
-    visibility = result.trace.visibility
     phase = interferometer.fringe_phase(result.trace, result.e_n)
     point_seed = int(np.random.SeedSequence([config.seed, point_index]).generate_state(1)[0])
     ramsey = replace(config.ramsey, rng_seed=point_seed)
-    records = interferometer.simulate_series(times_us, visibility, phase, ramsey)
-    v_hat = np.array([r.fit.v for r in records])
-    v_raw = np.array([r.fit.v_raw for r in records])
-    phi_hat = np.array([r.fit.phi for r in records])
+    series = interferometer.simulate_series(times_us, result.trace.visibility, phase, ramsey)
+    fit = series.fit
     tau_mt_us = result.report.tau_mt * scale
-    hertz = model.recoil.hertz
+    hertz = result.model.recoil.hertz
     estimates = {}
     try:
         e_hat, e_err = interferometer.extract_mean_energy(
-            times_us, phi_hat, result.e_n, ramsey.light_shift_slope, hertz, tau_mt_us)
+            times_us, fit.phi, result.e_n, ramsey.light_shift_slope, hertz, tau_mt_us)
         estimates.update(e_Er=e_hat, e_err_Er=e_err)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         estimates["e_error"] = str(exc)
     try:
-        de_hat, de_err = interferometer.extract_uncertainty(times_us, v_raw, hertz, tau_mt_us)
+        de_hat, de_err = interferometer.extract_uncertainty(times_us, fit.v_raw, hertz, tau_mt_us)
         estimates.update(de_Er=de_hat, de_err_Er=de_err)
     except Exception as exc:  # noqa: BLE001
         estimates["de_error"] = str(exc)
     try:
-        xi_hat, xi_cov = interferometer.extract_xi(times_us, v_hat, tau_mt_us)
+        xi_hat, xi_cov = interferometer.extract_xi(times_us, fit.v, tau_mt_us)
         estimates.update(xi_fit=xi_hat, xi_err=float(np.sqrt(max(xi_cov[0, 0], 0.0))))
     except Exception as exc:  # noqa: BLE001
         estimates["xi_error"] = str(exc)
-    return records, estimates
+    return series, estimates
 
 
 def coherent_reference_curve(alphas: np.ndarray) -> np.ndarray:
@@ -300,11 +296,7 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -315,8 +307,18 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    """One line per row, each cell as _fmt prints it; a column whose values
+    are all floats, or all integers, is formatted in one pass."""
+    columns = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if all(issubclass(k, (float, np.floating)) for k in kinds):
+            columns.append(map(repr, np.asarray(column, dtype=float).tolist()))
+        elif all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
+            columns.append(map(str, column))
+        else:
+            columns.append(map(_fmt, column))
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -327,8 +329,7 @@ def write_json(path: str, payload) -> None:
 def _write_point(result: PointResult, out_dir: str) -> None:
     pdir = os.path.join(out_dir, result.label)
     os.makedirs(pdir, exist_ok=True)
-    scale = result.model.recoil.time_us_per_unit
-    t_us = result.trace.times * scale
+    t_us = result.trace.times * result.model.recoil.time_us_per_unit
     write_csv(os.path.join(pdir, "trace.csv"),
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
               zip(t_us, result.trace.overlaps.real, result.trace.overlaps.imag,
@@ -341,17 +342,17 @@ def _write_point(result: PointResult, out_dir: str) -> None:
         "homega_Er": result.model.homega,
         "theta_rad": result.model.theta,
     })
-    if result.records is not None:
-        rows = []
-        for rec in result.records:
-            for phi_r, ndown in zip(rec.phi_r, rec.n_down):
-                rows.append((rec.t_us, phi_r, rec.n_total, ndown))
-        write_csv(os.path.join(pdir, "fringes.csv"),
-                  ["t_us", "phi_r", "n_total", "n_down"], rows)
-        fits = [{"t_us": rec.t_us, "v": rec.fit.v, "v_err": rec.fit.v_err,
-                 "phi": rec.fit.phi, "phi_err": rec.fit.phi_err}
-                for rec in result.records]
-        write_json(os.path.join(pdir, "fits.json"), fits)
+    series = result.records
+    if series is not None:
+        times, phases = series.n_down.shape
+        write_csv(os.path.join(pdir, "fringes.csv"), ["t_us", "phi_r", "n_total", "n_down"],
+                  zip(np.repeat(series.t_us, phases).tolist(),
+                      np.tile(series.phi_r, times).tolist(),
+                      [series.n_total] * (times * phases), series.n_down.ravel().tolist()))
+        fit = series.fit
+        columns = zip(*(c.tolist() for c in (series.t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
+        write_json(os.path.join(pdir, "fits.json"),
+                   [dict(zip(("t_us", "v", "v_err", "phi", "phi_err"), row)) for row in columns])
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
 
 
@@ -365,8 +366,7 @@ def _figure_rows(results: list[PointResult], estimator: str):
         mt = np.asarray(qsl.mt_bound(rep.de, res.trace.times))
         ml = np.asarray(qsl.ml_bound(rep.e, res.trace.times))
         tau_c_us = rep.tau_c * scale if rep.tau_c is not None else ""
-        for row in zip(t_us, res.trace.visibility, mt, ml):
-            fig2.append((res.label, *row, tau_c_us))
+        fig2.extend((res.label, *row, tau_c_us) for row in zip(t_us, res.trace.visibility, mt, ml))
         if estimator == "experiment" and res.estimates and "de_Er" in res.estimates:
             e_val = res.estimates.get("e_Er", rep.e)
             de_val = res.estimates["de_Er"]

@@ -1,10 +1,12 @@
-"""Shared fixtures: cached lattice solutions, the default-grid sweep and the
-grid oracle the half-zone Bloch route is checked against."""
+"""Shared fixtures: cached lattice solutions, the default-grid sweep, the
+grid oracle the half-zone Bloch route is checked against, and the per-record
+fringe fit and per-cell CSV formatter the batched paths are checked against."""
 
 import numpy as np
 import pytest
 
 from qslab import dynamics, scan
+from qslab.errors import ParameterError
 from qslab.model import LatticeParams, PhysicalConstants
 
 
@@ -133,3 +135,43 @@ def ml_domain_margin(result) -> float:
     trace = dynamics.evolve_overlap(result.spectral, times)
     bound = np.asarray(qsl.ml_bound(moms.e, times))
     return float((trace.visibility - bound).min())
+
+
+def fit_fringe_oracle(phi_r, n_down, n_total, loss_fraction=0.0) -> dict:
+    """One record's cosine fit, one lstsq per record: the fields of
+    interferometer.FringeFit as Python scalars."""
+    phi_r = np.asarray(phi_r, dtype=float)
+    n_down = np.asarray(n_down, dtype=float)
+    if phi_r.size < 6 or np.unique(np.round(phi_r, 12)).size < 6:
+        raise ParameterError("need at least 6 distinct Ramsey phases")
+    y = n_down / (n_total * (1.0 - loss_fraction))
+    design = np.column_stack([np.ones_like(phi_r), np.cos(phi_r), np.sin(phi_r)])
+    gram = design.T @ design
+    if np.linalg.cond(gram) > 1e12:
+        raise ParameterError("degenerate phase design; spread the phase grid")
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    sigma2 = float(resid @ resid) / max(phi_r.size - 3, 1)
+    cov = sigma2 * np.linalg.inv(gram)
+    a, b, c = coef
+    v_raw = 2.0 * float(np.hypot(b, c))
+    if v_raw > 1e-12:
+        grad_v = np.array([0.0, 4.0 * b, 4.0 * c]) / v_raw
+        v_err = float(np.sqrt(max(grad_v @ cov @ grad_v, 0.0)))
+        grad_p = np.array([0.0, c, -b]) / (b**2 + c**2)
+        phi_err = float(np.sqrt(max(grad_p @ cov @ grad_p, 0.0)))
+    else:
+        v_err = 2.0 * float(np.sqrt(cov[1, 1] + cov[2, 2]))
+        phi_err = np.pi
+    return {"v": float(np.clip(v_raw, 0.0, 1.0)), "v_raw": v_raw, "v_err": v_err,
+            "phi": float(np.arctan2(-c, -b)), "phi_err": min(phi_err, np.pi),
+            "offset": float(a), "flagged": v_raw < 2.0 * v_err}
+
+
+def fmt_oracle(value) -> str:
+    """One CSV cell as the per-cell writer printed it."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    return str(value)

@@ -181,9 +181,9 @@ def test_criterion_07_estimator_chain(point_008):
     phase = ifm.fringe_phase(trace, 0.0)
 
     clean = ifm.RamseyConfig(noiseless=True)
-    records = ifm.simulate_series(times_us, trace.visibility, phase, clean)
-    v_hat = np.array([r.fit.v for r in records])
-    phi_hat = np.unwrap(np.array([r.fit.phi for r in records]))
+    fit = ifm.simulate_series(times_us, trace.visibility, phase, clean).fit
+    v_hat = fit.v
+    phi_hat = np.unwrap(fit.phi)
     round_trip = max(np.abs(v_hat - trace.visibility).max(),
                      np.abs(phi_hat - phase).max())
     e_hat, _ = ifm.extract_mean_energy(times_us, phi_hat, 0.0, 0.0, hertz, tau_mt_us)
@@ -195,8 +195,7 @@ def test_criterion_07_estimator_chain(point_008):
     seeds = 200
     for seed in range(seeds):
         noisy = ifm.RamseyConfig(rng_seed=seed)
-        recs = ifm.simulate_series(times_us, trace.visibility, phase, noisy)
-        v_raw = np.array([r.fit.v_raw for r in recs])
+        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, noisy).fit.v_raw
         try:
             de_noisy, _ = ifm.extract_uncertainty(times_us, v_raw, hertz, tau_mt_us)
         except Exception:

@@ -7,6 +7,8 @@ from qslab import dynamics as dyn
 from qslab import interferometer as ifm
 from qslab.errors import EstimationError, ParameterError
 
+from conftest import fit_fringe_oracle
+
 
 def test_ideal_fringe_shapes():
     phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
@@ -66,6 +68,43 @@ def test_fit_fringe_flags_vanishing_visibility():
         ifm.fit_fringe(phis[:4], counts[:4], 200.0)
 
 
+@pytest.mark.parametrize("k", [12, 24])
+def test_batched_fit_matches_per_record_oracle(k):
+    # random binomial counts over one phase grid, with a flat row whose
+    # amplitude vanishes (v_raw <= 1e-12, phi_err = pi); every row agrees
+    # with the one-lstsq-per-record fit
+    rng = np.random.default_rng(k)
+    phis = ifm.default_phase_grid(k)
+    n_total, loss = 200, 0.05
+    v = rng.uniform(0.0, 1.0, 50)
+    p = (1.0 - v[:, None] * np.cos(phis - rng.uniform(-np.pi, np.pi, 50)[:, None])) / 2.0
+    counts = rng.binomial(n_total, p * (1.0 - loss)).astype(float)
+    counts[7] = 95.0
+    fit = ifm.fit_fringes(phis, counts, n_total, loss)
+    assert fit.v_raw[7] <= 1e-12 and fit.phi_err[7] == np.pi
+    for name in ("v", "v_raw", "v_err", "phi", "phi_err", "offset", "flagged"):
+        got = getattr(fit, name)
+        want = np.array([fit_fringe_oracle(phis, row, n_total, loss)[name] for row in counts])
+        assert got.shape == (50,)
+        if name == "flagged":
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+    # fit_fringe is the one-row batch; a multi-right-hand-side lstsq rounds a
+    # row by the batch size, so the full batch's row 0 agrees to the same 1e-12
+    one = ifm.fit_fringe(phis, counts[0], n_total, loss)
+    row = ifm.fit_fringes(phis, counts[:1], n_total, loss)
+    assert one == ifm.FringeFit(**{name: getattr(row, name)[0].item()
+                                   for name in ifm.FringeFit.__dataclass_fields__})
+    assert type(one.v) is float and type(one.flagged) is bool
+    for name in ("v", "v_raw", "v_err", "phi", "phi_err", "offset"):
+        assert getattr(one, name) == pytest.approx(getattr(fit, name)[0], rel=1e-12, abs=0.0)
+    assert one.flagged == fit.flagged[0]
+    for bad in (phis[:5], np.r_[phis[:3], phis[:3]], np.linspace(0.0, 1e-6, k)):
+        with pytest.raises(ParameterError):
+            ifm.fit_fringes(bad, counts[:, :bad.size], n_total)
+
+
 def test_visibility_estimator_calibration():
     # frozen calibration: V = 1, K = 12, 200 detections -> clipped estimate
     # inside [0.9, 1.0] for at least 95 percent of seeds
@@ -89,10 +128,9 @@ def test_visibility_never_exceeds_error_band(point_008):
     scale = model.recoil.time_us_per_unit
     config = ifm.RamseyConfig(rng_seed=9)
     phase = ifm.fringe_phase(trace, 0.0)
-    records = ifm.simulate_series(times * scale, trace.visibility, phase, config)
-    for rec in records:
-        assert rec.fit.v_raw <= 1.0 + 3.0 * rec.fit.v_err
-        assert 0.0 <= rec.fit.v <= 1.0
+    fit = ifm.simulate_series(times * scale, trace.visibility, phase, config).fit
+    assert np.all(fit.v_raw <= 1.0 + 3.0 * fit.v_err)
+    assert np.all((0.0 <= fit.v) & (fit.v <= 1.0))
 
 
 def test_noiseless_round_trip_reproduces_overlap(point_008):
@@ -103,9 +141,9 @@ def test_noiseless_round_trip_reproduces_overlap(point_008):
     e_n = 0.0
     phase = ifm.fringe_phase(trace, e_n)
     config = ifm.RamseyConfig(noiseless=True)
-    records = ifm.simulate_series(times * scale, trace.visibility, phase, config)
-    v_hat = np.array([r.fit.v for r in records])
-    phi_hat = np.unwrap(np.array([r.fit.phi for r in records]))
+    fit = ifm.simulate_series(times * scale, trace.visibility, phase, config).fit
+    v_hat = fit.v
+    phi_hat = np.unwrap(fit.phi)
     assert np.abs(v_hat - trace.visibility).max() < 1e-9
     assert np.abs(phi_hat - phase).max() < 1e-9
 
@@ -224,8 +262,7 @@ def test_noisy_uncertainty_calibration_quick(point_008):
     hits = 0
     for seed in range(40):
         config = ifm.RamseyConfig(rng_seed=seed)
-        records = ifm.simulate_series(times_us, trace.visibility, phase, config)
-        v_raw = np.array([r.fit.v_raw for r in records])
+        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, config).fit.v_raw
         try:
             de_hat, _ = ifm.extract_uncertainty(times_us, v_raw, hertz, tau_mt_us)
         except EstimationError:
@@ -250,9 +287,8 @@ def test_bounds_hold_on_estimated_quantities(point_008):
     rad_per_us_per_er = 2 * np.pi * hertz * 1e-6
     for seed in (0, 1, 2):
         config = ifm.RamseyConfig(rng_seed=seed)
-        records = ifm.simulate_series(times_us, trace.visibility, phase, config)
-        v_raw = np.array([r.fit.v_raw for r in records])
-        v_err = np.array([r.fit.v_err for r in records])
+        fit = ifm.simulate_series(times_us, trace.visibility, phase, config).fit
+        v_raw, v_err = fit.v_raw, fit.v_err
         de_hat, _ = ifm.extract_uncertainty(times_us, v_raw, hertz,
                                             moms.tau_mt * scale)
         bound = np.asarray(qsl.mt_bound(de_hat * rad_per_us_per_er, times_us))

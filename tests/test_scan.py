@@ -14,6 +14,8 @@ from qslab import cli, interferometer, scan
 from qslab.errors import ParameterError
 from qslab.model import LatticeParams
 
+from conftest import fmt_oracle
+
 SMALL = LatticeParams(sites=9, points_per_site=32)
 
 
@@ -224,6 +226,26 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     assert len(lines) == 1 + cfg.time_points * cfg.ramsey.phase_grid.size
 
 
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    # the column writer prints every cell as the per-cell formatter did: a
+    # float column (numpy and Python floats) by repr, an integer column by
+    # str, and a column mixing ints and floats cell by cell ("1", not "1.0")
+    rows = [
+        (np.float64(0.1), 1e-300, np.int64(7), 3, True, "n0_dx0.0400", "", 1, np.float32(0.1)),
+        (1e16, np.float64(-0.0), 2**70, np.int64(-4), np.bool_(False), "MT", 1.5, 2.5, 2.0),
+        (-0.0, np.float64(1e16), np.int32(0), 0, False, "ML", np.float64(3.25), np.int64(1),
+         np.float16(0.5)),
+    ]
+    header = [f"c{i}" for i in range(len(rows[0]))]
+    path = str(tmp_path / "cells.csv")
+    scan.write_csv(path, header, rows)
+    want = [",".join(header)] + [",".join(fmt_oracle(v) for v in row) for row in rows]
+    assert read(path).decode() == "\n".join(want) + "\n"
+    assert want[1].split(",")[7] == "1" and want[2].split(",")[7] == "2.5"
+    scan.write_csv(path, header, [])
+    assert read(path).decode() == ",".join(header) + "\n"
+
+
 def test_scan_byte_identical_reruns(tmp_path):
     cfg_a = small_config(tmp_path, estimator="experiment",
                          out_dir=str(tmp_path / "a"), seed=11)
@@ -358,6 +380,13 @@ def test_cli_point_and_report(tmp_path, capsys):
     assert os.path.isdir(os.path.join(out, "n0_dx0.1000"))
     rc = cli.main(["report", "--dir", out])
     assert rc == 0
+    capsys.readouterr()
+    # a directory that does not exist is one line naming the flag, not a traceback
+    missing = str(tmp_path / "nonexistent")
+    assert cli.main(["report", "--dir", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qslab report: error: --dir") and err.count("\n") == 1
+    assert missing in err
 
 
 def test_cli_point_prints_the_failure_of_a_failed_point(tmp_path, capsys):
@@ -413,6 +442,14 @@ def test_cli_bands_and_qubit(tmp_path, capsys):
     rc = cli.main(["qubit", "--config", cfgfile, "--out", out, "--count", "10"])
     assert rc == 0
     assert os.path.isfile(os.path.join(out, "qubit.csv"))
+    capsys.readouterr()
+    # a count below 1 used to end in numpy's traceback (-1) or a header-only file (0)
+    for count in ("0", "-1"):
+        empty = str(tmp_path / f"qubit{count}")
+        assert cli.main(["qubit", "--config", cfgfile, "--out", empty, "--count", count]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslab qubit: error: --count") and err.count("\n") == 1
+        assert not os.path.exists(empty)
     # --seed and --estimator belong to the verbs that run scan points
     for verb in ("bands", "qubit"):
         for flag in (["--seed", "3"], ["--estimator", "experiment"]):
