@@ -62,6 +62,8 @@ def cmd_point(args) -> int:
 
 
 def cmd_bands(args) -> int:
+    if args.n_levels < 1:
+        raise ParameterError(f"--n-levels must be at least 1, got {args.n_levels}")
     cfg = _build_config(args)
     model = LatticeModel(params=cfg.params, constants=cfg.constants)
     bands = eigensolve.band_structure(model, args.n_bands, args.q_points)

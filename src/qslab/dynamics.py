@@ -19,9 +19,9 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .eigensolve import EigenDecomposition
 
-# an embedded site eigenstate carries up to ~1e-2 E_R of spurious width from
-# 1e-13-level zero-padding residues near the top of the spectrum; widths
-# below this cannot dephase within any simulated window (tau_MT > 2 ms)
+# at dx = 0 a packet is a q = 0 cell state cut to its own site, and the cut
+# gives it a small width (9.3e-3 E_R for n = 2 at 270 E_R); widths below
+# this cannot dephase within any simulated window (tau_MT > 2 ms)
 STATIONARY_DE = 0.05
 
 
@@ -98,8 +98,8 @@ def prepare_initial(n: int, dx: float, site_states: np.ndarray, quasimomenta: np
                     orders: np.ndarray) -> np.ndarray:
     """Displaced vibrational state: single-site level n, zero-padded, shifted by dx.
 
-    Column n of `site_states` (eigensolve.single_site_eigenstates, on the P
-    points u = (l - P/2)/P) sits on the central site of the S-site grid and
+    Column n of `site_states` (eigensolve.site_states of the q = 0 block, on
+    the P points u = (l - P/2)/P) sits on the central site of the S-site grid and
     is translated by dx, so the packet and the integer-site wells differ by
     exactly dx.  Returns its (Q, P) coefficients on the plane waves
     exp(i k u), k = q + 2 pi m, of the blocks with these quasimomenta and

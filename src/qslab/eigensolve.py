@@ -67,9 +67,9 @@ class EigenDecomposition:
     and, as the columns of vectors[j], its modes' coefficients on the plane
     waves exp(i (q + 2 pi m) u) with m = orders[j].  Time reversal gives
     block -q the same energies, so weights[j], 1 at q = 0 and 2 otherwise,
-    counts each block for its pair.  ground_offset is the lowest energy, the
-    shift that downstream consumers subtract so the trap ground state sits at
-    zero.  vectors are real for a mirror-symmetric cell.
+    counts each block for its pair.  ground_offset is energies[0, 0]: the
+    lattice's nodeless ground state has q = 0.  Consumers subtract it so the
+    trap ground state sits at zero.  vectors are real for a mirror-symmetric cell.
     """
 
     energies: np.ndarray       # (Q, P)
@@ -102,27 +102,22 @@ def _central_cell(potential: Potential, grid: Grid) -> np.ndarray:
     return cell
 
 
-def single_site_eigenstates(potential: Potential, grid: Grid, count: int):
-    """Raw energies (E_R) and (P, count) states of the first `count` q = 0 modes.
+def site_states(vectors: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """(P, K) real states of the q = 0 modes in the columns of `vectors`
+    (eig.vectors[0], with plane-wave orders eig.orders[0]).
 
     A q = 0 mode repeats from site to site, so its samples on one cell,
     u = (l - P/2)/P, are a single-site eigenstate with periodic closure: the
-    packets n = 0, 1, 2.  Band 0 is lowest at q = 0, so energies[0] is the
-    lattice's ground energy up to rounding.  Columns are orthonormal and
-    phased to be real.
+    packets n = 0, 1, 2.  Columns are orthonormal and phased to be real.
     """
-    p = grid.points_per_site
-    if not 1 <= count <= p:
-        raise ParameterError(f"count must lie in [1, {p}] (points per site)")
-    blocks, orders = _bloch_blocks(_central_cell(potential, grid), np.zeros(1))
-    energies, vectors = np.linalg.eigh(blocks[0])
+    p = orders.size
     # plane wave m sampled at u_l is (-1)^m exp(2 pi i m l / P) / sqrt(P)
-    spectrum = np.zeros((p, count), dtype=complex)
-    spectrum[orders[0] % p] = ((-1.0) ** orders[0])[:, None] * vectors[:, :count]
+    spectrum = np.zeros(vectors.shape, dtype=complex)
+    spectrum[orders % p] = ((-1.0) ** orders)[:, None] * vectors
     cells = np.fft.ifft(spectrum, axis=0, norm="ortho")
     # for a real column r times exp(i a), sum of squares = exp(2 i a) |r|^2
     cells *= np.exp(-0.5j * np.angle((cells**2).sum(axis=0)))
-    return energies[:count], cells.real
+    return cells.real
 
 
 def half_zone(potential: Potential, grid: Grid):
@@ -152,7 +147,7 @@ def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
     return EigenDecomposition(energies=energies, vectors=vectors, orders=orders, quasimomenta=q,
-                              weights=weights, ground_offset=float(energies.min()))
+                              weights=weights, ground_offset=float(energies[0, 0]))
 
 
 def bound_level_count(model: LatticeModel) -> int:

@@ -245,10 +245,9 @@ class QslReport:
     tau_ml: float
     tau_c: float | None
     regime: str
-    xi_spectral: float | None
-    xi_fit: float | None
+    xi_spectral: float
+    xi_fit: float
     min_margin: float
-    stationary: bool
     time_us_per_unit: float
 
     def to_json_dict(self) -> dict:
@@ -256,24 +255,20 @@ class QslReport:
         return {
             "e_Er": float(self.e),
             "de_Er": float(self.de),
-            "tau_mt_us": float(self.tau_mt * scale) if np.isfinite(self.tau_mt) else None,
+            "tau_mt_us": float(self.tau_mt * scale),
             "tau_ml_us": float(self.tau_ml * scale) if np.isfinite(self.tau_ml) else None,
             "tau_c_us": float(self.tau_c * scale) if self.tau_c is not None else None,
             "regime": self.regime,
-            "xi_spectral": float(self.xi_spectral) if self.xi_spectral is not None else None,
-            "xi_fit": float(self.xi_fit) if self.xi_fit is not None else None,
+            "xi_spectral": float(self.xi_spectral),
+            "xi_fit": float(self.xi_fit),
             "min_margin": float(self.min_margin),
         }
 
 
 def report(moms: SpectralMoments, trace: OverlapTrace,
            time_us_per_unit: float = 1.0) -> QslReport:
-    """Evaluate bounds, crossover, margins and both xi estimates on a trace."""
-    if moms.stationary:
-        return QslReport(e=moms.e, de=moms.de, tau_mt=np.inf, tau_ml=moms.tau_ml,
-                         tau_c=None, regime="stationary", xi_spectral=None,
-                         xi_fit=None, min_margin=0.0, stationary=True,
-                         time_us_per_unit=time_us_per_unit)
+    """Evaluate bounds, crossover, margins and both xi estimates on a trace
+    that reaches tau_MT, which a stationary state (tau_MT = inf) cannot."""
     tau_mt = moms.tau_mt
     if trace.times[-1] < tau_mt * (1.0 - 1e-9):
         raise ParameterError(
@@ -289,4 +284,4 @@ def report(moms: SpectralMoments, trace: OverlapTrace,
     return QslReport(e=moms.e, de=moms.de, tau_mt=tau_mt, tau_ml=moms.tau_ml,
                      tau_c=crossover_time(moms.e, moms.de), regime=regime,
                      xi_spectral=xi_spec, xi_fit=xi_fit, min_margin=min_margin,
-                     stationary=False, time_us_per_unit=time_us_per_unit)
+                     time_us_per_unit=time_us_per_unit)

@@ -84,8 +84,13 @@ def check_point(where: str, n: int, dx: float) -> None:
 
 def load_config(path: str) -> ScanConfig:
     """Build a ScanConfig from a nested key-value YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ParameterError(f"config file {path!r}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:   # a multi-line message, printed on one line
+        raise ParameterError(f"config file {path!r}: {' '.join(str(exc).split())}") from exc
     return config_from_dict(raw)
 
 
@@ -181,32 +186,30 @@ class PointResult:
         return f"n{self.n}_dx{self.dx:.4f}"
 
 
-def _site_solve(dx: float, params: LatticeParams, constants: PhysicalConstants):
-    """Model and q = 0 site (energies, states) of one dx; see solve_displacement."""
+def _site_model(dx: float, params: LatticeParams, constants: PhysicalConstants) -> LatticeModel:
+    """The model of one dx, whose well must bind the n = 2 packet."""
     model = LatticeModel.from_displacement(dx, params, constants)
     levels = eigensolve.bound_level_count(model)
     if levels < 3:
         raise ParameterError(
             f"the packets n = 0, 1, 2 need 3 bound levels; ~{levels} at depth "
             f"{model.depth:.1f} E_R")
-    return model, eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)
+    return model
 
 
 def solve_displacement(dx: float, params: LatticeParams, constants: PhysicalConstants):
-    """(model, eig, (site energies, site states)) shared by the points of one dx.
-
-    The evolution wells sit at integer sites; the packet carries the relative
-    displacement dx (see dynamics.prepare_initial).  A well too shallow to
-    bind the n = 2 level raises ParameterError.
-    """
-    model, sites = _site_solve(dx, params, constants)
-    return model, eigensolve.decompose(model.potential("down"), model.grid), sites
+    """(model, eig) shared by the points of one dx, whose q = 0 block gives
+    their site states and e_n.  The evolution wells sit at integer sites; the
+    packet carries the relative displacement dx (see dynamics.prepare_initial)."""
+    model = _site_model(dx, params, constants)
+    return model, eigensolve.decompose(model.potential("down"), model.grid)
 
 
 def run_point(n: int, dx: float, config: ScanConfig, solved,
               point_index: int = 0) -> PointResult:
     """Full pipeline for one (n, dx) combination, given solve_displacement(dx)."""
-    model, eig, (site_e, site_states) = solved
+    model, eig = solved
+    site_states = eigensolve.site_states(eig.vectors[0, :, :3], eig.orders[0])
     packet = dynamics.prepare_initial(n, dx, site_states, eig.quasimomenta, eig.orders)
     spectral = dynamics.to_spectral(packet, eig)
     moms = dynamics.moments(spectral)
@@ -215,7 +218,7 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
     scale = model.recoil.time_us_per_unit
     rep = qsl.report(moms, trace, time_us_per_unit=scale)
     defect = dynamics.quadrature_defect(spectral, trace, model.params.sites)
-    e_n = float(site_e[n] - site_e[0])
+    e_n = float(eig.energies[0, n] - eig.ground_offset)
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
                          moments=moms, trace=trace, report=rep,
                          quadrature_defect=defect)
@@ -278,14 +281,17 @@ def qubit_reference_curve(zetas: np.ndarray) -> np.ndarray:
 def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[dict]:
     """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape.
 
-    E and dE need no eigenbasis: the q = 0 block gives the packets' cell
-    states and E_0, and dynamics.direct_moments applies the half-zone Bloch
-    blocks to each packet's block coefficients, with the points' weights.
+    E and dE need only the q = 0 block's eigenbasis: that solve gives the
+    packets' cell states and E_0, as it does for the points, and
+    dynamics.direct_moments applies the half-zone Bloch blocks to each
+    packet's block coefficients, with the points' weights.
     """
     rows = []
     for dx in dx_values:
-        model, (site_e, site_states) = _site_solve(float(dx), config.params, config.constants)
+        model = _site_model(float(dx), config.params, config.constants)
         blocks, orders, q, weights = eigensolve.half_zone(model.potential("down"), model.grid)
+        site_e, vectors = np.linalg.eigh(blocks[0])
+        site_states = eigensolve.site_states(vectors[:, :3], orders[0])
         for n in (0, 1, 2):
             packet = dynamics.prepare_initial(n, float(dx), site_states, q, orders)
             moms = dynamics.direct_moments(blocks, packet, weights, site_e[0])

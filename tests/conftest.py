@@ -5,7 +5,7 @@ fringe fit and per-cell CSV formatter the batched paths are checked against."""
 import numpy as np
 import pytest
 
-from qslab import dynamics, scan
+from qslab import dynamics, eigensolve, scan
 from qslab.errors import ParameterError
 from qslab.model import LatticeParams, PhysicalConstants
 
@@ -18,10 +18,11 @@ class LatticeSolver:
         self._cache = {}
 
     def solve(self, dx: float):
-        """(model, eig, (site energies, site states)) for one displacement."""
+        """(model, eig, q0_sites(eig)) for one displacement."""
         key = round(dx, 12)
         if key not in self._cache:
-            self._cache[key] = scan.solve_displacement(dx, self.params, PhysicalConstants())
+            model, eig = scan.solve_displacement(dx, self.params, PhysicalConstants())
+            self._cache[key] = model, eig, q0_sites(eig)
         return self._cache[key]
 
     def spectral_point(self, n: int, dx: float):
@@ -30,6 +31,12 @@ class LatticeSolver:
         packet = block_packet(n, dx, eig, site_states)
         spectral = dynamics.to_spectral(packet, eig)
         return model, eig, packet, spectral, dynamics.moments(spectral)
+
+
+def q0_sites(eig, count=3):
+    """(energies, cell states) of the first `count` q = 0 modes of eig."""
+    return eig.energies[0, :count], eigensolve.site_states(eig.vectors[0, :, :count],
+                                                           eig.orders[0])
 
 
 def block_packet(n, dx, eig, site_states):

@@ -29,7 +29,8 @@ def sweep(solver):
     config = scan.ScanConfig(curves=False)
     results = []
     for index, (n, dx) in enumerate(scan.default_grid()):
-        results.append(scan.run_point(n, dx, config, solver.solve(dx), index))
+        model, eig, _ = solver.solve(dx)
+        results.append(scan.run_point(n, dx, config, (model, eig), index))
     _SWEEP_TIME["elapsed"] = time.perf_counter() - t0
     return results
 

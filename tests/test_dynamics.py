@@ -11,7 +11,7 @@ from qslab import eigensolve
 from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
-from conftest import FullZone, LatticeSolver, block_packet, grid_packet
+from conftest import FullZone, LatticeSolver, block_packet, grid_packet, q0_sites
 
 
 def poisson_pmf(k, x):
@@ -224,7 +224,7 @@ def test_displacement_gauge_equivalence():
     model = LatticeModel.from_displacement(dx, params)
     eig_down = eigensolve.decompose(model.potential("down"), model.grid)
     eig_up = eigensolve.decompose(model.potential("up"), model.grid)
-    site_states = eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
+    site_states = q0_sites(eig_down)[1]
     for n in (0, 1, 2):
         spec_a = dyn.to_spectral(block_packet(n, dx, eig_down, site_states), eig_down)
         spec_b = dyn.to_spectral(block_packet(n, 0.0, eig_up, site_states), eig_up)
@@ -317,7 +317,7 @@ def test_half_zone_weights_reproduce_full_zone(spin, dx):
     eig = eigensolve.decompose(model.potential(spin), model.grid)
     assert eig.energies.shape == (5, 32)
     assert np.array_equal(eig.weights, [1.0, 2.0, 2.0, 2.0, 2.0])
-    site_states = eigensolve.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
+    site_states = q0_sites(eigensolve.decompose(model.potential("down"), model.grid))[1]
     full = FullZone(eig)
     for n in (0, 1, 2):
         half = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)

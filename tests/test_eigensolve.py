@@ -9,9 +9,9 @@ from qslab import dynamics as dyn
 from qslab import eigensolve as es
 from qslab.errors import ConstructionError, ParameterError
 from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, PhysicalConstants, Potential
-from qslab.scan import solve_displacement
+from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
-from conftest import FullZone, block_packet, grid_packet
+from conftest import FullZone, block_packet, grid_packet, q0_sites
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -26,7 +26,7 @@ def test_block_solve_matches_dense_oracle():
     s = SMALL.sites
     eig = es.decompose(model.potential("down"), model.grid)
     full = FullZone(eig)
-    site_states = es.single_site_eigenstates(model.potential("down"), model.grid, 3)[1]
+    site_states = q0_sites(eig)[1]
     w, v = np.linalg.eigh(model.hamiltonian("down"))
     assert np.abs(eig.spectrum - w).max() <= 1e-10
     # bound bands are separated by gaps, so dense band b is the b-th run of S
@@ -168,8 +168,7 @@ def test_level_spacing_against_anharmonic_ladder(solver):
 
 
 def test_single_site_eigenstates_nodes_and_orthonormality(solver):
-    lattice = solver.solve(0.0)[0]
-    energies, states = es.single_site_eigenstates(lattice.potential("down"), lattice.grid, 3)
+    energies, states = solver.solve(0.0)[2]
     p = states.shape[0]
     positions = np.arange(p) / p - 0.5
     assert np.all(np.diff(energies) > 0)
@@ -188,13 +187,7 @@ def test_single_site_eigenstates_nodes_and_orthonormality(solver):
     assert np.abs(g - mirrored).max() < 1e-8 * np.abs(g).max()
 
 
-def test_single_site_count_errors(solver):
-    lattice = solver.solve(0.0)[0]
-    pot, grid = lattice.potential("down"), lattice.grid
-    with pytest.raises(ParameterError):
-        es.single_site_eigenstates(pot, grid, 0)
-    with pytest.raises(ParameterError):
-        es.single_site_eigenstates(pot, grid, LatticeParams().points_per_site + 1)
+def test_single_site_count_errors():
     # sqrt(20 E_R)/2 ~ 2.2 bound levels cannot hold the n = 2 packet
     shallow = LatticeParams(depth_at_zero=20.0, sites=9, points_per_site=32)
     with pytest.raises(ParameterError, match="bound levels"):
@@ -205,10 +198,10 @@ def test_single_site_count_errors(solver):
 def test_site_states_match_one_site_dense_oracle(solver, dx):
     # an isolated site with periodic closure, solved densely, is an
     # independent route to the q = 0 Bloch block
-    lattice = solver.solve(dx)[0]
+    lattice, eig, _ = solver.solve(dx)
     site = LatticeModel(params=replace(lattice.params, sites=1))
     w, v = np.linalg.eigh(site.hamiltonian("down"))
-    energies, states = es.single_site_eigenstates(lattice.potential("down"), lattice.grid, 4)
+    energies, states = q0_sites(eig, 4)
     assert np.abs(energies - w[:4]).max() <= 1e-10
     signs = np.sign((v[:, :4] * states).sum(axis=0))
     assert np.abs(states - v[:, :4] * signs).max() <= 1e-12
@@ -216,24 +209,52 @@ def test_site_states_match_one_site_dense_oracle(solver, dx):
 
 def test_site_energies_independent_of_box_size():
     # the blocks are built from the central site, whose samples are the same
-    # floats for every S, so the q = 0 block and its energies are too
-    energies = []
-    for sites in (1, 3, 33):
-        model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=sites))
-        energies.append(es.single_site_eigenstates(model.potential("down"), model.grid, 3)[0])
-    assert all(np.array_equal(e, energies[0]) for e in energies[1:])
+    # floats for every S, so the q = 0 block, its energies and its site
+    # states are too
+    sites = []
+    for s in (1, 3, 33):
+        model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=s))
+        sites.append(q0_sites(es.decompose(model.potential("down"), model.grid)))
+    for energies, states in sites[1:]:
+        assert np.array_equal(energies, sites[0][0])
+        assert np.array_equal(states, sites[0][1])
 
 
 @pytest.mark.parametrize("sites", [11, 33])
-def test_site_ground_energy_is_lattice_ground_offset(sites):
-    # band 0 is lowest at q = 0, so the q = 0 block alone gives E_0, which
-    # the reference curves subtract without a full solve; at dx = 0.1 the
-    # two differ by eigensolver rounding (7.4e-13 E_R at 33 sites)
+def test_site_ground_energy_is_lattice_ground_offset(sites, monkeypatch):
+    # the reference curves solve only the q = 0 block and subtract its ground
+    # energy; the points subtract decompose's ground_offset, the same value
+    offsets, direct = [], dyn.direct_moments
+    monkeypatch.setattr(dyn, "direct_moments",
+                        lambda b, a, w, e_0: offsets.append(e_0) or direct(b, a, w, e_0))
+    config = ScanConfig(params=LatticeParams(sites=sites))
     for dx in (0.025, 0.1, 0.5):
-        model = LatticeModel.from_displacement(dx, LatticeParams(sites=sites))
-        pot = model.potential("down")
-        e_0 = es.single_site_eigenstates(pot, model.grid, 1)[0][0]
-        assert e_0 == pytest.approx(es.decompose(pot, model.grid).ground_offset, abs=1e-12)
+        offsets.clear()
+        lattice_reference_curves(config, [dx])
+        model = LatticeModel.from_displacement(dx, config.params)
+        ground = es.decompose(model.potential("down"), model.grid).ground_offset
+        assert offsets == [ground] * 3
+
+
+def test_each_displacement_solves_its_q0_block_once(monkeypatch):
+    # the half-zone solve is the only q = 0 solve: one block build and one
+    # eigh per displacement for the points, none more per point, and one
+    # build and one q = 0 eigh per curve displacement
+    builds, solves = [], []
+    bloch_blocks, eigh = es._bloch_blocks, np.linalg.eigh
+    monkeypatch.setattr(es, "_bloch_blocks",
+                        lambda cell, q: builds.append(len(q)) or bloch_blocks(cell, q))
+    monkeypatch.setattr(np.linalg, "eigh", lambda b: solves.append(b.shape) or eigh(b))
+    half, p = (SMALL.sites + 1) // 2, SMALL.points_per_site
+    config = ScanConfig(params=SMALL)
+    solved = solve_displacement(0.1, SMALL, PhysicalConstants())
+    for n in (0, 1, 2):
+        run_point(n, 0.1, config, solved)
+    assert builds == [half] and solves == [(half, p, p)]
+    builds.clear()
+    solves.clear()
+    lattice_reference_curves(config, [0.05, 0.1])
+    assert builds == [half, half] and solves == [(p, p), (p, p)]
 
 
 def test_single_site_matches_full_lattice_band_centers(solver):

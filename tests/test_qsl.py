@@ -259,11 +259,11 @@ def test_report_fields_and_regimes(solver):
             assert 0.0 < rep.tau_c < rep.tau_mt
         else:
             assert rep.tau_c is None
-    # stationary flag
+    # a stationary state has tau_MT = inf, which no trace reaches
     model, _, _, spectral, moms = solver.spectral_point(1, 0.0)
     trace = dyn.evolve_overlap(spectral, np.linspace(0.0, 1.0, 16))
-    rep = qsl.report(moms, trace)
-    assert rep.stationary and rep.regime == "stationary"
+    with pytest.raises(ParameterError, match="tau_MT = inf"):
+        qsl.report(moms, trace)
 
 
 def test_report_requires_full_trace(solver):

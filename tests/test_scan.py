@@ -417,6 +417,15 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "time_points must be at least 21" in err
     assert not os.path.exists(out)
+    # a config file that cannot be read or parsed used to end in a traceback
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("scan: [1, 2\n")
+    for config in (str(tmp_path / "missing.yaml"), str(broken)):
+        assert cli.main(["scan", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qslab scan: error: config file {config!r}: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
 
 
 def test_cli_scan_experiment(tmp_path, capsys):
@@ -449,6 +458,13 @@ def test_cli_bands_and_qubit(tmp_path, capsys):
         assert cli.main(["qubit", "--config", cfgfile, "--out", empty, "--count", count]) == 2
         err = capsys.readouterr().err
         assert err.startswith("qslab qubit: error: --count") and err.count("\n") == 1
+        assert not os.path.exists(empty)
+    # --n-levels below 1 used to write all but |n| levels (-3) or a header-only file (0)
+    for levels in ("0", "-3"):
+        empty = str(tmp_path / f"bands{levels}")
+        assert cli.main(["bands", "--config", cfgfile, "--out", empty, "--n-levels", levels]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslab bands: error: --n-levels") and err.count("\n") == 1
         assert not os.path.exists(empty)
     # --seed and --estimator belong to the verbs that run scan points
     for verb in ("bands", "qubit"):
