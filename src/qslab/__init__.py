@@ -9,7 +9,6 @@ whole analysis through a simulated Ramsey measurement chain.
 from .model import (
     LatticeModel,
     LatticeParams,
-    PhysicalConstants,
     angle_from_displacement,
     build_hamiltonian,
     build_potential,
@@ -54,7 +53,7 @@ from .scan import ScanConfig, default_grid, run_scan
 __version__ = "0.1.0"
 
 __all__ = [
-    "LatticeModel", "LatticeParams", "PhysicalConstants",
+    "LatticeModel", "LatticeParams",
     "recoil_energy", "displacement_from_angle", "angle_from_displacement",
     "trap_depth", "trap_frequency", "build_potential", "build_hamiltonian",
     "decompose", "band_structure",

@@ -62,10 +62,12 @@ def cmd_point(args) -> int:
 
 
 def cmd_bands(args) -> int:
-    if args.n_levels < 1:
-        raise ParameterError(f"--n-levels must be at least 1, got {args.n_levels}")
     cfg = _build_config(args)
-    model = LatticeModel(params=cfg.params, constants=cfg.constants)
+    modes = cfg.params.sites * cfg.params.points_per_site
+    if not 1 <= args.n_levels <= modes:
+        raise ParameterError(f"--n-levels must lie in [1, {modes}] (sites x points per "
+                             f"site), got {args.n_levels}")
+    model = LatticeModel(params=cfg.params)
     bands = eigensolve.band_structure(model, args.n_bands, args.q_points)
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -87,7 +89,7 @@ def cmd_qubit(args) -> int:
     if args.count < 1:
         raise ParameterError(f"--count must be at least 1, got {args.count}")
     cfg = _build_config(args)
-    model = LatticeModel(params=cfg.params, constants=cfg.constants)
+    model = LatticeModel(params=cfg.params)
     omega = model.homega
     rows = []
     for zeta in np.linspace(args.zeta_min, args.zeta_max, args.count):

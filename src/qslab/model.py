@@ -10,7 +10,7 @@ happen at the I/O boundary through :class:`LatticeModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,18 +27,6 @@ CS133_MASS_SI = CS133_MASS_U * ATOMIC_MASS_SI
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """hbar and the atom mass, in SI units."""
-
-    hbar: float = HBAR_SI
-    atom_mass: float = CS133_MASS_SI
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.atom_mass <= 0:
-            raise ParameterError("physical constants must be strictly positive")
-
-
-@dataclass(frozen=True)
 class RecoilEnergy:
     """Recoil energy of the atom in the lattice light field."""
 
@@ -51,19 +39,13 @@ class RecoilEnergy:
         return 1e6 / (2.0 * np.pi * self.hertz)
 
 
-def recoil_energy(constants: PhysicalConstants, wavelength: float) -> RecoilEnergy:
-    """E_R = (2 pi hbar)^2 / (2 m lambda^2), returned in J and as E_R/h in Hz.
-
-    Parameters
-    ----------
-    constants : PhysicalConstants
-    wavelength : float
-        Lattice light wavelength in meters.
-    """
+def recoil_energy(wavelength: float) -> RecoilEnergy:
+    """E_R = (2 pi hbar)^2 / (2 m lambda^2) of cesium-133, returned in J and as
+    E_R/h in Hz, for the lattice light wavelength in meters."""
     if wavelength <= 0:
         raise ParameterError(f"wavelength must be positive, got {wavelength}")
-    e_r = (2.0 * np.pi * constants.hbar) ** 2 / (2.0 * constants.atom_mass * wavelength**2)
-    return RecoilEnergy(joules=e_r, hertz=e_r / (2.0 * np.pi * constants.hbar))
+    e_r = (2.0 * np.pi * HBAR_SI) ** 2 / (2.0 * CS133_MASS_SI * wavelength**2)
+    return RecoilEnergy(joules=e_r, hertz=e_r / (2.0 * np.pi * HBAR_SI))
 
 
 def displacement_from_angle(theta: float) -> float:
@@ -121,8 +103,9 @@ class LatticeParams:
     """Static lattice inputs.
 
     wavelength in meters, depth_at_zero in E_R, polarization_angle in rad;
-    sites must be odd and points_per_site a power of two so the grid both
-    centers a well at the origin and FFT-shifts cheaply.
+    sites must be odd and points_per_site a power of two (at least 4, for the
+    three packet states) so the grid both centers a well at the origin and
+    FFT-shifts cheaply.
     """
 
     wavelength: float = 866e-9
@@ -141,7 +124,10 @@ class LatticeParams:
         if self.sites < 1 or self.sites % 2 == 0:
             raise ParameterError("sites must be a positive odd integer")
         p = self.points_per_site
-        if p < 2 or (p & (p - 1)) != 0:
+        if p < 4:
+            raise ParameterError(f"points_per_site must be at least 4, got {p}: the "
+                                 "packets n = 0, 1, 2 need three q = 0 cell states")
+        if (p & (p - 1)) != 0:
             raise ParameterError("points_per_site must be a power of two")
 
 
@@ -229,23 +215,21 @@ def build_hamiltonian(potential: Potential, grid: Grid) -> np.ndarray:
 class LatticeModel:
     """All derived quantities for one lattice configuration.
 
-    Bundles constants, parameters, the grid and the unit conversions used
-    by the rest of the pipeline.  Immutable; safe to share across workers.
+    Bundles the parameters, the grid and the unit conversions used by the
+    rest of the pipeline.  Immutable; safe to share across workers.
     """
 
     params: LatticeParams
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     @classmethod
-    def from_displacement(cls, dx: float, params: LatticeParams | None = None,
-                          constants: PhysicalConstants | None = None) -> "LatticeModel":
+    def from_displacement(cls, dx: float, params: LatticeParams | None = None) -> "LatticeModel":
         """Configure the lattice so the spin-up wells sit at dx (lambda/2 units)."""
         p = replace(params or LatticeParams(), polarization_angle=angle_from_displacement(dx))
-        return cls(params=p, constants=constants or PhysicalConstants())
+        return cls(params=p)
 
     @property
     def recoil(self) -> RecoilEnergy:
-        return recoil_energy(self.constants, self.params.wavelength)
+        return recoil_energy(self.params.wavelength)
 
     @property
     def theta(self) -> float:
@@ -287,9 +271,3 @@ class LatticeModel:
         """
         m_eff = np.pi**2 / 2.0
         return float(np.sqrt(m_eff * self.homega / 2.0) * dx)
-
-    def energy_hz(self, e_er: float) -> float:
-        return e_er * self.recoil.hertz
-
-    def energy_er(self, e_hz: float) -> float:
-        return e_hz / self.recoil.hertz

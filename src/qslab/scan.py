@@ -18,7 +18,7 @@ import yaml
 
 from . import dynamics, eigensolve, interferometer, qsl
 from .errors import ParameterError
-from .model import LatticeModel, LatticeParams, PhysicalConstants
+from .model import LatticeModel, LatticeParams
 
 DEFAULT_SEED = 20260809
 GRID_LABEL = "default-34 (package choice; log-spaced displacements)"
@@ -41,7 +41,6 @@ def default_grid() -> list[tuple[int, float]]:
 class ScanConfig:
     points: tuple = tuple(default_grid())
     params: LatticeParams = field(default_factory=LatticeParams)
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     estimator: str = "exact"            # "exact" | "experiment"
     seed: int = DEFAULT_SEED
     out_dir: str = "qslab-out"
@@ -186,9 +185,9 @@ class PointResult:
         return f"n{self.n}_dx{self.dx:.4f}"
 
 
-def _site_model(dx: float, params: LatticeParams, constants: PhysicalConstants) -> LatticeModel:
+def _site_model(dx: float, params: LatticeParams) -> LatticeModel:
     """The model of one dx, whose well must bind the n = 2 packet."""
-    model = LatticeModel.from_displacement(dx, params, constants)
+    model = LatticeModel.from_displacement(dx, params)
     levels = eigensolve.bound_level_count(model)
     if levels < 3:
         raise ParameterError(
@@ -197,11 +196,11 @@ def _site_model(dx: float, params: LatticeParams, constants: PhysicalConstants) 
     return model
 
 
-def solve_displacement(dx: float, params: LatticeParams, constants: PhysicalConstants):
+def solve_displacement(dx: float, params: LatticeParams):
     """(model, eig) shared by the points of one dx, whose q = 0 block gives
     their site states and e_n.  The evolution wells sit at integer sites; the
     packet carries the relative displacement dx (see dynamics.prepare_initial)."""
-    model = _site_model(dx, params, constants)
+    model = _site_model(dx, params)
     return model, eigensolve.decompose(model.potential("down"), model.grid)
 
 
@@ -217,7 +216,7 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
     trace = dynamics.evolve_overlap(spectral, times)
     scale = model.recoil.time_us_per_unit
     rep = qsl.report(moms, trace, time_us_per_unit=scale)
-    defect = dynamics.quadrature_defect(spectral, trace, model.params.sites)
+    defect = dynamics.quadrature_defect(spectral, trace)
     e_n = float(eig.energies[0, n] - eig.ground_offset)
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
                          moments=moms, trace=trace, report=rep,
@@ -288,7 +287,7 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
     """
     rows = []
     for dx in dx_values:
-        model = _site_model(float(dx), config.params, config.constants)
+        model = _site_model(float(dx), config.params)
         blocks, orders, q, weights = eigensolve.half_zone(model.potential("down"), model.grid)
         site_e, vectors = np.linalg.eigh(blocks[0])
         site_states = eigensolve.site_states(vectors[:, :3], orders[0])
@@ -391,7 +390,7 @@ def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
                results: dict, failures: list) -> None:
     """Run the (point index, n) pairs of one dx; its Bloch solve is freed on return."""
     try:
-        solved = solve_displacement(dx, config.params, config.constants)
+        solved = solve_displacement(dx, config.params)
     except Exception as exc:  # noqa: BLE001 - continue-on-error policy
         failures.extend({"point": f"n{n}_dx{dx:.4f}", "error": str(exc)} for _, n in group)
         return
@@ -404,6 +403,9 @@ def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
 
 def run_scan(config: ScanConfig) -> dict:
     """Execute every scan point, write artifacts, return the summary."""
+    if config.curves:   # before any output: a lattice too shallow for them writes nothing
+        curves = [(r["n"], r["dx"], r["inv_tau_ml"], r["inv_tau_mt"]) for r in
+                  lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))]
     os.makedirs(config.out_dir, exist_ok=True)
     by_dx: dict[float, list[tuple[int, int]]] = {}
     for idx, (n, dx) in enumerate(config.points):
@@ -424,11 +426,8 @@ def run_scan(config: ScanConfig) -> dict:
     write_csv(os.path.join(config.out_dir, "fig4.csv"),
               ["n", "dx", "de_over_homega", "xi", "xi_fourth_root", "nonharmonic"], fig4)
     if config.curves:
-        dx_curve = np.geomspace(0.025, 0.5, config.curve_points)
-        rows = [(r["n"], r["dx"], r["inv_tau_ml"], r["inv_tau_mt"])
-                for r in lattice_reference_curves(config, dx_curve)]
         write_csv(os.path.join(config.out_dir, "fig3_curves.csv"),
-                  ["n", "dx", "inv_tau_ml", "inv_tau_mt"], rows)
+                  ["n", "dx", "inv_tau_ml", "inv_tau_mt"], curves)
         zetas = np.linspace(0.02, np.pi / 2.0 - 0.02, 40)
         write_csv(os.path.join(config.out_dir, "fig3_qubit.csv"),
                   ["zeta", "inv_tau_ml", "inv_tau_mt"],

@@ -7,7 +7,7 @@ import pytest
 
 from qslab import dynamics, eigensolve, scan
 from qslab.errors import ParameterError
-from qslab.model import LatticeParams, PhysicalConstants
+from qslab.model import LatticeParams
 
 
 class LatticeSolver:
@@ -21,7 +21,7 @@ class LatticeSolver:
         """(model, eig, q0_sites(eig)) for one displacement."""
         key = round(dx, 12)
         if key not in self._cache:
-            model, eig = scan.solve_displacement(dx, self.params, PhysicalConstants())
+            model, eig = scan.solve_displacement(dx, self.params)
             self._cache[key] = model, eig, q0_sites(eig)
         return self._cache[key]
 
@@ -108,8 +108,7 @@ class FullZone:
     def spectral(self, psi: np.ndarray) -> dynamics.SpectralState:
         """Populations of a grid state over all S P modes."""
         return dynamics.SpectralState(populations=np.abs(self.project(psi)) ** 2,
-                                      energies=self.energies - self.ground_offset,
-                                      bands=self.bands)
+                                      energies=self.energies - self.ground_offset)
 
     def validate(self, h: np.ndarray) -> dict:
         """Residual and orthonormality of the synthesized grid modes against

@@ -8,7 +8,7 @@ import pytest
 from qslab import dynamics as dyn
 from qslab import eigensolve as es
 from qslab.errors import ConstructionError, ParameterError
-from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, PhysicalConstants, Potential
+from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, Potential
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
 from conftest import FullZone, block_packet, grid_packet, q0_sites
@@ -38,8 +38,8 @@ def test_block_solve_matches_dense_oracle():
         coeff = v.T @ psi
         dense_pops = np.abs(coeff) ** 2
         dense_bands = dense_pops[:bound * s].reshape(bound, s).sum(axis=1)
-        assert np.abs(dyn.band_populations(spectral)[:bound] - dense_bands).max() <= 1e-12
-        dense = dyn.SpectralState(populations=dense_pops, energies=w - w[0], bands=full.bands)
+        assert np.abs(spectral.populations.sum(axis=0)[:bound] - dense_bands).max() <= 1e-12
+        dense = dyn.SpectralState(populations=dense_pops, energies=w - w[0])
         moms, ref = dyn.moments(spectral), dyn.moments(dense)
         assert moms.e == pytest.approx(ref.e, rel=1e-10)
         assert moms.de == pytest.approx(ref.de, rel=1e-10)
@@ -98,7 +98,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
         for n in (0, 1, 2):
             packet = block_packet(n, dx, eig, site_states)
             spectral = [dyn.to_spectral(packet, e) for e in (eig, ref)]
-            pops = [dyn.band_populations(s)[:bound] for s in spectral]
+            pops = [s.populations.sum(axis=0)[:bound] for s in spectral]
             assert np.abs(pops[0] - pops[1]).max() <= 1e-12
             moms, ref_moms = (dyn.moments(s) for s in spectral)
             assert moms.e == pytest.approx(ref_moms.e, rel=1e-12)
@@ -191,7 +191,7 @@ def test_single_site_count_errors():
     # sqrt(20 E_R)/2 ~ 2.2 bound levels cannot hold the n = 2 packet
     shallow = LatticeParams(depth_at_zero=20.0, sites=9, points_per_site=32)
     with pytest.raises(ParameterError, match="bound levels"):
-        solve_displacement(0.1, shallow, PhysicalConstants())
+        solve_displacement(0.1, shallow)
 
 
 @pytest.mark.parametrize("dx", [0.0, 0.5])
@@ -247,7 +247,7 @@ def test_each_displacement_solves_its_q0_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solves.append(b.shape) or eigh(b))
     half, p = (SMALL.sites + 1) // 2, SMALL.points_per_site
     config = ScanConfig(params=SMALL)
-    solved = solve_displacement(0.1, SMALL, PhysicalConstants())
+    solved = solve_displacement(0.1, SMALL)
     for n in (0, 1, 2):
         run_point(n, 0.1, config, solved)
     assert builds == [half] and solves == [(half, p, p)]

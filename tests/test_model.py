@@ -13,23 +13,17 @@ def test_recoil_energy_cesium_866nm():
     mass = 132.905451961 * 1.66053906892e-27
     lam = 866e-9
     expected_j = (2 * np.pi * hbar) ** 2 / (2 * mass * lam**2)
-    rec = m.recoil_energy(m.PhysicalConstants(), lam)
+    rec = m.recoil_energy(lam)
     assert rec.joules == pytest.approx(expected_j, rel=1e-12)
     assert rec.hertz == pytest.approx(2001.7, rel=1e-3)  # ~2.00 kHz
 
 
 def test_recoil_scaling_and_errors():
-    rec1 = m.recoil_energy(m.PhysicalConstants(), 866e-9)
-    rec2 = m.recoil_energy(m.PhysicalConstants(), 2 * 866e-9)
+    rec1 = m.recoil_energy(866e-9)
+    rec2 = m.recoil_energy(2 * 866e-9)
     assert rec2.joules == pytest.approx(rec1.joules / 4.0, rel=1e-12)
     with pytest.raises(ParameterError):
-        m.recoil_energy(m.PhysicalConstants(), -1.0)
-
-
-def test_energy_unit_round_trip():
-    lattice = m.LatticeModel(params=m.LatticeParams())
-    for e in (0.5, 32.86, 270.0):
-        assert lattice.energy_er(lattice.energy_hz(e)) == pytest.approx(e, rel=1e-12)
+        m.recoil_energy(-1.0)
 
 
 def test_displacement_from_angle_endpoints_and_value():
@@ -175,8 +169,7 @@ def test_coherent_alpha_reference_value():
     # dx = 0.04 at 270 E_R: |alpha| about 0.36, a_HO about 34 nm
     lattice = m.LatticeModel.from_displacement(0.04)
     assert lattice.coherent_alpha(0.04) == pytest.approx(0.36, abs=0.01)
-    a_ho = np.sqrt(lattice.constants.hbar /
-                   (lattice.constants.atom_mass * lattice.trap_frequency_rad_s))
+    a_ho = np.sqrt(m.HBAR_SI / (m.CS133_MASS_SI * lattice.trap_frequency_rad_s))
     assert a_ho == pytest.approx(34e-9, rel=0.03)
 
 
@@ -185,6 +178,11 @@ def test_params_validation():
         m.LatticeParams(sites=10)          # even
     with pytest.raises(ParameterError):
         m.LatticeParams(points_per_site=48)  # not a power of two
+    # the packets n = 0, 1, 2 are three modes of the P x P q = 0 block
+    for p in (-4, 0, 1, 2):
+        with pytest.raises(ParameterError, match="at least 4.*three q = 0 cell states"):
+            m.LatticeParams(points_per_site=p)
+    assert m.LatticeParams(points_per_site=4).points_per_site == 4
     with pytest.raises(ParameterError):
         m.LatticeParams(depth_at_zero=-1.0)
     with pytest.raises(ParameterError):

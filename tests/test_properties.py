@@ -24,8 +24,7 @@ def spectrum(pairs):
     """Normalized populations over energies, as a SpectralState, and its moments."""
     weights, energies = (np.array(col) for col in zip(*pairs))
     pops = weights / weights.sum()
-    spectral = dyn.SpectralState(populations=pops, energies=energies,
-                                 bands=np.zeros(energies.size, int))
+    spectral = dyn.SpectralState(populations=pops, energies=energies)
     moms = dyn.moments(spectral)
     assume(not moms.stationary)
     return spectral, moms

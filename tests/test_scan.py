@@ -97,6 +97,13 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_public_names_resolve():
+    # a name deleted from the package must leave __all__ with it
+    import qslab
+
+    assert [name for name in qslab.__all__ if not hasattr(qslab, name)] == []
+
+
 def test_config_rejects_unknown_keys():
     # a lower-case typo of depth_Er used to run silently at the default 270 E_R
     with pytest.raises(ParameterError, match="lattice.depth_er"):
@@ -417,6 +424,19 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "time_points must be at least 21" in err
     assert not os.path.exists(out)
+    # two points per site cannot hold the three packet states, which used to
+    # end in an IndexError; a well too shallow for the reference curves used to
+    # leave fig2-4.csv behind with no summary.json
+    for lattice, argv, text in (
+            ({"points_per_site": 2}, ["point", "--n", "2", "--dx", "0.1"],
+             "points_per_site must be at least 4"),
+            ({"depth_Er": 5.0}, ["scan"], "need 3 bound levels")):
+        path.write_text(yaml.safe_dump({"lattice": lattice}))
+        assert cli.main([*argv, "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qslab {argv[0]}: error: ") and text in err
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
     # a config file that cannot be read or parsed used to end in a traceback
     broken = tmp_path / "broken.yaml"
     broken.write_text("scan: [1, 2\n")
@@ -459,13 +479,19 @@ def test_cli_bands_and_qubit(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("qslab qubit: error: --count") and err.count("\n") == 1
         assert not os.path.exists(empty)
-    # --n-levels below 1 used to write all but |n| levels (-3) or a header-only file (0)
-    for levels in ("0", "-3"):
+    # --n-levels below 1 used to write all but |n| levels (-3) or a header-only file (0),
+    # and above the S P = 288 modes all 288 levels
+    for levels in ("0", "-3", "289"):
         empty = str(tmp_path / f"bands{levels}")
         assert cli.main(["bands", "--config", cfgfile, "--out", empty, "--n-levels", levels]) == 2
         err = capsys.readouterr().err
         assert err.startswith("qslab bands: error: --n-levels") and err.count("\n") == 1
+        assert "[1, 288]" in err
         assert not os.path.exists(empty)
+    assert cli.main(["bands", "--config", cfgfile, "--out", out, "--n-levels", "288"]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "energies.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 288
     # --seed and --estimator belong to the verbs that run scan points
     for verb in ("bands", "qubit"):
         for flag in (["--seed", "3"], ["--estimator", "experiment"]):
