@@ -42,20 +42,17 @@ def cmd_scan(args) -> int:
 
 def cmd_point(args) -> int:
     cfg = _build_config(args)
-    if args.dx is not None:
-        scan.check_point("--n/--dx", args.n, args.dx)
-        point = [(args.n, args.dx)]
-    elif cfg.state_point is not None:
-        point = [cfg.state_point]
-    else:
-        point = [cfg.points[0]]
-    cfg = replace(cfg, points=tuple(point), curves=False)
+    # each flag replaces its half of the state section's point, else of the first scan point
+    n, dx = cfg.state_point or cfg.points[0]
+    point = (n if args.n is None else args.n, dx if args.dx is None else args.dx)
+    scan.check_point("--n/--dx", *point)
+    cfg = replace(cfg, points=(point,), curves=False)
     summary = scan.run_scan(cfg)
     if summary["points_failed"]:    # a failed point has no report, only its failure record
         with open(os.path.join(cfg.out_dir, "failures.json"), "r", encoding="utf-8") as fh:
             print(fh.read().rstrip(), file=sys.stderr)
         return 1
-    label = f"n{point[0][0]}_dx{point[0][1]:.4f}"
+    label = f"n{point[0]}_dx{point[1]:.4f}"
     with open(os.path.join(cfg.out_dir, label, "report.json"), "r", encoding="utf-8") as fh:
         print(fh.read().rstrip())
     return 0 if summary["bound_violations"] == 0 else 1
@@ -70,11 +67,11 @@ def cmd_bands(args) -> int:
     model = LatticeModel(params=cfg.params)
     bands = eigensolve.band_structure(model, args.n_bands, args.q_points)
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    scan.make_out_dir(out_dir)
     rows = [(b.band_index, q, e) for b in bands
             for q, e in zip(b.quasimomenta, b.energies)]
     scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"], rows)
-    eig = eigensolve.decompose(model.potential("down"), model.grid)
+    eig = eigensolve.decompose(model.cell("down"), cfg.params.sites)
     scan.write_csv(os.path.join(out_dir, "energies.csv"), ["index", "energy_Er"],
                    list(enumerate(eig.spectrum[: args.n_levels])))
     hertz = model.recoil.hertz
@@ -95,7 +92,7 @@ def cmd_qubit(args) -> int:
     for zeta in np.linspace(args.zeta_min, args.zeta_max, args.count):
         qb = qsl.qubit_model(zeta, omega)
         rows.append((zeta, qb.e, qb.de, qb.xi))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    scan.make_out_dir(cfg.out_dir)
     scan.write_csv(os.path.join(cfg.out_dir, "qubit.csv"),
                    ["zeta", "e_Er", "de_Er", "xi"], rows)
     print(f"wrote {os.path.join(cfg.out_dir, 'qubit.csv')}")
@@ -122,7 +119,7 @@ def main(argv=None) -> int:
 
     p_point = sub.add_parser("point", help="run a single (n, dx) combination")
     _add_common(p_point)
-    p_point.add_argument("--n", type=int, default=0, help="packet shape (nodes)")
+    p_point.add_argument("--n", type=int, help="packet shape (nodes)")
     p_point.add_argument("--dx", type=float, help="displacement in lambda/2 units")
     p_point.set_defaults(func=cmd_point)
     for p_run in (p_scan, p_point):     # the verbs that run scan points

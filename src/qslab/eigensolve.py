@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, NumericError, ParameterError
-from .model import KAPPA, Grid, LatticeModel, Potential
+from .model import KAPPA, LatticeModel
 
 
 def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
@@ -89,19 +89,6 @@ class EigenDecomposition:
         return np.sort(np.repeat(self.energies, self.weights.astype(int), axis=0), axis=None)
 
 
-def _central_cell(potential: Potential, grid: Grid) -> np.ndarray:
-    """The potential on the central site, u in [-1/2, 1/2), the same floats
-    for every S; the potential must repeat with the site period."""
-    if potential.values.shape != grid.positions.shape:
-        raise ConstructionError(
-            f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
-    cells = potential.values.reshape(grid.sites, grid.points_per_site)
-    cell = cells[grid.sites // 2]
-    if np.abs(cells - cell).max() > 1e-9 * max(np.abs(cells).max(), 1.0):
-        raise ConstructionError("potential does not repeat with the site period")
-    return cell
-
-
 def site_states(vectors: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """(P, K) real states of the q = 0 modes in the columns of `vectors`
     (eig.vectors[0], with plane-wave orders eig.orders[0]).
@@ -120,28 +107,27 @@ def site_states(vectors: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return cells.real
 
 
-def half_zone(potential: Potential, grid: Grid):
+def half_zone(cell: np.ndarray, sites: int):
     """(blocks, orders, quasimomenta, weights) of the (S + 1)/2 Bloch blocks
-    with q >= 0; see _bloch_blocks and EigenDecomposition."""
-    s = grid.sites
-    cell = _central_cell(potential, grid)
-    if s % 2 == 0:
+    with q >= 0 of an S-site lattice of `cell` (LatticeModel.cell); see
+    _bloch_blocks and EigenDecomposition."""
+    if sites % 2 == 0:
         raise ConstructionError("the q <-> -q pairing of the blocks needs an odd site count")
     # a real potential makes block -q the complex conjugate of block q, with
     # plane-wave orders m -> -m (odd S, so the Nyquist windows mirror)
-    q = 2.0 * np.pi * np.arange(s // 2 + 1) / s
+    q = 2.0 * np.pi * np.arange(sites // 2 + 1) / sites
     blocks, orders = _bloch_blocks(cell, q)
     return blocks, orders, q, np.where(q > 0, 2.0, 1.0)
 
 
-def decompose(potential: Potential, grid: Grid) -> EigenDecomposition:
-    """All eigenmodes of H = T + diag(V) on the periodic grid, by Bloch blocks.
+def decompose(cell: np.ndarray, sites: int) -> EigenDecomposition:
+    """All eigenmodes of H = T + diag(V) on the S-site periodic grid, by Bloch blocks.
 
-    Takes the inputs of model.build_hamiltonian but never assembles the
+    Takes one cell (LatticeModel.cell) and S, never the S P samples or the
     (S P) x (S P) matrix: one batched eigh solves the half-zone blocks of
     half_zone, and block -q is left implicit (EigenDecomposition.weights).
     """
-    blocks, orders, q, weights = half_zone(potential, grid)
+    blocks, orders, q, weights = half_zone(cell, sites)
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -183,7 +169,7 @@ def band_structure(model: LatticeModel, n_bands: int, q_points: int) -> list[Ban
     # include q = 0 and the zone edge q = pi exactly so cosine-like bands
     # report their full width
     q_grid = np.linspace(-np.pi, np.pi, q_points + 1)[1:]
-    blocks, _ = _bloch_blocks(_central_cell(model.potential("down"), model.grid), q_grid)
+    blocks, _ = _bloch_blocks(model.cell("down"), q_grid)
     energies = np.linalg.eigvalsh(blocks)[:, :n_bands]
     bands = []
     for b in range(n_bands):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstructionError, ParameterError
+from .errors import ParameterError
 
 # kinetic prefactor hbar^2/(2 m (lambda/2)^2) in units of E_R (lambda/2)^2
 KAPPA = 1.0 / np.pi**2
@@ -131,59 +131,22 @@ class LatticeParams:
             raise ParameterError("points_per_site must be a power of two")
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform periodic position grid in lambda/2 units, centered on a site."""
-
-    positions: np.ndarray
-    spacing: float
-    sites: int
-    points_per_site: int
-
-    @classmethod
-    def for_params(cls, params: LatticeParams) -> "Grid":
-        n = params.sites * params.points_per_site
-        u = (np.arange(n) - n // 2) / params.points_per_site
-        u.flags.writeable = False
-        return cls(positions=u, spacing=1.0 / params.points_per_site,
-                   sites=params.sites, points_per_site=params.points_per_site)
-
-    @property
-    def size(self) -> int:
-        return self.positions.size
-
-    @property
-    def length(self) -> float:
-        return float(self.sites)
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Sampled spin-dependent lattice potential, E_R units."""
-
-    spin: str                 # "up" or "down"
-    values: np.ndarray
-    displacement: float       # well offset from integer site coordinates
-    depth: float
-
-    def __post_init__(self):
-        self.values.flags.writeable = False
-
-
-def build_potential(params: LatticeParams, spin: str, grid: Grid | None = None) -> Potential:
-    """Sample U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the grid.
+def build_potential(params: LatticeParams, spin: str) -> np.ndarray:
+    """Read-only U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the S P points
+    u = (j - S P // 2) / P, a well centered at u = 0.
 
     The spin-down lattice has minima at integer site coordinates; the
     spin-up lattice is the same profile displaced by +Dx(theta).
     """
     if spin not in ("up", "down"):
         raise ParameterError(f"spin must be 'up' or 'down', got {spin!r}")
-    grid = grid or Grid.for_params(params)
+    n = params.sites * params.points_per_site
+    u = (np.arange(n) - n // 2) / params.points_per_site
     theta = params.polarization_angle
     u0 = displacement_from_angle(theta) if spin == "up" else 0.0
-    depth = trap_depth(theta, params.depth_at_zero)
-    values = -depth * np.cos(np.pi * (grid.positions - u0)) ** 2
-    return Potential(spin=spin, values=values, displacement=u0, depth=depth)
+    values = -trap_depth(theta, params.depth_at_zero) * np.cos(np.pi * (u - u0)) ** 2
+    values.flags.writeable = False
+    return values
 
 
 def _kinetic_spectral(n: int, length: float) -> np.ndarray:
@@ -196,16 +159,14 @@ def _kinetic_spectral(n: int, length: float) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def build_hamiltonian(potential: Potential, grid: Grid) -> np.ndarray:
-    """Dense read-only H = T + diag(V) for one spin state, the tests' oracle.
+def build_hamiltonian(potential: np.ndarray, sites: int) -> np.ndarray:
+    """Dense read-only H = T + diag(V) for one spin state on `sites` sites,
+    the tests' oracle.
 
     The kinetic term is the Fourier-grid operator as a dense circulant; the
     pipeline solves and applies the Bloch blocks instead.
     """
-    if potential.values.shape != grid.positions.shape:
-        raise ConstructionError(
-            f"potential ({potential.values.size}) and grid ({grid.size}) sizes differ")
-    mat = _kinetic_spectral(grid.size, grid.length) + np.diag(potential.values)
+    mat = _kinetic_spectral(potential.size, float(sites)) + np.diag(potential)
     mat = (mat + mat.T) / 2.0
     mat.flags.writeable = False
     return mat
@@ -215,8 +176,8 @@ def build_hamiltonian(potential: Potential, grid: Grid) -> np.ndarray:
 class LatticeModel:
     """All derived quantities for one lattice configuration.
 
-    Bundles the parameters, the grid and the unit conversions used by the
-    rest of the pipeline.  Immutable; safe to share across workers.
+    Bundles the parameters, the potentials and the unit conversions used by
+    the rest of the pipeline.  Immutable.
     """
 
     params: LatticeParams
@@ -236,10 +197,6 @@ class LatticeModel:
         return self.params.polarization_angle
 
     @property
-    def displacement(self) -> float:
-        return displacement_from_angle(self.theta)
-
-    @property
     def depth(self) -> float:
         """U0(theta) in E_R."""
         return trap_depth(self.theta, self.params.depth_at_zero)
@@ -253,15 +210,16 @@ class LatticeModel:
     def trap_frequency_rad_s(self) -> float:
         return self.homega * 2.0 * np.pi * self.recoil.hertz
 
-    @property
-    def grid(self) -> Grid:
-        return Grid.for_params(self.params)
+    def cell(self, spin: str) -> np.ndarray:
+        """The potential on the P points (l - P/2)/P of one site, which the
+        Bloch blocks take: bitwise the central site of potential(spin)."""
+        return build_potential(replace(self.params, sites=1), spin)
 
-    def potential(self, spin: str) -> Potential:
-        return build_potential(self.params, spin, self.grid)
+    def potential(self, spin: str) -> np.ndarray:
+        return build_potential(self.params, spin)
 
     def hamiltonian(self, spin: str) -> np.ndarray:
-        return build_hamiltonian(self.potential(spin), self.grid)
+        return build_hamiltonian(self.potential(spin), self.params.sites)
 
     def coherent_alpha(self, dx: float) -> float:
         """Coherent-state amplitude |alpha| = sqrt(m omega/(2 hbar)) * dx.

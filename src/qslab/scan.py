@@ -201,7 +201,7 @@ def solve_displacement(dx: float, params: LatticeParams):
     their site states and e_n.  The evolution wells sit at integer sites; the
     packet carries the relative displacement dx (see dynamics.prepare_initial)."""
     model = _site_model(dx, params)
-    return model, eigensolve.decompose(model.potential("down"), model.grid)
+    return model, eigensolve.decompose(model.cell("down"), params.sites)
 
 
 def run_point(n: int, dx: float, config: ScanConfig, solved,
@@ -288,7 +288,7 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
     rows = []
     for dx in dx_values:
         model = _site_model(float(dx), config.params)
-        blocks, orders, q, weights = eigensolve.half_zone(model.potential("down"), model.grid)
+        blocks, orders, q, weights = eigensolve.half_zone(model.cell("down"), config.params.sites)
         site_e, vectors = np.linalg.eigh(blocks[0])
         site_states = eigensolve.site_states(vectors[:, :3], orders[0])
         for n in (0, 1, 2):
@@ -302,6 +302,14 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
 
 def _fmt(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def make_out_dir(path: str) -> None:
+    """os.makedirs; a path that cannot be a directory is a ParameterError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"output directory {path!r}: {exc.strerror}") from exc
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -406,7 +414,7 @@ def run_scan(config: ScanConfig) -> dict:
     if config.curves:   # before any output: a lattice too shallow for them writes nothing
         curves = [(r["n"], r["dx"], r["inv_tau_ml"], r["inv_tau_mt"]) for r in
                   lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))]
-    os.makedirs(config.out_dir, exist_ok=True)
+    make_out_dir(config.out_dir)
     by_dx: dict[float, list[tuple[int, int]]] = {}
     for idx, (n, dx) in enumerate(config.points):
         by_dx.setdefault(round(float(dx), 12), []).append((idx, n))
@@ -453,13 +461,19 @@ def run_scan(config: ScanConfig) -> dict:
 
 
 def aggregate_reports(out_dir: str) -> dict:
-    """Rebuild the summary from per-point report.json files on disk."""
+    """Rebuild the summary from per-point report.json files on disk; a file
+    that cannot be read or parsed is a ParameterError that names it."""
     points = []
     for name in sorted(os.listdir(out_dir)):
         rpath = os.path.join(out_dir, name, "report.json")
         if os.path.isfile(rpath):
-            with open(rpath, "r", encoding="utf-8") as fh:
-                rep = json.load(fh)
+            try:
+                with open(rpath, "r", encoding="utf-8") as fh:
+                    rep = json.load(fh)
+            except OSError as exc:
+                raise ParameterError(f"report file {rpath!r}: {exc.strerror}") from exc
+            except ValueError as exc:   # a truncated file, or bytes that are not UTF-8
+                raise ParameterError(f"report file {rpath!r}: {exc}") from exc
             rep["point"] = name
             points.append(rep)
     violations = sum(1 for rep in points

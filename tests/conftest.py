@@ -44,18 +44,20 @@ def block_packet(n, dx, eig, site_states):
     return dynamics.prepare_initial(n, dx, site_states, eig.quasimomenta, eig.orders)
 
 
-def grid_packet(n, dx, grid, site_states):
-    """The packet on the S P grid: site state n zero-padded to the central
-    site, then translated by dx with band-limited interpolation (the Nyquist
-    bin takes cos(k dx), so a real input stays real) and renormalised."""
-    p = grid.points_per_site
-    psi = np.zeros(grid.size)
-    start = grid.size // 2 - p // 2
+def grid_packet(n, dx, params, site_states):
+    """The packet on the S P grid of spacing 1/P: site state n zero-padded to
+    the central site, then translated by dx with band-limited interpolation
+    (the Nyquist bin takes cos(k dx), so a real input stays real) and
+    renormalised."""
+    p = params.points_per_site
+    size = params.sites * p
+    psi = np.zeros(size)
+    start = size // 2 - p // 2
     psi[start:start + p] = site_states[:, n]
     psi /= np.linalg.norm(psi)
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.size, d=grid.spacing)
+    k = 2.0 * np.pi * np.fft.fftfreq(size, d=1.0 / p)
     phase = np.exp(-1j * k * dx)
-    phase[grid.size // 2] = np.cos(k[grid.size // 2] * dx)
+    phase[size // 2] = np.cos(k[size // 2] * dx)
     shifted = np.fft.ifft(np.fft.fft(psi) * phase)
     return shifted / np.linalg.norm(shifted)
 

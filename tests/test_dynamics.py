@@ -153,7 +153,7 @@ def test_spectral_sum_matches_grid_reconstruction(solver):
     model, eig, (_, site_states) = solver.solve(0.08)
     spectral, moms = solver.spectral_point(0, 0.08)[3:]
     full = FullZone(eig)
-    psi = grid_packet(0, 0.08, model.grid, site_states)
+    psi = grid_packet(0, 0.08, model.params, site_states)
     coeff = full.project(psi)
     times = dyn.default_times(moms, 9)
     trace = dyn.evolve_overlap(spectral, times)
@@ -176,7 +176,7 @@ def test_direct_moments_cross_check(solver):
     # the two routes agree to about 1e-13 relative
     for dx in (0.025, 0.08, 0.5):
         model, eig, (_, site_states) = solver.solve(dx)
-        blocks, *_ = eigensolve.half_zone(model.potential("down"), model.grid)
+        blocks, *_ = eigensolve.half_zone(model.cell("down"), model.params.sites)
         for n in (0, 1, 2):
             packet = block_packet(n, dx, eig, site_states)
             spec_moms = dyn.moments(dyn.to_spectral(packet, eig))
@@ -188,7 +188,7 @@ def test_direct_moments_cross_check(solver):
 
 def test_direct_moments_stationary_and_plane_wave(solver):
     model, eig, *_ = solver.solve(0.0)
-    blocks, *_ = eigensolve.half_zone(model.potential("down"), model.grid)
+    blocks, *_ = eigensolve.half_zone(model.cell("down"), model.params.sites)
     ground = np.zeros(eig.orders.shape)
     ground[0] = eig.vectors[0][:, 0]
     moms = dyn.direct_moments(blocks, ground, eig.weights, eig.ground_offset)
@@ -196,14 +196,10 @@ def test_direct_moments_stationary_and_plane_wave(solver):
     assert moms.stationary
     # a standing wave on a flat potential is an exact eigenstate of the
     # kinetic term: cos(k1 u) is the plane wave k1 and its -q partner
-    from qslab.model import KAPPA, Grid, Potential
+    from qslab.model import KAPPA
 
-    params = LatticeParams(sites=5, points_per_site=32)
-    grid = Grid.for_params(params)
-    flat = Potential(spin="down", values=np.zeros(grid.size), displacement=0.0,
-                     depth=1.0)
-    blocks, orders, q, weights = eigensolve.half_zone(flat, grid)
-    k1 = 2.0 * np.pi / grid.length
+    blocks, orders, q, weights = eigensolve.half_zone(np.zeros(32), 5)
+    k1 = 2.0 * np.pi / 5
     assert q[1] == pytest.approx(k1, rel=1e-15)
     wave = np.zeros(orders.shape, dtype=complex)
     wave[1, orders[1] == 0] = np.sqrt(0.5)
@@ -222,8 +218,8 @@ def test_displacement_gauge_equivalence():
     dx = 0.11
     params = LatticeParams(sites=9, points_per_site=32)
     model = LatticeModel.from_displacement(dx, params)
-    eig_down = eigensolve.decompose(model.potential("down"), model.grid)
-    eig_up = eigensolve.decompose(model.potential("up"), model.grid)
+    eig_down = eigensolve.decompose(model.cell("down"), model.params.sites)
+    eig_up = eigensolve.decompose(model.cell("up"), model.params.sites)
     site_states = q0_sites(eig_down)[1]
     for n in (0, 1, 2):
         spec_a = dyn.to_spectral(block_packet(n, dx, eig_down, site_states), eig_down)
@@ -262,8 +258,9 @@ def test_leakage_monitor_edges_quiet(solver):
     model, eig, (_, site_states) = solver.solve(0.5)
     moms = solver.spectral_point(0, 0.5)[4]
     full = FullZone(eig)
-    coeff = full.project(grid_packet(0, 0.5, model.grid, site_states))
-    edges = np.abs(model.grid.positions) > model.params.sites / 2.0 - 2
+    coeff = full.project(grid_packet(0, 0.5, model.params, site_states))
+    s, p = model.params.sites, model.params.points_per_site
+    edges = np.abs(np.arange(s * p) - s * p // 2) > (s / 2.0 - 2) * p
     worst = 0.0
     for t in dyn.default_times(moms, 8):
         psi_t = full.synthesize(coeff * np.exp(-1j * full.energies * t))
@@ -284,7 +281,7 @@ def _folded_oracle_populations(model, eig, n, dx, site_states):
     added onto block q: (Q, P), the layout of to_spectral."""
     full = FullZone(eig)
     pops = np.zeros(full.size)
-    pops[full.order] = np.abs(full.project(grid_packet(n, dx, model.grid, site_states))) ** 2
+    pops[full.order] = np.abs(full.project(grid_packet(n, dx, model.params, site_states))) ** 2
     s = model.params.sites
     pops = pops.reshape(s, -1)
     folded = pops[s // 2:].copy()
@@ -313,14 +310,14 @@ def test_half_zone_weights_reproduce_full_zone(spin, dx):
     # gives the full zone's moments and overlap, for the real spin-down and
     # the complex spin-up blocks alike (wells displaced by 0.11 from the packet)
     model = LatticeModel.from_displacement(0.11, LatticeParams(sites=9, points_per_site=32))
-    eig = eigensolve.decompose(model.potential(spin), model.grid)
+    eig = eigensolve.decompose(model.cell(spin), model.params.sites)
     assert eig.energies.shape == (5, 32)
     assert np.array_equal(eig.weights, [1.0, 2.0, 2.0, 2.0, 2.0])
-    site_states = q0_sites(eigensolve.decompose(model.potential("down"), model.grid))[1]
+    site_states = q0_sites(eigensolve.decompose(model.cell("down"), model.params.sites))[1]
     full = FullZone(eig)
     for n in (0, 1, 2):
         half = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)
-        whole = full.spectral(grid_packet(n, dx, model.grid, site_states))
+        whole = full.spectral(grid_packet(n, dx, model.params, site_states))
         m_half, m_whole = dyn.moments(half), dyn.moments(whole)
         assert m_half.e == pytest.approx(m_whole.e, rel=1e-12)
         assert m_half.de == pytest.approx(m_whole.de, rel=1e-12)

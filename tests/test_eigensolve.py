@@ -8,7 +8,7 @@ import pytest
 from qslab import dynamics as dyn
 from qslab import eigensolve as es
 from qslab.errors import ConstructionError, ParameterError
-from qslab.model import KAPPA, Grid, LatticeModel, LatticeParams, Potential
+from qslab.model import KAPPA, LatticeModel, LatticeParams
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
 from conftest import FullZone, block_packet, grid_packet, q0_sites
@@ -24,7 +24,7 @@ def test_block_solve_matches_dense_oracle():
     dx = 0.11
     model = LatticeModel.from_displacement(dx, SMALL)
     s = SMALL.sites
-    eig = es.decompose(model.potential("down"), model.grid)
+    eig = es.decompose(model.cell("down"), model.params.sites)
     full = FullZone(eig)
     site_states = q0_sites(eig)[1]
     w, v = np.linalg.eigh(model.hamiltonian("down"))
@@ -34,7 +34,7 @@ def test_block_solve_matches_dense_oracle():
     assert np.array_equal(full.bands[:bound * s], np.repeat(np.arange(bound), s))
     for n in (0, 1, 2):
         spectral = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)
-        psi = grid_packet(n, dx, model.grid, site_states)
+        psi = grid_packet(n, dx, model.params, site_states)
         coeff = v.T @ psi
         dense_pops = np.abs(coeff) ** 2
         dense_bands = dense_pops[:bound * s].reshape(bound, s).sum(axis=1)
@@ -63,7 +63,7 @@ def test_time_reversal_half_zone_solve(sites, monkeypatch):
     model = LatticeModel.from_displacement(0.11, replace(SMALL, sites=sites))
     eigh, solved = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(len(b)) or eigh(b))
-    eig = es.decompose(model.potential("up"), model.grid)
+    eig = es.decompose(model.cell("up"), model.params.sites)
     # only the q >= 0 blocks are diagonalised, and nothing is kept for -q
     assert solved == [(sites + 1) // 2]
     half = (sites + 1) // 2
@@ -80,7 +80,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
     # the spin-down cos^2 cell is even, so its blocks are real symmetric; the
     # displaced spin-up cell is not, and keeps complex Hermitian blocks
     up = solver.solve(0.11)[0]
-    assert es.decompose(up.potential("up"), up.grid).vectors.dtype == np.complex128
+    assert es.decompose(up.cell("up"), up.params.sites).vectors.dtype == np.complex128
     eigh = np.linalg.eigh
     for dx in (0.04, 0.5):
         model, eig, (_, site_states) = solver.solve(dx)
@@ -88,7 +88,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
         # the same blocks through the complex driver are the reference
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", lambda b: eigh(b.astype(complex)))
-            ref = es.decompose(model.potential("down"), model.grid)
+            ref = es.decompose(model.cell("down"), model.params.sites)
         assert ref.vectors.dtype == np.complex128
         assert np.abs(eig.energies - ref.energies).max() <= 1e-10
         # far above the well, bands 21 and 22 of one block are degenerate to
@@ -118,21 +118,9 @@ def test_band_structure_matches_lattice_spectrum():
 
 
 def test_decompose_input_errors():
-    model = LatticeModel(params=SMALL)
-    pot = model.potential("down")
-    # the Bloch blocks need a potential that repeats with the site period
-    bumped = Potential(spin="down", values=pot.values + (model.grid.positions > 0),
-                       displacement=0.0, depth=pot.depth)
-    with pytest.raises(ConstructionError):
-        es.decompose(bumped, model.grid)
-    with pytest.raises(ConstructionError):
-        es.decompose(pot, Grid.for_params(LatticeParams(sites=3, points_per_site=32)))
     # an even S has an unpaired zone-edge block, q = pi
-    even = Grid(positions=np.arange(4 * 32) / 32 - 2.0, spacing=1 / 32, sites=4,
-                points_per_site=32)
-    flat = Potential(spin="down", values=np.zeros(even.size), displacement=0.0, depth=1.0)
     with pytest.raises(ConstructionError, match="odd"):
-        es.decompose(flat, even)
+        es.decompose(np.zeros(32), 4)
 
 
 def test_decompose_lattice_contract(solver):
@@ -142,16 +130,16 @@ def test_decompose_lattice_contract(solver):
     assert checks["residual"] <= RESIDUAL_TOL
     # spectrum bounded below by the potential minimum (kinetic part is PSD)
     spectrum = eig.spectrum
-    assert spectrum[0] >= lattice.potential("down").values.min() - 1e-9
+    assert spectrum[0] >= lattice.potential("down").min() - 1e-9
     assert np.all(np.diff(spectrum) >= 0.0)
     assert np.all(np.diff(eig.energies, axis=1) >= -1e-12)
     assert eig.ground_offset == spectrum[0] == eig.energies[0, 0]
-    assert spectrum.size == lattice.grid.size
+    assert spectrum.size == lattice.params.sites * lattice.params.points_per_site
 
 
 def test_decompose_deterministic(solver):
     lattice, eig, *_ = solver.solve(0.0)
-    again = es.decompose(lattice.potential("down"), lattice.grid)
+    again = es.decompose(lattice.cell("down"), lattice.params.sites)
     assert np.array_equal(eig.energies, again.energies)
     assert np.array_equal(eig.vectors, again.vectors)
 
@@ -214,7 +202,7 @@ def test_site_energies_independent_of_box_size():
     sites = []
     for s in (1, 3, 33):
         model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=s))
-        sites.append(q0_sites(es.decompose(model.potential("down"), model.grid)))
+        sites.append(q0_sites(es.decompose(model.cell("down"), model.params.sites)))
     for energies, states in sites[1:]:
         assert np.array_equal(energies, sites[0][0])
         assert np.array_equal(states, sites[0][1])
@@ -232,7 +220,7 @@ def test_site_ground_energy_is_lattice_ground_offset(sites, monkeypatch):
         offsets.clear()
         lattice_reference_curves(config, [dx])
         model = LatticeModel.from_displacement(dx, config.params)
-        ground = es.decompose(model.potential("down"), model.grid).ground_offset
+        ground = es.decompose(model.cell("down"), model.params.sites).ground_offset
         assert offsets == [ground] * 3
 
 

@@ -1,10 +1,12 @@
 """Units, lattice geometry, potentials and Hamiltonian assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qslab import model as m
-from qslab.errors import ConstructionError, ParameterError
+from qslab.errors import ParameterError
 
 
 def test_recoil_energy_cesium_866nm():
@@ -73,61 +75,62 @@ def test_trap_frequency_scaling_and_kilohertz():
 
 def test_potentials_shape_and_displacement():
     params = m.LatticeParams(polarization_angle=np.pi / 2)
-    grid = m.Grid.for_params(params)
-    down = m.build_potential(params, "down", grid)
-    up = m.build_potential(params, "up", grid)
-    # spin-down minima at integer coordinates; spin-up displaced by half a site
-    center = np.argmin(np.abs(grid.positions))
-    assert down.values[center] == pytest.approx(down.values.min(), abs=1e-12)
-    half = np.argmin(np.abs(grid.positions - 0.5))
-    assert up.values[half] == pytest.approx(up.values.min(), abs=1e-12)
-    assert up.displacement == pytest.approx(0.5, abs=1e-15)
-    assert down.values.min() == pytest.approx(-down.depth, abs=1e-9)
-    # periodic with period one site
+    down = m.build_potential(params, "down")
+    up = m.build_potential(params, "up")
+    assert down.shape == up.shape == (params.sites * params.points_per_site,)
+    assert not down.flags.writeable and not up.flags.writeable
+    # spin-down minima at integer coordinates, u = 0 at index S P // 2;
+    # spin-up displaced by half a site, P / 2 points further on
     p = params.points_per_site
-    assert np.allclose(down.values[p:], down.values[:-p], atol=1e-12)
+    center = params.sites * p // 2
+    assert down[center] == pytest.approx(down.min(), abs=1e-12)
+    assert up[center + p // 2] == pytest.approx(up.min(), abs=1e-12)
+    assert down.min() == pytest.approx(-m.LatticeModel(params=params).depth, abs=1e-9)
+    # periodic with period one site
+    assert np.allclose(down[p:], down[:-p], atol=1e-12)
     # theta = 0: identical potentials and Hamiltonians entrywise
     params0 = m.LatticeParams(polarization_angle=0.0, sites=5, points_per_site=32)
-    g0 = m.Grid.for_params(params0)
-    pot_up = m.build_potential(params0, "up", g0)
-    pot_down = m.build_potential(params0, "down", g0)
-    assert np.array_equal(pot_up.values, pot_down.values)
-    assert np.array_equal(m.build_hamiltonian(pot_up, g0),
-                          m.build_hamiltonian(pot_down, g0))
+    pot_up = m.build_potential(params0, "up")
+    pot_down = m.build_potential(params0, "down")
+    assert np.array_equal(pot_up, pot_down)
+    assert np.array_equal(m.build_hamiltonian(pot_up, 5), m.build_hamiltonian(pot_down, 5))
     with pytest.raises(ParameterError):
-        m.build_potential(params, "sideways", grid)
+        m.build_potential(params, "sideways")
 
 
 def test_grid_min_matches_closed_form_depth():
     for dx in (0.1, 0.37):
         lattice = m.LatticeModel.from_displacement(dx)
         pot = lattice.potential("up")
-        h = lattice.grid.spacing
+        h = 1.0 / lattice.params.points_per_site
         # nearest grid point sits within h/2 of the well bottom, where the
         # parabolic expansion gives an offset of at most U0 pi^2 h^2 / 4
         tol = lattice.depth * np.pi**2 * h**2 / 4.0
-        assert pot.values.min() == pytest.approx(-lattice.depth, abs=tol)
+        assert pot.min() == pytest.approx(-lattice.depth, abs=tol)
 
 
-def test_hamiltonian_symmetry_exact_and_size_check():
+def test_hamiltonian_symmetry_exact():
     lattice = m.LatticeModel(params=m.LatticeParams(sites=5, points_per_site=32))
     ham = lattice.hamiltonian("down")
     assert np.abs(ham - ham.T).max() == 0.0
-    small = m.Grid.for_params(m.LatticeParams(sites=3, points_per_site=32))
-    with pytest.raises(ConstructionError):
-        m.build_hamiltonian(lattice.potential("down"), small)
+
+
+def test_cell_is_the_central_site_of_the_potential():
+    # u = (l - P/2)/P on the central site is the same integer arithmetic at
+    # every odd S, so the one-site sampling the Bloch blocks take is bitwise
+    # the dense oracle's central row
+    for s, p, dx in itertools.product((1, 3, 9, 33), (4, 64), (0.0, 0.11, 0.5)):
+        lattice = m.LatticeModel.from_displacement(dx, m.LatticeParams(sites=s, points_per_site=p))
+        for spin in ("down", "up"):
+            central = m.build_potential(lattice.params, spin).reshape(s, p)[s // 2]
+            assert lattice.cell(spin).tobytes() == central.tobytes()
 
 
 def test_free_particle_spectrum():
     # V = 0: the Fourier-grid kinetic term reproduces kappa k^2
-    params = m.LatticeParams(sites=5, points_per_site=32)
-    grid = m.Grid.for_params(params)
-    flat = m.Potential(spin="down", values=np.zeros(grid.size), displacement=0.0,
-                       depth=params.depth_at_zero)
-    ham = m.build_hamiltonian(flat, grid)
-    w = np.linalg.eigvalsh(ham)
-    n = grid.size
-    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.length / n)
+    n = 5 * 32
+    w = np.linalg.eigvalsh(m.build_hamiltonian(np.zeros(n), 5))
+    k = 2 * np.pi * np.fft.fftfreq(n, d=5 / n)
     expected = np.sort(m.KAPPA * k**2)
     assert np.allclose(w, expected, atol=1e-9)
     assert w[0] == pytest.approx(0.0, abs=1e-9)
@@ -148,18 +151,18 @@ def test_apply_matches_matrix():
     from qslab.eigensolve import half_zone
 
     lattice = m.LatticeModel(params=m.LatticeParams(sites=5, points_per_site=32))
-    grid = lattice.grid
+    s, size = 5, 5 * 32
     rng = np.random.default_rng(7)
-    psi = rng.standard_normal(grid.size)
+    psi = rng.standard_normal(size)
     psi /= np.linalg.norm(psi)
-    blocks, orders, q, _ = half_zone(lattice.potential("down"), grid)
-    n = np.arange(q.size)[:, None] + grid.sites * orders   # wavenumber 2 pi n / S
-    sign = (-1.0) ** n                                      # transform origin at u = 0
-    coeff = sign * np.fft.fft(psi, norm="ortho")[n % grid.size]
+    blocks, orders, q, _ = half_zone(lattice.cell("down"), s)
+    n = np.arange(q.size)[:, None] + s * orders   # wavenumber 2 pi n / S
+    sign = (-1.0) ** n                             # transform origin at u = 0
+    coeff = sign * np.fft.fft(psi, norm="ortho")[n % size]
     h_coeff = sign * np.einsum("qab,qb->qa", blocks, coeff)
-    spectrum = np.empty(grid.size, dtype=complex)
-    spectrum[-n % grid.size] = h_coeff.conj()
-    spectrum[n % grid.size] = h_coeff
+    spectrum = np.empty(size, dtype=complex)
+    spectrum[-n % size] = h_coeff.conj()
+    spectrum[n % size] = h_coeff
     direct = np.fft.ifft(spectrum, norm="ortho")
     dense = lattice.hamiltonian("down") @ psi
     assert np.abs(direct - dense).max() < 1e-10 * np.abs(dense).max()

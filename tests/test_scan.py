@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
-from qslab import cli, interferometer, scan
+from qslab import cli, eigensolve, interferometer, scan
+from qslab import model as qmodel
 from qslab.errors import ParameterError
-from qslab.model import LatticeParams
+from qslab.model import LatticeModel, LatticeParams
 
 from conftest import fmt_oracle
 
@@ -355,6 +356,17 @@ def test_reference_curves_match_spectral_moments(solver, monkeypatch):
         scan.lattice_reference_curves(shallow, np.array([0.1]))
 
 
+def test_scan_and_bands_sample_one_cell(tmp_path, monkeypatch):
+    # the points, the reference curves and the bands solve Bloch blocks of
+    # one cell, LatticeModel.cell; none samples the potential on all S P points
+    sites, build = [], qmodel.build_potential
+    monkeypatch.setattr(qmodel, "build_potential",
+                        lambda params, *rest: sites.append(params.sites) or build(params, *rest))
+    scan.run_scan(small_config(tmp_path, curves=True, curve_points=2))
+    eigensolve.band_structure(LatticeModel(params=SMALL), 2, 4)
+    assert sites and set(sites) == {1}
+
+
 def test_aggregate_reports(tmp_path):
     cfg = small_config(tmp_path)
     scan.run_scan(cfg)
@@ -394,6 +406,30 @@ def test_cli_point_and_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("qslab report: error: --dir") and err.count("\n") == 1
     assert missing in err
+    # a truncated report.json used to end in a JSONDecodeError traceback
+    rpath = os.path.join(out, "n0_dx0.1000", "report.json")
+    with open(rpath, "r+", encoding="utf-8") as fh:
+        fh.truncate(10)
+    assert cli.main(["report", "--dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qslab report: error: report file {rpath!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_point_flags_replace_half_of_the_point(tmp_path, capsys):
+    # each of --n and --dx replaces its half of the state section's point, else
+    # of the first scan point; --n alone used to be ignored
+    lattice = {"sites": 9, "points_per_site": 32}
+    for state, flags, label in (
+            (None, ["--n", "2"], "n2_dx0.0400"),
+            ({"n": 1, "dx_halflambda": 0.1}, ["--n", "2"], "n2_dx0.1000"),
+            ({"n": 1, "dx_halflambda": 0.1}, ["--dx", "0.2"], "n1_dx0.2000")):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({"lattice": lattice, **({"state": state} if state else {})}))
+        out = tmp_path / label
+        assert cli.main(["point", "--config", str(path), "--out", str(out), *flags]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [label]
 
 
 def test_cli_point_prints_the_failure_of_a_failed_point(tmp_path, capsys):
@@ -446,6 +482,22 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
         assert err.startswith(f"qslab scan: error: config file {config!r}: ")
         assert err.count("\n") == 1
         assert not os.path.exists(out)
+    # an output directory that cannot be created used to end in FileExistsError,
+    # or in FileNotFoundError for an empty scan.out
+    small = tmp_path / "small.yaml"
+    small.write_text(yaml.safe_dump({"lattice": {"sites": 9, "points_per_site": 32},
+                                     "scan": {"points": [[0, 0.1]], "curves": False}}))
+    existing = str(tmp_path / "a_file")
+    open(existing, "w").close()
+    for argv in (["point", "--dx", "0.1"], ["bands"], ["qubit"]):
+        assert cli.main([*argv, "--config", str(small), "--out", existing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qslab {argv[0]}: error: output directory {existing!r}: ")
+        assert err.count("\n") == 1
+    path.write_text(yaml.safe_dump({"scan": {"out": "", "points": [[0, 0.1]], "curves": False}}))
+    assert cli.main(["scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qslab scan: error: output directory '': ") and err.count("\n") == 1
 
 
 def test_cli_scan_experiment(tmp_path, capsys):
