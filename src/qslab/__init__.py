@@ -10,8 +10,6 @@ from .model import (
     LatticeModel,
     LatticeParams,
     angle_from_displacement,
-    build_hamiltonian,
-    build_potential,
     displacement_from_angle,
     recoil_energy,
     trap_depth,
@@ -44,7 +42,6 @@ from .interferometer import (
     extract_mean_energy,
     extract_uncertainty,
     extract_xi,
-    fit_fringe,
     ideal_fringe,
     sample_fringe,
 )
@@ -55,13 +52,13 @@ __version__ = "0.1.0"
 __all__ = [
     "LatticeModel", "LatticeParams",
     "recoil_energy", "displacement_from_angle", "angle_from_displacement",
-    "trap_depth", "trap_frequency", "build_potential", "build_hamiltonian",
+    "trap_depth", "trap_frequency",
     "decompose", "band_structure",
     "prepare_initial", "to_spectral", "moments", "evolve_overlap", "direct_moments",
     "mt_bound", "ml_bound", "unified_bound", "crossover_time", "report",
     "deviation_from_kurtosis", "deviation_from_geometry", "bhatia_davis_cap",
     "xi_harmonic", "displaced_populations", "qubit_model", "QslReport",
-    "RamseyConfig", "ideal_fringe", "sample_fringe", "fit_fringe",
+    "RamseyConfig", "ideal_fringe", "sample_fringe",
     "extract_mean_energy", "extract_uncertainty", "extract_xi",
     "ScanConfig", "default_grid", "run_scan",
 ]

@@ -11,7 +11,7 @@ visibility) and the geometric deviation coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def fringe_phase(trace: OverlapTrace, e_n: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Cosine-fit results: floats for one time (fit_fringe), length-T arrays for a series."""
+    """Cosine-fit results of a series, length-T arrays: one entry per evolution time."""
 
     v: np.ndarray          # clipped to [0, 1]
     v_raw: np.ndarray      # unclipped amplitude estimate
@@ -154,13 +154,6 @@ def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
     return FringeFit(v=np.clip(v_raw, 0.0, 1.0), v_raw=v_raw, v_err=v_err,
                      phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi), offset=a,
                      flagged=v_raw < 2.0 * v_err)
-
-
-def fit_fringe(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
-               loss_fraction: float = 0.0) -> FringeFit:
-    """fit_fringes on the counts of one evolution time, as Python scalars."""
-    fit = fit_fringes(phi_r, np.reshape(n_down, (1, -1)), n_total, loss_fraction)
-    return FringeFit(**{f.name: getattr(fit, f.name)[0].item() for f in fields(FringeFit)})
 
 
 def simulate_series(times_us: np.ndarray, visibility: np.ndarray,

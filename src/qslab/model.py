@@ -1,4 +1,4 @@
-"""Lattice geometry, spin-dependent potentials and the discretized Hamiltonian.
+"""Lattice geometry, units and the spin-dependent potential of one lattice cell.
 
 Internally everything is dimensionless: lengths in units of the lattice
 constant lambda/2, energies in recoil energies E_R = (2*pi*hbar)^2/(2*m*lambda^2),
@@ -131,47 +131,6 @@ class LatticeParams:
             raise ParameterError("points_per_site must be a power of two")
 
 
-def build_potential(params: LatticeParams, spin: str) -> np.ndarray:
-    """Read-only U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the S P points
-    u = (j - S P // 2) / P, a well centered at u = 0.
-
-    The spin-down lattice has minima at integer site coordinates; the
-    spin-up lattice is the same profile displaced by +Dx(theta).
-    """
-    if spin not in ("up", "down"):
-        raise ParameterError(f"spin must be 'up' or 'down', got {spin!r}")
-    n = params.sites * params.points_per_site
-    u = (np.arange(n) - n // 2) / params.points_per_site
-    theta = params.polarization_angle
-    u0 = displacement_from_angle(theta) if spin == "up" else 0.0
-    values = -trap_depth(theta, params.depth_at_zero) * np.cos(np.pi * (u - u0)) ** 2
-    values.flags.writeable = False
-    return values
-
-
-def _kinetic_spectral(n: int, length: float) -> np.ndarray:
-    # circulant matrix of the Fourier-grid operator kappa k^2; irfft of the
-    # real even multiplier gives its first row, symmetrized to kill rounding
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
-    row = np.fft.irfft(KAPPA * k**2, n=n)
-    i = np.arange(n)
-    mat = row[np.subtract.outer(i, i) % n]
-    return (mat + mat.T) / 2.0
-
-
-def build_hamiltonian(potential: np.ndarray, sites: int) -> np.ndarray:
-    """Dense read-only H = T + diag(V) for one spin state on `sites` sites,
-    the tests' oracle.
-
-    The kinetic term is the Fourier-grid operator as a dense circulant; the
-    pipeline solves and applies the Bloch blocks instead.
-    """
-    mat = _kinetic_spectral(potential.size, float(sites)) + np.diag(potential)
-    mat = (mat + mat.T) / 2.0
-    mat.flags.writeable = False
-    return mat
-
-
 @dataclass(frozen=True)
 class LatticeModel:
     """All derived quantities for one lattice configuration.
@@ -211,15 +170,21 @@ class LatticeModel:
         return self.homega * 2.0 * np.pi * self.recoil.hertz
 
     def cell(self, spin: str) -> np.ndarray:
-        """The potential on the P points (l - P/2)/P of one site, which the
-        Bloch blocks take: bitwise the central site of potential(spin)."""
-        return build_potential(replace(self.params, sites=1), spin)
+        """Read-only U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the P points
+        u = (l - P/2)/P of one site, a well centered at u = 0: the cell the
+        Bloch blocks take.
 
-    def potential(self, spin: str) -> np.ndarray:
-        return build_potential(self.params, spin)
-
-    def hamiltonian(self, spin: str) -> np.ndarray:
-        return build_hamiltonian(self.potential(spin), self.params.sites)
+        The spin-down lattice has minima at integer site coordinates; the
+        spin-up lattice is the same profile displaced by +Dx(theta).
+        """
+        if spin not in ("up", "down"):
+            raise ParameterError(f"spin must be 'up' or 'down', got {spin!r}")
+        p = self.params.points_per_site
+        u = (np.arange(p) - p // 2) / p
+        u0 = displacement_from_angle(self.theta) if spin == "up" else 0.0
+        values = -self.depth * np.cos(np.pi * (u - u0)) ** 2
+        values.flags.writeable = False
+        return values
 
     def coherent_alpha(self, dx: float) -> float:
         """Coherent-state amplitude |alpha| = sqrt(m omega/(2 hbar)) * dx.

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import yaml
 
 from . import dynamics, eigensolve, interferometer, qsl
 from .errors import ParameterError
@@ -83,12 +82,16 @@ def check_point(where: str, n: int, dx: float) -> None:
 
 def load_config(path: str) -> ScanConfig:
     """Build a ScanConfig from a nested key-value YAML file."""
+    import yaml     # only here: the pipeline itself never parses YAML
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise ParameterError(f"config file {path!r}: {exc.strerror}") from exc
-    except yaml.YAMLError as exc:   # a multi-line message, printed on one line
+    except (yaml.YAMLError, ValueError) as exc:
+        # a YAML message spans lines, printed here on one; a ValueError is a
+        # file that is not UTF-8 or a date such as 2020-13-45
         raise ParameterError(f"config file {path!r}: {' '.join(str(exc).split())}") from exc
     return config_from_dict(raw)
 
@@ -462,7 +465,8 @@ def run_scan(config: ScanConfig) -> dict:
 
 def aggregate_reports(out_dir: str) -> dict:
     """Rebuild the summary from per-point report.json files on disk; a file
-    that cannot be read or parsed is a ParameterError that names it."""
+    that cannot be read or parsed, or that holds no report, is a
+    ParameterError that names it."""
     points = []
     for name in sorted(os.listdir(out_dir)):
         rpath = os.path.join(out_dir, name, "report.json")
@@ -474,6 +478,10 @@ def aggregate_reports(out_dir: str) -> dict:
                 raise ParameterError(f"report file {rpath!r}: {exc.strerror}") from exc
             except ValueError as exc:   # a truncated file, or bytes that are not UTF-8
                 raise ParameterError(f"report file {rpath!r}: {exc}") from exc
+            if not (isinstance(rep, dict)
+                    and isinstance(rep.get("min_margin", ""), (int, float, type(None)))):
+                raise ParameterError(f"report file {rpath!r}: not a point report "
+                                     "(no numeric or null min_margin)")
             rep["point"] = name
             points.append(rep)
     violations = sum(1 for rep in points

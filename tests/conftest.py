@@ -1,13 +1,16 @@
-"""Shared fixtures: cached lattice solutions, the default-grid sweep, the
-grid oracle the half-zone Bloch route is checked against, and the per-record
-fringe fit and per-cell CSV formatter the batched paths are checked against."""
+"""Shared fixtures: cached lattice solutions, the default-grid sweep, the two
+oracles of the Bloch solver (the dense Hamiltonian on the S-site grid and
+Mathieu's equation), the grid route the half-zone packets are checked
+against, and the per-record fringe fit and per-cell CSV formatter the
+batched paths are checked against."""
 
 import numpy as np
 import pytest
+from scipy.special import mathieu_a, mathieu_b
 
 from qslab import dynamics, eigensolve, scan
 from qslab.errors import ParameterError
-from qslab.model import LatticeParams
+from qslab.model import KAPPA, LatticeParams, displacement_from_angle, trap_depth
 
 
 class LatticeSolver:
@@ -31,6 +34,57 @@ class LatticeSolver:
         packet = block_packet(n, dx, eig, site_states)
         spectral = dynamics.to_spectral(packet, eig)
         return model, eig, packet, spectral, dynamics.moments(spectral)
+
+
+def grid_potential(params, spin):
+    """U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the S P points
+    u = (j - S P // 2) / P of the whole box, by the float operations of
+    LatticeModel.cell: its central site is bitwise the cell."""
+    n = params.sites * params.points_per_site
+    u = (np.arange(n) - n // 2) / params.points_per_site
+    theta = params.polarization_angle
+    u0 = displacement_from_angle(theta) if spin == "up" else 0.0
+    return -trap_depth(theta, params.depth_at_zero) * np.cos(np.pi * (u - u0)) ** 2
+
+
+def grid_kinetic(n, length):
+    """The Fourier-grid operator kappa k^2 on n points of a periodic box
+    `length` sites long, as a dense circulant: irfft of the real even
+    multiplier gives its first row, symmetrized to kill rounding."""
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=length / n)
+    row = np.fft.irfft(KAPPA * k**2, n=n)
+    i = np.arange(n)
+    mat = row[np.subtract.outer(i, i) % n]
+    return (mat + mat.T) / 2.0
+
+
+def grid_hamiltonian(lattice, spin):
+    """Dense H = T + diag(V) of one spin state on the S P grid, the oracle
+    the Bloch blocks are checked against."""
+    potential = grid_potential(lattice.params, spin)
+    mat = grid_kinetic(potential.size, float(lattice.params.sites)) + np.diag(potential)
+    return (mat + mat.T) / 2.0
+
+
+def mathieu_defect(lattice, spin="down"):
+    """Largest |error| (E_R) of the 12 lowest band energies of
+    lattice.cell(spin) at q = 0 and q = pi against Mathieu's equation.
+
+    With z = pi u, shifted by pi/2, the cell -U0 cos^2(pi u) under kappa k^2
+    is y'' + (a - 2 q_M cos 2z) y = 0 with q_M = U0/4 and E = a - U0/2.  The
+    q = 0 modes are pi-periodic in z, the q = pi modes pi-antiperiodic
+    (DLMF 28.2, 28.12; Slater, Phys. Rev. 87, 807 (1952)), and for q_M > 0
+    a_0 < b_1 < a_1 < b_2 < ..., so the 12 lowest are {a_2r, b_2r+2} and
+    {a_2r+1, b_2r+1} for r < 6.  Only those orders are asked for: at
+    q_M = 61.07 scipy's mathieu_a(13) returns a_11.  cos^2 is band-limited,
+    so the displaced spin-up cell has the same spectrum.
+    """
+    blocks, _ = eigensolve._bloch_blocks(lattice.cell(spin), [0.0, np.pi])
+    energies = np.linalg.eigvalsh(blocks)[:, :12]
+    r, q_m = np.arange(6), lattice.depth / 4.0
+    values = np.sort([np.r_[mathieu_a(2 * r, q_m), mathieu_b(2 * r + 2, q_m)],
+                      np.r_[mathieu_a(2 * r + 1, q_m), mathieu_b(2 * r + 1, q_m)]], axis=1)
+    return float(np.abs(energies - (values - lattice.depth / 2.0)).max())
 
 
 def q0_sites(eig, count=3):

@@ -11,7 +11,8 @@ from qslab.errors import ConstructionError, ParameterError
 from qslab.model import KAPPA, LatticeModel, LatticeParams
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
-from conftest import FullZone, block_packet, grid_packet, q0_sites
+from conftest import (FullZone, block_packet, grid_hamiltonian, grid_packet, mathieu_defect,
+                      q0_sites)
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -27,7 +28,7 @@ def test_block_solve_matches_dense_oracle():
     eig = es.decompose(model.cell("down"), model.params.sites)
     full = FullZone(eig)
     site_states = q0_sites(eig)[1]
-    w, v = np.linalg.eigh(model.hamiltonian("down"))
+    w, v = np.linalg.eigh(grid_hamiltonian(model, "down"))
     assert np.abs(eig.spectrum - w).max() <= 1e-10
     # bound bands are separated by gaps, so dense band b is the b-th run of S
     bound = es.bound_level_count(model)
@@ -71,7 +72,7 @@ def test_time_reversal_half_zone_solve(sites, monkeypatch):
     assert eig.energies.shape == (half, p) and eig.vectors.shape == (half, p, p)
     assert np.array_equal(eig.quasimomenta, 2.0 * np.pi * np.arange(half) / sites)
     # the conjugate blocks complete the full zone's eigenmodes
-    checks = FullZone(eig).validate(model.hamiltonian("up"))
+    checks = FullZone(eig).validate(grid_hamiltonian(model, "up"))
     assert checks["residual"] <= RESIDUAL_TOL
     assert checks["orthonormality"] <= ORTHO_TOL
 
@@ -113,8 +114,21 @@ def test_band_structure_matches_lattice_spectrum():
     n_bands = es.bound_level_count(model)
     bands = es.band_structure(model, n_bands, 2 * s)
     at_lattice_q = np.sort(np.concatenate([b.energies[::2] for b in bands]))
-    w = np.linalg.eigvalsh(model.hamiltonian("down"))
+    w = np.linalg.eigvalsh(grid_hamiltonian(model, "down"))
     assert np.abs(at_lattice_q - w[:n_bands * s]).max() <= 1e-10
+
+
+def test_bloch_blocks_match_mathieu():
+    # the analytic oracle, independent of the Fourier-grid construction that
+    # the dense oracle shares with the blocks: P = 32 is the coarsest grid
+    # that converges (P = 16 misses by 9 E_R); the displaced spin-up cell
+    # checks the complex Hermitian blocks
+    for depth, theta, p in ((270.0, 0.0, 32), (270.0, 0.0, 64), (270.0, 0.0, 128),
+                            (50.0, 0.0, 64), (270.0, 0.7, 64), (600.0, 1.2, 64)):
+        lattice = LatticeModel(params=LatticeParams(depth_at_zero=depth, polarization_angle=theta,
+                                                    points_per_site=p))
+        for spin in ("down", "up"):
+            assert mathieu_defect(lattice, spin) <= 1e-9, (depth, theta, p, spin)
 
 
 def test_decompose_input_errors():
@@ -125,12 +139,12 @@ def test_decompose_input_errors():
 
 def test_decompose_lattice_contract(solver):
     lattice, eig, *_ = solver.solve(0.0)
-    checks = FullZone(eig).validate(lattice.hamiltonian("down"))
+    checks = FullZone(eig).validate(grid_hamiltonian(lattice, "down"))
     assert checks["orthonormality"] <= ORTHO_TOL
     assert checks["residual"] <= RESIDUAL_TOL
     # spectrum bounded below by the potential minimum (kinetic part is PSD)
     spectrum = eig.spectrum
-    assert spectrum[0] >= lattice.potential("down").min() - 1e-9
+    assert spectrum[0] >= lattice.cell("down").min() - 1e-9
     assert np.all(np.diff(spectrum) >= 0.0)
     assert np.all(np.diff(eig.energies, axis=1) >= -1e-12)
     assert eig.ground_offset == spectrum[0] == eig.energies[0, 0]
@@ -188,7 +202,7 @@ def test_site_states_match_one_site_dense_oracle(solver, dx):
     # independent route to the q = 0 Bloch block
     lattice, eig, _ = solver.solve(dx)
     site = LatticeModel(params=replace(lattice.params, sites=1))
-    w, v = np.linalg.eigh(site.hamiltonian("down"))
+    w, v = np.linalg.eigh(grid_hamiltonian(site, "down"))
     energies, states = q0_sites(eig, 4)
     assert np.abs(energies - w[:4]).max() <= 1e-10
     signs = np.sign((v[:, :4] * states).sum(axis=0))

@@ -46,26 +46,26 @@ def test_fit_fringe_exact_recovery():
     phis = ifm.default_phase_grid(12)
     v_true, phi_true = 0.8, 1.0
     y = ifm.ideal_fringe(v_true, phi_true, phis)
-    fit = ifm.fit_fringe(phis, y * 200, 200.0)
-    assert fit.v == pytest.approx(v_true, abs=1e-10)
-    assert fit.phi == pytest.approx(phi_true, abs=1e-10)
-    assert fit.offset == pytest.approx(0.5, abs=1e-10)
-    assert not fit.flagged
+    fit = ifm.fit_fringes(phis, [y * 200], 200.0)
+    assert fit.v[0] == pytest.approx(v_true, abs=1e-10)
+    assert fit.phi[0] == pytest.approx(phi_true, abs=1e-10)
+    assert fit.offset[0] == pytest.approx(0.5, abs=1e-10)
+    assert not fit.flagged[0]
     # loss renormalization cancels exactly
     y_loss = y * 0.95
-    fit2 = ifm.fit_fringe(phis, y_loss * 200, 200.0, loss_fraction=0.05)
-    assert fit2.v == pytest.approx(v_true, abs=1e-10)
+    fit2 = ifm.fit_fringes(phis, [y_loss * 200], 200.0, loss_fraction=0.05)
+    assert fit2.v[0] == pytest.approx(v_true, abs=1e-10)
 
 
 def test_fit_fringe_flags_vanishing_visibility():
     phis = ifm.default_phase_grid(12)
     rng = np.random.default_rng(5)
-    counts = rng.binomial(200, 0.5, size=phis.size)
-    fit = ifm.fit_fringe(phis, counts, 200.0)
-    assert fit.flagged
-    assert fit.phi_err > 0.3
+    counts = rng.binomial(200, 0.5, size=(1, phis.size))
+    fit = ifm.fit_fringes(phis, counts, 200.0)
+    assert fit.flagged[0]
+    assert fit.phi_err[0] > 0.3
     with pytest.raises(ParameterError):
-        ifm.fit_fringe(phis[:4], counts[:4], 200.0)
+        ifm.fit_fringes(phis[:4], counts[:, :4], 200.0)
 
 
 @pytest.mark.parametrize("k", [12, 24])
@@ -90,16 +90,12 @@ def test_batched_fit_matches_per_record_oracle(k):
             assert np.array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
-    # fit_fringe is the one-row batch; a multi-right-hand-side lstsq rounds a
-    # row by the batch size, so the full batch's row 0 agrees to the same 1e-12
-    one = ifm.fit_fringe(phis, counts[0], n_total, loss)
-    row = ifm.fit_fringes(phis, counts[:1], n_total, loss)
-    assert one == ifm.FringeFit(**{name: getattr(row, name)[0].item()
-                                   for name in ifm.FringeFit.__dataclass_fields__})
-    assert type(one.v) is float and type(one.flagged) is bool
+    # a multi-right-hand-side lstsq rounds a row by the batch size, so a
+    # one-row batch agrees with the full batch's row 0 to the same 1e-12
+    one = ifm.fit_fringes(phis, counts[:1], n_total, loss)
     for name in ("v", "v_raw", "v_err", "phi", "phi_err", "offset"):
-        assert getattr(one, name) == pytest.approx(getattr(fit, name)[0], rel=1e-12, abs=0.0)
-    assert one.flagged == fit.flagged[0]
+        assert getattr(one, name)[0] == pytest.approx(getattr(fit, name)[0], rel=1e-12, abs=0.0)
+    assert one.flagged[0] == fit.flagged[0]
     for bad in (phis[:5], np.r_[phis[:3], phis[:3]], np.linspace(0.0, 1e-6, k)):
         with pytest.raises(ParameterError):
             ifm.fit_fringes(bad, counts[:, :bad.size], n_total)
@@ -114,8 +110,8 @@ def test_visibility_estimator_calibration():
     for seed in range(trials):
         config = ifm.RamseyConfig(rng_seed=seed, loss_fraction=0.0)
         counts = ifm.sample_fringe(1.0, 0.7, config, t_index=0)
-        fit = ifm.fit_fringe(phis, counts, config.detections_per_point)
-        if 0.9 <= fit.v <= 1.0:
+        fit = ifm.fit_fringes(phis, [counts], config.detections_per_point)
+        if 0.9 <= fit.v[0] <= 1.0:
             hits += 1
     assert hits >= 950
     assert hits <= trials

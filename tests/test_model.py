@@ -1,4 +1,4 @@
-"""Units, lattice geometry, potentials and Hamiltonian assembly."""
+"""Units, lattice geometry, the cell potential and the grid oracle."""
 
 import itertools
 
@@ -7,6 +7,8 @@ import pytest
 
 from qslab import model as m
 from qslab.errors import ParameterError
+
+from conftest import grid_hamiltonian, grid_kinetic, grid_potential
 
 
 def test_recoil_energy_cesium_866nm():
@@ -75,33 +77,34 @@ def test_trap_frequency_scaling_and_kilohertz():
 
 def test_potentials_shape_and_displacement():
     params = m.LatticeParams(polarization_angle=np.pi / 2)
-    down = m.build_potential(params, "down")
-    up = m.build_potential(params, "up")
+    lattice = m.LatticeModel(params=params)
+    cells = lattice.cell("down"), lattice.cell("up")
+    assert all(c.shape == (params.points_per_site,) and not c.flags.writeable for c in cells)
+    down = grid_potential(params, "down")
+    up = grid_potential(params, "up")
     assert down.shape == up.shape == (params.sites * params.points_per_site,)
-    assert not down.flags.writeable and not up.flags.writeable
     # spin-down minima at integer coordinates, u = 0 at index S P // 2;
     # spin-up displaced by half a site, P / 2 points further on
     p = params.points_per_site
     center = params.sites * p // 2
     assert down[center] == pytest.approx(down.min(), abs=1e-12)
     assert up[center + p // 2] == pytest.approx(up.min(), abs=1e-12)
-    assert down.min() == pytest.approx(-m.LatticeModel(params=params).depth, abs=1e-9)
+    assert down.min() == pytest.approx(-lattice.depth, abs=1e-9)
     # periodic with period one site
     assert np.allclose(down[p:], down[:-p], atol=1e-12)
     # theta = 0: identical potentials and Hamiltonians entrywise
-    params0 = m.LatticeParams(polarization_angle=0.0, sites=5, points_per_site=32)
-    pot_up = m.build_potential(params0, "up")
-    pot_down = m.build_potential(params0, "down")
-    assert np.array_equal(pot_up, pot_down)
-    assert np.array_equal(m.build_hamiltonian(pot_up, 5), m.build_hamiltonian(pot_down, 5))
+    lattice0 = m.LatticeModel(params=m.LatticeParams(polarization_angle=0.0, sites=5,
+                                                     points_per_site=32))
+    assert np.array_equal(lattice0.cell("up"), lattice0.cell("down"))
+    assert np.array_equal(grid_hamiltonian(lattice0, "up"), grid_hamiltonian(lattice0, "down"))
     with pytest.raises(ParameterError):
-        m.build_potential(params, "sideways")
+        lattice.cell("sideways")
 
 
 def test_grid_min_matches_closed_form_depth():
     for dx in (0.1, 0.37):
         lattice = m.LatticeModel.from_displacement(dx)
-        pot = lattice.potential("up")
+        pot = lattice.cell("up")
         h = 1.0 / lattice.params.points_per_site
         # nearest grid point sits within h/2 of the well bottom, where the
         # parabolic expansion gives an offset of at most U0 pi^2 h^2 / 4
@@ -111,25 +114,25 @@ def test_grid_min_matches_closed_form_depth():
 
 def test_hamiltonian_symmetry_exact():
     lattice = m.LatticeModel(params=m.LatticeParams(sites=5, points_per_site=32))
-    ham = lattice.hamiltonian("down")
+    ham = grid_hamiltonian(lattice, "down")
     assert np.abs(ham - ham.T).max() == 0.0
 
 
 def test_cell_is_the_central_site_of_the_potential():
     # u = (l - P/2)/P on the central site is the same integer arithmetic at
     # every odd S, so the one-site sampling the Bloch blocks take is bitwise
-    # the dense oracle's central row
+    # the central site of the dense oracle's S-site potential
     for s, p, dx in itertools.product((1, 3, 9, 33), (4, 64), (0.0, 0.11, 0.5)):
         lattice = m.LatticeModel.from_displacement(dx, m.LatticeParams(sites=s, points_per_site=p))
         for spin in ("down", "up"):
-            central = m.build_potential(lattice.params, spin).reshape(s, p)[s // 2]
+            central = grid_potential(lattice.params, spin).reshape(s, p)[s // 2]
             assert lattice.cell(spin).tobytes() == central.tobytes()
 
 
 def test_free_particle_spectrum():
     # V = 0: the Fourier-grid kinetic term reproduces kappa k^2
     n = 5 * 32
-    w = np.linalg.eigvalsh(m.build_hamiltonian(np.zeros(n), 5))
+    w = np.linalg.eigvalsh(grid_kinetic(n, 5))
     k = 2 * np.pi * np.fft.fftfreq(n, d=5 / n)
     expected = np.sort(m.KAPPA * k**2)
     assert np.allclose(w, expected, atol=1e-9)
@@ -164,7 +167,7 @@ def test_apply_matches_matrix():
     spectrum[-n % size] = h_coeff.conj()
     spectrum[n % size] = h_coeff
     direct = np.fft.ifft(spectrum, norm="ortho")
-    dense = lattice.hamiltonian("down") @ psi
+    dense = grid_hamiltonian(lattice, "down") @ psi
     assert np.abs(direct - dense).max() < 1e-10 * np.abs(dense).max()
 
 

@@ -66,10 +66,10 @@ def test_crossover_time_is_tau_mt_squared_over_tau_ml(pairs):
 def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
     config = interferometer.RamseyConfig(loss_fraction=loss, noiseless=True)
     counts = interferometer.sample_fringe(visibility, phase, config, 0)
-    fit = interferometer.fit_fringe(config.phase_grid, counts, config.detections_per_point,
-                                    loss)
-    assert fit.v == pytest.approx(visibility, abs=1e-12)
-    assert abs(np.angle(np.exp(1j * (fit.phi - phase)))) <= 1e-10
+    fit = interferometer.fit_fringes(config.phase_grid, [counts], config.detections_per_point,
+                                     loss)
+    assert fit.v[0] == pytest.approx(visibility, abs=1e-12)
+    assert abs(np.angle(np.exp(1j * (fit.phi[0] - phase)))) <= 1e-10
 
 
 @PROFILE

@@ -11,7 +11,6 @@ import pytest
 import yaml
 
 from qslab import cli, eigensolve, interferometer, scan
-from qslab import model as qmodel
 from qslab.errors import ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
@@ -89,10 +88,11 @@ def test_config_defaults_are_the_dataclass_defaults():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves only as a test oracle; a fresh interpreter shows what the
-    # command line pulls in at start-up
+    # scipy serves only as a test oracle, and yaml only load_config; a fresh
+    # interpreter shows what the command line pulls in at start-up
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    probe = "import sys, qslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = ("import sys, qslab.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'yaml'))))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
@@ -359,12 +359,17 @@ def test_reference_curves_match_spectral_moments(solver, monkeypatch):
 def test_scan_and_bands_sample_one_cell(tmp_path, monkeypatch):
     # the points, the reference curves and the bands solve Bloch blocks of
     # one cell, LatticeModel.cell; none samples the potential on all S P points
-    sites, build = [], qmodel.build_potential
-    monkeypatch.setattr(qmodel, "build_potential",
-                        lambda params, *rest: sites.append(params.sites) or build(params, *rest))
+    sizes, cell = [], LatticeModel.cell
+
+    def sampled(model, spin):
+        values = cell(model, spin)
+        sizes.append(values.size)
+        return values
+
+    monkeypatch.setattr(LatticeModel, "cell", sampled)
     scan.run_scan(small_config(tmp_path, curves=True, curve_points=2))
     eigensolve.band_structure(LatticeModel(params=SMALL), 2, 4)
-    assert sites and set(sites) == {1}
+    assert sizes and set(sizes) == {SMALL.points_per_site}
 
 
 def test_aggregate_reports(tmp_path):
@@ -406,14 +411,19 @@ def test_cli_point_and_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("qslab report: error: --dir") and err.count("\n") == 1
     assert missing in err
-    # a truncated report.json used to end in a JSONDecodeError traceback
+    # a truncated report.json used to end in a JSONDecodeError traceback, and
+    # one that parses but holds no report in a TypeError ([1, 2]) or in
+    # KeyError: 'min_margin' ({})
     rpath = os.path.join(out, "n0_dx0.1000", "report.json")
-    with open(rpath, "r+", encoding="utf-8") as fh:
-        fh.truncate(10)
-    assert cli.main(["report", "--dir", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"qslab report: error: report file {rpath!r}: ")
-    assert err.count("\n") == 1
+    with open(rpath, "r", encoding="utf-8") as fh:
+        truncated = fh.read(10)
+    for text in (truncated, "[1, 2]", "{}"):
+        with open(rpath, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert cli.main(["report", "--dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qslab report: error: report file {rpath!r}: ")
+        assert err.count("\n") == 1
 
 
 def test_cli_point_flags_replace_half_of_the_point(tmp_path, capsys):
@@ -473,10 +483,15 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
         assert err.startswith(f"qslab {argv[0]}: error: ") and text in err
         assert err.count("\n") == 1
         assert not os.path.exists(out)
-    # a config file that cannot be read or parsed used to end in a traceback
+    # a config file that cannot be read or parsed, that is not UTF-8 or that
+    # holds an impossible date used to end in a traceback
     broken = tmp_path / "broken.yaml"
     broken.write_text("scan: [1, 2\n")
-    for config in (str(tmp_path / "missing.yaml"), str(broken)):
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(b'scan:\n  out: "\xff\xfe"\n')
+    dated = tmp_path / "dated.yaml"
+    dated.write_text("scan:\n  seed: 2020-13-45\n")
+    for config in (str(tmp_path / "missing.yaml"), str(broken), str(latin), str(dated)):
         assert cli.main(["scan", "--config", config, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"qslab scan: error: config file {config!r}: ")
