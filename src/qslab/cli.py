@@ -52,8 +52,8 @@ def cmd_point(args) -> int:
         with open(os.path.join(cfg.out_dir, "failures.json"), "r", encoding="utf-8") as fh:
             print(fh.read().rstrip(), file=sys.stderr)
         return 1
-    label = f"n{point[0]}_dx{point[1]:.4f}"
-    with open(os.path.join(cfg.out_dir, label, "report.json"), "r", encoding="utf-8") as fh:
+    report = os.path.join(cfg.out_dir, scan.point_label(*point), "report.json")
+    with open(report, "r", encoding="utf-8") as fh:
         print(fh.read().rstrip())
     return 0 if summary["bound_violations"] == 0 else 1
 
@@ -71,7 +71,7 @@ def cmd_bands(args) -> int:
     rows = [(b.band_index, q, e) for b in bands
             for q, e in zip(b.quasimomenta, b.energies)]
     scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"], rows)
-    eig = eigensolve.decompose(model.cell("down"), cfg.params.sites)
+    eig = eigensolve.decompose(model.depth, cfg.params.sites, cfg.params.points_per_site)
     scan.write_csv(os.path.join(out_dir, "energies.csv"), ["index", "energy_Er"],
                    list(enumerate(eig.spectrum[: args.n_levels])))
     hertz = model.recoil.hertz

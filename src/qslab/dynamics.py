@@ -96,13 +96,13 @@ def prepare_initial(n: int, dx: float, site_states: np.ndarray, quasimomenta: np
                     orders: np.ndarray) -> np.ndarray:
     """Displaced vibrational state: single-site level n, zero-padded, shifted by dx.
 
-    Column n of `site_states` (eigensolve.site_states of the q = 0 block, on
-    the P points u = (l - P/2)/P) sits on the central site of the S-site grid and
-    is translated by dx, so the packet and the integer-site wells differ by
-    exactly dx.  Returns its (Q, P) coefficients on the plane waves
+    Column n of `site_states`, phi(u) on the P points u = (l - P/2)/P
+    (eigensolve.site_states of the q = 0 block), sits on the central site of
+    the S-site grid and is translated by dx, so the packet and the
+    integer-site wells differ by exactly dx.  Returns its (Q, P) coefficients on the plane waves
     exp(i k u), k = q + 2 pi m, of the blocks with these quasimomenta and
-    orders (S = 2 Q - 1): a_q(m) = sum_u cell(u) exp(-i k (u + dx)) / sqrt(S P),
-    a P-point FFT of cell(u) exp(-i q u) read at m mod P, times (-1)^m for
+    orders (S = 2 Q - 1): a_q(m) = sum_u phi(u) exp(-i k (u + dx)) / sqrt(S P),
+    a P-point FFT of phi(u) exp(-i q u) read at m mod P, times (-1)^m for
     the cell's first point at u = -1/2 and the translation's phase.
     """
     if n not in (0, 1, 2):

@@ -1,15 +1,15 @@
 """Bloch-block eigensolution of the periodic lattice and its band structure.
 
 The S-site periodic Fourier-grid Hamiltonian commutes with a shift by one
-site, so an FFT over the grid splits it into S Hermitian P x P blocks, one
-per quasimomentum q = 2 pi j / S (Bloch's theorem; Marston and
-Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)).  A cell that is its own
-mirror image, such as the spin-down cos^2 well, has real Fourier components,
-so its blocks are real symmetric (the Mathieu problem) and are solved in
-real arithmetic.  Time reversal pairs q with -q, so only the (S + 1) / 2
-blocks with q >= 0 are built, diagonalised and kept.  The same block builder gives the band energies at any q.
-LAPACK's symmetric and Hermitian solvers use no randomized pivoting, so
-repeated solves of the same input are bit-identical.
+site, so it splits into S P x P blocks, one per quasimomentum
+q = 2 pi j / S (Bloch's theorem; Marston and Balint-Kurti, J. Chem. Phys.
+91, 3571 (1989)).  The cos^2 well has three Fourier terms, so each block is
+Mathieu's real symmetric matrix (DLMF 28.2; Slater, Phys. Rev. 87, 807
+(1952)), built in closed form and solved in real arithmetic.  Time reversal
+pairs q with -q, so only the (S + 1) / 2 blocks with q >= 0 are built,
+diagonalised and kept.  The same block builder gives the band energies at
+any q.  LAPACK's symmetric solver uses no randomized pivoting, so repeated
+solves of the same input are bit-identical.
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ from .errors import ConstructionError, NumericError, ParameterError
 from .model import KAPPA, LatticeModel
 
 
-def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
-    """Bloch blocks of one lattice cell, one per quasimomentum.
+def _bloch_blocks(depth: float, points: int, quasimomenta: np.ndarray):
+    """Bloch blocks of the lattice -depth cos^2(pi u), one per quasimomentum.
 
-    `cell` holds the potential (E_R) on the P points (l - P/2)/P of one site.
-    Block q acts on the P plane waves exp(i (q + 2 pi m) u) whose wavenumber
-    lies in the grid's Nyquist window [-pi P, pi P): kappa (q + 2 pi m)^2 on
-    the diagonal plus the discrete Fourier components of the cell potential,
-    which couple orders m and m' through (m - m') mod P.  At q = 2 pi j / S
-    these blocks are exactly the S-site Fourier-grid operator.  When the cell
-    is bitwise its own mirror image on the periodic grid, cell[l] ==
-    cell[-l mod P], its Fourier components are real up to rounding, which is
-    dropped: the blocks are then real symmetric, otherwise Hermitian.
+    Block q acts on the P = `points` plane waves exp(i (q + 2 pi m) u) whose
+    wavenumber lies in the grid's Nyquist window [-pi P, pi P): kappa
+    (q + 2 pi m)^2 on the diagonal plus the discrete Fourier components of
+    the potential on P points per site, which couple orders m and m' through
+    (m - m') mod P.  cos^2 is band-limited, so those components are exactly
+    V[0] = -U0/2 and V[1] = V[P - 1] = -U0/4 for any P >= 4, the wrap between
+    the two ends of the window included.  At q = 2 pi j / S these blocks are
+    exactly the S-site Fourier-grid operator.
 
     The plane waves are ordered by |q + 2 pi m|, so the kinetic diagonal
     grows down each block.  LAPACK's rounding in the deep bands is then
@@ -42,21 +41,18 @@ def _bloch_blocks(cell: np.ndarray, quasimomenta: np.ndarray):
 
     Returns
     -------
-    blocks : (Q, P, P) float array for a mirror-symmetric cell, else complex
+    blocks : (Q, P, P) float, real symmetric
     orders : (Q, P) integer plane-wave order m of each row
     """
-    p = cell.size
     q = np.asarray(quasimomenta, dtype=float)[:, None]
-    window = np.ceil(-p / 2 - q / (2.0 * np.pi)).astype(int) + np.arange(p)
+    window = np.ceil(-points / 2 - q / (2.0 * np.pi)).astype(int) + np.arange(points)
     orders = np.take_along_axis(
         window, np.argsort(np.abs(q + 2.0 * np.pi * window), axis=1, kind="stable"), axis=1)
-    # (-1)^g moves the transform's origin from the cell's first point to u = 0
-    v_g = (-1.0) ** np.arange(p) * np.fft.fft(cell) / p
-    if np.array_equal(cell, cell[-np.arange(p) % p]):
-        v_g = v_g.real
-    coupling = v_g[(orders[:, :, None] - orders[:, None, :]) % p]
+    v_g = np.zeros(points)
+    v_g[0], v_g[1], v_g[-1] = -depth / 2.0, -depth / 4.0, -depth / 4.0
+    coupling = v_g[(orders[:, :, None] - orders[:, None, :]) % points]
     kinetic = KAPPA * (q + 2.0 * np.pi * orders) ** 2
-    return coupling + kinetic[:, :, None] * np.eye(p), orders
+    return coupling + kinetic[:, :, None] * np.eye(points), orders
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class EigenDecomposition:
     block -q the same energies, so weights[j], 1 at q = 0 and 2 otherwise,
     counts each block for its pair.  ground_offset is energies[0, 0]: the
     lattice's nodeless ground state has q = 0.  Consumers subtract it so the
-    trap ground state sits at zero.  vectors are real for a mirror-symmetric cell.
+    trap ground state sits at zero.
     """
 
     energies: np.ndarray       # (Q, P)
@@ -107,31 +103,31 @@ def site_states(vectors: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return cells.real
 
 
-def half_zone(cell: np.ndarray, sites: int):
+def half_zone(depth: float, sites: int, points: int):
     """(blocks, orders, quasimomenta, weights) of the (S + 1)/2 Bloch blocks
-    with q >= 0 of an S-site lattice of `cell` (LatticeModel.cell); see
-    _bloch_blocks and EigenDecomposition."""
+    with q >= 0 of the S-site lattice of depth U0 (E_R) on P points per site;
+    see _bloch_blocks and EigenDecomposition."""
     if sites % 2 == 0:
         raise ConstructionError("the q <-> -q pairing of the blocks needs an odd site count")
-    # a real potential makes block -q the complex conjugate of block q, with
-    # plane-wave orders m -> -m (odd S, so the Nyquist windows mirror)
+    # the even potential makes block -q block q with plane-wave orders
+    # m -> -m (odd S, so the Nyquist windows mirror)
     q = 2.0 * np.pi * np.arange(sites // 2 + 1) / sites
-    blocks, orders = _bloch_blocks(cell, q)
+    blocks, orders = _bloch_blocks(depth, points, q)
     return blocks, orders, q, np.where(q > 0, 2.0, 1.0)
 
 
-def decompose(cell: np.ndarray, sites: int) -> EigenDecomposition:
+def decompose(depth: float, sites: int, points: int) -> EigenDecomposition:
     """All eigenmodes of H = T + diag(V) on the S-site periodic grid, by Bloch blocks.
 
-    Takes one cell (LatticeModel.cell) and S, never the S P samples or the
+    Takes the depth U0 (E_R), S and P, never the S P samples or the
     (S P) x (S P) matrix: one batched eigh solves the half-zone blocks of
     half_zone, and block -q is left implicit (EigenDecomposition.weights).
     """
-    blocks, orders, q, weights = half_zone(cell, sites)
+    blocks, orders, q, weights = half_zone(depth, sites, points)
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"Hermitian eigensolver did not converge: {exc}") from exc
+        raise NumericError(f"symmetric eigensolver did not converge: {exc}") from exc
     return EigenDecomposition(energies=energies, vectors=vectors, orders=orders, quasimomenta=q,
                               weights=weights, ground_offset=float(energies[0, 0]))
 
@@ -169,7 +165,7 @@ def band_structure(model: LatticeModel, n_bands: int, q_points: int) -> list[Ban
     # include q = 0 and the zone edge q = pi exactly so cosine-like bands
     # report their full width
     q_grid = np.linspace(-np.pi, np.pi, q_points + 1)[1:]
-    blocks, _ = _bloch_blocks(model.cell("down"), q_grid)
+    blocks, _ = _bloch_blocks(model.depth, p, q_grid)
     energies = np.linalg.eigvalsh(blocks)[:, :n_bands]
     bands = []
     for b in range(n_bands):

@@ -1,4 +1,4 @@
-"""Lattice geometry, units and the spin-dependent potential of one lattice cell.
+"""Lattice geometry, units and the spin-dependent trap depth and frequency.
 
 Internally everything is dimensionless: lengths in units of the lattice
 constant lambda/2, energies in recoil energies E_R = (2*pi*hbar)^2/(2*m*lambda^2),
@@ -135,8 +135,8 @@ class LatticeParams:
 class LatticeModel:
     """All derived quantities for one lattice configuration.
 
-    Bundles the parameters, the potentials and the unit conversions used by
-    the rest of the pipeline.  Immutable.
+    Bundles the parameters, the trap depth and frequency and the unit
+    conversions used by the rest of the pipeline.  Immutable.
     """
 
     params: LatticeParams
@@ -168,23 +168,6 @@ class LatticeModel:
     @property
     def trap_frequency_rad_s(self) -> float:
         return self.homega * 2.0 * np.pi * self.recoil.hertz
-
-    def cell(self, spin: str) -> np.ndarray:
-        """Read-only U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the P points
-        u = (l - P/2)/P of one site, a well centered at u = 0: the cell the
-        Bloch blocks take.
-
-        The spin-down lattice has minima at integer site coordinates; the
-        spin-up lattice is the same profile displaced by +Dx(theta).
-        """
-        if spin not in ("up", "down"):
-            raise ParameterError(f"spin must be 'up' or 'down', got {spin!r}")
-        p = self.params.points_per_site
-        u = (np.arange(p) - p // 2) / p
-        u0 = displacement_from_angle(self.theta) if spin == "up" else 0.0
-        values = -self.depth * np.cos(np.pi * (u - u0)) ** 2
-        values.flags.writeable = False
-        return values
 
     def coherent_alpha(self, dx: float) -> float:
         """Coherent-state amplitude |alpha| = sqrt(m omega/(2 hbar)) * dx.

@@ -67,10 +67,16 @@ class ScanConfig:
         seen = set()
         for n, dx in self.points:
             check_point("scan.points", n, dx)
-            key = (n, round(dx, 12))
-            if key in seen:
-                raise ParameterError(f"duplicate scan point {key}")
-            seen.add(key)
+            label = point_label(n, dx)
+            if label in seen:
+                raise ParameterError(f"duplicate scan point {label}: a point's directory "
+                                     "name carries dx to 4 decimals")
+            seen.add(label)
+
+
+def point_label(n: int, dx: float) -> str:
+    """The name of a point's artifact directory and failure record."""
+    return f"n{n}_dx{dx:.4f}"
 
 
 def check_point(where: str, n: int, dx: float) -> None:
@@ -86,14 +92,15 @@ def load_config(path: str) -> ScanConfig:
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ParameterError(f"config file {path!r}: {exc.strerror}") from exc
     except (yaml.YAMLError, ValueError) as exc:
         # a YAML message spans lines, printed here on one; a ValueError is a
         # file that is not UTF-8 or a date such as 2020-13-45
         raise ParameterError(f"config file {path!r}: {' '.join(str(exc).split())}") from exc
-    return config_from_dict(raw)
+    # only an empty file means the defaults; false, 0 or [] are not a config
+    return config_from_dict({} if raw is None else raw)
 
 
 def _integer(value) -> int:
@@ -105,6 +112,13 @@ def _integer(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """An int or float that is not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _boolean(value) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -113,16 +127,16 @@ def _boolean(value) -> bool:
 
 def _points(raw) -> tuple:
     # null or an empty list keeps the default grid
-    return tuple((_integer(n), float(dx)) for n, dx in raw or ()) or ScanConfig.points
+    return tuple((_integer(n), _real(dx)) for n, dx in raw or ()) or ScanConfig.points
 
 
 # config key -> (field name, converter) per section; a key left out keeps its
 # dataclass default, so each default is set in one place
 _KEYS = {
-    "lattice": {"wavelength_nm": ("wavelength", lambda nm: float(nm) * 1e-9),
-                "depth_Er": ("depth_at_zero", float), "sites": ("sites", _integer),
+    "lattice": {"wavelength_nm": ("wavelength", lambda nm: _real(nm) * 1e-9),
+                "depth_Er": ("depth_at_zero", _real), "sites": ("sites", _integer),
                 "points_per_site": ("points_per_site", _integer)},
-    "state": {"n": ("n", _integer), "dx_halflambda": ("dx", float)},
+    "state": {"n": ("n", _integer), "dx_halflambda": ("dx", _real)},
     "scan": {"points": ("points", _points), "estimator": ("estimator", str),
              "seed": ("seed", _integer), "out": ("out_dir", str),
              "time_points": ("time_points", _integer),
@@ -130,8 +144,8 @@ _KEYS = {
     "ramsey": {"phases": ("phase_grid",
                           lambda k: interferometer.default_phase_grid(_integer(k))),
                "atoms_per_shot": ("atoms_per_shot", _integer),
-               "repetitions": ("repetitions", _integer), "loss_fraction": ("loss_fraction", float),
-               "light_shift_slope_rad_per_us": ("light_shift_slope", float)},
+               "repetitions": ("repetitions", _integer), "loss_fraction": ("loss_fraction", _real),
+               "light_shift_slope_rad_per_us": ("light_shift_slope", _real)},
 }
 
 
@@ -185,7 +199,7 @@ class PointResult:
 
     @property
     def label(self) -> str:
-        return f"n{self.n}_dx{self.dx:.4f}"
+        return point_label(self.n, self.dx)
 
 
 def _site_model(dx: float, params: LatticeParams) -> LatticeModel:
@@ -204,7 +218,7 @@ def solve_displacement(dx: float, params: LatticeParams):
     their site states and e_n.  The evolution wells sit at integer sites; the
     packet carries the relative displacement dx (see dynamics.prepare_initial)."""
     model = _site_model(dx, params)
-    return model, eigensolve.decompose(model.cell("down"), params.sites)
+    return model, eigensolve.decompose(model.depth, params.sites, params.points_per_site)
 
 
 def run_point(n: int, dx: float, config: ScanConfig, solved,
@@ -291,7 +305,8 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
     rows = []
     for dx in dx_values:
         model = _site_model(float(dx), config.params)
-        blocks, orders, q, weights = eigensolve.half_zone(model.cell("down"), config.params.sites)
+        blocks, orders, q, weights = eigensolve.half_zone(model.depth, config.params.sites,
+                                                          config.params.points_per_site)
         site_e, vectors = np.linalg.eigh(blocks[0])
         site_states = eigensolve.site_states(vectors[:, :3], orders[0])
         for n in (0, 1, 2):
@@ -403,13 +418,13 @@ def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
     try:
         solved = solve_displacement(dx, config.params)
     except Exception as exc:  # noqa: BLE001 - continue-on-error policy
-        failures.extend({"point": f"n{n}_dx{dx:.4f}", "error": str(exc)} for _, n in group)
+        failures.extend({"point": point_label(n, dx), "error": str(exc)} for _, n in group)
         return
     for idx, n in group:
         try:
             results[idx] = run_point(n, dx, config, solved, idx)
         except Exception as exc:  # noqa: BLE001
-            failures.append({"point": f"n{n}_dx{dx:.4f}", "error": str(exc)})
+            failures.append({"point": point_label(n, dx), "error": str(exc)})
 
 
 def run_scan(config: ScanConfig) -> dict:

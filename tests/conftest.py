@@ -1,8 +1,8 @@
-"""Shared fixtures: cached lattice solutions, the default-grid sweep, the two
-oracles of the Bloch solver (the dense Hamiltonian on the S-site grid and
-Mathieu's equation), the grid route the half-zone packets are checked
-against, and the per-record fringe fit and per-cell CSV formatter the
-batched paths are checked against."""
+"""Shared fixtures: cached lattice solutions, the default-grid sweep, the
+oracles of the Bloch solver (the dense Hamiltonian on the S-site grid, the
+Bloch blocks of a sampled cell and Mathieu's equation), the grid route the
+half-zone packets are checked against, and the per-record fringe fit and
+per-cell CSV formatter the batched paths are checked against."""
 
 import numpy as np
 import pytest
@@ -38,8 +38,9 @@ class LatticeSolver:
 
 def grid_potential(params, spin):
     """U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the S P points
-    u = (j - S P // 2) / P of the whole box, by the float operations of
-    LatticeModel.cell: its central site is bitwise the cell."""
+    u = (j - S P // 2) / P of the whole box.  The spin-down lattice has
+    minima at integer site coordinates; the spin-up lattice is the same
+    profile displaced by +Dx(theta)."""
     n = params.sites * params.points_per_site
     u = (np.arange(n) - n // 2) / params.points_per_site
     theta = params.polarization_angle
@@ -66,9 +67,50 @@ def grid_hamiltonian(lattice, spin):
     return (mat + mat.T) / 2.0
 
 
+def central_cell(params, spin):
+    """The P samples of grid_potential on the central site, u = (l - P/2)/P."""
+    return grid_potential(params, spin).reshape(params.sites, -1)[params.sites // 2]
+
+
+def cell_blocks(cell, quasimomenta):
+    """Bloch blocks of any sampled cell, the oracle of eigensolve._bloch_blocks.
+
+    `cell` holds the potential on the P points (l - P/2)/P of one site.  Block
+    q is built on the plane-wave orders of eigensolve._bloch_blocks, ordered by
+    |q + 2 pi m|, and couples orders m and m' through the cell's discrete
+    Fourier component (m - m') mod P, taken by an FFT.  A cell that is bitwise
+    its own mirror image, cell[l] == cell[-l mod P], has real components up
+    to rounding, which is dropped: its blocks are real symmetric, those of
+    any other cell complex Hermitian.
+    """
+    p = cell.size
+    q = np.asarray(quasimomenta, dtype=float)[:, None]
+    window = np.ceil(-p / 2 - q / (2.0 * np.pi)).astype(int) + np.arange(p)
+    orders = np.take_along_axis(
+        window, np.argsort(np.abs(q + 2.0 * np.pi * window), axis=1, kind="stable"), axis=1)
+    # (-1)^g moves the transform's origin from the cell's first point to u = 0
+    v_g = (-1.0) ** np.arange(p) * np.fft.fft(cell) / p
+    if np.array_equal(cell, cell[-np.arange(p) % p]):
+        v_g = v_g.real
+    coupling = v_g[(orders[:, :, None] - orders[:, None, :]) % p]
+    kinetic = KAPPA * (q + 2.0 * np.pi * orders) ** 2
+    return coupling + kinetic[:, :, None] * np.eye(p), orders
+
+
+def cell_decompose(cell, sites):
+    """eigensolve.decompose of any sampled cell, through cell_blocks."""
+    q = 2.0 * np.pi * np.arange(sites // 2 + 1) / sites
+    blocks, orders = cell_blocks(cell, q)
+    energies, vectors = np.linalg.eigh(blocks)
+    return eigensolve.EigenDecomposition(
+        energies=energies, vectors=vectors, orders=orders, quasimomenta=q,
+        weights=np.where(q > 0, 2.0, 1.0), ground_offset=float(energies[0, 0]))
+
+
 def mathieu_defect(lattice, spin="down"):
-    """Largest |error| (E_R) of the 12 lowest band energies of
-    lattice.cell(spin) at q = 0 and q = pi against Mathieu's equation.
+    """Largest |error| (E_R) of the 12 lowest band energies of one spin's
+    lattice at q = 0 and q = pi against Mathieu's equation: spin-down through
+    eigensolve._bloch_blocks, spin-up through cell_blocks of its sampled cell.
 
     With z = pi u, shifted by pi/2, the cell -U0 cos^2(pi u) under kappa k^2
     is y'' + (a - 2 q_M cos 2z) y = 0 with q_M = U0/4 and E = a - U0/2.  The
@@ -79,7 +121,11 @@ def mathieu_defect(lattice, spin="down"):
     q_M = 61.07 scipy's mathieu_a(13) returns a_11.  cos^2 is band-limited,
     so the displaced spin-up cell has the same spectrum.
     """
-    blocks, _ = eigensolve._bloch_blocks(lattice.cell(spin), [0.0, np.pi])
+    p = lattice.params.points_per_site
+    if spin == "down":
+        blocks, _ = eigensolve._bloch_blocks(lattice.depth, p, [0.0, np.pi])
+    else:
+        blocks, _ = cell_blocks(central_cell(lattice.params, spin), [0.0, np.pi])
     energies = np.linalg.eigvalsh(blocks)[:, :12]
     r, q_m = np.arange(6), lattice.depth / 4.0
     values = np.sort([np.r_[mathieu_a(2 * r, q_m), mathieu_b(2 * r + 2, q_m)],

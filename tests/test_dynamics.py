@@ -11,7 +11,8 @@ from qslab import eigensolve
 from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
-from conftest import FullZone, LatticeSolver, block_packet, grid_packet, q0_sites
+from conftest import (FullZone, LatticeSolver, block_packet, cell_decompose, central_cell,
+                      grid_packet, q0_sites)
 
 
 def poisson_pmf(k, x):
@@ -176,7 +177,8 @@ def test_direct_moments_cross_check(solver):
     # the two routes agree to about 1e-13 relative
     for dx in (0.025, 0.08, 0.5):
         model, eig, (_, site_states) = solver.solve(dx)
-        blocks, *_ = eigensolve.half_zone(model.cell("down"), model.params.sites)
+        blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
+                                          model.params.points_per_site)
         for n in (0, 1, 2):
             packet = block_packet(n, dx, eig, site_states)
             spec_moms = dyn.moments(dyn.to_spectral(packet, eig))
@@ -188,7 +190,8 @@ def test_direct_moments_cross_check(solver):
 
 def test_direct_moments_stationary_and_plane_wave(solver):
     model, eig, *_ = solver.solve(0.0)
-    blocks, *_ = eigensolve.half_zone(model.cell("down"), model.params.sites)
+    blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
+                                      model.params.points_per_site)
     ground = np.zeros(eig.orders.shape)
     ground[0] = eig.vectors[0][:, 0]
     moms = dyn.direct_moments(blocks, ground, eig.weights, eig.ground_offset)
@@ -198,7 +201,7 @@ def test_direct_moments_stationary_and_plane_wave(solver):
     # kinetic term: cos(k1 u) is the plane wave k1 and its -q partner
     from qslab.model import KAPPA
 
-    blocks, orders, q, weights = eigensolve.half_zone(np.zeros(32), 5)
+    blocks, orders, q, weights = eigensolve.half_zone(0.0, 5, 32)
     k1 = 2.0 * np.pi / 5
     assert q[1] == pytest.approx(k1, rel=1e-15)
     wave = np.zeros(orders.shape, dtype=complex)
@@ -211,15 +214,17 @@ def test_direct_moments_stationary_and_plane_wave(solver):
 def test_displacement_gauge_equivalence():
     # shifting the packet over integer-centered wells is the same physics as
     # keeping the packet at the origin inside the displaced spin-up lattice;
-    # populations (hence every downstream quantity) must agree
+    # populations (hence every downstream quantity) must agree.  The spin-up
+    # cell is not its own mirror image, so its blocks come from the sampled
+    # cell's oracle (conftest.cell_blocks)
     from qslab import eigensolve
     from qslab.model import LatticeModel, LatticeParams
 
     dx = 0.11
     params = LatticeParams(sites=9, points_per_site=32)
     model = LatticeModel.from_displacement(dx, params)
-    eig_down = eigensolve.decompose(model.cell("down"), model.params.sites)
-    eig_up = eigensolve.decompose(model.cell("up"), model.params.sites)
+    eig_down = eigensolve.decompose(model.depth, params.sites, params.points_per_site)
+    eig_up = cell_decompose(central_cell(model.params, "up"), params.sites)
     site_states = q0_sites(eig_down)[1]
     for n in (0, 1, 2):
         spec_a = dyn.to_spectral(block_packet(n, dx, eig_down, site_states), eig_down)
@@ -307,13 +312,19 @@ def test_block_populations_match_grid_oracle():
 @pytest.mark.parametrize("spin, dx", [("down", 0.11), ("up", 0.0)])
 def test_half_zone_weights_reproduce_full_zone(spin, dx):
     # time reversal pairs q with -q, so the half zone weighted (1, 2, ..., 2)
-    # gives the full zone's moments and overlap, for the real spin-down and
-    # the complex spin-up blocks alike (wells displaced by 0.11 from the packet)
-    model = LatticeModel.from_displacement(0.11, LatticeParams(sites=9, points_per_site=32))
-    eig = eigensolve.decompose(model.cell(spin), model.params.sites)
+    # gives the full zone's moments and overlap, for the real spin-down blocks
+    # of decompose and the complex spin-up blocks of the sampled cell's oracle
+    # alike (wells displaced by 0.11 from the packet)
+    params = LatticeParams(sites=9, points_per_site=32)
+    model = LatticeModel.from_displacement(0.11, params)
+    down = eigensolve.decompose(model.depth, params.sites, params.points_per_site)
+    if spin == "down":
+        eig = down
+    else:
+        eig = cell_decompose(central_cell(model.params, "up"), params.sites)
     assert eig.energies.shape == (5, 32)
     assert np.array_equal(eig.weights, [1.0, 2.0, 2.0, 2.0, 2.0])
-    site_states = q0_sites(eigensolve.decompose(model.cell("down"), model.params.sites))[1]
+    site_states = q0_sites(down)[1]
     full = FullZone(eig)
     for n in (0, 1, 2):
         half = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)

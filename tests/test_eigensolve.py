@@ -1,5 +1,6 @@
 """Eigendecomposition contract and band-structure claims."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ from qslab.errors import ConstructionError, ParameterError
 from qslab.model import KAPPA, LatticeModel, LatticeParams
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
-from conftest import (FullZone, block_packet, grid_hamiltonian, grid_packet, mathieu_defect,
-                      q0_sites)
+from conftest import (FullZone, block_packet, cell_blocks, central_cell, grid_hamiltonian,
+                      grid_packet, mathieu_defect, q0_sites)
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -25,7 +26,7 @@ def test_block_solve_matches_dense_oracle():
     dx = 0.11
     model = LatticeModel.from_displacement(dx, SMALL)
     s = SMALL.sites
-    eig = es.decompose(model.cell("down"), model.params.sites)
+    eig = es.decompose(model.depth, s, SMALL.points_per_site)
     full = FullZone(eig)
     site_states = q0_sites(eig)[1]
     w, v = np.linalg.eigh(grid_hamiltonian(model, "down"))
@@ -59,29 +60,25 @@ def test_block_solve_matches_dense_oracle():
 
 @pytest.mark.parametrize("sites", [1, 3, 9])
 def test_time_reversal_half_zone_solve(sites, monkeypatch):
-    # the displaced spin-up cell is asymmetric, so its blocks are truly
-    # complex and block -q is the conjugate of block q, not a copy
+    # block -q is block q with plane-wave orders m -> -m, so it is never built
     model = LatticeModel.from_displacement(0.11, replace(SMALL, sites=sites))
     eigh, solved = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(len(b)) or eigh(b))
-    eig = es.decompose(model.cell("up"), model.params.sites)
+    eig = es.decompose(model.depth, sites, SMALL.points_per_site)
     # only the q >= 0 blocks are diagonalised, and nothing is kept for -q
     assert solved == [(sites + 1) // 2]
     half = (sites + 1) // 2
     p = SMALL.points_per_site
     assert eig.energies.shape == (half, p) and eig.vectors.shape == (half, p, p)
     assert np.array_equal(eig.quasimomenta, 2.0 * np.pi * np.arange(half) / sites)
-    # the conjugate blocks complete the full zone's eigenmodes
-    checks = FullZone(eig).validate(grid_hamiltonian(model, "up"))
+    # the mirrored blocks complete the full zone's eigenmodes
+    checks = FullZone(eig).validate(grid_hamiltonian(model, "down"))
     assert checks["residual"] <= RESIDUAL_TOL
     assert checks["orthonormality"] <= ORTHO_TOL
 
 
 def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
-    # the spin-down cos^2 cell is even, so its blocks are real symmetric; the
-    # displaced spin-up cell is not, and keeps complex Hermitian blocks
-    up = solver.solve(0.11)[0]
-    assert es.decompose(up.cell("up"), up.params.sites).vectors.dtype == np.complex128
+    # the cos^2 well is even, so its blocks are real symmetric
     eigh = np.linalg.eigh
     for dx in (0.04, 0.5):
         model, eig, (_, site_states) = solver.solve(dx)
@@ -89,7 +86,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
         # the same blocks through the complex driver are the reference
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", lambda b: eigh(b.astype(complex)))
-            ref = es.decompose(model.cell("down"), model.params.sites)
+            ref = es.decompose(model.depth, model.params.sites, model.params.points_per_site)
         assert ref.vectors.dtype == np.complex128
         assert np.abs(eig.energies - ref.energies).max() <= 1e-10
         # far above the well, bands 21 and 22 of one block are degenerate to
@@ -122,7 +119,7 @@ def test_bloch_blocks_match_mathieu():
     # the analytic oracle, independent of the Fourier-grid construction that
     # the dense oracle shares with the blocks: P = 32 is the coarsest grid
     # that converges (P = 16 misses by 9 E_R); the displaced spin-up cell
-    # checks the complex Hermitian blocks
+    # checks the sampled cell's complex Hermitian blocks (conftest.cell_blocks)
     for depth, theta, p in ((270.0, 0.0, 32), (270.0, 0.0, 64), (270.0, 0.0, 128),
                             (50.0, 0.0, 64), (270.0, 0.7, 64), (600.0, 1.2, 64)):
         lattice = LatticeModel(params=LatticeParams(depth_at_zero=depth, polarization_angle=theta,
@@ -131,10 +128,29 @@ def test_bloch_blocks_match_mathieu():
             assert mathieu_defect(lattice, spin) <= 1e-9, (depth, theta, p, spin)
 
 
+def test_three_term_blocks_match_sampled_cell():
+    # cos^2 is band-limited, so the discrete Fourier components of the
+    # spin-down cell on P >= 4 points per site are exactly V[0] = -U0/2 and
+    # V[1] = V[P - 1] = -U0/4, the aliasing wrap between the two ends of the
+    # plane-wave window included: the closed-form blocks are the sampled
+    # cell's, on the S = 9 half zone and at the zone edge
+    q = np.r_[2.0 * np.pi * np.arange(5) / 9, np.pi]
+    for p, dx, depth in itertools.product((4, 32, 64, 128), (0.0, 0.11, 0.5),
+                                          (50.0, 270.0, 600.0)):
+        params = LatticeParams(depth_at_zero=depth, sites=9, points_per_site=p)
+        model = LatticeModel.from_displacement(dx, params)
+        blocks, orders = es._bloch_blocks(model.depth, p, q)
+        ref, ref_orders = cell_blocks(central_cell(model.params, "down"), q)
+        assert blocks.dtype == ref.dtype == np.float64
+        assert np.array_equal(orders, ref_orders)
+        assert np.abs(blocks - ref).max() <= 1e-14 * model.depth, (p, dx, depth)
+        assert np.abs(np.linalg.eigvalsh(blocks) - np.linalg.eigvalsh(ref)).max() <= 1e-10
+
+
 def test_decompose_input_errors():
     # an even S has an unpaired zone-edge block, q = pi
     with pytest.raises(ConstructionError, match="odd"):
-        es.decompose(np.zeros(32), 4)
+        es.decompose(270.0, 4, 32)
 
 
 def test_decompose_lattice_contract(solver):
@@ -144,7 +160,7 @@ def test_decompose_lattice_contract(solver):
     assert checks["residual"] <= RESIDUAL_TOL
     # spectrum bounded below by the potential minimum (kinetic part is PSD)
     spectrum = eig.spectrum
-    assert spectrum[0] >= lattice.cell("down").min() - 1e-9
+    assert spectrum[0] >= -lattice.depth - 1e-9
     assert np.all(np.diff(spectrum) >= 0.0)
     assert np.all(np.diff(eig.energies, axis=1) >= -1e-12)
     assert eig.ground_offset == spectrum[0] == eig.energies[0, 0]
@@ -153,7 +169,7 @@ def test_decompose_lattice_contract(solver):
 
 def test_decompose_deterministic(solver):
     lattice, eig, *_ = solver.solve(0.0)
-    again = es.decompose(lattice.cell("down"), lattice.params.sites)
+    again = es.decompose(lattice.depth, lattice.params.sites, lattice.params.points_per_site)
     assert np.array_equal(eig.energies, again.energies)
     assert np.array_equal(eig.vectors, again.vectors)
 
@@ -210,13 +226,12 @@ def test_site_states_match_one_site_dense_oracle(solver, dx):
 
 
 def test_site_energies_independent_of_box_size():
-    # the blocks are built from the central site, whose samples are the same
-    # floats for every S, so the q = 0 block, its energies and its site
-    # states are too
+    # the blocks are built from U0 and P alone, the same floats for every S,
+    # so the q = 0 block, its energies and its site states are too
     sites = []
     for s in (1, 3, 33):
         model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=s))
-        sites.append(q0_sites(es.decompose(model.cell("down"), model.params.sites)))
+        sites.append(q0_sites(es.decompose(model.depth, s, SMALL.points_per_site)))
     for energies, states in sites[1:]:
         assert np.array_equal(energies, sites[0][0])
         assert np.array_equal(states, sites[0][1])
@@ -234,7 +249,7 @@ def test_site_ground_energy_is_lattice_ground_offset(sites, monkeypatch):
         offsets.clear()
         lattice_reference_curves(config, [dx])
         model = LatticeModel.from_displacement(dx, config.params)
-        ground = es.decompose(model.cell("down"), model.params.sites).ground_offset
+        ground = es.decompose(model.depth, sites, model.params.points_per_site).ground_offset
         assert offsets == [ground] * 3
 
 
@@ -245,7 +260,7 @@ def test_each_displacement_solves_its_q0_block_once(monkeypatch):
     builds, solves = [], []
     bloch_blocks, eigh = es._bloch_blocks, np.linalg.eigh
     monkeypatch.setattr(es, "_bloch_blocks",
-                        lambda cell, q: builds.append(len(q)) or bloch_blocks(cell, q))
+                        lambda depth, p, q: builds.append(len(q)) or bloch_blocks(depth, p, q))
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solves.append(b.shape) or eigh(b))
     half, p = (SMALL.sites + 1) // 2, SMALL.points_per_site
     config = ScanConfig(params=SMALL)

@@ -1,6 +1,4 @@
-"""Units, lattice geometry, the cell potential and the grid oracle."""
-
-import itertools
+"""Units, lattice geometry and the grid oracle."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,7 @@ import pytest
 from qslab import model as m
 from qslab.errors import ParameterError
 
-from conftest import grid_hamiltonian, grid_kinetic, grid_potential
+from conftest import central_cell, grid_hamiltonian, grid_kinetic, grid_potential
 
 
 def test_recoil_energy_cesium_866nm():
@@ -78,8 +76,6 @@ def test_trap_frequency_scaling_and_kilohertz():
 def test_potentials_shape_and_displacement():
     params = m.LatticeParams(polarization_angle=np.pi / 2)
     lattice = m.LatticeModel(params=params)
-    cells = lattice.cell("down"), lattice.cell("up")
-    assert all(c.shape == (params.points_per_site,) and not c.flags.writeable for c in cells)
     down = grid_potential(params, "down")
     up = grid_potential(params, "up")
     assert down.shape == up.shape == (params.sites * params.points_per_site,)
@@ -95,16 +91,15 @@ def test_potentials_shape_and_displacement():
     # theta = 0: identical potentials and Hamiltonians entrywise
     lattice0 = m.LatticeModel(params=m.LatticeParams(polarization_angle=0.0, sites=5,
                                                      points_per_site=32))
-    assert np.array_equal(lattice0.cell("up"), lattice0.cell("down"))
+    assert np.array_equal(grid_potential(lattice0.params, "up"),
+                          grid_potential(lattice0.params, "down"))
     assert np.array_equal(grid_hamiltonian(lattice0, "up"), grid_hamiltonian(lattice0, "down"))
-    with pytest.raises(ParameterError):
-        lattice.cell("sideways")
 
 
 def test_grid_min_matches_closed_form_depth():
     for dx in (0.1, 0.37):
         lattice = m.LatticeModel.from_displacement(dx)
-        pot = lattice.cell("up")
+        pot = central_cell(lattice.params, "up")
         h = 1.0 / lattice.params.points_per_site
         # nearest grid point sits within h/2 of the well bottom, where the
         # parabolic expansion gives an offset of at most U0 pi^2 h^2 / 4
@@ -116,17 +111,6 @@ def test_hamiltonian_symmetry_exact():
     lattice = m.LatticeModel(params=m.LatticeParams(sites=5, points_per_site=32))
     ham = grid_hamiltonian(lattice, "down")
     assert np.abs(ham - ham.T).max() == 0.0
-
-
-def test_cell_is_the_central_site_of_the_potential():
-    # u = (l - P/2)/P on the central site is the same integer arithmetic at
-    # every odd S, so the one-site sampling the Bloch blocks take is bitwise
-    # the central site of the dense oracle's S-site potential
-    for s, p, dx in itertools.product((1, 3, 9, 33), (4, 64), (0.0, 0.11, 0.5)):
-        lattice = m.LatticeModel.from_displacement(dx, m.LatticeParams(sites=s, points_per_site=p))
-        for spin in ("down", "up"):
-            central = grid_potential(lattice.params, spin).reshape(s, p)[s // 2]
-            assert lattice.cell(spin).tobytes() == central.tobytes()
 
 
 def test_free_particle_spectrum():
@@ -158,7 +142,7 @@ def test_apply_matches_matrix():
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(size)
     psi /= np.linalg.norm(psi)
-    blocks, orders, q, _ = half_zone(lattice.cell("down"), s)
+    blocks, orders, q, _ = half_zone(lattice.depth, s, 32)
     n = np.arange(q.size)[:, None] + s * orders   # wavenumber 2 pi n / S
     sign = (-1.0) ** n                             # transform origin at u = 0
     coeff = sign * np.fft.fft(psi, norm="ortho")[n % size]

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 import yaml
 
-from qslab import cli, eigensolve, interferometer, scan
+from qslab import cli, interferometer, scan
 from qslab.errors import ParameterError
-from qslab.model import LatticeModel, LatticeParams
+from qslab.model import LatticeParams
 
 from conftest import fmt_oracle
 
@@ -170,13 +170,39 @@ def test_config_reads_integral_floats_real_booleans():
     # an integral float is the integer it spells
     sites = scan.config_from_dict({"lattice": {"sites": 9.0}}).params.sites
     assert sites == 9 and type(sites) is int
-    with pytest.raises(ParameterError, match="scan.points"):
-        scan.config_from_dict({"scan": {"points": [[0.7, 0.1]]}})
+    # a point's dx is a number too: "0.1" and true (1.0) used to be read
+    for point in ([0.7, 0.1], [0, "0.1"], [0, True]):
+        with pytest.raises(ParameterError, match="scan.points"):
+            scan.config_from_dict({"scan": {"points": [point]}})
     # a quoted YAML "false" used to switch the reference curves on
     for bad in ("false", "true", 0, 1, None):
         with pytest.raises(ParameterError, match="scan.curves"):
             scan.config_from_dict({"scan": {"curves": bad}})
     assert scan.config_from_dict({"scan": {"curves": False}}).curves is False
+
+
+REAL_KEYS = [("lattice", "wavelength_nm", 866), ("lattice", "depth_Er", 270),
+             ("state", "dx_halflambda", 0.1), ("ramsey", "loss_fraction", 0),
+             ("ramsey", "light_shift_slope_rad_per_us", 81)]
+
+
+@pytest.mark.parametrize("section,key,good", REAL_KEYS)
+def test_config_real_keys_take_numbers_only(section, key, good):
+    # lattice.wavelength_nm: true used to run a 1 nm lattice, and a quoted
+    # depth_Er: "270" was read as 270
+    for bad in (True, False, str(good), None):
+        with pytest.raises(ParameterError, match=f"{section}.{key}"):
+            scan.config_from_dict({section: {key: bad}})
+    scan.config_from_dict({section: {key: good}})   # an int is a number
+
+
+def test_point_labels_are_unique():
+    # 0.10001 and 0.10002 both wrote n0_dx0.1000, the second point over the first
+    assert scan.point_label(0, 0.10001) == "n0_dx0.1000"
+    for points in ([[0, 0.10001], [0, 0.10002]], [[2, 0.1], [2, 0.1000000001]]):
+        with pytest.raises(ParameterError, match="duplicate scan point n._dx0.1000"):
+            scan.config_from_dict({"scan": {"points": points}})
+    assert len(scan.ScanConfig(points=((0, 0.1), (1, 0.1), (0, 0.1001))).points) == 3
 
 
 def test_scan_runs_on_one_thread_without_a_workers_option():
@@ -356,22 +382,6 @@ def test_reference_curves_match_spectral_moments(solver, monkeypatch):
         scan.lattice_reference_curves(shallow, np.array([0.1]))
 
 
-def test_scan_and_bands_sample_one_cell(tmp_path, monkeypatch):
-    # the points, the reference curves and the bands solve Bloch blocks of
-    # one cell, LatticeModel.cell; none samples the potential on all S P points
-    sizes, cell = [], LatticeModel.cell
-
-    def sampled(model, spin):
-        values = cell(model, spin)
-        sizes.append(values.size)
-        return values
-
-    monkeypatch.setattr(LatticeModel, "cell", sampled)
-    scan.run_scan(small_config(tmp_path, curves=True, curve_points=2))
-    eigensolve.band_structure(LatticeModel(params=SMALL), 2, 4)
-    assert sizes and set(sizes) == {SMALL.points_per_site}
-
-
 def test_aggregate_reports(tmp_path):
     cfg = small_config(tmp_path)
     scan.run_scan(cfg)
@@ -497,6 +507,17 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
         assert err.startswith(f"qslab scan: error: config file {config!r}: ")
         assert err.count("\n") == 1
         assert not os.path.exists(out)
+    # a file that holds false, 0 or [] used to run the default scan; only an
+    # empty file means the defaults
+    for text in ("false\n", "0\n", "[]\n"):
+        path.write_text(text)
+        assert cli.main(["scan", "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qslab scan: error: config must be a mapping")
+        assert err.count("\n") == 1
+        assert not os.path.exists(out)
+    path.write_text("")
+    assert scan.load_config(str(path)).points == scan.ScanConfig().points
     # an output directory that cannot be created used to end in FileExistsError,
     # or in FileNotFoundError for an empty scan.out
     small = tmp_path / "small.yaml"
