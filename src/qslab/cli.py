@@ -68,12 +68,12 @@ def cmd_bands(args) -> int:
     bands = eigensolve.band_structure(model, args.n_bands, args.q_points)
     out_dir = cfg.out_dir
     scan.make_out_dir(out_dir)
-    rows = [(b.band_index, q, e) for b in bands
-            for q, e in zip(b.quasimomenta, b.energies)]
-    scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"], rows)
+    scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"],
+                   [np.repeat([b.band_index for b in bands], args.q_points),
+                    *np.hstack([(b.quasimomenta, b.energies) for b in bands])])
     eig = eigensolve.decompose(model.depth, cfg.params.sites, cfg.params.points_per_site)
     scan.write_csv(os.path.join(out_dir, "energies.csv"), ["index", "energy_Er"],
-                   list(enumerate(eig.spectrum[: args.n_levels])))
+                   [np.arange(args.n_levels), eig.spectrum[: args.n_levels]])
     hertz = model.recoil.hertz
     print(json.dumps({
         "bandwidths_Er": [b.bandwidth for b in bands],
@@ -88,13 +88,12 @@ def cmd_qubit(args) -> int:
     cfg = _build_config(args)
     model = LatticeModel(params=cfg.params)
     omega = model.homega
-    rows = []
-    for zeta in np.linspace(args.zeta_min, args.zeta_max, args.count):
-        qb = qsl.qubit_model(zeta, omega)
-        rows.append((zeta, qb.e, qb.de, qb.xi))
+    zetas = np.linspace(args.zeta_min, args.zeta_max, args.count)
+    models = [qsl.qubit_model(zeta, omega) for zeta in zetas]
     scan.make_out_dir(cfg.out_dir)
-    scan.write_csv(os.path.join(cfg.out_dir, "qubit.csv"),
-                   ["zeta", "e_Er", "de_Er", "xi"], rows)
+    scan.write_csv(os.path.join(cfg.out_dir, "qubit.csv"), ["zeta", "e_Er", "de_Er", "xi"],
+                   [zetas, [qb.e for qb in models], [qb.de for qb in models],
+                    [qb.xi for qb in models]])
     print(f"wrote {os.path.join(cfg.out_dir, 'qubit.csv')}")
     return 0
 

@@ -337,19 +337,11 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    """One line per row, each cell as _fmt prints it; a column whose values
-    are all floats, or all integers, is formatted in one pass."""
-    columns = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        if all(issubclass(k, (float, np.floating)) for k in kinds):
-            columns.append(map(repr, np.asarray(column, dtype=float).tolist()))
-        elif all(issubclass(k, (int, np.integer)) and not issubclass(k, bool) for k in kinds):
-            columns.append(map(str, column))
-        else:
-            columns.append(map(_fmt, column))
-    lines = [",".join(header), *map(",".join, zip(*columns))]
+def write_csv(path: str, header: list[str], columns) -> None:
+    """One line per row of the columns: an ndarray column printed by str of its tolist()
+    scalars (for a float the shortest round-trip repr, as _fmt prints it), any other by _fmt."""
+    text = [map(str, c.tolist()) if isinstance(c, np.ndarray) else map(_fmt, c) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*text))]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -363,8 +355,8 @@ def _write_point(result: PointResult, out_dir: str) -> None:
     t_us = result.trace.times * result.model.recoil.time_us_per_unit
     write_csv(os.path.join(pdir, "trace.csv"),
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
-              zip(t_us, result.trace.overlaps.real, result.trace.overlaps.imag,
-                  result.trace.visibility, result.trace.fs_distance))
+              [t_us, result.trace.overlaps.real, result.trace.overlaps.imag,
+               result.trace.visibility, result.trace.fs_distance])
     write_json(os.path.join(pdir, "report.json"), result.report.to_json_dict())
     write_json(os.path.join(pdir, "diagnostics.json"), {
         "quadrature_defect": result.quadrature_defect,
@@ -375,11 +367,14 @@ def _write_point(result: PointResult, out_dir: str) -> None:
     })
     series = result.records
     if series is not None:
+        # each time, phase and the count total is formatted once; object arrays repeat the text
         times, phases = series.n_down.shape
+        t_text, phi_text = (np.array([str(v) for v in a.tolist()], dtype=object)
+                            for a in (series.t_us, series.phi_r))
+        n_text = np.full(times * phases, _fmt(series.n_total), dtype=object)
         write_csv(os.path.join(pdir, "fringes.csv"), ["t_us", "phi_r", "n_total", "n_down"],
-                  zip(np.repeat(series.t_us, phases).tolist(),
-                      np.tile(series.phi_r, times).tolist(),
-                      [series.n_total] * (times * phases), series.n_down.ravel().tolist()))
+                  [np.repeat(t_text, phases), np.tile(phi_text, times), n_text,
+                   series.n_down.ravel()])
         fit = series.fit
         columns = zip(*(c.tolist() for c in (series.t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
         write_json(os.path.join(pdir, "fits.json"),
@@ -387,29 +382,34 @@ def _write_point(result: PointResult, out_dir: str) -> None:
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
 
 
-def _figure_rows(results: list[PointResult], estimator: str):
-    fig2, fig3, fig4 = [], [], []
+def _figure_columns(results: list[PointResult], estimator: str):
+    """The columns of fig2.csv, fig3.csv and fig4.csv.  A point's label and
+    tau_c_us text is formatted once and repeated down its fig2 rows."""
+    labels, traces, tau_text = [], [np.empty((4, 0))], []
+    fig3, fig4 = [[] for _ in range(6)], [[] for _ in range(6)]
     for res in results:
         scale = res.model.recoil.time_us_per_unit
         rep = res.report
         homega = res.model.homega
-        t_us = res.trace.times * scale
-        mt = np.asarray(qsl.mt_bound(rep.de, res.trace.times))
-        ml = np.asarray(qsl.ml_bound(rep.e, res.trace.times))
+        times = res.trace.times
         tau_c_us = rep.tau_c * scale if rep.tau_c is not None else ""
-        fig2.extend((res.label, *row, tau_c_us) for row in zip(t_us, res.trace.visibility, mt, ml))
+        labels += [res.label] * times.size
+        tau_text += [_fmt(tau_c_us)] * times.size
+        traces.append([times * scale, res.trace.visibility,
+                       qsl.mt_bound(rep.de, times), qsl.ml_bound(rep.e, times)])
         if estimator == "experiment" and res.estimates and "de_Er" in res.estimates:
             e_val = res.estimates.get("e_Er", rep.e)
             de_val = res.estimates["de_Er"]
             xi_val = res.estimates.get("xi_fit", rep.xi_fit)
         else:
             e_val, de_val, xi_val = rep.e, rep.de, rep.xi_fit
-        fig3.append((res.n, res.dx, 4.0 * e_val / homega, 4.0 * de_val / homega,
-                     "ML" if de_val > e_val else "MT", tau_c_us))
         xi = max(xi_val, 0.0)
-        fig4.append((res.n, res.dx, de_val / homega, xi, xi**0.25,
-                     int(res.dx > 0.25)))
-    return fig2, fig3, fig4
+        cells3 = (res.n, res.dx, 4.0 * e_val / homega, 4.0 * de_val / homega,
+                  "ML" if de_val > e_val else "MT", tau_c_us)
+        cells4 = (res.n, res.dx, de_val / homega, xi, xi**0.25, int(res.dx > 0.25))
+        for column, cell in zip(fig3 + fig4, cells3 + cells4):
+            column.append(cell)
+    return [labels, *np.hstack(traces), tau_text], fig3, fig4
 
 
 def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
@@ -430,8 +430,8 @@ def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
 def run_scan(config: ScanConfig) -> dict:
     """Execute every scan point, write artifacts, return the summary."""
     if config.curves:   # before any output: a lattice too shallow for them writes nothing
-        curves = [(r["n"], r["dx"], r["inv_tau_ml"], r["inv_tau_mt"]) for r in
-                  lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))]
+        rows = lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))
+        curves = [[r[key] for r in rows] for key in ("n", "dx", "inv_tau_ml", "inv_tau_mt")]
     make_out_dir(config.out_dir)
     by_dx: dict[float, list[tuple[int, int]]] = {}
     for idx, (n, dx) in enumerate(config.points):
@@ -444,7 +444,7 @@ def run_scan(config: ScanConfig) -> dict:
     for res in ordered:
         _write_point(res, config.out_dir)
 
-    fig2, fig3, fig4 = _figure_rows(ordered, config.estimator)
+    fig2, fig3, fig4 = _figure_columns(ordered, config.estimator)
     write_csv(os.path.join(config.out_dir, "fig2.csv"),
               ["point", "t_us", "abs_A", "mt_bound", "ml_bound", "tau_c_us"], fig2)
     write_csv(os.path.join(config.out_dir, "fig3.csv"),
@@ -456,12 +456,11 @@ def run_scan(config: ScanConfig) -> dict:
                   ["n", "dx", "inv_tau_ml", "inv_tau_mt"], curves)
         zetas = np.linspace(0.02, np.pi / 2.0 - 0.02, 40)
         write_csv(os.path.join(config.out_dir, "fig3_qubit.csv"),
-                  ["zeta", "inv_tau_ml", "inv_tau_mt"],
-                  [(z, *row) for z, row in zip(zetas, qubit_reference_curve(zetas))])
+                  ["zeta", "inv_tau_ml", "inv_tau_mt"], [zetas, *qubit_reference_curve(zetas).T])
         alphas = np.geomspace(0.05, 3.0, 40)
         write_csv(os.path.join(config.out_dir, "fig3_coherent.csv"),
                   ["alpha", "inv_tau_ml", "inv_tau_mt"],
-                  [(a, *row) for a, row in zip(alphas, coherent_reference_curve(alphas))])
+                  [alphas, *coherent_reference_curve(alphas).T])
 
     violations = sum(1 for r in ordered if r.report.min_margin < -qsl.BOUND_MARGIN_TOL)
     summary = {

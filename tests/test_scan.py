@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -261,9 +262,9 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
-    # the column writer prints every cell as the per-cell formatter did: a
-    # float column (numpy and Python floats) by repr, an integer column by
-    # str, and a column mixing ints and floats cell by cell ("1", not "1.0")
+    # a column that is not an ndarray is printed cell by cell as the per-cell
+    # formatter did: numpy and Python floats by repr, integers by str, and a
+    # column mixing ints and floats cell by cell ("1", not "1.0")
     rows = [
         (np.float64(0.1), 1e-300, np.int64(7), 3, True, "n0_dx0.0400", "", 1, np.float32(0.1)),
         (1e16, np.float64(-0.0), 2**70, np.int64(-4), np.bool_(False), "MT", 1.5, 2.5, 2.0),
@@ -272,12 +273,69 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
     ]
     header = [f"c{i}" for i in range(len(rows[0]))]
     path = str(tmp_path / "cells.csv")
-    scan.write_csv(path, header, rows)
+    scan.write_csv(path, header, [list(column) for column in zip(*rows)])
     want = [",".join(header)] + [",".join(fmt_oracle(v) for v in row) for row in rows]
     assert read(path).decode() == "\n".join(want) + "\n"
     assert want[1].split(",")[7] == "1" and want[2].split(",")[7] == "2.5"
-    scan.write_csv(path, header, [])
+    scan.write_csv(path, header, [[] for _ in header])
     assert read(path).decode() == ",".join(header) + "\n"
+
+
+TEXT_CELL = re.compile(r"n[012]_dx\d\.\d{4}|MT|ML|")   # point labels, regimes, no tau_c
+
+
+def csv_columns(path) -> dict:
+    header, *rows = (line.split(",") for line in read(path).decode().splitlines())
+    return dict(zip(header, map(list, zip(*rows))))
+
+
+def is_shortest_text(cell: str) -> bool:
+    """Whether a cell is the shortest text that reads back as its int or float."""
+    for kind, show in ((int, str), (float, repr)):
+        try:
+            return show(kind(cell)) == cell
+        except ValueError:
+            pass
+    return False
+
+
+def test_csv_cells_are_shortest_round_trip(tmp_path, capsys):
+    # every numeric cell of every CSV artifact is printed in full and once:
+    # no fixed precision such as %.12g, and no numpy scalar repr
+    cfg = small_config(tmp_path, estimator="experiment", curves=True, curve_points=2,
+                       points=((0, 0.04), (2, 0.16)))
+    scan.run_scan(cfg)
+    cfgfile = write_small_yaml(tmp_path)
+    for argv in (["bands", "--n-bands", "3", "--q-points", "8", "--n-levels", "8"],
+                 ["qubit", "--count", "5"]):
+        assert cli.main([*argv, "--config", cfgfile, "--out", str(tmp_path / argv[0])]) == 0
+    capsys.readouterr()
+    paths = [os.path.join(root, name) for root, _, files in os.walk(tmp_path)
+             for name in files if name.endswith(".csv")]
+    assert len(paths) == 2 * 2 + 6 + 3
+    for path in paths:
+        cells = [cell for line in read(path).decode().splitlines()[1:] for cell in line.split(",")]
+        assert cells, path
+        assert [c for c in cells if not (TEXT_CELL.fullmatch(c) or is_shortest_text(c))] == [], path
+    # a value that several artifacts share is printed in full in each: the fits'
+    # times down fringes.csv (over the phase grid), trace.csv and fig2.csv, and
+    # the report's tau_c_us down fig2.csv and in fig3.csv
+    label = "n0_dx0.0400"    # ML regime: its tau_c_us is a number
+    pdir = os.path.join(cfg.out_dir, label)
+    with open(os.path.join(pdir, "fits.json")) as fh:
+        times = [repr(fit["t_us"]) for fit in json.load(fh)]
+    with open(os.path.join(pdir, "report.json")) as fh:
+        tau_c = repr(json.load(fh)["tau_c_us"])
+    phases = [repr(phi) for phi in cfg.ramsey.phase_grid.tolist()]
+    fringes = csv_columns(os.path.join(pdir, "fringes.csv"))
+    assert fringes["t_us"] == [t for t in times for _ in phases]
+    assert fringes["phi_r"] == phases * len(times)
+    assert csv_columns(os.path.join(pdir, "trace.csv"))["t_us"] == times
+    fig2 = csv_columns(os.path.join(cfg.out_dir, "fig2.csv"))
+    rows = [i for i, point in enumerate(fig2["point"]) if point == label]
+    assert [fig2["t_us"][i] for i in rows] == times
+    assert {fig2["tau_c_us"][i] for i in rows} == {tau_c}
+    assert csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))["tau_c_us"][0] == tau_c
 
 
 def test_scan_byte_identical_reruns(tmp_path):
