@@ -125,6 +125,12 @@ def _boolean(value) -> bool:
     return value
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _points(raw) -> tuple:
     # null or an empty list keeps the default grid
     return tuple((_integer(n), _real(dx)) for n, dx in raw or ()) or ScanConfig.points
@@ -137,8 +143,8 @@ _KEYS = {
                 "depth_Er": ("depth_at_zero", _real), "sites": ("sites", _integer),
                 "points_per_site": ("points_per_site", _integer)},
     "state": {"n": ("n", _integer), "dx_halflambda": ("dx", _real)},
-    "scan": {"points": ("points", _points), "estimator": ("estimator", str),
-             "seed": ("seed", _integer), "out": ("out_dir", str),
+    "scan": {"points": ("points", _points), "estimator": ("estimator", _string),
+             "seed": ("seed", _integer), "out": ("out_dir", _string),
              "time_points": ("time_points", _integer),
              "curves": ("curves", _boolean), "curve_points": ("curve_points", _integer)},
     "ramsey": {"phases": ("phase_grid",
@@ -412,19 +418,25 @@ def _figure_columns(results: list[PointResult], estimator: str):
     return [labels, *np.hstack(traces), tau_text], fig3, fig4
 
 
+def _failure(n: int, dx: float, stage: str, exc: Exception) -> dict:
+    """The failures.json record of a point whose solve or own run raised."""
+    return {"point": point_label(n, dx), "stage": stage, "type": type(exc).__name__,
+            "error": str(exc)}
+
+
 def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
                results: dict, failures: list) -> None:
     """Run the (point index, n) pairs of one dx; its Bloch solve is freed on return."""
     try:
         solved = solve_displacement(dx, config.params)
     except Exception as exc:  # noqa: BLE001 - continue-on-error policy
-        failures.extend({"point": point_label(n, dx), "error": str(exc)} for _, n in group)
+        failures.extend(_failure(n, dx, "solve", exc) for _, n in group)
         return
     for idx, n in group:
         try:
             results[idx] = run_point(n, dx, config, solved, idx)
         except Exception as exc:  # noqa: BLE001
-            failures.append({"point": point_label(n, dx), "error": str(exc)})
+            failures.append(_failure(n, dx, "point", exc))
 
 
 def run_scan(config: ScanConfig) -> dict:

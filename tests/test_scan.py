@@ -197,6 +197,16 @@ def test_config_real_keys_take_numbers_only(section, key, good):
     scan.config_from_dict({section: {key: good}})   # an int is a number
 
 
+@pytest.mark.parametrize("key,good", [("out", "results"), ("estimator", "experiment")])
+@pytest.mark.parametrize("bad", [None, True, 5, ["a"]], ids=["null", "true", "5", "[a]"])
+def test_config_string_keys_take_strings_only(key, good, bad):
+    # scan.out left empty (null) used to write into a directory named None,
+    # and out: [a] into one named ['a']
+    with pytest.raises(ParameterError, match=f"scan.{key}"):
+        scan.config_from_dict({"scan": {key: bad}})
+    scan.config_from_dict({"scan": {key: good}})
+
+
 def test_point_labels_are_unique():
     # 0.10001 and 0.10002 both wrote n0_dx0.1000, the second point over the first
     assert scan.point_label(0, 0.10001) == "n0_dx0.1000"
@@ -366,22 +376,35 @@ def test_scan_different_seed_changes_experiment(tmp_path):
 
 
 def test_failure_manifest_and_continue(tmp_path, monkeypatch):
-    cfg = small_config(tmp_path, points=((0, 0.04), (0, 0.16)))
-    real = scan.run_point
+    # a point whose own run raises, and every point of a displacement whose
+    # solve raises, is recorded with its stage and exception type; the rest run
+    cfg = small_config(tmp_path, points=((0, 0.04), (1, 0.04), (0, 0.16), (2, 0.16)))
+    real_point, real_solve = scan.run_point, scan.solve_displacement
 
     def flaky(n, dx, config, solved=None, point_index=0):
-        if dx == 0.04:
+        if (n, dx) == (0, 0.04):
             raise RuntimeError("synthetic failure")
-        return real(n, dx, config, solved, point_index)
+        return real_point(n, dx, config, solved, point_index)
+
+    def unsolvable(dx, params):
+        if dx == 0.16:
+            raise ValueError("synthetic solve failure")
+        return real_solve(dx, params)
 
     monkeypatch.setattr(scan, "run_point", flaky)
+    monkeypatch.setattr(scan, "solve_displacement", unsolvable)
     summary = scan.run_scan(cfg)
-    assert summary["points_failed"] == 1
+    assert summary["points_failed"] == 3
     assert summary["points_completed"] == 1
     with open(os.path.join(cfg.out_dir, "failures.json")) as fh:
         failures = json.load(fh)
     assert failures[0]["point"] == "n0_dx0.0400"
     assert "synthetic failure" in failures[0]["error"]
+    assert [(f["point"], f["stage"], f["type"], f["error"]) for f in failures] == [
+        ("n0_dx0.0400", "point", "RuntimeError", "synthetic failure"),
+        ("n0_dx0.1600", "solve", "ValueError", "synthetic solve failure"),
+        ("n2_dx0.1600", "solve", "ValueError", "synthetic solve failure")]
+    assert all(set(f) == {"point", "stage", "type", "error"} for f in failures)
 
 
 def test_reference_curves():
