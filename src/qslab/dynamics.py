@@ -51,10 +51,6 @@ class SpectralMoments:
     stationary: bool
 
     @property
-    def xi(self) -> float | None:
-        return None if self.beta2 is None else (self.beta2 - 1.0) / 2.0
-
-    @property
     def tau_mt(self) -> float:
         if self.stationary:
             return np.inf

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EstimationError, ParameterError
 from .dynamics import OverlapTrace
-from .qsl import deviation_from_geometry, geodesic_ratio
+from .qsl import deviation_from_geometry, geodesic_ratio, least_squares
 
 # differential light shift of the interrogation beams, subtracted during analysis
 LIGHT_SHIFT_PRESET_RAD_PER_US = 81.0
@@ -180,10 +180,7 @@ def _window_fit(times_us: np.ndarray, y: np.ndarray, t_max: float, powers: tuple
     if mask.sum() < 7:
         raise ParameterError(f"need at least 7 {what} samples in the window, got {int(mask.sum())}")
     t = times_us[mask]
-    design = np.column_stack([t**p for p in powers])
-    coef, residuals, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
-    rss = float(residuals[0]) if residuals.size else float(((design @ coef - y[mask]) ** 2).sum())
-    return coef, rss / max(t.size - 3, 1) * np.linalg.inv(design.T @ design)
+    return least_squares(np.column_stack([t**p for p in powers]), y[mask])
 
 
 def extract_mean_energy(times_us: np.ndarray, phi_series: np.ndarray, e_n: float,

@@ -4,13 +4,14 @@ Internally everything is dimensionless: lengths in units of the lattice
 constant lambda/2, energies in recoil energies E_R = (2*pi*hbar)^2/(2*m*lambda^2),
 hbar = 1 and time in hbar/E_R.  In these units the kinetic prefactor
 hbar^2/(2*m*(lambda/2)^2) equals 1/pi^2 exactly, so the only physical inputs
-left are the trap depth (in E_R) and the polarization angle.  SI conversions
-happen at the I/O boundary through :class:`LatticeModel`.
+left are the trap depth (in E_R) and the spin lattices' relative displacement,
+which sets the polarization angle.  SI conversions happen at the I/O boundary
+through :class:`LatticeModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,15 +103,15 @@ def trap_frequency(theta: float, depth_at_zero: float) -> float:
 class LatticeParams:
     """Static lattice inputs.
 
-    wavelength in meters, depth_at_zero in E_R, polarization_angle in rad;
-    sites must be odd and points_per_site a power of two (at least 4, for the
-    three packet states) so the grid both centers a well at the origin and
-    FFT-shifts cheaply.
+    wavelength in meters, depth_at_zero in E_R.  sites must be odd so the
+    grid centers a well at the origin.  points_per_site must be a power of
+    two, at least 4 for the three packet states; site_states and
+    prepare_initial take the cell's first sample at u = -1/2 through a
+    (-1)^m sign, which assumes it is even.
     """
 
     wavelength: float = 866e-9
     depth_at_zero: float = 270.0
-    polarization_angle: float = 0.0
     sites: int = 9
     points_per_site: int = 64
 
@@ -119,8 +120,6 @@ class LatticeParams:
             raise ParameterError("wavelength must be positive and finite")
         if not 0 < self.depth_at_zero < np.inf:
             raise ParameterError("lattice depth must be positive and finite")
-        if not 0.0 <= self.polarization_angle <= np.pi / 2.0 + 1e-15:
-            raise ParameterError("polarization angle must lie in [0, pi/2]")
         if self.sites < 1 or self.sites % 2 == 0:
             raise ParameterError("sites must be a positive odd integer")
         p = self.points_per_site
@@ -135,17 +134,16 @@ class LatticeParams:
 class LatticeModel:
     """All derived quantities for one lattice configuration.
 
-    Bundles the parameters, the trap depth and frequency and the unit
-    conversions used by the rest of the pipeline.  Immutable.
+    Bundles the parameters, the spin-up wells' displacement dx (lambda/2
+    units) and the polarization angle it takes, the trap depth and frequency
+    and the unit conversions used by the rest of the pipeline.  Immutable.
     """
 
     params: LatticeParams
+    dx: float = 0.0
 
-    @classmethod
-    def from_displacement(cls, dx: float, params: LatticeParams | None = None) -> "LatticeModel":
-        """Configure the lattice so the spin-up wells sit at dx (lambda/2 units)."""
-        p = replace(params or LatticeParams(), polarization_angle=angle_from_displacement(dx))
-        return cls(params=p)
+    def __post_init__(self):
+        angle_from_displacement(self.dx)    # a dx outside [0, 0.5] is a ParameterError
 
     @property
     def recoil(self) -> RecoilEnergy:
@@ -153,7 +151,7 @@ class LatticeModel:
 
     @property
     def theta(self) -> float:
-        return self.params.polarization_angle
+        return angle_from_displacement(self.dx)
 
     @property
     def depth(self) -> float:

@@ -27,28 +27,25 @@ BOUND_MARGIN_TOL = 1e-9
 XI_FIT_WINDOW = 0.3
 
 
-def mt_bound(de: float, t):
-    """Uncertainty (MT) lower bound cos(dE t); NaN outside [0, tau_MT]."""
+def _bound(rate: float, t, curve):
+    """curve(t) on its domain [0, pi/(2 rate)], NaN beyond it; all NaN for rate <= 0."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ParameterError("bound domain starts at t = 0")
-    if de <= 0:
+    if rate <= 0:
         return np.full_like(t, np.nan)
-    out = np.cos(de * t)
-    out = np.where(t <= np.pi / (2.0 * de) * (1 + 1e-12), out, np.nan)
+    out = np.where(t <= np.pi / (2.0 * rate) * (1 + 1e-12), curve(t), np.nan)
     return out if out.ndim else float(out)
+
+
+def mt_bound(de: float, t):
+    """Uncertainty (MT) lower bound cos(dE t); NaN outside [0, tau_MT]."""
+    return _bound(de, t, lambda t: np.cos(de * t))
 
 
 def ml_bound(e: float, t):
     """Mean-energy (ML) lower bound cos(sqrt(pi E t / 2)); NaN outside [0, tau_ML]."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ParameterError("bound domain starts at t = 0")
-    if e <= 0:
-        return np.full_like(t, np.nan)
-    out = np.cos(np.sqrt(np.pi * e * t / 2.0))
-    out = np.where(t <= np.pi / (2.0 * e) * (1 + 1e-12), out, np.nan)
-    return out if out.ndim else float(out)
+    return _bound(e, t, lambda t: np.cos(np.sqrt(np.pi * e * t / 2.0)))
 
 
 def unified_bound(e: float, de: float, t):
@@ -84,6 +81,15 @@ def deviation_from_kurtosis(beta2: float) -> float:
     return max((beta2 - 1.0) / 2.0, 0.0)
 
 
+def least_squares(design: np.ndarray, y: np.ndarray):
+    """Coefficients of y on the columns of the design and their covariance,
+    scaled by the residual variance on rows - columns degrees of freedom."""
+    coef, residuals, *_ = np.linalg.lstsq(design, y, rcond=None)
+    rss = float(residuals[0]) if residuals.size else float(((design @ coef - y) ** 2).sum())
+    dof = max(design.shape[0] - design.shape[1], 1)
+    return coef, rss / dof * np.linalg.inv(design.T @ design)
+
+
 def deviation_from_geometry(times: np.ndarray, ratio: np.ndarray, tau_mt: float,
                             window: float = XI_FIT_WINDOW):
     """Least-squares xi from the short-time expansion of the length ratio.
@@ -100,11 +106,7 @@ def deviation_from_geometry(times: np.ndarray, ratio: np.ndarray, tau_mt: float,
             f"need at least 6 samples below {window} tau_MT, got {int(mask.sum())}")
     t = times[mask]
     design = np.column_stack([-(np.pi**2 / 48.0) * (t / tau_mt) ** 2, t**4])
-    y = ratio[mask] - 1.0
-    coef, residuals, *_ = np.linalg.lstsq(design, y, rcond=None)
-    dof = max(t.size - 2, 1)
-    rss = float(residuals[0]) if residuals.size else float(((design @ coef - y) ** 2).sum())
-    cov = rss / dof * np.linalg.inv(design.T @ design)
+    coef, cov = least_squares(design, ratio[mask] - 1.0)
     return float(coef[0]), cov
 
 

@@ -210,7 +210,7 @@ class PointResult:
 
 def _site_model(dx: float, params: LatticeParams) -> LatticeModel:
     """The model of one dx, whose well must bind the n = 2 packet."""
-    model = LatticeModel.from_displacement(dx, params)
+    model = LatticeModel(params, dx)
     levels = eigensolve.bound_level_count(model)
     if levels < 3:
         raise ParameterError(
@@ -388,9 +388,10 @@ def _write_point(result: PointResult, out_dir: str) -> None:
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
 
 
-def _figure_columns(results: list[PointResult], estimator: str):
+def _figure_columns(results: list[PointResult]):
     """The columns of fig2.csv, fig3.csv and fig4.csv.  A point's label and
-    tau_c_us text is formatted once and repeated down its fig2 rows."""
+    tau_c_us text is formatted once and repeated down its fig2 rows.  A point
+    with a dE estimate gives fig3 and fig4 its estimates, any other its report."""
     labels, traces, tau_text = [], [np.empty((4, 0))], []
     fig3, fig4 = [[] for _ in range(6)], [[] for _ in range(6)]
     for res in results:
@@ -403,7 +404,7 @@ def _figure_columns(results: list[PointResult], estimator: str):
         tau_text += [_fmt(tau_c_us)] * times.size
         traces.append([times * scale, res.trace.visibility,
                        qsl.mt_bound(rep.de, times), qsl.ml_bound(rep.e, times)])
-        if estimator == "experiment" and res.estimates and "de_Er" in res.estimates:
+        if res.estimates and "de_Er" in res.estimates:
             e_val = res.estimates.get("e_Er", rep.e)
             de_val = res.estimates["de_Er"]
             xi_val = res.estimates.get("xi_fit", rep.xi_fit)
@@ -456,7 +457,7 @@ def run_scan(config: ScanConfig) -> dict:
     for res in ordered:
         _write_point(res, config.out_dir)
 
-    fig2, fig3, fig4 = _figure_columns(ordered, config.estimator)
+    fig2, fig3, fig4 = _figure_columns(ordered)
     write_csv(os.path.join(config.out_dir, "fig2.csv"),
               ["point", "t_us", "abs_A", "mt_bound", "ml_bound", "tau_c_us"], fig2)
     write_csv(os.path.join(config.out_dir, "fig3.csv"),
@@ -484,8 +485,11 @@ def run_scan(config: ScanConfig) -> dict:
         "seed": config.seed,
     }
     write_json(os.path.join(config.out_dir, "summary.json"), summary)
+    failures_path = os.path.join(config.out_dir, "failures.json")
     if failures:
-        write_json(os.path.join(config.out_dir, "failures.json"), failures)
+        write_json(failures_path, failures)
+    elif os.path.exists(failures_path):    # an earlier run's record would contradict summary.json
+        os.remove(failures_path)
     return summary
 
 

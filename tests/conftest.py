@@ -10,7 +10,7 @@ from scipy.special import mathieu_a, mathieu_b
 
 from qslab import dynamics, eigensolve, scan
 from qslab.errors import ParameterError
-from qslab.model import KAPPA, LatticeParams, displacement_from_angle, trap_depth
+from qslab.model import KAPPA, LatticeParams
 
 
 class LatticeSolver:
@@ -36,16 +36,15 @@ class LatticeSolver:
         return model, eig, packet, spectral, dynamics.moments(spectral)
 
 
-def grid_potential(params, spin):
+def grid_potential(lattice, spin):
     """U_spin(u) = -U0(theta) cos^2(pi (u - u0)) on the S P points
-    u = (j - S P // 2) / P of the whole box.  The spin-down lattice has
-    minima at integer site coordinates; the spin-up lattice is the same
-    profile displaced by +Dx(theta)."""
-    n = params.sites * params.points_per_site
-    u = (np.arange(n) - n // 2) / params.points_per_site
-    theta = params.polarization_angle
-    u0 = displacement_from_angle(theta) if spin == "up" else 0.0
-    return -trap_depth(theta, params.depth_at_zero) * np.cos(np.pi * (u - u0)) ** 2
+    u = (j - S P // 2) / P of the whole box of a LatticeModel.  The spin-down
+    lattice has minima at integer site coordinates; the spin-up lattice is
+    the same profile displaced by +dx."""
+    n = lattice.params.sites * lattice.params.points_per_site
+    u = (np.arange(n) - n // 2) / lattice.params.points_per_site
+    u0 = lattice.dx if spin == "up" else 0.0
+    return -lattice.depth * np.cos(np.pi * (u - u0)) ** 2
 
 
 def grid_kinetic(n, length):
@@ -62,14 +61,15 @@ def grid_kinetic(n, length):
 def grid_hamiltonian(lattice, spin):
     """Dense H = T + diag(V) of one spin state on the S P grid, the oracle
     the Bloch blocks are checked against."""
-    potential = grid_potential(lattice.params, spin)
+    potential = grid_potential(lattice, spin)
     mat = grid_kinetic(potential.size, float(lattice.params.sites)) + np.diag(potential)
     return (mat + mat.T) / 2.0
 
 
-def central_cell(params, spin):
+def central_cell(lattice, spin):
     """The P samples of grid_potential on the central site, u = (l - P/2)/P."""
-    return grid_potential(params, spin).reshape(params.sites, -1)[params.sites // 2]
+    sites = lattice.params.sites
+    return grid_potential(lattice, spin).reshape(sites, -1)[sites // 2]
 
 
 def cell_blocks(cell, quasimomenta):
@@ -125,7 +125,7 @@ def mathieu_defect(lattice, spin="down"):
     if spin == "down":
         blocks, _ = eigensolve._bloch_blocks(lattice.depth, p, [0.0, np.pi])
     else:
-        blocks, _ = cell_blocks(central_cell(lattice.params, spin), [0.0, np.pi])
+        blocks, _ = cell_blocks(central_cell(lattice, spin), [0.0, np.pi])
     energies = np.linalg.eigvalsh(blocks)[:, :12]
     r, q_m = np.arange(6), lattice.depth / 4.0
     values = np.sort([np.r_[mathieu_a(2 * r, q_m), mathieu_b(2 * r + 2, q_m)],

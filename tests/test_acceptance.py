@@ -7,6 +7,7 @@ values are printed and the analysis lives in the repository notes.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,13 +232,8 @@ def test_criterion_09_numerical_hygiene(solver):
     checks5 = FullZone(eig5).validate(grid_hamiltonian(lattice5, "down"))
     mathieu = max(mathieu_defect(lattice), mathieu_defect(lattice5))
     checks = {key: max(checks[key], checks5[key]) for key in checks}
-    params = lattice.params
-    refined = LatticeParams(wavelength=params.wavelength,
-                            depth_at_zero=params.depth_at_zero,
-                            polarization_angle=params.polarization_angle,
-                            sites=params.sites,
-                            points_per_site=2 * params.points_per_site)
-    fine = LatticeModel(params=refined)
+    refined = replace(lattice.params, points_per_site=2 * lattice.params.points_per_site)
+    fine = LatticeModel(refined, lattice.dx)
     w_fine = np.linalg.eigvalsh(grid_hamiltonian(fine, "down"))
     drift = np.abs((w_fine[:40] - eig.spectrum[:40]) / eig.spectrum[:40]).max()
     ok = (drift < 1e-6 and checks["orthonormality"] <= 1e-10

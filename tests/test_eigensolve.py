@@ -9,7 +9,7 @@ import pytest
 from qslab import dynamics as dyn
 from qslab import eigensolve as es
 from qslab.errors import ConstructionError, ParameterError
-from qslab.model import KAPPA, LatticeModel, LatticeParams
+from qslab.model import KAPPA, LatticeModel, LatticeParams, displacement_from_angle
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
 from conftest import (FullZone, block_packet, cell_blocks, central_cell, grid_hamiltonian,
@@ -24,7 +24,7 @@ def test_block_solve_matches_dense_oracle():
     # all modes kept on both routes; the dense eigh of the assembled matrix
     # is the reference for every quantity the pipeline derives from the blocks
     dx = 0.11
-    model = LatticeModel.from_displacement(dx, SMALL)
+    model = LatticeModel(SMALL, dx)
     s = SMALL.sites
     eig = es.decompose(model.depth, s, SMALL.points_per_site)
     full = FullZone(eig)
@@ -61,7 +61,7 @@ def test_block_solve_matches_dense_oracle():
 @pytest.mark.parametrize("sites", [1, 3, 9])
 def test_time_reversal_half_zone_solve(sites, monkeypatch):
     # block -q is block q with plane-wave orders m -> -m, so it is never built
-    model = LatticeModel.from_displacement(0.11, replace(SMALL, sites=sites))
+    model = LatticeModel(replace(SMALL, sites=sites), 0.11)
     eigh, solved = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(len(b)) or eigh(b))
     eig = es.decompose(model.depth, sites, SMALL.points_per_site)
@@ -106,7 +106,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
 def test_band_structure_matches_lattice_spectrum():
     # for odd S, every other one of 2S quasimomenta is a lattice
     # quasimomentum 2 pi j / S, where the bands are the S-site spectrum
-    model = LatticeModel.from_displacement(0.11, SMALL)
+    model = LatticeModel(SMALL, 0.11)
     s = SMALL.sites
     n_bands = es.bound_level_count(model)
     bands = es.band_structure(model, n_bands, 2 * s)
@@ -122,8 +122,8 @@ def test_bloch_blocks_match_mathieu():
     # checks the sampled cell's complex Hermitian blocks (conftest.cell_blocks)
     for depth, theta, p in ((270.0, 0.0, 32), (270.0, 0.0, 64), (270.0, 0.0, 128),
                             (50.0, 0.0, 64), (270.0, 0.7, 64), (600.0, 1.2, 64)):
-        lattice = LatticeModel(params=LatticeParams(depth_at_zero=depth, polarization_angle=theta,
-                                                    points_per_site=p))
+        lattice = LatticeModel(LatticeParams(depth_at_zero=depth, points_per_site=p),
+                               displacement_from_angle(theta))
         for spin in ("down", "up"):
             assert mathieu_defect(lattice, spin) <= 1e-9, (depth, theta, p, spin)
 
@@ -138,9 +138,9 @@ def test_three_term_blocks_match_sampled_cell():
     for p, dx, depth in itertools.product((4, 32, 64, 128), (0.0, 0.11, 0.5),
                                           (50.0, 270.0, 600.0)):
         params = LatticeParams(depth_at_zero=depth, sites=9, points_per_site=p)
-        model = LatticeModel.from_displacement(dx, params)
+        model = LatticeModel(params, dx)
         blocks, orders = es._bloch_blocks(model.depth, p, q)
-        ref, ref_orders = cell_blocks(central_cell(model.params, "down"), q)
+        ref, ref_orders = cell_blocks(central_cell(model, "down"), q)
         assert blocks.dtype == ref.dtype == np.float64
         assert np.array_equal(orders, ref_orders)
         assert np.abs(blocks - ref).max() <= 1e-14 * model.depth, (p, dx, depth)
@@ -217,7 +217,7 @@ def test_site_states_match_one_site_dense_oracle(solver, dx):
     # an isolated site with periodic closure, solved densely, is an
     # independent route to the q = 0 Bloch block
     lattice, eig, _ = solver.solve(dx)
-    site = LatticeModel(params=replace(lattice.params, sites=1))
+    site = LatticeModel(replace(lattice.params, sites=1), lattice.dx)
     w, v = np.linalg.eigh(grid_hamiltonian(site, "down"))
     energies, states = q0_sites(eig, 4)
     assert np.abs(energies - w[:4]).max() <= 1e-10
@@ -230,7 +230,7 @@ def test_site_energies_independent_of_box_size():
     # so the q = 0 block, its energies and its site states are too
     sites = []
     for s in (1, 3, 33):
-        model = LatticeModel.from_displacement(0.2, replace(SMALL, sites=s))
+        model = LatticeModel(replace(SMALL, sites=s), 0.2)
         sites.append(q0_sites(es.decompose(model.depth, s, SMALL.points_per_site)))
     for energies, states in sites[1:]:
         assert np.array_equal(energies, sites[0][0])
@@ -248,7 +248,7 @@ def test_site_ground_energy_is_lattice_ground_offset(sites, monkeypatch):
     for dx in (0.025, 0.1, 0.5):
         offsets.clear()
         lattice_reference_curves(config, [dx])
-        model = LatticeModel.from_displacement(dx, config.params)
+        model = LatticeModel(config.params, dx)
         ground = es.decompose(model.depth, sites, model.params.points_per_site).ground_offset
         assert offsets == [ground] * 3
 

@@ -74,10 +74,10 @@ def test_trap_frequency_scaling_and_kilohertz():
 
 
 def test_potentials_shape_and_displacement():
-    params = m.LatticeParams(polarization_angle=np.pi / 2)
-    lattice = m.LatticeModel(params=params)
-    down = grid_potential(params, "down")
-    up = grid_potential(params, "up")
+    lattice = m.LatticeModel(m.LatticeParams(), 0.5)
+    params = lattice.params
+    down = grid_potential(lattice, "down")
+    up = grid_potential(lattice, "up")
     assert down.shape == up.shape == (params.sites * params.points_per_site,)
     # spin-down minima at integer coordinates, u = 0 at index S P // 2;
     # spin-up displaced by half a site, P / 2 points further on
@@ -88,18 +88,16 @@ def test_potentials_shape_and_displacement():
     assert down.min() == pytest.approx(-lattice.depth, abs=1e-9)
     # periodic with period one site
     assert np.allclose(down[p:], down[:-p], atol=1e-12)
-    # theta = 0: identical potentials and Hamiltonians entrywise
-    lattice0 = m.LatticeModel(params=m.LatticeParams(polarization_angle=0.0, sites=5,
-                                                     points_per_site=32))
-    assert np.array_equal(grid_potential(lattice0.params, "up"),
-                          grid_potential(lattice0.params, "down"))
+    # dx = 0: identical potentials and Hamiltonians entrywise
+    lattice0 = m.LatticeModel(m.LatticeParams(sites=5, points_per_site=32), 0.0)
+    assert np.array_equal(grid_potential(lattice0, "up"), grid_potential(lattice0, "down"))
     assert np.array_equal(grid_hamiltonian(lattice0, "up"), grid_hamiltonian(lattice0, "down"))
 
 
 def test_grid_min_matches_closed_form_depth():
     for dx in (0.1, 0.37):
-        lattice = m.LatticeModel.from_displacement(dx)
-        pot = central_cell(lattice.params, "up")
+        lattice = m.LatticeModel(m.LatticeParams(), dx)
+        pot = central_cell(lattice, "up")
         h = 1.0 / lattice.params.points_per_site
         # nearest grid point sits within h/2 of the well bottom, where the
         # parabolic expansion gives an offset of at most U0 pi^2 h^2 / 4
@@ -157,7 +155,7 @@ def test_apply_matches_matrix():
 
 def test_coherent_alpha_reference_value():
     # dx = 0.04 at 270 E_R: |alpha| about 0.36, a_HO about 34 nm
-    lattice = m.LatticeModel.from_displacement(0.04)
+    lattice = m.LatticeModel(m.LatticeParams(), 0.04)
     assert lattice.coherent_alpha(0.04) == pytest.approx(0.36, abs=0.01)
     a_ho = np.sqrt(m.HBAR_SI / (m.CS133_MASS_SI * lattice.trap_frequency_rad_s))
     assert a_ho == pytest.approx(34e-9, rel=0.03)
@@ -176,4 +174,4 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         m.LatticeParams(depth_at_zero=-1.0)
     with pytest.raises(ParameterError):
-        m.LatticeParams(polarization_angle=2.0)
+        m.LatticeModel(m.LatticeParams(), 0.6)     # dx beyond half a site

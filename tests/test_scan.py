@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from qslab import cli, interferometer, scan
-from qslab.errors import ParameterError
+from qslab.errors import EstimationError, ParameterError
 from qslab.model import LatticeParams
 
 from conftest import fmt_oracle
@@ -97,13 +97,6 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
-
-
-def test_public_names_resolve():
-    # a name deleted from the package must leave __all__ with it
-    import qslab
-
-    assert [name for name in qslab.__all__ if not hasattr(qslab, name)] == []
 
 
 def test_config_rejects_unknown_keys():
@@ -405,6 +398,51 @@ def test_failure_manifest_and_continue(tmp_path, monkeypatch):
         ("n0_dx0.1600", "solve", "ValueError", "synthetic solve failure"),
         ("n2_dx0.1600", "solve", "ValueError", "synthetic solve failure")]
     assert all(set(f) == {"point", "stage", "type", "error"} for f in failures)
+
+
+def test_clean_rerun_removes_stale_failure_manifest(tmp_path):
+    # a 2 E_R lattice binds no n = 2 packet, so its point fails at the solve;
+    # a clean rerun into the same directory must not leave that record beside
+    # a summary that counts no failures
+    shallow = dataclasses.replace(SMALL, depth_at_zero=2.0)
+    assert scan.run_scan(small_config(tmp_path, params=shallow))["points_failed"] == 2
+    manifest = os.path.join(tmp_path, "out", "failures.json")
+    assert os.path.isfile(manifest)
+    assert scan.run_scan(small_config(tmp_path))["points_failed"] == 0
+    assert not os.path.exists(manifest)
+
+
+def test_figures_take_estimates_where_de_was_estimated(tmp_path, monkeypatch):
+    # an experiment point enters fig3.csv and fig4.csv through its estimates;
+    # one whose dE estimate failed falls back to its exact report
+    cfg = small_config(tmp_path, estimator="experiment", points=((0, 0.12),))
+    pdir = os.path.join(cfg.out_dir, "n0_dx0.1200")
+
+    def figure_values():
+        scan.run_scan(cfg)
+        fig3, fig4 = (read(os.path.join(cfg.out_dir, name)).decode().splitlines()[1].split(",")
+                      for name in ("fig3.csv", "fig4.csv"))
+        files = []
+        for name in ("diagnostics.json", "report.json", "estimates.json"):
+            with open(os.path.join(pdir, name)) as fh:
+                files.append(json.load(fh))
+        return (float(fig3[2]), float(fig3[3]), float(fig4[3])), *files
+
+    def expected(source, homega):
+        return (4.0 * source["e_Er"] / homega, 4.0 * source["de_Er"] / homega,
+                max(source["xi_fit"], 0.0))
+
+    values, diag, rep, est = figure_values()
+    assert est["de_Er"] != rep["de_Er"]
+    assert values == expected(est, diag["homega_Er"])
+
+    def unresolved(*args, **kwargs):
+        raise EstimationError("synthetic flat visibility")
+
+    monkeypatch.setattr(interferometer, "extract_uncertainty", unresolved)
+    values, diag, rep, est = figure_values()
+    assert "de_error" in est and "e_Er" in est and "xi_fit" in est
+    assert values == expected(rep, diag["homega_Er"])
 
 
 def test_reference_curves():
