@@ -88,30 +88,33 @@ class OverlapTrace:
         return np.arccos(np.clip(self.visibility, -1.0, 1.0))
 
 
-def prepare_initial(n: int, dx: float, site_states: np.ndarray, quasimomenta: np.ndarray,
-                    orders: np.ndarray) -> np.ndarray:
-    """Displaced vibrational state: single-site level n, zero-padded, shifted by dx.
+def packets(dx: float, cell_modes: np.ndarray, quasimomenta: np.ndarray,
+            orders: np.ndarray) -> np.ndarray:
+    """Displaced vibrational packets: q = 0 modes cut to one site, shifted by dx.
 
-    Column n of `site_states`, phi(u) on the P points u = (l - P/2)/P
-    (eigensolve.site_states of the q = 0 block), sits on the central site of
-    the S-site grid and is translated by dx, so the packet and the
-    integer-site wells differ by exactly dx.  Returns its (Q, P) coefficients on the plane waves
-    exp(i k u), k = q + 2 pi m, of the blocks with these quasimomenta and
-    orders (S = 2 Q - 1): a_q(m) = sum_u phi(u) exp(-i k (u + dx)) / sqrt(S P),
-    a P-point FFT of phi(u) exp(-i q u) read at m mod P, times (-1)^m for
-    the cell's first point at u = -1/2 and the translation's phase.
+    Column j of `cell_modes` is a q = 0 mode on the plane waves orders[0].
+    A q = 0 mode repeats from site to site; its samples phi_j(u) on the cell
+    u = (l - P/2)/P sit on the central site of the S-site grid, zero
+    elsewhere, and are translated by dx, so the packet and the integer-site
+    wells differ by exactly dx.  Returns the (K, Q, P) coefficients of the K
+    packets on the plane waves exp(i k u), k = q + 2 pi m, of the blocks with
+    these quasimomenta and orders (S = 2 Q - 1):
+    a_q(m) = sum_u phi_j(u) exp(-i k (u + dx)) / sqrt(S P), a P-point FFT of
+    phi_j(u) exp(-i q u) read at m mod P.  (-1)^m moves the transform's
+    origin to the cell's first point, u = -1/2, which needs P even.  A mode's
+    global phase is kept: it drops out of every population and moment.
     """
-    if n not in (0, 1, 2):
-        raise ParameterError(f"vibrational index must be 0, 1 or 2, got {n}")
-    if not 0.0 <= dx <= 0.5 + 1e-15:
-        raise ParameterError(f"displacement must lie in [0, 0.5] lambda/2, got {dx}")
-    p = site_states.shape[0]
+    p = orders.shape[1]
     q = np.asarray(quasimomenta, dtype=float)[:, None]
     u = (np.arange(p) - p // 2) / p
-    spectra = np.fft.fft(site_states[:, n] * np.exp(-1j * q * u), axis=1)
+    # plane wave m sampled at u_l is (-1)^m exp(2 pi i m l / P) / sqrt(P)
+    spectrum = np.zeros(cell_modes.shape, dtype=complex)
+    spectrum[orders[0] % p] = ((-1.0) ** orders[0])[:, None] * cell_modes
+    cells = np.fft.ifft(spectrum, axis=0, norm="ortho").T
+    spectra = np.fft.fft(cells[:, None, :] * np.exp(-1j * q * u), axis=2)
     k = q + 2.0 * np.pi * orders
     norm = np.sqrt((2 * q.size - 1) * p)
-    return (-1.0) ** orders * np.take_along_axis(spectra, orders % p, axis=1) \
+    return (-1.0) ** orders * np.take_along_axis(spectra, (orders % p)[None], axis=2) \
         * np.exp(-1j * k * dx) / norm
 
 
@@ -210,7 +213,7 @@ def quadrature_defect(spectral: SpectralState, trace: OverlapTrace) -> float | N
     return float(np.abs(trace.overlaps - coarse_overlaps).max())
 
 
-def default_times(moms: SpectralMoments, n_points: int = 64) -> np.ndarray:
+def default_times(moms: SpectralMoments, n_points: int) -> np.ndarray:
     """Uniform grid over [0, tau_MT], the window where the MT bound applies."""
     if moms.stationary:
         raise ParameterError("stationary state has no finite tau_MT")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .model import KAPPA, LatticeModel
 
 
@@ -85,30 +85,12 @@ class EigenDecomposition:
         return np.sort(np.repeat(self.energies, self.weights.astype(int), axis=0), axis=None)
 
 
-def site_states(vectors: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """(P, K) real states of the q = 0 modes in the columns of `vectors`
-    (eig.vectors[0], with plane-wave orders eig.orders[0]).
-
-    A q = 0 mode repeats from site to site, so its samples on one cell,
-    u = (l - P/2)/P, are a single-site eigenstate with periodic closure: the
-    packets n = 0, 1, 2.  Columns are orthonormal and phased to be real.
-    """
-    p = orders.size
-    # plane wave m sampled at u_l is (-1)^m exp(2 pi i m l / P) / sqrt(P)
-    spectrum = np.zeros(vectors.shape, dtype=complex)
-    spectrum[orders % p] = ((-1.0) ** orders)[:, None] * vectors
-    cells = np.fft.ifft(spectrum, axis=0, norm="ortho")
-    # for a real column r times exp(i a), sum of squares = exp(2 i a) |r|^2
-    cells *= np.exp(-0.5j * np.angle((cells**2).sum(axis=0)))
-    return cells.real
-
-
 def half_zone(depth: float, sites: int, points: int):
     """(blocks, orders, quasimomenta, weights) of the (S + 1)/2 Bloch blocks
     with q >= 0 of the S-site lattice of depth U0 (E_R) on P points per site;
     see _bloch_blocks and EigenDecomposition."""
     if sites % 2 == 0:
-        raise ConstructionError("the q <-> -q pairing of the blocks needs an odd site count")
+        raise ParameterError("the q <-> -q pairing of the blocks needs an odd site count")
     # the even potential makes block -q block q with plane-wave orders
     # m -> -m (odd S, so the Nyquist windows mirror)
     q = 2.0 * np.pi * np.arange(sites // 2 + 1) / sites

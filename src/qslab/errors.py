@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """A function argument is outside its documented domain."""
 
 
-class ConstructionError(ValueError):
-    """Inconsistent pieces were combined (e.g. mismatched grid sizes)."""
-
-
 class NumericError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 

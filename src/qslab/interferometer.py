@@ -91,8 +91,6 @@ class FringeFit:
     v_err: np.ndarray
     phi: np.ndarray        # in (-pi, pi]
     phi_err: np.ndarray
-    offset: np.ndarray
-    flagged: np.ndarray    # True when the amplitude is too small to date the phase
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
     coef = np.linalg.lstsq(design, y.T, rcond=None)[0].T
     resid = y - coef @ design.T
     sigma2 = np.einsum("tk,tk->t", resid, resid) / max(phi_r.size - 3, 1)
-    a, b, c = coef.T
+    _, b, c = coef.T
     v_raw = 2.0 * np.hypot(b, c)
     resolved = v_raw > 1e-12
     norm = np.where(resolved, v_raw / 2.0, 1.0)
@@ -152,8 +150,7 @@ def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
     v_err = 2.0 * np.sqrt(np.maximum(sigma2 * var_v, 0.0))
     phi_err = np.where(resolved, np.sqrt(np.maximum(sigma2 * var_p, 0.0)) / norm, np.pi)
     return FringeFit(v=np.clip(v_raw, 0.0, 1.0), v_raw=v_raw, v_err=v_err,
-                     phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi), offset=a,
-                     flagged=v_raw < 2.0 * v_err)
+                     phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi))
 
 
 def simulate_series(times_us: np.ndarray, visibility: np.ndarray,

@@ -105,9 +105,9 @@ class LatticeParams:
 
     wavelength in meters, depth_at_zero in E_R.  sites must be odd so the
     grid centers a well at the origin.  points_per_site must be a power of
-    two, at least 4 for the three packet states; site_states and
-    prepare_initial take the cell's first sample at u = -1/2 through a
-    (-1)^m sign, which assumes it is even.
+    two, at least 4 for the three packet states; it must be even, since
+    dynamics.packets puts the cell's first sample at u = -1/2 through a
+    (-1)^m sign.
     """
 
     wavelength: float = 866e-9

@@ -1,7 +1,7 @@
 """Parameter sweeps over (displacement, vibrational index) and figure data.
 
 A scan point fixes the packet shape n and the lattice displacement dx, runs
-the exact pipeline (prepare, decompose, overlap trace, bounds report) and
+the exact pipeline (decompose, packets, overlap trace, bounds report) and
 optionally the simulated measurement chain.  Outputs are flat CSV/JSON files
 written atomically per point; identical configuration and seed give
 byte-identical results.
@@ -220,20 +220,21 @@ def _site_model(dx: float, params: LatticeParams) -> LatticeModel:
 
 
 def solve_displacement(dx: float, params: LatticeParams):
-    """(model, eig) shared by the points of one dx, whose q = 0 block gives
-    their site states and e_n.  The evolution wells sit at integer sites; the
-    packet carries the relative displacement dx (see dynamics.prepare_initial)."""
+    """(model, eig, packets) shared by the points of one dx: the half-zone
+    Bloch solve, whose q = 0 block gives e_n, and the (3, Q, P) packets
+    n = 0, 1, 2 that dynamics.packets builds from that block's modes.  The
+    evolution wells sit at integer sites; the packets carry the relative
+    displacement dx."""
     model = _site_model(dx, params)
-    return model, eigensolve.decompose(model.depth, params.sites, params.points_per_site)
+    eig = eigensolve.decompose(model.depth, params.sites, params.points_per_site)
+    return model, eig, dynamics.packets(dx, eig.vectors[0, :, :3], eig.quasimomenta, eig.orders)
 
 
 def run_point(n: int, dx: float, config: ScanConfig, solved,
               point_index: int = 0) -> PointResult:
     """Full pipeline for one (n, dx) combination, given solve_displacement(dx)."""
-    model, eig = solved
-    site_states = eigensolve.site_states(eig.vectors[0, :, :3], eig.orders[0])
-    packet = dynamics.prepare_initial(n, dx, site_states, eig.quasimomenta, eig.orders)
-    spectral = dynamics.to_spectral(packet, eig)
+    model, eig, packets = solved
+    spectral = dynamics.to_spectral(packets[n], eig)
     moms = dynamics.moments(spectral)
     times = dynamics.default_times(moms, config.time_points)
     trace = dynamics.evolve_overlap(spectral, times)
@@ -304,21 +305,19 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
     """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape.
 
     E and dE need only the q = 0 block's eigenbasis: that solve gives the
-    packets' cell states and E_0, as it does for the points, and
+    packets (dynamics.packets) and E_0, as it does for the points, and
     dynamics.direct_moments applies the half-zone Bloch blocks to each
     packet's block coefficients, with the points' weights.
     """
     rows = []
-    for dx in dx_values:
-        model = _site_model(float(dx), config.params)
+    for dx in map(float, dx_values):
+        model = _site_model(dx, config.params)
         blocks, orders, q, weights = eigensolve.half_zone(model.depth, config.params.sites,
                                                           config.params.points_per_site)
         site_e, vectors = np.linalg.eigh(blocks[0])
-        site_states = eigensolve.site_states(vectors[:, :3], orders[0])
-        for n in (0, 1, 2):
-            packet = dynamics.prepare_initial(n, float(dx), site_states, q, orders)
+        for n, packet in enumerate(dynamics.packets(dx, vectors[:, :3], q, orders)):
             moms = dynamics.direct_moments(blocks, packet, weights, site_e[0])
-            rows.append({"n": n, "dx": float(dx),
+            rows.append({"n": n, "dx": dx,
                          "inv_tau_ml": 4.0 * moms.e / model.homega,
                          "inv_tau_mt": 4.0 * moms.de / model.homega})
     return rows
@@ -357,7 +356,7 @@ def write_json(path: str, payload) -> None:
 
 def _write_point(result: PointResult, out_dir: str) -> None:
     pdir = os.path.join(out_dir, result.label)
-    os.makedirs(pdir, exist_ok=True)
+    make_out_dir(pdir)
     t_us = result.trace.times * result.model.recoil.time_us_per_unit
     write_csv(os.path.join(pdir, "trace.csv"),
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],

@@ -1,7 +1,8 @@
 """Shared fixtures: cached lattice solutions, the default-grid sweep, the
 oracles of the Bloch solver (the dense Hamiltonian on the S-site grid, the
 Bloch blocks of a sampled cell and Mathieu's equation), the grid route the
-half-zone packets are checked against, and the per-record fringe fit and
+half-zone packets are checked against (real cell states of the q = 0 modes,
+zero-padded and shifted on the grid), and the per-record fringe fit and
 per-cell CSV formatter the batched paths are checked against."""
 
 import numpy as np
@@ -21,17 +22,18 @@ class LatticeSolver:
         self._cache = {}
 
     def solve(self, dx: float):
-        """(model, eig, q0_sites(eig)) for one displacement."""
+        """(model, eig, packets, q0_sites(eig)) for one displacement: the
+        first three are scan.solve_displacement's."""
         key = round(dx, 12)
         if key not in self._cache:
-            model, eig = scan.solve_displacement(dx, self.params)
-            self._cache[key] = model, eig, q0_sites(eig)
+            model, eig, packets = scan.solve_displacement(dx, self.params)
+            self._cache[key] = model, eig, packets, q0_sites(eig)
         return self._cache[key]
 
     def spectral_point(self, n: int, dx: float):
         """(model, eig, packet, spectral, moments) of the point (n, dx)."""
-        model, eig, (_, site_states) = self.solve(dx)
-        packet = block_packet(n, dx, eig, site_states)
+        model, eig, packets, _ = self.solve(dx)
+        packet = packets[n]
         spectral = dynamics.to_spectral(packet, eig)
         return model, eig, packet, spectral, dynamics.moments(spectral)
 
@@ -133,27 +135,48 @@ def mathieu_defect(lattice, spin="down"):
     return float(np.abs(energies - (values - lattice.depth / 2.0)).max())
 
 
+def site_states(vectors, orders):
+    """(P, K) real states of the q = 0 modes in the columns of `vectors`
+    (eig.vectors[0], with plane-wave orders eig.orders[0]).
+
+    A q = 0 mode repeats from site to site, so its samples on one cell,
+    u = (l - P/2)/P, are a single-site eigenstate with periodic closure: the
+    packets n = 0, 1, 2 before they are cut to one site.  Columns are
+    orthonormal and phased to be real.
+    """
+    p = orders.size
+    # plane wave m sampled at u_l is (-1)^m exp(2 pi i m l / P) / sqrt(P)
+    spectrum = np.zeros(vectors.shape, dtype=complex)
+    spectrum[orders % p] = ((-1.0) ** orders)[:, None] * vectors
+    cells = np.fft.ifft(spectrum, axis=0, norm="ortho")
+    # for a real column r times exp(i a), sum of squares = exp(2 i a) |r|^2
+    cells *= np.exp(-0.5j * np.angle((cells**2).sum(axis=0)))
+    return cells.real
+
+
 def q0_sites(eig, count=3):
     """(energies, cell states) of the first `count` q = 0 modes of eig."""
-    return eig.energies[0, :count], eigensolve.site_states(eig.vectors[0, :, :count],
-                                                           eig.orders[0])
+    return eig.energies[0, :count], site_states(eig.vectors[0, :, :count], eig.orders[0])
 
 
-def block_packet(n, dx, eig, site_states):
-    """The pipeline's packet: (Q, P) plane-wave coefficients on eig's blocks."""
-    return dynamics.prepare_initial(n, dx, site_states, eig.quasimomenta, eig.orders)
+def block_packets(dx, eig, source=None):
+    """The pipeline's (3, Q, P) packets n = 0, 1, 2 on eig's blocks, built
+    from the q = 0 modes of `source` (default eig), a lattice with the same
+    orders[0]."""
+    modes = (eig if source is None else source).vectors[0, :, :3]
+    return dynamics.packets(dx, modes, eig.quasimomenta, eig.orders)
 
 
-def grid_packet(n, dx, params, site_states):
-    """The packet on the S P grid of spacing 1/P: site state n zero-padded to
-    the central site, then translated by dx with band-limited interpolation
-    (the Nyquist bin takes cos(k dx), so a real input stays real) and
-    renormalised."""
+def grid_packet(n, dx, params, states):
+    """The packet on the S P grid of spacing 1/P: column n of the cell states
+    `states` (q0_sites) zero-padded to the central site, then translated by
+    dx with band-limited interpolation (the Nyquist bin takes cos(k dx), so a
+    real input stays real) and renormalised."""
     p = params.points_per_site
     size = params.sites * p
     psi = np.zeros(size)
     start = size // 2 - p // 2
-    psi[start:start + p] = site_states[:, n]
+    psi[start:start + p] = states[:, n]
     psi /= np.linalg.norm(psi)
     k = 2.0 * np.pi * np.fft.fftfreq(size, d=1.0 / p)
     phase = np.exp(-1j * k * dx)
@@ -261,7 +284,7 @@ def fit_fringe_oracle(phi_r, n_down, n_total, loss_fraction=0.0) -> dict:
     resid = y - design @ coef
     sigma2 = float(resid @ resid) / max(phi_r.size - 3, 1)
     cov = sigma2 * np.linalg.inv(gram)
-    a, b, c = coef
+    _, b, c = coef
     v_raw = 2.0 * float(np.hypot(b, c))
     if v_raw > 1e-12:
         grad_v = np.array([0.0, 4.0 * b, 4.0 * c]) / v_raw
@@ -272,8 +295,7 @@ def fit_fringe_oracle(phi_r, n_down, n_total, loss_fraction=0.0) -> dict:
         v_err = 2.0 * float(np.sqrt(cov[1, 1] + cov[2, 2]))
         phi_err = np.pi
     return {"v": float(np.clip(v_raw, 0.0, 1.0)), "v_raw": v_raw, "v_err": v_err,
-            "phi": float(np.arctan2(-c, -b)), "phi_err": min(phi_err, np.pi),
-            "offset": float(a), "flagged": v_raw < 2.0 * v_err}
+            "phi": float(np.arctan2(-c, -b)), "phi_err": min(phi_err, np.pi)}
 
 
 def fmt_oracle(value) -> str:

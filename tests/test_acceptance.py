@@ -30,8 +30,7 @@ def sweep(solver):
     config = scan.ScanConfig(curves=False)
     results = []
     for index, (n, dx) in enumerate(scan.default_grid()):
-        model, eig, _ = solver.solve(dx)
-        results.append(scan.run_point(n, dx, config, (model, eig), index))
+        results.append(scan.run_point(n, dx, config, solver.solve(dx)[:3], index))
     _SWEEP_TIME["elapsed"] = time.perf_counter() - t0
     return results
 

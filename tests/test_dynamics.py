@@ -7,11 +7,11 @@ import pytest
 from scipy.special import gammaln
 
 from qslab import dynamics as dyn
-from qslab import eigensolve, qsl
+from qslab import eigensolve, qsl, scan
 from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
-from conftest import (FullZone, LatticeSolver, block_packet, cell_decompose, central_cell,
+from conftest import (FullZone, LatticeSolver, block_packets, cell_decompose, central_cell,
                       grid_packet, q0_sites)
 
 
@@ -21,8 +21,8 @@ def poisson_pmf(k, x):
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_prepare_stationary_at_zero_displacement(solver, n):
-    model, eig, (site_e, site_states) = solver.solve(0.0)
-    packet = block_packet(n, 0.0, eig, site_states)
+    model, eig, packets, (site_e, _) = solver.solve(0.0)
+    packet = packets[n]
     assert eig.weights @ (np.abs(packet) ** 2).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
     spectral = dyn.to_spectral(packet, eig)
     # all population inside the quasi-degenerate band n
@@ -40,22 +40,42 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
 
 
 def test_prepare_input_validation(solver):
-    _, eig, (_, site_states) = solver.solve(0.0)
-    with pytest.raises(ParameterError):
-        block_packet(3, 0.1, eig, site_states)
-    with pytest.raises(ParameterError):
-        block_packet(0, 0.7, eig, site_states)
+    # dynamics.packets builds n = 0, 1, 2 at any dx; the model bounds dx and
+    # the scan point bounds n
+    with pytest.raises(ParameterError, match="displacement"):
+        scan.solve_displacement(0.7, solver.params)
+    with pytest.raises(ParameterError, match="packet shape"):
+        scan.check_point("state", 3, 0.1)
 
 
 def test_shift_is_norm_preserving_and_silent(solver):
     import warnings
 
-    _, eig, (_, site_states) = solver.solve(0.13)
+    _, eig, *_ = solver.solve(0.13)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        packet = block_packet(0, 0.13, eig, site_states)  # dx not a grid multiple
+        packets = block_packets(0.13, eig)  # dx not a grid multiple
     # the shift is a phase per plane wave; the weights count each q > 0 block twice
-    assert eig.weights @ (np.abs(packet) ** 2).sum(axis=1) == pytest.approx(1.0, abs=1e-12)
+    norms = (np.abs(packets) ** 2).sum(axis=2) @ eig.weights
+    assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+def test_packets_ignore_the_global_phase_of_a_mode(solver):
+    # dynamics.packets keeps the phase eigh gives each q = 0 mode; that global
+    # phase drops out of the populations and of the moments
+    dx = 0.16
+    model, eig, packets, _ = solver.solve(dx)
+    blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
+                                      model.params.points_per_site)
+    phases = np.array([-1.0, np.exp(0.7j), np.exp(-2.3j)])
+    rephased = dyn.packets(dx, eig.vectors[0, :, :3] * phases, eig.quasimomenta, eig.orders)
+    for packet, other in zip(packets, rephased):
+        pops = dyn.to_spectral(packet, eig).populations
+        assert np.abs(dyn.to_spectral(other, eig).populations - pops).max() <= 1e-15
+        moms, other_moms = (dyn.direct_moments(blocks, a, eig.weights, eig.ground_offset)
+                            for a in (packet, other))
+        assert abs(other_moms.e / moms.e - 1.0) <= 1e-14
+        assert abs(other_moms.de / moms.de - 1.0) <= 1e-14
 
 
 def test_populations_poisson_at_small_displacement(solver):
@@ -151,7 +171,7 @@ def test_unitarity_and_time_reversal(solver):
 def test_spectral_sum_matches_grid_reconstruction(solver):
     # two independent routes to A(t): the half-zone population sum and the
     # explicit wave function on the grid, evolved over all S blocks
-    model, eig, (_, site_states) = solver.solve(0.08)
+    model, eig, _, (_, site_states) = solver.solve(0.08)
     spectral, moms = solver.spectral_point(0, 0.08)[3:]
     full = FullZone(eig)
     psi = grid_packet(0, 0.08, model.params, site_states)
@@ -176,11 +196,10 @@ def test_direct_moments_cross_check(solver):
     # the curves' first, the points' reference and the last displacement;
     # the two routes agree to about 1e-13 relative
     for dx in (0.025, 0.08, 0.5):
-        model, eig, (_, site_states) = solver.solve(dx)
+        model, eig, packets, _ = solver.solve(dx)
         blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
                                           model.params.points_per_site)
-        for n in (0, 1, 2):
-            packet = block_packet(n, dx, eig, site_states)
+        for packet in packets:
             spec_moms = dyn.moments(dyn.to_spectral(packet, eig))
             direct = dyn.direct_moments(blocks, packet, eig.weights, eig.ground_offset)
             assert abs(direct.e / spec_moms.e - 1.0) <= 1e-11
@@ -225,10 +244,14 @@ def test_displacement_gauge_equivalence():
     model = LatticeModel(params, dx)
     eig_down = eigensolve.decompose(model.depth, params.sites, params.points_per_site)
     eig_up = cell_decompose(central_cell(model, "up"), params.sites)
-    site_states = q0_sites(eig_down)[1]
-    for n in (0, 1, 2):
-        spec_a = dyn.to_spectral(block_packet(n, dx, eig_down, site_states), eig_down)
-        spec_b = dyn.to_spectral(block_packet(n, 0.0, eig_up, site_states), eig_up)
+    # the packets at the origin come from the spin-down q = 0 modes on the
+    # spin-up blocks, whose orders[0] are the same
+    assert np.array_equal(eig_up.orders[0], eig_down.orders[0])
+    packets_a = block_packets(dx, eig_down)
+    packets_b = block_packets(0.0, eig_up, eig_down)
+    for packet_a, packet_b in zip(packets_a, packets_b):
+        spec_a = dyn.to_spectral(packet_a, eig_down)
+        spec_b = dyn.to_spectral(packet_b, eig_up)
         # mode-by-mode weights are basis-dependent inside quasi-degenerate
         # bands; band totals and moments are the physical content
         bands_a = spec_a.populations.sum(axis=0)
@@ -261,7 +284,7 @@ def test_default_box_converged_against_33_sites(solver, dx):
 def test_leakage_monitor_edges_quiet(solver):
     # worst case: largest displacement, longest trace; the packet, evolved on
     # the grid over all S blocks, never reaches the two outermost sites
-    model, eig, (_, site_states) = solver.solve(0.5)
+    model, eig, _, (_, site_states) = solver.solve(0.5)
     moms = solver.spectral_point(0, 0.5)[4]
     full = FullZone(eig)
     coeff = full.project(grid_packet(0, 0.5, model.params, site_states))
@@ -302,10 +325,9 @@ def test_block_populations_match_grid_oracle():
     for sites in (1, 3, 5):
         params = LatticeParams(sites=sites, points_per_site=32)
         for dx in 0.5 - rng.uniform(0.0, 0.5, 4):     # in (0, 0.5]
-            model, eig, (_, site_states) = LatticeSolver(params).solve(float(dx))
+            model, eig, packets, (_, site_states) = LatticeSolver(params).solve(float(dx))
             for n in (0, 1, 2):
-                packet = block_packet(n, float(dx), eig, site_states)
-                pops = dyn.to_spectral(packet, eig).populations
+                pops = dyn.to_spectral(packets[n], eig).populations
                 oracle = _folded_oracle_populations(model, eig, n, float(dx), site_states)
                 assert np.abs(pops - oracle).max() <= 1e-12
 
@@ -326,9 +348,10 @@ def test_half_zone_weights_reproduce_full_zone(spin, dx):
     assert eig.energies.shape == (5, 32)
     assert np.array_equal(eig.weights, [1.0, 2.0, 2.0, 2.0, 2.0])
     site_states = q0_sites(down)[1]
+    packets = block_packets(dx, eig, down)
     full = FullZone(eig)
     for n in (0, 1, 2):
-        half = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)
+        half = dyn.to_spectral(packets[n], eig)
         whole = full.spectral(grid_packet(n, dx, model.params, site_states))
         m_half, m_whole = dyn.moments(half), dyn.moments(whole)
         assert m_half.e == pytest.approx(m_whole.e, rel=1e-12)

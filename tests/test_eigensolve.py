@@ -8,11 +8,11 @@ import pytest
 
 from qslab import dynamics as dyn
 from qslab import eigensolve as es
-from qslab.errors import ConstructionError, ParameterError
+from qslab.errors import ParameterError
 from qslab.model import KAPPA, LatticeModel, LatticeParams, displacement_from_angle
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
-from conftest import (FullZone, block_packet, cell_blocks, central_cell, grid_hamiltonian,
+from conftest import (FullZone, block_packets, cell_blocks, central_cell, grid_hamiltonian,
                       grid_packet, mathieu_defect, q0_sites)
 
 ORTHO_TOL = 1e-10
@@ -29,13 +29,14 @@ def test_block_solve_matches_dense_oracle():
     eig = es.decompose(model.depth, s, SMALL.points_per_site)
     full = FullZone(eig)
     site_states = q0_sites(eig)[1]
+    packets = block_packets(dx, eig)
     w, v = np.linalg.eigh(grid_hamiltonian(model, "down"))
     assert np.abs(eig.spectrum - w).max() <= 1e-10
     # bound bands are separated by gaps, so dense band b is the b-th run of S
     bound = es.bound_level_count(model)
     assert np.array_equal(full.bands[:bound * s], np.repeat(np.arange(bound), s))
     for n in (0, 1, 2):
-        spectral = dyn.to_spectral(block_packet(n, dx, eig, site_states), eig)
+        spectral = dyn.to_spectral(packets[n], eig)
         psi = grid_packet(n, dx, model.params, site_states)
         coeff = v.T @ psi
         dense_pops = np.abs(coeff) ** 2
@@ -81,7 +82,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
     # the cos^2 well is even, so its blocks are real symmetric
     eigh = np.linalg.eigh
     for dx in (0.04, 0.5):
-        model, eig, (_, site_states) = solver.solve(dx)
+        model, eig, packets, _ = solver.solve(dx)
         assert eig.vectors.dtype == np.float64
         # the same blocks through the complex driver are the reference
         with monkeypatch.context() as patch:
@@ -93,8 +94,7 @@ def test_mirror_symmetric_cell_solves_real_blocks(solver, monkeypatch):
         # 3e-13 E_R at dx = 0.5, so how a packet splits between them is a
         # choice of basis; the bound bands and the moments are not
         bound = es.bound_level_count(model)
-        for n in (0, 1, 2):
-            packet = block_packet(n, dx, eig, site_states)
+        for packet in packets:
             spectral = [dyn.to_spectral(packet, e) for e in (eig, ref)]
             pops = [s.populations.sum(axis=0)[:bound] for s in spectral]
             assert np.abs(pops[0] - pops[1]).max() <= 1e-12
@@ -149,7 +149,7 @@ def test_three_term_blocks_match_sampled_cell():
 
 def test_decompose_input_errors():
     # an even S has an unpaired zone-edge block, q = pi
-    with pytest.raises(ConstructionError, match="odd"):
+    with pytest.raises(ParameterError, match="odd"):
         es.decompose(270.0, 4, 32)
 
 
@@ -186,7 +186,7 @@ def test_level_spacing_against_anharmonic_ladder(solver):
 
 
 def test_single_site_eigenstates_nodes_and_orthonormality(solver):
-    energies, states = solver.solve(0.0)[2]
+    energies, states = solver.solve(0.0)[3]
     p = states.shape[0]
     positions = np.arange(p) / p - 0.5
     assert np.all(np.diff(energies) > 0)
@@ -216,7 +216,7 @@ def test_single_site_count_errors():
 def test_site_states_match_one_site_dense_oracle(solver, dx):
     # an isolated site with periodic closure, solved densely, is an
     # independent route to the q = 0 Bloch block
-    lattice, eig, _ = solver.solve(dx)
+    lattice, eig, *_ = solver.solve(dx)
     site = LatticeModel(replace(lattice.params, sites=1), lattice.dx)
     w, v = np.linalg.eigh(grid_hamiltonian(site, "down"))
     energies, states = q0_sites(eig, 4)
@@ -254,28 +254,30 @@ def test_site_ground_energy_is_lattice_ground_offset(sites, monkeypatch):
 
 
 def test_each_displacement_solves_its_q0_block_once(monkeypatch):
-    # the half-zone solve is the only q = 0 solve: one block build and one
-    # eigh per displacement for the points, none more per point, and one
-    # build and one q = 0 eigh per curve displacement
-    builds, solves = [], []
-    bloch_blocks, eigh = es._bloch_blocks, np.linalg.eigh
+    # the half-zone solve is the only q = 0 solve: one block build, one eigh
+    # and one packets call per displacement for the points, none more per
+    # point, and one build, one q = 0 eigh and one packets call per curve
+    # displacement
+    builds, solves, packets = [], [], []
+    bloch_blocks, eigh, make_packets = es._bloch_blocks, np.linalg.eigh, dyn.packets
     monkeypatch.setattr(es, "_bloch_blocks",
                         lambda depth, p, q: builds.append(len(q)) or bloch_blocks(depth, p, q))
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solves.append(b.shape) or eigh(b))
+    monkeypatch.setattr(dyn, "packets", lambda dx, *a: packets.append(dx) or make_packets(dx, *a))
     half, p = (SMALL.sites + 1) // 2, SMALL.points_per_site
     config = ScanConfig(params=SMALL)
     solved = solve_displacement(0.1, SMALL)
     for n in (0, 1, 2):
         run_point(n, 0.1, config, solved)
-    assert builds == [half] and solves == [(half, p, p)]
-    builds.clear()
-    solves.clear()
+    assert builds == [half] and solves == [(half, p, p)] and packets == [0.1]
+    for calls in (builds, solves, packets):
+        calls.clear()
     lattice_reference_curves(config, [0.05, 0.1])
-    assert builds == [half, half] and solves == [(p, p), (p, p)]
+    assert builds == [half, half] and solves == [(p, p), (p, p)] and packets == [0.05, 0.1]
 
 
 def test_single_site_matches_full_lattice_band_centers(solver):
-    lattice, eig, (site_e, _) = solver.solve(0.0)
+    lattice, eig, _, (site_e, _) = solver.solve(0.0)
     s = lattice.params.sites
     for n in range(3):
         band = eig.spectrum[n * s:(n + 1) * s]
@@ -292,7 +294,7 @@ def test_empty_lattice_band_folds_free_dispersion():
 
 
 def test_band_zero_at_q0_matches_single_site(solver):
-    lattice, _, (site_e, _) = solver.solve(0.0)
+    lattice, *_, (site_e, _) = solver.solve(0.0)
     bands = es.band_structure(lattice, 3, 32)
     i0 = int(np.argmin(np.abs(bands[0].quasimomenta)))
     for n in range(3):

@@ -49,8 +49,6 @@ def test_fit_fringe_exact_recovery():
     fit = ifm.fit_fringes(phis, [y * 200], 200.0)
     assert fit.v[0] == pytest.approx(v_true, abs=1e-10)
     assert fit.phi[0] == pytest.approx(phi_true, abs=1e-10)
-    assert fit.offset[0] == pytest.approx(0.5, abs=1e-10)
-    assert not fit.flagged[0]
     # loss renormalization cancels exactly
     y_loss = y * 0.95
     fit2 = ifm.fit_fringes(phis, [y_loss * 200], 200.0, loss_fraction=0.05)
@@ -62,7 +60,6 @@ def test_fit_fringe_flags_vanishing_visibility():
     rng = np.random.default_rng(5)
     counts = rng.binomial(200, 0.5, size=(1, phis.size))
     fit = ifm.fit_fringes(phis, counts, 200.0)
-    assert fit.flagged[0]
     assert fit.phi_err[0] > 0.3
     with pytest.raises(ParameterError):
         ifm.fit_fringes(phis[:4], counts[:, :4], 200.0)
@@ -82,20 +79,16 @@ def test_batched_fit_matches_per_record_oracle(k):
     counts[7] = 95.0
     fit = ifm.fit_fringes(phis, counts, n_total, loss)
     assert fit.v_raw[7] <= 1e-12 and fit.phi_err[7] == np.pi
-    for name in ("v", "v_raw", "v_err", "phi", "phi_err", "offset", "flagged"):
+    for name in ("v", "v_raw", "v_err", "phi", "phi_err"):
         got = getattr(fit, name)
         want = np.array([fit_fringe_oracle(phis, row, n_total, loss)[name] for row in counts])
         assert got.shape == (50,)
-        if name == "flagged":
-            assert np.array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
     # a multi-right-hand-side lstsq rounds a row by the batch size, so a
     # one-row batch agrees with the full batch's row 0 to the same 1e-12
     one = ifm.fit_fringes(phis, counts[:1], n_total, loss)
-    for name in ("v", "v_raw", "v_err", "phi", "phi_err", "offset"):
+    for name in ("v", "v_raw", "v_err", "phi", "phi_err"):
         assert getattr(one, name)[0] == pytest.approx(getattr(fit, name)[0], rel=1e-12, abs=0.0)
-    assert one.flagged[0] == fit.flagged[0]
     for bad in (phis[:5], np.r_[phis[:3], phis[:3]], np.linspace(0.0, 1e-6, k)):
         with pytest.raises(ParameterError):
             ifm.fit_fringes(bad, counts[:, :bad.size], n_total)

@@ -649,6 +649,13 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"qslab {argv[0]}: error: output directory {existing!r}: ")
         assert err.count("\n") == 1
+    # so did a file where a point's own directory goes
+    blocked = str(tmp_path / "n0_dx0.1000")
+    open(blocked, "w").close()
+    assert cli.main(["point", "--config", str(small), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qslab point: error: output directory {blocked!r}: ")
+    assert err.count("\n") == 1
     path.write_text(yaml.safe_dump({"scan": {"out": "", "points": [[0, 0.1]], "curves": False}}))
     assert cli.main(["scan", "--config", str(path)]) == 2
     err = capsys.readouterr().err
