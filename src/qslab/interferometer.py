@@ -33,8 +33,9 @@ class RamseyConfig:
 
     atoms_per_shot * repetitions detections enter each phase point; losses
     shrink the detected fraction and are divided out during normalization.
-    noiseless=True replaces the binomial draw by its expectation, which the
-    round-trip tests use.
+    The random stream is not part of the configuration: simulate_series
+    takes its seed, and a scan seeds one generator per point by
+    [seed, point index].
     """
 
     phase_grid: np.ndarray = field(default_factory=default_phase_grid)
@@ -42,8 +43,6 @@ class RamseyConfig:
     repetitions: int = 10
     loss_fraction: float = 0.05
     light_shift_slope: float = 0.0    # rad/us
-    rng_seed: int = 0
-    noiseless: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.phase_grid, dtype=float)
@@ -61,15 +60,6 @@ class RamseyConfig:
     @property
     def detections_per_point(self) -> int:
         return self.atoms_per_shot * self.repetitions
-
-
-def ideal_fringe(visibility: float, phase: float, phi_r) -> np.ndarray:
-    """p_down(phi_R) = (1 - V cos(phi_R - phi))/2 for |V| <= 1."""
-    if abs(visibility) > 1.0 + 1e-10:
-        raise ParameterError(f"visibility {visibility} outside [0, 1]")
-    phi_r = np.asarray(phi_r, dtype=float)
-    out = (1.0 - visibility * np.cos(phi_r - phase)) / 2.0
-    return out if out.ndim else float(out)
 
 
 def fringe_phase(trace: OverlapTrace, e_n: float) -> np.ndarray:
@@ -104,20 +94,20 @@ class FringeSeries:
     fit: FringeFit         # length-T arrays
 
 
-def sample_fringe(visibility: float, phase: float, config: RamseyConfig,
-                  t_index: int) -> np.ndarray:
-    """Detected spin-down counts per phase point.
+def fringe_probabilities(times_us, visibility, phase, config: RamseyConfig) -> np.ndarray:
+    """(T, K) detection probability of each time and control phase.
 
-    Counts are binomial with success probability p_down * (1 - loss); each
-    (seed, t-index) draw has its own generator, independent of the order in
-    which points run.
+    p_down(phi_R) = (1 - V cos(phi_R - phi - s t))/2, with the light-shift
+    slope s in rad/us, times the detected fraction 1 - loss, clipped to
+    [0, 1].  Scalar inputs give one (K,) fringe.
     """
-    p_down = ideal_fringe(visibility, phase, config.phase_grid)
-    p_eff = np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
-    n = config.detections_per_point
-    if config.noiseless:
-        return p_eff * n
-    return np.random.default_rng([config.rng_seed, t_index]).binomial(n, p_eff)
+    visibility = np.asarray(visibility, dtype=float)
+    if np.any(np.abs(visibility) > 1.0 + 1e-10):
+        raise ParameterError(f"visibility {np.abs(visibility).max()} outside [0, 1]")
+    times_us, phase = np.asarray(times_us, dtype=float), np.asarray(phase, dtype=float)
+    shifted = phase + config.light_shift_slope * times_us
+    p_down = (1.0 - visibility[..., None] * np.cos(config.phase_grid - shifted[..., None])) / 2.0
+    return np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
 
 
 def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
@@ -154,17 +144,20 @@ def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
 
 
 def simulate_series(times_us: np.ndarray, visibility: np.ndarray,
-                    phase: np.ndarray, config: RamseyConfig) -> FringeSeries:
-    """Counts and fits over an evolution-time series.
+                    phase: np.ndarray, config: RamseyConfig, seed) -> FringeSeries:
+    """Binomial counts and fits over an evolution-time series.
 
-    The light-shift systematic enters here as a phase slope in rad/us; the
-    extraction step subtracts the same slope, mirroring how the measured
-    shift is calibrated out.
+    Every (T, K) count comes from one binomial call of one generator,
+    np.random.default_rng(seed); a scan passes [seed, point index], so a
+    point's counts depend on nothing but its own seed.  The light-shift
+    systematic enters as a phase slope in rad/us; the extraction step
+    subtracts the same slope, mirroring how the measured shift is
+    calibrated out.
     """
     times_us = np.asarray(times_us, dtype=float)
     n_total = config.detections_per_point
-    counts = np.array([sample_fringe(v, p + config.light_shift_slope * t, config, t_index=i)
-                       for i, (t, v, p) in enumerate(zip(times_us, visibility, phase))])
+    p_eff = fringe_probabilities(times_us, visibility, phase, config)
+    counts = np.random.default_rng(seed).binomial(n_total, p_eff)
     fit = fit_fringes(config.phase_grid, counts, n_total, config.loss_fraction)
     return FringeSeries(times_us, config.phase_grid, n_total, counts, fit)
 

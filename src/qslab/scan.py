@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,16 +254,15 @@ def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
     scale = result.model.recoil.time_us_per_unit
     times_us = result.trace.times * scale
     phase = interferometer.fringe_phase(result.trace, result.e_n)
-    point_seed = int(np.random.SeedSequence([config.seed, point_index]).generate_state(1)[0])
-    ramsey = replace(config.ramsey, rng_seed=point_seed)
-    series = interferometer.simulate_series(times_us, result.trace.visibility, phase, ramsey)
+    series = interferometer.simulate_series(times_us, result.trace.visibility, phase,
+                                            config.ramsey, [config.seed, point_index])
     fit = series.fit
     tau_mt_us = result.report.tau_mt * scale
     hertz = result.model.recoil.hertz
     estimates = {}
     try:
         e_hat, e_err = interferometer.extract_mean_energy(
-            times_us, fit.phi, result.e_n, ramsey.light_shift_slope, hertz, tau_mt_us)
+            times_us, fit.phi, result.e_n, config.ramsey.light_shift_slope, hertz, tau_mt_us)
         estimates.update(e_Er=e_hat, e_err_Er=e_err)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         estimates["e_error"] = str(exc)
@@ -447,7 +446,7 @@ def run_scan(config: ScanConfig) -> dict:
     make_out_dir(config.out_dir)
     by_dx: dict[float, list[tuple[int, int]]] = {}
     for idx, (n, dx) in enumerate(config.points):
-        by_dx.setdefault(round(float(dx), 12), []).append((idx, n))
+        by_dx.setdefault(float(dx), []).append((idx, n))
     results: dict[int, PointResult] = {}
     failures = []
     for dx, group in by_dx.items():

@@ -181,8 +181,10 @@ def test_criterion_07_estimator_chain(point_008):
     hertz = model.recoil.hertz
     phase = ifm.fringe_phase(trace, 0.0)
 
-    clean = ifm.RamseyConfig(noiseless=True)
-    fit = ifm.simulate_series(times_us, trace.visibility, phase, clean).fit
+    config = ifm.RamseyConfig()
+    n = config.detections_per_point
+    expected = n * ifm.fringe_probabilities(times_us, trace.visibility, phase, config)
+    fit = ifm.fit_fringes(config.phase_grid, expected, n, config.loss_fraction)
     v_hat = fit.v
     phi_hat = np.unwrap(fit.phi)
     round_trip = max(np.abs(v_hat - trace.visibility).max(),
@@ -195,8 +197,7 @@ def test_criterion_07_estimator_chain(point_008):
     hits = 0
     seeds = 200
     for seed in range(seeds):
-        noisy = ifm.RamseyConfig(rng_seed=seed)
-        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, noisy).fit.v_raw
+        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, config, seed).fit.v_raw
         try:
             de_noisy, _ = ifm.extract_uncertainty(times_us, v_raw, hertz, tau_mt_us)
         except Exception:

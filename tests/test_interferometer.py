@@ -10,34 +10,45 @@ from qslab.errors import EstimationError, ParameterError
 from conftest import fit_fringe_oracle
 
 
-def test_ideal_fringe_shapes():
+def test_fringe_probabilities_shapes():
     phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+    lossless = ifm.RamseyConfig(phase_grid=phis, loss_fraction=0.0)
     # t = 0: V = 1, phi = 0
-    p = ifm.ideal_fringe(1.0, 0.0, phis)
+    p = ifm.fringe_probabilities(0.0, 1.0, 0.0, lossless)
+    assert p.shape == (48,)
     assert np.abs(p - (1 - np.cos(phis)) / 2).max() < 1e-15
+    # a series gives one row per time, each with its own visibility and phase
+    series = ifm.fringe_probabilities([0.0, 1.0, 2.0], [1.0, 0.5, 0.0], [0.0, 0.3, 1.3],
+                                      lossless)
+    assert series.shape == (3, 48)
+    assert np.array_equal(series[0], p)
     # vanishing visibility: flat fringe at one half
-    assert np.abs(ifm.ideal_fringe(0.0, 1.3, phis) - 0.5).max() < 1e-15
+    assert np.abs(series[2] - 0.5).max() < 1e-15
     # amplitude equals the visibility (grid aligned so the extremes are hit)
     for v, ph in ((0.3, 0.7), (0.9, -2.0)):
-        p = ifm.ideal_fringe(v, ph, phis + ph)
+        aligned = ifm.RamseyConfig(phase_grid=phis + ph, loss_fraction=0.0)
+        p = ifm.fringe_probabilities(0.0, v, ph, aligned)
         assert p.max() - p.min() == pytest.approx(v, abs=1e-12)
     with pytest.raises(ParameterError):
-        ifm.ideal_fringe(1.2, 0.0, phis)
+        ifm.fringe_probabilities(0.0, 1.2, 0.0, lossless)
+    with pytest.raises(ParameterError):
+        ifm.fringe_probabilities([0.0, 1.0], [1.0, 1.2], [0.0, 0.0], lossless)
 
 
-def test_sample_fringe_deterministic_and_envelope():
-    config = ifm.RamseyConfig(rng_seed=42)
-    a = ifm.sample_fringe(0.8, 0.4, config, t_index=3)
-    b = ifm.sample_fringe(0.8, 0.4, config, t_index=3)
+def test_simulate_series_deterministic_and_envelope():
+    config = ifm.RamseyConfig()
+    times, vis, phase = np.arange(4.0), np.full(4, 0.8), np.full(4, 0.4)
+    a = ifm.simulate_series(times, vis, phase, config, 42).n_down
+    b = ifm.simulate_series(times, vis, phase, config, 42).n_down
+    assert a.shape == (4, config.phase_grid.size)
     assert np.array_equal(a, b)
-    c = ifm.sample_fringe(0.8, 0.4, config, t_index=4)
+    c = ifm.simulate_series(times, vis, phase, config, 43).n_down
     assert not np.array_equal(a, c)
-    # large-count limit: empirical probabilities within 3 sigma of ideal
-    big = ifm.RamseyConfig(atoms_per_shot=1000, repetitions=1000,
-                           loss_fraction=0.0, rng_seed=1)
-    counts = ifm.sample_fringe(0.6, 1.0, big, t_index=0)
+    # large-count limit: empirical probabilities within 3.5 sigma of ideal
+    big = ifm.RamseyConfig(atoms_per_shot=1000, repetitions=1000, loss_fraction=0.0)
+    counts = ifm.simulate_series([0.0], [0.6], [1.0], big, 1).n_down
     n = big.detections_per_point
-    p_true = ifm.ideal_fringe(0.6, 1.0, big.phase_grid)
+    p_true = ifm.fringe_probabilities(0.0, 0.6, 1.0, big)
     sigma = np.sqrt(p_true * (1 - p_true) / n)
     assert np.all(np.abs(counts / n - p_true) <= 3.5 * sigma + 1e-9)
 
@@ -45,12 +56,12 @@ def test_sample_fringe_deterministic_and_envelope():
 def test_fit_fringe_exact_recovery():
     phis = ifm.default_phase_grid(12)
     v_true, phi_true = 0.8, 1.0
-    y = ifm.ideal_fringe(v_true, phi_true, phis)
+    y = ifm.fringe_probabilities(0.0, v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.0))
     fit = ifm.fit_fringes(phis, [y * 200], 200.0)
     assert fit.v[0] == pytest.approx(v_true, abs=1e-10)
     assert fit.phi[0] == pytest.approx(phi_true, abs=1e-10)
     # loss renormalization cancels exactly
-    y_loss = y * 0.95
+    y_loss = ifm.fringe_probabilities(0.0, v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.05))
     fit2 = ifm.fit_fringes(phis, [y_loss * 200], 200.0, loss_fraction=0.05)
     assert fit2.v[0] == pytest.approx(v_true, abs=1e-10)
 
@@ -100,10 +111,9 @@ def test_visibility_estimator_calibration():
     phis = ifm.default_phase_grid(12)
     hits = 0
     trials = 1000
+    config = ifm.RamseyConfig(phase_grid=phis, loss_fraction=0.0)
     for seed in range(trials):
-        config = ifm.RamseyConfig(rng_seed=seed, loss_fraction=0.0)
-        counts = ifm.sample_fringe(1.0, 0.7, config, t_index=0)
-        fit = ifm.fit_fringes(phis, [counts], config.detections_per_point)
+        fit = ifm.simulate_series([0.0], [1.0], [0.7], config, seed).fit
         if 0.9 <= fit.v[0] <= 1.0:
             hits += 1
     assert hits >= 950
@@ -115,9 +125,8 @@ def test_visibility_never_exceeds_error_band(point_008):
     times = dyn.default_times(moms, 32)
     trace = dyn.evolve_overlap(spectral, times)
     scale = model.recoil.time_us_per_unit
-    config = ifm.RamseyConfig(rng_seed=9)
     phase = ifm.fringe_phase(trace, 0.0)
-    fit = ifm.simulate_series(times * scale, trace.visibility, phase, config).fit
+    fit = ifm.simulate_series(times * scale, trace.visibility, phase, ifm.RamseyConfig(), 9).fit
     assert np.all(fit.v_raw <= 1.0 + 3.0 * fit.v_err)
     assert np.all((0.0 <= fit.v) & (fit.v <= 1.0))
 
@@ -129,8 +138,10 @@ def test_noiseless_round_trip_reproduces_overlap(point_008):
     scale = model.recoil.time_us_per_unit
     e_n = 0.0
     phase = ifm.fringe_phase(trace, e_n)
-    config = ifm.RamseyConfig(noiseless=True)
-    fit = ifm.simulate_series(times * scale, trace.visibility, phase, config).fit
+    config = ifm.RamseyConfig()
+    n = config.detections_per_point
+    expected = n * ifm.fringe_probabilities(times * scale, trace.visibility, phase, config)
+    fit = ifm.fit_fringes(config.phase_grid, expected, n, config.loss_fraction)
     v_hat = fit.v
     phi_hat = np.unwrap(fit.phi)
     assert np.abs(v_hat - trace.visibility).max() < 1e-9
@@ -249,9 +260,9 @@ def test_noisy_uncertainty_calibration_quick(point_008):
     hertz = model.recoil.hertz
     phase = ifm.fringe_phase(trace, 0.0)
     hits = 0
+    config = ifm.RamseyConfig()
     for seed in range(40):
-        config = ifm.RamseyConfig(rng_seed=seed)
-        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, config).fit.v_raw
+        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, config, seed).fit.v_raw
         try:
             de_hat, _ = ifm.extract_uncertainty(times_us, v_raw, hertz, tau_mt_us)
         except EstimationError:
@@ -274,9 +285,9 @@ def test_bounds_hold_on_estimated_quantities(point_008):
     hertz = model.recoil.hertz
     phase = ifm.fringe_phase(trace, 0.0)
     rad_per_us_per_er = 2 * np.pi * hertz * 1e-6
+    config = ifm.RamseyConfig()
     for seed in (0, 1, 2):
-        config = ifm.RamseyConfig(rng_seed=seed)
-        fit = ifm.simulate_series(times_us, trace.visibility, phase, config).fit
+        fit = ifm.simulate_series(times_us, trace.visibility, phase, config, seed).fit
         v_raw, v_err = fit.v_raw, fit.v_err
         de_hat, _ = ifm.extract_uncertainty(times_us, v_raw, hertz,
                                             moms.tau_mt * scale)

@@ -64,10 +64,10 @@ def test_crossover_time_is_tau_mt_squared_over_tau_ml(pairs):
 @PROFILE
 @given(st.floats(0.01, 1.0), st.floats(-np.pi, np.pi), st.floats(0.0, 0.5))
 def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
-    config = interferometer.RamseyConfig(loss_fraction=loss, noiseless=True)
-    counts = interferometer.sample_fringe(visibility, phase, config, 0)
-    fit = interferometer.fit_fringes(config.phase_grid, [counts], config.detections_per_point,
-                                     loss)
+    config = interferometer.RamseyConfig(loss_fraction=loss)
+    n = config.detections_per_point
+    counts = n * interferometer.fringe_probabilities(0.0, visibility, phase, config)
+    fit = interferometer.fit_fringes(config.phase_grid, [counts], n, loss)
     assert fit.v[0] == pytest.approx(visibility, abs=1e-12)
     assert abs(np.angle(np.exp(1j * (fit.phi[0] - phase)))) <= 1e-10
 

@@ -368,6 +368,30 @@ def test_scan_different_seed_changes_experiment(tmp_path):
     assert a != b
 
 
+def test_point_counts_come_from_its_own_seed_alone(tmp_path):
+    # each point draws from default_rng([seed, point index]): its counts do
+    # not depend on the other points of the scan or on the order they run in
+    cfg = small_config(tmp_path, estimator="experiment", seed=11)
+    scan.run_scan(cfg)
+    for idx, (n, dx) in enumerate(cfg.points):
+        alone = str(tmp_path / f"alone{idx}")
+        result = scan.run_point(n, dx, cfg, scan.solve_displacement(dx, cfg.params), idx)
+        scan._write_point(result, alone)
+        name = os.path.join(result.label, "fringes.csv")
+        assert read(os.path.join(alone, name)) == read(os.path.join(cfg.out_dir, name))
+
+
+def test_points_run_at_their_configured_displacement(tmp_path):
+    # points were grouped and solved at round(dx, 12), so fig3.csv and
+    # fig4.csv printed 0.050396841996 for the default point 0.05039684199579493
+    points = ((0, 0.04 * 2 ** (1 / 3)), (2, 0.04 * 2 ** (1 / 3)), (1, 0.123456789012345678))
+    cfg = small_config(tmp_path, points=points)
+    scan.run_scan(cfg)
+    for name in ("fig3.csv", "fig4.csv"):
+        cells = csv_columns(os.path.join(cfg.out_dir, name))["dx"]
+        assert [float(cell) for cell in cells] == [dx for _, dx in points]
+
+
 def test_failure_manifest_and_continue(tmp_path, monkeypatch):
     # a point whose own run raises, and every point of a displacement whose
     # solve raises, is recorded with its stage and exception type; the rest run
