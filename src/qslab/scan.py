@@ -9,8 +9,11 @@ byte-identical results.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,8 +352,17 @@ def write_csv(path: str, header: list[str], columns) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
+# indent selects the pure-Python encoder; a list is written one C-encoded record per line
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_json(path: str, payload) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """A dict payload with indent=2; a list as [, one record per line, ]."""
+    if isinstance(payload, list):
+        text = "[\n" + ",\n".join(map(_RECORD_ENCODER.encode, payload)) + "\n]"
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    _write_atomic(path, text + "\n")
 
 
 def _write_point(result: PointResult, out_dir: str) -> None:
@@ -438,8 +450,48 @@ def _run_group(dx: float, group: list[tuple[int, int]], config: ScanConfig,
             failures.append(_failure(n, dx, "point", exc))
 
 
+def _blas_threads():
+    """(get, set) of the thread count of the BLAS that numpy.linalg links, or
+    None when that library exports no OpenBLAS setter."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread and then restore the caller's count.
+    The scan's block solves and contractions are too small for a second
+    thread, which only spins.  The count is process-wide."""
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def run_scan(config: ScanConfig) -> dict:
-    """Execute every scan point, write artifacts, return the summary."""
+    """Execute every scan point on one BLAS thread, write artifacts, return
+    the summary; the caller's BLAS thread count is restored afterwards."""
+    with _one_blas_thread():
+        return _run_scan(config)
+
+
+def _run_scan(config: ScanConfig) -> dict:
     if config.curves:   # before any output: a lattice too shallow for them writes nothing
         rows = lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))
         curves = [[r[key] for r in rows] for key in ("n", "dx", "inv_tau_ml", "inv_tau_mt")]

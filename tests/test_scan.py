@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qslab import cli, interferometer, scan
+from qslab import cli, eigensolve, interferometer, scan
 from qslab.errors import EstimationError, ParameterError
 from qslab.model import LatticeParams
 
@@ -30,6 +30,15 @@ def small_config(tmp_path, **kw):
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def assert_same_files(dir_a, dir_b):
+    """Every file under dir_a has a byte-identical twin under dir_b."""
+    for root, _, files in os.walk(dir_a):
+        rel = os.path.relpath(root, dir_a)
+        for fname in files:
+            assert read(os.path.join(root, fname)) == read(os.path.join(dir_b, rel, fname)), \
+                f"{rel}/{fname} differs"
 
 
 def test_default_grid_shape():
@@ -221,6 +230,49 @@ def test_scan_runs_on_one_thread_without_a_workers_option():
     assert scan.config_from_dict({}).workers == 1
 
 
+def test_run_scan_solves_on_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    threads = scan._blas_threads()
+    if threads is None:
+        pytest.skip("numpy.linalg's BLAS exports no OpenBLAS thread setter")
+    get, put = threads
+    seen = []
+
+    def recording(real):
+        def call(*args, **kw):
+            seen.append(get())
+            return real(*args, **kw)
+        return call
+
+    # bound_level_count runs before the curve path's shallow-lattice ParameterError
+    for name in ("decompose", "bound_level_count"):
+        monkeypatch.setattr(eigensolve, name, recording(getattr(eigensolve, name)))
+    original = get()
+    try:
+        put(2)
+        caller = get()
+        scan.run_scan(small_config(tmp_path, points=((0, 0.04),)))
+        assert seen == [1, 1] and get() == caller
+        seen.clear()
+        shallow = dataclasses.replace(SMALL, depth_at_zero=2.0)
+        with pytest.raises(ParameterError, match="3 bound levels"):
+            scan.run_scan(small_config(tmp_path, params=shallow, curves=True))
+        assert seen == [1] and get() == caller
+    finally:
+        put(original)
+
+
+def test_blas_thread_count_never_reaches_the_artifacts(tmp_path, monkeypatch):
+    # the same scan with the one-thread cap and without a setter to apply it
+    capped = small_config(tmp_path, estimator="experiment", curves=True, curve_points=3,
+                          out_dir=str(tmp_path / "capped"))
+    scan.run_scan(capped)
+    monkeypatch.setattr(scan, "_blas_threads", lambda: None)
+    uncapped = dataclasses.replace(capped, out_dir=str(tmp_path / "uncapped"))
+    scan.run_scan(uncapped)
+    assert_same_files(capped.out_dir, uncapped.out_dir)
+    assert_same_files(uncapped.out_dir, capped.out_dir)
+
+
 def test_run_scan_artifacts_exact(tmp_path):
     cfg = small_config(tmp_path)
     summary = scan.run_scan(cfg)
@@ -253,9 +305,17 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     assert summary["points_failed"] == 0
     pdir = os.path.join(cfg.out_dir, "n0_dx0.1200")
     assert os.path.isfile(os.path.join(pdir, "fringes.csv"))
-    with open(os.path.join(pdir, "fits.json")) as fh:
-        fits = json.load(fh)
-    assert {"t_us", "v", "v_err", "phi", "phi_err"} == set(fits[0])
+    # fits.json holds one record per line; it parses to the document that
+    # json.dumps(indent=2) of the point's series gives
+    series = scan.run_point(0, 0.12, cfg, scan.solve_displacement(0.12, cfg.params)).records
+    columns = {"t_us": series.t_us, "v": series.fit.v, "v_err": series.fit.v_err,
+               "phi": series.fit.phi, "phi_err": series.fit.phi_err}
+    records = [{key: float(c[i]) for key, c in columns.items()} for i in range(cfg.time_points)]
+    text = read(os.path.join(pdir, "fits.json")).decode()
+    lines = text.splitlines()
+    assert lines[0] == "[" and lines[-1] == "]" and len(lines) == cfg.time_points + 2
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == records
+    assert json.loads(text) == json.loads(json.dumps(records, indent=2, sort_keys=True))
     with open(os.path.join(pdir, "estimates.json")) as fh:
         est = json.load(fh)
     assert "de_Er" in est
@@ -348,12 +408,7 @@ def test_scan_byte_identical_reruns(tmp_path):
                          out_dir=str(tmp_path / "b"), seed=11)
     scan.run_scan(cfg_a)
     scan.run_scan(cfg_b)
-    for root, _, files in os.walk(cfg_a.out_dir):
-        rel = os.path.relpath(root, cfg_a.out_dir)
-        for fname in files:
-            a = read(os.path.join(root, fname))
-            b = read(os.path.join(cfg_b.out_dir, rel, fname))
-            assert a == b, f"{rel}/{fname} differs between identical runs"
+    assert_same_files(cfg_a.out_dir, cfg_b.out_dir)
 
 
 def test_scan_different_seed_changes_experiment(tmp_path):
