@@ -7,7 +7,8 @@ the trap ground state (E_0 = 0).  The visibility is |A|, the Fubini-Study
 distance arccos|A|.  The packet never exists on the grid: it is held as its
 plane-wave coefficients on the half-zone Bloch blocks of
 eigensolve.decompose, in closed form, and its populations, moments and
-overlap follow block by block.
+overlap follow block by block, the overlap on a uniform grid of T times
+from about 2 sqrt(T) cosines and sines per mode.
 """
 
 from __future__ import annotations
@@ -65,14 +66,15 @@ class SpectralMoments:
 
 @dataclass(frozen=True)
 class OverlapTrace:
-    """Two-time overlap A(t) on a time grid, with derived channels."""
+    """Two-time overlap A(t) on a uniform time grid, with derived channels."""
 
     times: np.ndarray          # dimensionless, hbar/E_R
     overlaps: np.ndarray       # complex A(t)
+    partials: np.ndarray       # (T, Q) complex A_q(t), one column per population block
 
     def __post_init__(self):
-        self.times.flags.writeable = False
-        self.overlaps.flags.writeable = False
+        for array in (self.times, self.overlaps, self.partials):
+            array.flags.writeable = False
 
     @property
     def visibility(self) -> np.ndarray:
@@ -145,27 +147,41 @@ def moments(spectral: SpectralState) -> SpectralMoments:
     return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
 
 
-def _overlap_sum(populations: np.ndarray, energies: np.ndarray, times: np.ndarray):
-    phases = np.outer(times, energies)
-    populations = populations.ravel()
-    # cos, sin and two real products cost less than a complex exp and product
-    return np.cos(phases) @ populations - 1j * (np.sin(phases) @ populations)
+def _block_overlaps(populations: np.ndarray, energies: np.ndarray, dt: float,
+                    count: int) -> np.ndarray:
+    """(count, Q) partial sums A_q(j dt) = sum_b p(q, b) exp(-i E(q, b) j dt):
+    with j = r + B s and B = ceil(sqrt(count)), the (Q, S, P) giant steps
+    p exp(-i E B s dt) times the (Q, P, B) baby steps exp(-i E r dt) (Paterson
+    and Stockmeyer, SIAM J. Comput. 2, 60 (1973)).  A 1-d state is one block."""
+    populations, energies = np.atleast_2d(populations, energies)
+    b = int(np.ceil(np.sqrt(count)))
+    giant = energies[:, None, :] * (np.arange(-(-count // b)) * b * dt)[:, None]
+    baby = energies[:, :, None] * (np.arange(b) * dt)
+    g_cos, g_sin = populations[:, None, :] * np.cos(giant), populations[:, None, :] * np.sin(giant)
+    b_cos, b_sin = np.cos(baby), np.sin(baby)
+    # real factors and products: complex ones added 0.4 MB to the default scan's peak RSS
+    sums = (g_cos @ b_cos - g_sin @ b_sin) - 1j * (g_sin @ b_cos + g_cos @ b_sin)
+    return sums.reshape(sums.shape[0], -1)[:, :count].T
 
 
 def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
     """A(t) = sum_k p_k exp(-i E_k t) for the autocorrelation of a static H.
 
-    The global phase convention matches a stationary reference branch with
-    the ground state energy at zero.
+    `times` is uniform, t_j = j dt from 0.  The global phase convention
+    matches a stationary reference branch with the ground state energy at zero.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0.0:
         raise ParameterError("time grid must start at t = 0")
-    if np.any(np.diff(times) < 0):
-        raise ParameterError("time grid must be sorted")
-    overlaps = _overlap_sum(spectral.populations, spectral.energies, times)
+    dt = float(times[1]) if times.size > 1 else 0.0
+    drift = np.abs(times - np.arange(times.size) * dt).max()
+    # linspace computes j dt, bar its endpoint, which it sets to the stop value
+    if dt < 0 or not drift <= 4 * np.spacing(abs(times[-1])):
+        raise ParameterError("time grid must be sorted and uniform, t_j = j t_1")
+    partials = _block_overlaps(spectral.populations, spectral.energies, dt, times.size)
+    overlaps = partials.sum(axis=1)
     overlaps[0] = 1.0   # the norm; sum p rounds either side of it (to_spectral bounds the defect)
-    return OverlapTrace(times=times, overlaps=overlaps)
+    return OverlapTrace(times=times, overlaps=overlaps, partials=partials)
 
 
 def direct_moments(blocks: np.ndarray, packet: np.ndarray, weights: np.ndarray,
@@ -201,15 +217,14 @@ def quadrature_defect(spectral: SpectralState, trace: OverlapTrace) -> float | N
     385 (2014)).  A_S' is the coarser rule of S', the largest proper divisor
     of S: it keeps the blocks with q in (2 pi / S') Z, reweighted by S / S'.
     S = 2 Q - 1 for the (Q, P) state of to_spectral.  None at S = 1, which
-    has no coarser rule.
+    has no coarser rule.  Both rules sum the trace's per-block partials.
     """
     sites = 2 * spectral.populations.shape[0] - 1
     coarse = max((d for d in range(1, sites) if sites % d == 0), default=None)
     if coarse is None:
         return None
     step = sites // coarse
-    coarse_overlaps = step * _overlap_sum(spectral.populations[::step],
-                                          spectral.energies[::step], trace.times)
+    coarse_overlaps = step * trace.partials[:, ::step].sum(axis=1)
     return float(np.abs(trace.overlaps - coarse_overlaps).max())
 
 

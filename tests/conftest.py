@@ -2,8 +2,9 @@
 oracles of the Bloch solver (the dense Hamiltonian on the S-site grid, the
 Bloch blocks of a sampled cell and Mathieu's equation), the grid route the
 half-zone packets are checked against (real cell states of the q = 0 modes,
-zero-padded and shifted on the grid), and the per-record fringe fit and
-per-cell CSV formatter the batched paths are checked against."""
+zero-padded and shifted on the grid), the two-pass overlap sum the factored
+one is checked against, and the per-record fringe fit and per-cell CSV
+formatter the batched paths are checked against."""
 
 import numpy as np
 import pytest
@@ -266,6 +267,15 @@ def ml_domain_margin(result) -> float:
     trace = dynamics.evolve_overlap(result.spectral, times)
     bound = np.asarray(qsl.ml_bound(moms.e, times))
     return float((trace.visibility - bound).min())
+
+
+def overlap_oracle(populations, energies, times):
+    """A(t) = sum_k p_k exp(-i E_k t) from the whole T x K phase table, at any
+    times: the oracle of the factored sum in dynamics.evolve_overlap."""
+    phases = np.outer(times, energies)
+    populations = populations.ravel()
+    # cos, sin and two real products cost less than a complex exp and product
+    return np.cos(phases) @ populations - 1j * (np.sin(phases) @ populations)
 
 
 def fit_fringe_oracle(phi_r, n_down, n_total, loss_fraction=0.0) -> dict:

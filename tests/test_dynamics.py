@@ -1,5 +1,6 @@
 """State preparation, spectral evolution and moment cross-checks."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
 from conftest import (FullZone, LatticeSolver, block_packets, cell_decompose, central_cell,
-                      grid_packet, q0_sites)
+                      grid_packet, overlap_oracle, q0_sites)
 
 
 def poisson_pmf(k, x):
@@ -155,6 +156,48 @@ def test_evolve_overlap_validation(solver):
         dyn.evolve_overlap(spectral, np.array([0.1, 0.2]))
     with pytest.raises(ParameterError):
         dyn.evolve_overlap(spectral, np.array([0.0, 0.3, 0.2]))
+    for times in ([0.0, 0.1, 0.3], [0.0, -0.1, -0.2]):
+        with pytest.raises(ParameterError, match="sorted and uniform"):
+            dyn.evolve_overlap(spectral, np.array(times))
+
+
+def _assert_matches_oracle(spectral, times):
+    """The factored trace against the whole phase table, block by block."""
+    trace = dyn.evolve_overlap(spectral, times)
+    blocks = np.column_stack([overlap_oracle(p, e, times) for p, e in
+                              zip(spectral.populations, spectral.energies)])
+    assert np.abs(trace.partials - blocks).max() <= 1e-13
+    whole = overlap_oracle(spectral.populations, spectral.energies, times)
+    whole[0] = 1.0
+    assert np.abs(trace.overlaps - whole).max() <= 1e-13
+
+
+def test_evolve_overlap_matches_two_pass_oracle(solver):
+    # the default points, criterion 5c's long grid, and grid lengths T that
+    # the baby-step count B = ceil(sqrt(T)) does not divide
+    for n, dx in scan.default_grid():
+        *_, spectral, moms = solver.spectral_point(n, dx)
+        _assert_matches_oracle(spectral, dyn.default_times(moms, 64))
+    for n in (0, 1, 2):
+        for dx in (0.04, 0.16, 0.5):
+            *_, spectral, moms = solver.spectral_point(n, dx)
+            _assert_matches_oracle(spectral, np.linspace(0.0, 6.0 * moms.tau_mt, 2048))
+    *_, spectral, moms = solver.spectral_point(0, 0.08)
+    for count in (1, 2, 37):
+        _assert_matches_oracle(spectral, np.linspace(0.0, moms.tau_mt, count))
+
+
+def test_overlap_memory_grows_as_sqrt_of_the_grid(solver):
+    # O(sqrt(T) Q P + T Q) numbers, not the T x Q P phase table (160 MiB at this T)
+    spectral, moms = solver.spectral_point(0, 0.08)[3:]
+    times = dyn.default_times(moms, 2**15)
+    tracemalloc.start()
+    try:
+        dyn.quadrature_defect(spectral, dyn.evolve_overlap(spectral, times))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_unitarity_and_time_reversal(solver):
@@ -381,3 +424,15 @@ def test_quadrature_defect_bounds_the_box_error(solver):
         trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 64))
         defect = dyn.quadrature_defect(spectral, trace)
         assert defect is None if low is None else low <= defect <= high
+
+
+def test_quadrature_defect_matches_two_pass_coarse_rule(solver):
+    # the S' = 3 rule from the trace's partial sums against its own phase table
+    for n, dx in scan.default_grid():
+        *_, spectral, moms = solver.spectral_point(n, dx)
+        times = dyn.default_times(moms, 64)
+        whole = overlap_oracle(spectral.populations, spectral.energies, times)
+        whole[0] = 1.0
+        coarse = 3 * overlap_oracle(spectral.populations[::3], spectral.energies[::3], times)
+        defect = dyn.quadrature_defect(spectral, dyn.evolve_overlap(spectral, times))
+        assert abs(defect - np.abs(whole - coarse).max()) <= 1e-15
