@@ -23,7 +23,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _build_config(args) -> scan.ScanConfig:
     cfg = scan.load_config(args.config) if args.config else scan.ScanConfig()
     overrides = {}
-    if args.out:
+    if args.out is not None:
         overrides["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed

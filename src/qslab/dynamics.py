@@ -70,10 +70,10 @@ class OverlapTrace:
 
     times: np.ndarray          # dimensionless, hbar/E_R
     overlaps: np.ndarray       # complex A(t)
-    partials: np.ndarray       # (T, Q) complex A_q(t), one column per population block
+    quadrature_defect: float | None     # max_t |A - A_S'|, see evolve_overlap
 
     def __post_init__(self):
-        for array in (self.times, self.overlaps, self.partials):
+        for array in (self.times, self.overlaps):
             array.flags.writeable = False
 
     @property
@@ -164,24 +164,36 @@ def _block_overlaps(populations: np.ndarray, energies: np.ndarray, dt: float,
     return sums.reshape(sums.shape[0], -1)[:, :count].T
 
 
-def evolve_overlap(spectral: SpectralState, times: np.ndarray) -> OverlapTrace:
-    """A(t) = sum_k p_k exp(-i E_k t) for the autocorrelation of a static H.
+def evolve_overlap(spectral: SpectralState, t_end: float, count: int) -> OverlapTrace:
+    """A(t) = sum_k p_k exp(-i E_k t), the autocorrelation of a static H, at
+    the count times linspace(0, t_end, count).
 
-    `times` is uniform, t_j = j dt from 0.  The global phase convention
-    matches a stationary reference branch with the ground state energy at zero.
+    The global phase convention matches a stationary reference branch with
+    the ground state energy at zero.  The trace carries max_t |A(t) - A_S'(t)|,
+    the error estimate of the S-point q quadrature: A(t) is an S-point
+    trapezoid rule over q of a smooth periodic function, which converges
+    exponentially in S (Trefethen and Weideman, SIAM Rev. 56, 385 (2014)).
+    A_S' is the coarser rule of S', the largest proper divisor of S: it keeps
+    the blocks with q in (2 pi / S') Z, reweighted by S / S'.  S = 2 Q - 1
+    for the (Q, P) state of to_spectral; S = 1 has no coarser rule (None).
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] != 0.0:
-        raise ParameterError("time grid must start at t = 0")
-    dt = float(times[1]) if times.size > 1 else 0.0
-    drift = np.abs(times - np.arange(times.size) * dt).max()
-    # linspace computes j dt, bar its endpoint, which it sets to the stop value
-    if dt < 0 or not drift <= 4 * np.spacing(abs(times[-1])):
-        raise ParameterError("time grid must be sorted and uniform, t_j = j t_1")
-    partials = _block_overlaps(spectral.populations, spectral.energies, dt, times.size)
+    if t_end == np.inf:
+        raise ParameterError("stationary state has no finite tau_MT")
+    if not 0.0 <= t_end < np.inf:
+        raise ParameterError(f"time window end must be finite and non-negative, got {t_end}")
+    if count < 1:
+        raise ParameterError(f"time grid needs at least one point, got {count}")
+    times = np.linspace(0.0, t_end, count)
+    # linspace computes j dt, bar its endpoint, which it sets to t_end
+    dt = float(times[1]) if count > 1 else 0.0
+    partials = _block_overlaps(spectral.populations, spectral.energies, dt, count)
     overlaps = partials.sum(axis=1)
-    overlaps[0] = 1.0   # the norm; sum p rounds either side of it (to_spectral bounds the defect)
-    return OverlapTrace(times=times, overlaps=overlaps, partials=partials)
+    overlaps[0] = 1.0   # the norm; sum p rounds either side of it (to_spectral bounds by how much)
+    sites = 2 * partials.shape[1] - 1
+    step = next((d for d in range(2, sites + 1) if sites % d == 0), None)    # S / S'
+    defect = None if step is None else float(
+        np.abs(overlaps - step * partials[:, ::step].sum(axis=1)).max())
+    return OverlapTrace(times=times, overlaps=overlaps, quadrature_defect=defect)
 
 
 def direct_moments(blocks: np.ndarray, packet: np.ndarray, weights: np.ndarray,
@@ -207,29 +219,3 @@ def direct_moments(blocks: np.ndarray, packet: np.ndarray, weights: np.ndarray,
         return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
     d2_psi = shifted(d_psi, ground_offset + e)
     return SpectralMoments(e=e, de=de, beta2=mean(d2_psi, d2_psi) / de**4, stationary=False)
-
-
-def quadrature_defect(spectral: SpectralState, trace: OverlapTrace) -> float | None:
-    """max_t |A(t) - A_S'(t)|, the error estimate of the S-point q quadrature.
-
-    A(t) is an S-point trapezoid rule over q of a smooth periodic function,
-    which converges exponentially in S (Trefethen and Weideman, SIAM Rev. 56,
-    385 (2014)).  A_S' is the coarser rule of S', the largest proper divisor
-    of S: it keeps the blocks with q in (2 pi / S') Z, reweighted by S / S'.
-    S = 2 Q - 1 for the (Q, P) state of to_spectral.  None at S = 1, which
-    has no coarser rule.  Both rules sum the trace's per-block partials.
-    """
-    sites = 2 * spectral.populations.shape[0] - 1
-    coarse = max((d for d in range(1, sites) if sites % d == 0), default=None)
-    if coarse is None:
-        return None
-    step = sites // coarse
-    coarse_overlaps = step * trace.partials[:, ::step].sum(axis=1)
-    return float(np.abs(trace.overlaps - coarse_overlaps).max())
-
-
-def default_times(moms: SpectralMoments, n_points: int) -> np.ndarray:
-    """Uniform grid over [0, tau_MT], the window where the MT bound applies."""
-    if moms.stationary:
-        raise ParameterError("stationary state has no finite tau_MT")
-    return np.linspace(0.0, moms.tau_mt, n_points)

@@ -202,7 +202,6 @@ class PointResult:
     moments: dynamics.SpectralMoments
     trace: dynamics.OverlapTrace
     report: qsl.QslReport
-    quadrature_defect: float | None
     records: interferometer.FringeSeries | None = None
     estimates: dict | None = None
 
@@ -239,15 +238,12 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
     model, eig, packets = solved
     spectral = dynamics.to_spectral(packets[n], eig)
     moms = dynamics.moments(spectral)
-    times = dynamics.default_times(moms, config.time_points)
-    trace = dynamics.evolve_overlap(spectral, times)
+    trace = dynamics.evolve_overlap(spectral, moms.tau_mt, config.time_points)
     scale = model.recoil.time_us_per_unit
     rep = qsl.report(moms, trace, time_us_per_unit=scale)
-    defect = dynamics.quadrature_defect(spectral, trace)
     e_n = float(eig.energies[0, n] - eig.ground_offset)
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
-                         moments=moms, trace=trace, report=rep,
-                         quadrature_defect=defect)
+                         moments=moms, trace=trace, report=rep)
     if config.estimator == "experiment":
         result.records, result.estimates = _run_experiment(result, config, point_index)
     return result
@@ -375,7 +371,7 @@ def _write_point(result: PointResult, out_dir: str) -> None:
                result.trace.visibility, result.trace.fs_distance])
     write_json(os.path.join(pdir, "report.json"), result.report.to_json_dict())
     write_json(os.path.join(pdir, "diagnostics.json"), {
-        "quadrature_defect": result.quadrature_defect,
+        "quadrature_defect": result.trace.quadrature_defect,
         "e_n_Er": result.e_n,
         "depth_Er": result.model.depth,
         "homega_Er": result.model.homega,
@@ -401,7 +397,8 @@ def _write_point(result: PointResult, out_dir: str) -> None:
 def _figure_columns(results: list[PointResult]):
     """The columns of fig2.csv, fig3.csv and fig4.csv.  A point's label and
     tau_c_us text is formatted once and repeated down its fig2 rows.  A point
-    with a dE estimate gives fig3 and fig4 its estimates, any other its report."""
+    with a dE estimate gives fig3 (its tau_c too) and fig4 its estimates, any
+    other its report."""
     labels, traces, tau_text = [], [np.empty((4, 0))], []
     fig3, fig4 = [[] for _ in range(6)], [[] for _ in range(6)]
     for res in results:
@@ -421,8 +418,9 @@ def _figure_columns(results: list[PointResult]):
         else:
             e_val, de_val, xi_val = rep.e, rep.de, rep.xi_fit
         xi = max(xi_val, 0.0)
+        tau_c = qsl.crossover_time(e_val, de_val)
         cells3 = (res.n, res.dx, 4.0 * e_val / homega, 4.0 * de_val / homega,
-                  "ML" if de_val > e_val else "MT", tau_c_us)
+                  "ML" if de_val > e_val else "MT", tau_c * scale if tau_c is not None else "")
         cells4 = (res.n, res.dx, de_val / homega, xi, xi**0.25, int(res.dx > 0.25))
         for column, cell in zip(fig3 + fig4, cells3 + cells4):
             column.append(cell)

@@ -263,9 +263,8 @@ def ml_domain_margin(result) -> float:
     from qslab import qsl
 
     moms = result.moments
-    times = np.linspace(0.0, moms.tau_ml, 64)
-    trace = dynamics.evolve_overlap(result.spectral, times)
-    bound = np.asarray(qsl.ml_bound(moms.e, times))
+    trace = dynamics.evolve_overlap(result.spectral, moms.tau_ml, 64)
+    bound = np.asarray(qsl.ml_bound(moms.e, trace.times))
     return float((trace.visibility - bound).min())
 
 

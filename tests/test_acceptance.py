@@ -126,8 +126,7 @@ def test_criterion_05b_coherent_moments_at_3pct(sweep):
 
 def test_criterion_05c_minimum_overlap(sweep):
     res = next(r for r in sweep if r.n == 0 and round(r.dx, 4) == 0.04)
-    times = np.linspace(0.0, 6.0 * res.moments.tau_mt, 2048)
-    trace = dyn.evolve_overlap(res.spectral, times)
+    trace = dyn.evolve_overlap(res.spectral, 6.0 * res.moments.tau_mt, 2048)
     vmin = float(trace.visibility.min())
     ok = abs(vmin - np.cos(np.deg2rad(40.0))) <= 0.05
     assert _verdict("5c", ok, f"min |A| = {vmin:.3f} vs cos(40 deg) = "
@@ -173,8 +172,8 @@ def test_criterion_06_xi_tracks_harmonic_curve(sweep):
 def test_criterion_07_estimator_chain(point_008):
     t0 = time.perf_counter()
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     times_us = times * scale
     tau_mt_us = moms.tau_mt * scale

@@ -31,8 +31,7 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
     assert bands[n] == pytest.approx(1.0, abs=1e-10)
     # and the state is stationary: overlap magnitude pinned to one
     moms = dyn.moments(spectral)
-    times = np.linspace(0.0, 0.2, 16)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, 0.2, 16)
     assert np.all(trace.visibility > 1.0 - 1e-9)
     assert moms.stationary
     assert moms.beta2 is None
@@ -132,9 +131,8 @@ def test_evolve_overlap_two_mode_closed_form():
     omega = 2.7
     pops = np.array([np.cos(zeta / 2) ** 2, np.sin(zeta / 2) ** 2])
     spectral = dyn.SpectralState(populations=pops, energies=np.array([0.0, omega]))
-    times = np.linspace(0.0, 5.0, 200)
-    trace = dyn.evolve_overlap(spectral, times)
-    expected = np.sqrt(1.0 - np.sin(zeta) ** 2 * np.sin(omega * times / 2.0) ** 2)
+    trace = dyn.evolve_overlap(spectral, 5.0, 200)
+    expected = np.sqrt(1.0 - np.sin(zeta) ** 2 * np.sin(omega * trace.times / 2.0) ** 2)
     assert np.abs(trace.visibility - expected).max() < 1e-12
     assert trace.overlaps[0] == pytest.approx(1.0 + 0.0j, abs=1e-14)
     assert trace.fs_distance[0] == pytest.approx(0.0, abs=1e-7)
@@ -145,28 +143,32 @@ def test_overlap_starts_at_exactly_one(solver, dx):
     # sum p rounds either side of 1, and arccos turns 1 - 1e-16 into 1.5e-8
     for n in (0, 1, 2):
         spectral, moms = solver.spectral_point(n, dx)[3:]
-        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 8))
+        trace = dyn.evolve_overlap(spectral, moms.tau_mt, 8)
         assert trace.overlaps[0] == 1.0
         assert trace.fs_distance[0] == 0.0
 
 
 def test_evolve_overlap_validation(solver):
+    # the trace builds its own uniform grid, so only its end and length can be wrong
     spectral = solver.spectral_point(0, 0.04)[3]
-    with pytest.raises(ParameterError):
-        dyn.evolve_overlap(spectral, np.array([0.1, 0.2]))
-    with pytest.raises(ParameterError):
-        dyn.evolve_overlap(spectral, np.array([0.0, 0.3, 0.2]))
-    for times in ([0.0, 0.1, 0.3], [0.0, -0.1, -0.2]):
-        with pytest.raises(ParameterError, match="sorted and uniform"):
-            dyn.evolve_overlap(spectral, np.array(times))
+    with pytest.raises(ParameterError, match="no finite tau_MT"):
+        dyn.evolve_overlap(spectral, np.inf, 64)
+    for t_end in (np.nan, -1.0):
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            dyn.evolve_overlap(spectral, t_end, 64)
+    with pytest.raises(ParameterError, match="at least one point"):
+        dyn.evolve_overlap(spectral, 1.0, 0)
 
 
-def _assert_matches_oracle(spectral, times):
+def _assert_matches_oracle(spectral, t_end, count):
     """The factored trace against the whole phase table, block by block."""
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, t_end, count)
+    times = trace.times
+    partials = dyn._block_overlaps(spectral.populations, spectral.energies,
+                                   times[1] if count > 1 else 0.0, count)
     blocks = np.column_stack([overlap_oracle(p, e, times) for p, e in
                               zip(spectral.populations, spectral.energies)])
-    assert np.abs(trace.partials - blocks).max() <= 1e-13
+    assert np.abs(partials - blocks).max() <= 1e-13
     whole = overlap_oracle(spectral.populations, spectral.energies, times)
     whole[0] = 1.0
     assert np.abs(trace.overlaps - whole).max() <= 1e-13
@@ -177,23 +179,22 @@ def test_evolve_overlap_matches_two_pass_oracle(solver):
     # the baby-step count B = ceil(sqrt(T)) does not divide
     for n, dx in scan.default_grid():
         *_, spectral, moms = solver.spectral_point(n, dx)
-        _assert_matches_oracle(spectral, dyn.default_times(moms, 64))
+        _assert_matches_oracle(spectral, moms.tau_mt, 64)
     for n in (0, 1, 2):
         for dx in (0.04, 0.16, 0.5):
             *_, spectral, moms = solver.spectral_point(n, dx)
-            _assert_matches_oracle(spectral, np.linspace(0.0, 6.0 * moms.tau_mt, 2048))
+            _assert_matches_oracle(spectral, 6.0 * moms.tau_mt, 2048)
     *_, spectral, moms = solver.spectral_point(0, 0.08)
     for count in (1, 2, 37):
-        _assert_matches_oracle(spectral, np.linspace(0.0, moms.tau_mt, count))
+        _assert_matches_oracle(spectral, moms.tau_mt, count)
 
 
 def test_overlap_memory_grows_as_sqrt_of_the_grid(solver):
     # O(sqrt(T) Q P + T Q) numbers, not the T x Q P phase table (160 MiB at this T)
     spectral, moms = solver.spectral_point(0, 0.08)[3:]
-    times = dyn.default_times(moms, 2**15)
     tracemalloc.start()
     try:
-        dyn.quadrature_defect(spectral, dyn.evolve_overlap(spectral, times))
+        dyn.evolve_overlap(spectral, moms.tau_mt, 2**15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,12 +203,11 @@ def test_overlap_memory_grows_as_sqrt_of_the_grid(solver):
 
 def test_unitarity_and_time_reversal(solver):
     spectral = solver.spectral_point(0, 0.16)[3]
-    times = np.linspace(0.0, 0.3, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, 0.3, 64)
     assert np.all(trace.visibility <= 1.0 + 1e-10)
     # |A(-t)| = |A(t)| for real populations
     pops = spectral.populations.ravel()
-    back = np.abs(np.exp(1j * np.outer(times, spectral.energies)) @ pops)
+    back = np.abs(np.exp(1j * np.outer(trace.times, spectral.energies)) @ pops)
     assert np.abs(back - trace.visibility).max() < 1e-12
 
 
@@ -219,9 +219,8 @@ def test_spectral_sum_matches_grid_reconstruction(solver):
     full = FullZone(eig)
     psi = grid_packet(0, 0.08, model.params, site_states)
     coeff = full.project(psi)
-    times = dyn.default_times(moms, 9)
-    trace = dyn.evolve_overlap(spectral, times)
-    for t, a_spec in zip(times, trace.overlaps):
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 9)
+    for t, a_spec in zip(trace.times, trace.overlaps):
         psi_t = full.synthesize(coeff * np.exp(-1j * (full.energies - full.ground_offset) * t))
         a_grid = np.vdot(psi, psi_t)
         assert abs(a_grid - a_spec) < 1e-9
@@ -230,8 +229,7 @@ def test_spectral_sum_matches_grid_reconstruction(solver):
 def test_min_overlap_near_forty_degrees(solver):
     # small excitation behaves as a spin precessing at ~40 degrees
     _, _, _, spectral, moms = solver.spectral_point(0, 0.04)
-    times = np.linspace(0.0, 6.0 * moms.tau_mt, 1024)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, 6.0 * moms.tau_mt, 1024)
     assert trace.visibility.min() == pytest.approx(np.cos(np.deg2rad(40.0)), abs=0.05)
 
 
@@ -318,9 +316,8 @@ def test_default_box_converged_against_33_sites(solver, dx):
         assert moms.de == pytest.approx(moms_33.de, rel=1e-11)
         assert qsl.deviation_from_kurtosis(moms.beta2) == pytest.approx(
             qsl.deviation_from_kurtosis(moms_33.beta2), rel=1e-7)
-        times = dyn.default_times(moms_33, 64)
-        delta = (dyn.evolve_overlap(spectral, times).overlaps
-                 - dyn.evolve_overlap(spectral_33, times).overlaps)
+        delta = (dyn.evolve_overlap(spectral, moms_33.tau_mt, 64).overlaps
+                 - dyn.evolve_overlap(spectral_33, moms_33.tau_mt, 64).overlaps)
         assert np.abs(delta).max() <= 1e-12
 
 
@@ -334,15 +331,15 @@ def test_leakage_monitor_edges_quiet(solver):
     s, p = model.params.sites, model.params.points_per_site
     edges = np.abs(np.arange(s * p) - s * p // 2) > (s / 2.0 - 2) * p
     worst = 0.0
-    for t in dyn.default_times(moms, 8):
+    for t in np.linspace(0.0, moms.tau_mt, 8):
         psi_t = full.synthesize(coeff * np.exp(-1j * full.energies * t))
         worst = max(worst, float((np.abs(psi_t[edges]) ** 2).sum()))
     assert worst < 1e-6
 
 
-def test_default_times_cover_tau_mt(solver):
-    moms = solver.spectral_point(0, 0.08)[4]
-    times = dyn.default_times(moms, 64)
+def test_overlap_times_cover_tau_mt(solver):
+    spectral, moms = solver.spectral_point(0, 0.08)[3:]
+    times = dyn.evolve_overlap(spectral, moms.tau_mt, 64).times
     assert times.size == 64
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(moms.tau_mt, rel=1e-12)
@@ -400,9 +397,8 @@ def test_half_zone_weights_reproduce_full_zone(spin, dx):
         assert m_half.e == pytest.approx(m_whole.e, rel=1e-12)
         assert m_half.de == pytest.approx(m_whole.de, rel=1e-12)
         assert m_half.beta2 == pytest.approx(m_whole.beta2, rel=1e-10)
-        times = dyn.default_times(m_whole, 32)
-        delta = (dyn.evolve_overlap(half, times).overlaps
-                 - dyn.evolve_overlap(whole, times).overlaps)
+        delta = (dyn.evolve_overlap(half, m_whole.tau_mt, 32).overlaps
+                 - dyn.evolve_overlap(whole, m_whole.tau_mt, 32).overlaps)
         assert np.abs(delta).max() <= 1e-12
 
 
@@ -412,17 +408,15 @@ def test_quadrature_defect_bounds_the_box_error(solver):
     wide = LatticeSolver(replace(solver.params, sites=33))
     for n in (0, 2):
         *_, spectral, moms = solver.spectral_point(n, 0.5)
-        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 64))
-        wide_trace = dyn.evolve_overlap(wide.spectral_point(n, 0.5)[3], trace.times)
+        trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+        wide_trace = dyn.evolve_overlap(wide.spectral_point(n, 0.5)[3], moms.tau_mt, 64)
         true_error = np.abs(trace.overlaps - wide_trace.overlaps)
-        defect = dyn.quadrature_defect(spectral, trace)
-        assert true_error.max() <= defect <= 1e-10
+        assert true_error.max() <= trace.quadrature_defect <= 1e-10
     # a single site has no coarser rule; at a prime S only q = 0 is left
     for sites, low, high in ((1, None, None), (3, 1e-8, 1e-3)):
         lattice = LatticeSolver(replace(solver.params, sites=sites))
         *_, spectral, moms = lattice.spectral_point(0, 0.5)
-        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 64))
-        defect = dyn.quadrature_defect(spectral, trace)
+        defect = dyn.evolve_overlap(spectral, moms.tau_mt, 64).quadrature_defect
         assert defect is None if low is None else low <= defect <= high
 
 
@@ -430,9 +424,9 @@ def test_quadrature_defect_matches_two_pass_coarse_rule(solver):
     # the S' = 3 rule from the trace's partial sums against its own phase table
     for n, dx in scan.default_grid():
         *_, spectral, moms = solver.spectral_point(n, dx)
-        times = dyn.default_times(moms, 64)
+        trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+        times = trace.times
         whole = overlap_oracle(spectral.populations, spectral.energies, times)
         whole[0] = 1.0
         coarse = 3 * overlap_oracle(spectral.populations[::3], spectral.energies[::3], times)
-        defect = dyn.quadrature_defect(spectral, dyn.evolve_overlap(spectral, times))
-        assert abs(defect - np.abs(whole - coarse).max()) <= 1e-15
+        assert abs(trace.quadrature_defect - np.abs(whole - coarse).max()) <= 1e-15

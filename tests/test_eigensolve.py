@@ -47,13 +47,12 @@ def test_block_solve_matches_dense_oracle():
         assert moms.e == pytest.approx(ref.e, rel=1e-10)
         assert moms.de == pytest.approx(ref.de, rel=1e-10)
         assert moms.beta2 == pytest.approx(ref.beta2, rel=1e-8)
-        times = dyn.default_times(moms, 32)
-        delta = (dyn.evolve_overlap(spectral, times).overlaps
-                 - dyn.evolve_overlap(dense, times).overlaps)
+        trace = dyn.evolve_overlap(spectral, moms.tau_mt, 32)
+        delta = trace.overlaps - dyn.evolve_overlap(dense, moms.tau_mt, 32).overlaps
         assert np.abs(delta).max() <= 1e-12
         # the grid oracle's inverse transform against the dense modes
         grid_coeff = full.project(psi)
-        for t in times[::8]:
+        for t in trace.times[::8]:
             psi_dense = v @ (coeff * np.exp(-1j * (w - w[0]) * t))
             psi_t = full.synthesize(grid_coeff * np.exp(-1j * (full.energies - w[0]) * t))
             assert np.abs(psi_t - psi_dense).max() <= 1e-9

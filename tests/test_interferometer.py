@@ -122,8 +122,8 @@ def test_visibility_estimator_calibration():
 
 def test_visibility_never_exceeds_error_band(point_008):
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 32)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 32)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     phase = ifm.fringe_phase(trace, 0.0)
     fit = ifm.simulate_series(times * scale, trace.visibility, phase, ifm.RamseyConfig(), 9).fit
@@ -133,8 +133,8 @@ def test_visibility_never_exceeds_error_band(point_008):
 
 def test_noiseless_round_trip_reproduces_overlap(point_008):
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     e_n = 0.0
     phase = ifm.fringe_phase(trace, e_n)
@@ -150,8 +150,8 @@ def test_noiseless_round_trip_reproduces_overlap(point_008):
 
 def test_extract_mean_energy_noiseless_and_stationary(point_008):
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     times_us = times * scale
     tau_mt_us = moms.tau_mt * scale
@@ -170,8 +170,8 @@ def test_extract_mean_energy_noiseless_and_stationary(point_008):
 
 def test_light_shift_injected_then_subtracted(point_008):
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     times_us = times * scale
     tau_mt_us = moms.tau_mt * scale
@@ -187,8 +187,8 @@ def test_light_shift_injected_then_subtracted(point_008):
 def test_extract_uncertainty_noiseless(solver):
     # exact series at the reference displacement recovers dE within 2 percent
     model, eig, state, spectral, moms = solver.spectral_point(0, 0.16)
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     de_hat, de_err = ifm.extract_uncertainty(times * scale, trace.visibility,
                                              model.recoil.hertz, moms.tau_mt * scale)
@@ -240,8 +240,8 @@ def test_extract_xi_gaussian_and_qubit():
 
 def test_xi_chain_matches_spectral_on_lattice(point_008):
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     xi_hat, _ = ifm.extract_xi(times * scale, trace.visibility, moms.tau_mt * scale)
     xi_spec = (moms.beta2 - 1.0) / 2.0
@@ -252,8 +252,8 @@ def test_noisy_uncertainty_calibration_quick(point_008):
     # thinned version of the frozen 200-seed calibration (acceptance runs it
     # in full): >= 85 percent of 40 seeds within 5 percent
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     times_us = times * scale
     tau_mt_us = moms.tau_mt * scale
@@ -278,8 +278,8 @@ def test_bounds_hold_on_estimated_quantities(point_008):
     from qslab import qsl
 
     model, eig, state, spectral, moms = point_008
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     scale = model.recoil.time_us_per_unit
     times_us = times * scale
     hertz = model.recoil.hertz
@@ -304,8 +304,8 @@ def test_xi_coalesces_near_one_in_nonharmonic_range(solver):
     xis = {}
     for dx in (0.2016, 0.254, 0.32):
         model, _, _, spectral, moms = solver.spectral_point(0, dx)
-        times = dyn.default_times(moms, 64)
-        trace = dyn.evolve_overlap(spectral, times)
+        trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+        times = trace.times
         scale = model.recoil.time_us_per_unit
         xi, _ = ifm.extract_xi(times * scale, trace.visibility, moms.tau_mt * scale)
         xis[dx] = xi

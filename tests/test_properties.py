@@ -34,9 +34,9 @@ def spectrum(pairs):
 @given(levels)
 def test_overlap_stays_above_unified_bound(pairs):
     spectral, moms = spectrum(pairs)
-    times = np.linspace(0.0, max(moms.tau_mt, moms.tau_ml), 257)
-    bound = qsl.unified_bound(moms.e, moms.de, times)
-    visibility = dyn.evolve_overlap(spectral, times).visibility
+    trace = dyn.evolve_overlap(spectral, max(moms.tau_mt, moms.tau_ml), 257)
+    bound = qsl.unified_bound(moms.e, moms.de, trace.times)
+    visibility = trace.visibility
     valid = ~np.isnan(bound)
     assert np.all(visibility[valid] >= bound[valid] - qsl.BOUND_MARGIN_TOL)
 

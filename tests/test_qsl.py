@@ -96,8 +96,8 @@ def test_geometric_and_overlap_forms_agree(solver):
     from qslab import dynamics as dyn
 
     _, _, _, spectral, moms = solver.spectral_point(0, 0.08)
-    times = dyn.default_times(moms, 64)
-    trace = dyn.evolve_overlap(spectral, times)
+    trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
+    times = trace.times
     overlap_margin = trace.visibility - np.cos(moms.de * times)
     geo_margin = moms.de * times - trace.fs_distance
     # identical sign wherever the overlap margin is numerically resolved; the
@@ -247,7 +247,7 @@ def test_report_fields_and_regimes(solver):
 
     for dx, regime in ((0.04, "ML"), (0.16, "MT")):
         model, _, _, spectral, moms = solver.spectral_point(0, dx)
-        trace = dyn.evolve_overlap(spectral, dyn.default_times(moms, 64))
+        trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
         rep = qsl.report(moms, trace, model.recoil.time_us_per_unit)
         assert rep.regime == regime
         assert rep.min_margin >= -1e-9
@@ -261,7 +261,7 @@ def test_report_fields_and_regimes(solver):
             assert rep.tau_c is None
     # a stationary state has tau_MT = inf, which no trace reaches
     model, _, _, spectral, moms = solver.spectral_point(1, 0.0)
-    trace = dyn.evolve_overlap(spectral, np.linspace(0.0, 1.0, 16))
+    trace = dyn.evolve_overlap(spectral, 1.0, 16)
     with pytest.raises(ParameterError, match="tau_MT = inf"):
         qsl.report(moms, trace)
 
@@ -270,6 +270,6 @@ def test_report_requires_full_trace(solver):
     from qslab import dynamics as dyn
 
     _, _, _, spectral, moms = solver.spectral_point(0, 0.08)
-    short = dyn.evolve_overlap(spectral, np.linspace(0.0, 0.5 * moms.tau_mt, 32))
+    short = dyn.evolve_overlap(spectral, 0.5 * moms.tau_mt, 32)
     with pytest.raises(ParameterError):
         qsl.report(moms, short)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 import yaml
 
-from qslab import cli, eigensolve, interferometer, scan
+from qslab import cli, eigensolve, interferometer, qsl, scan
 from qslab.errors import EstimationError, ParameterError
-from qslab.model import LatticeParams
+from qslab.model import LatticeParams, recoil_energy
 
 from conftest import fmt_oracle
 
@@ -382,7 +382,7 @@ def test_csv_cells_are_shortest_round_trip(tmp_path, capsys):
         assert [c for c in cells if not (TEXT_CELL.fullmatch(c) or is_shortest_text(c))] == [], path
     # a value that several artifacts share is printed in full in each: the fits'
     # times down fringes.csv (over the phase grid), trace.csv and fig2.csv, and
-    # the report's tau_c_us down fig2.csv and in fig3.csv
+    # the report's tau_c_us down fig2.csv; fig3.csv prints the estimates' tau_c
     label = "n0_dx0.0400"    # ML regime: its tau_c_us is a number
     pdir = os.path.join(cfg.out_dir, label)
     with open(os.path.join(pdir, "fits.json")) as fh:
@@ -398,7 +398,12 @@ def test_csv_cells_are_shortest_round_trip(tmp_path, capsys):
     rows = [i for i, point in enumerate(fig2["point"]) if point == label]
     assert [fig2["t_us"][i] for i in rows] == times
     assert {fig2["tau_c_us"][i] for i in rows} == {tau_c}
-    assert csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))["tau_c_us"][0] == tau_c
+    with open(os.path.join(pdir, "estimates.json")) as fh:
+        est = json.load(fh)
+    tau_c_est = qsl.crossover_time(est["e_Er"], est["de_Er"])
+    scale = recoil_energy(cfg.params.wavelength).time_us_per_unit
+    assert csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))["tau_c_us"][0] == \
+        ("" if tau_c_est is None else repr(tau_c_est * scale))
 
 
 def test_scan_byte_identical_reruns(tmp_path):
@@ -489,6 +494,34 @@ def test_clean_rerun_removes_stale_failure_manifest(tmp_path):
     assert os.path.isfile(manifest)
     assert scan.run_scan(small_config(tmp_path))["points_failed"] == 0
     assert not os.path.exists(manifest)
+
+
+def test_stationary_point_is_a_point_stage_failure(tmp_path):
+    # at dx = 1e-4 the n = 0 packet's dE (0.028 E_R) is below
+    # dynamics.STATIONARY_DE, so it has no finite tau_MT to end its trace; that
+    # point fails on its own, and n = 2 of the same solve completes
+    cfg = small_config(tmp_path, points=((0, 1e-4), (2, 1e-4)))
+    summary = scan.run_scan(cfg)
+    assert (summary["points_completed"], summary["points_failed"]) == (1, 1)
+    with open(os.path.join(cfg.out_dir, "failures.json")) as fh:
+        (failure,) = json.load(fh)
+    assert (failure["point"], failure["stage"], failure["type"]) == (
+        "n0_dx0.0001", "point", "ParameterError")
+    assert "no finite tau_MT" in failure["error"]
+    assert os.path.isfile(os.path.join(cfg.out_dir, "n2_dx0.0001", "report.json"))
+
+
+@pytest.mark.parametrize("seed", [12, 16])
+def test_fig3_has_a_crossover_exactly_in_the_ml_regime(tmp_path, seed):
+    # an experiment point's fig3 regime and tau_c both come from its estimates;
+    # a tau_c taken from the exact report gave these seeds' n = 0, dx = 0.1008
+    # point the MT regime with a crossover time, and seed 16's dx = 0.1270 the
+    # ML regime without one
+    cfg = scan.ScanConfig(points=tuple(scan.default_grid()[:6]), estimator="experiment",
+                          seed=seed, curves=False, out_dir=str(tmp_path / "out"))
+    scan.run_scan(cfg)
+    fig3 = csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))
+    assert [tau_c != "" for tau_c in fig3["tau_c_us"]] == [r == "ML" for r in fig3["regime"]]
 
 
 def test_figures_take_estimates_where_de_was_estimated(tmp_path, monkeypatch):
@@ -662,7 +695,7 @@ def test_cli_point_prints_the_failure_of_a_failed_point(tmp_path, capsys):
     assert "bound levels" in capsys.readouterr().err
 
 
-def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
+def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, monkeypatch, capsys):
     # a value out of range on the command line or in the config is an error
     # message naming where it came from, not a traceback
     out = str(tmp_path / "out")
@@ -717,17 +750,22 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, capsys):
     path.write_text("")
     assert scan.load_config(str(path)).points == scan.ScanConfig().points
     # an output directory that cannot be created used to end in FileExistsError,
-    # or in FileNotFoundError for an empty scan.out
+    # or in FileNotFoundError for an empty scan.out; an empty --out was dropped,
+    # so the run wrote into the default qslab-out/ and exited 0
     small = tmp_path / "small.yaml"
     small.write_text(yaml.safe_dump({"lattice": {"sites": 9, "points_per_site": 32},
                                      "scan": {"points": [[0, 0.1]], "curves": False}}))
     existing = str(tmp_path / "a_file")
     open(existing, "w").close()
-    for argv in (["point", "--dx", "0.1"], ["bands"], ["qubit"]):
-        assert cli.main([*argv, "--config", str(small), "--out", existing]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"qslab {argv[0]}: error: output directory {existing!r}: ")
-        assert err.count("\n") == 1
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    for out_dir in (existing, ""):
+        for argv in (["point", "--dx", "0.1"], ["scan"], ["bands"], ["qubit"]):
+            assert cli.main([*argv, "--config", str(small), "--out", out_dir]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"qslab {argv[0]}: error: output directory {out_dir!r}: ")
+            assert err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == before
     # so did a file where a point's own directory goes
     blocked = str(tmp_path / "n0_dx0.1000")
     open(blocked, "w").close()
