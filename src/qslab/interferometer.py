@@ -6,7 +6,9 @@ phi_R is the control phase of the second pulse.  The chain simulated here
 draws binomial counts per phase point, fits the cosine to recover (V, phi),
 and turns the short-time series into estimates of the mean energy (odd
 polynomial in the phase), the energy uncertainty (even polynomial in the
-visibility) and the geometric deviation coefficient.
+visibility) and the geometric deviation coefficient.  Times are in hbar/E_R
+and energies in E_R, as in every other stage; a scan converts to
+microseconds only where it writes artifacts.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ import numpy as np
 from .errors import EstimationError, ParameterError
 from .dynamics import OverlapTrace
 from .qsl import deviation_from_geometry, geodesic_ratio, least_squares
-
-# differential light shift of the interrogation beams, subtracted during analysis
-LIGHT_SHIFT_PRESET_RAD_PER_US = 81.0
 
 
 def default_phase_grid(k: int = 12) -> np.ndarray:
@@ -35,7 +34,9 @@ class RamseyConfig:
     shrink the detected fraction and are divided out during normalization.
     The random stream is not part of the configuration: simulate_series
     takes its seed, and a scan seeds one generator per point by
-    [seed, point index].
+    [seed, point index].  light_shift_slope is the beams' differential light
+    shift in rad/us; the scan adds it to the fringe phase it simulates and
+    subtracts it from the fitted phase, so the functions here never see it.
     """
 
     phase_grid: np.ndarray = field(default_factory=default_phase_grid)
@@ -87,26 +88,23 @@ class FringeFit:
 class FringeSeries:
     """Counts and fits of an evolution-time series: T times by K control phases."""
 
-    t_us: np.ndarray       # (T,)
     phi_r: np.ndarray      # (K,)
     n_total: int
     n_down: np.ndarray     # (T, K)
     fit: FringeFit         # length-T arrays
 
 
-def fringe_probabilities(times_us, visibility, phase, config: RamseyConfig) -> np.ndarray:
+def fringe_probabilities(visibility, phase, config: RamseyConfig) -> np.ndarray:
     """(T, K) detection probability of each time and control phase.
 
-    p_down(phi_R) = (1 - V cos(phi_R - phi - s t))/2, with the light-shift
-    slope s in rad/us, times the detected fraction 1 - loss, clipped to
-    [0, 1].  Scalar inputs give one (K,) fringe.
+    p_down(phi_R) = (1 - V cos(phi_R - phi))/2 times the detected fraction
+    1 - loss, clipped to [0, 1].  Scalar inputs give one (K,) fringe.
     """
     visibility = np.asarray(visibility, dtype=float)
     if np.any(np.abs(visibility) > 1.0 + 1e-10):
         raise ParameterError(f"visibility {np.abs(visibility).max()} outside [0, 1]")
-    times_us, phase = np.asarray(times_us, dtype=float), np.asarray(phase, dtype=float)
-    shifted = phase + config.light_shift_slope * times_us
-    p_down = (1.0 - visibility[..., None] * np.cos(config.phase_grid - shifted[..., None])) / 2.0
+    phase = np.asarray(phase, dtype=float)
+    p_down = (1.0 - visibility[..., None] * np.cos(config.phase_grid - phase[..., None])) / 2.0
     return np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
 
 
@@ -143,64 +141,51 @@ def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
                      phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi))
 
 
-def simulate_series(times_us: np.ndarray, visibility: np.ndarray,
-                    phase: np.ndarray, config: RamseyConfig, seed) -> FringeSeries:
+def simulate_series(visibility: np.ndarray, phase: np.ndarray, config: RamseyConfig,
+                    seed) -> FringeSeries:
     """Binomial counts and fits over an evolution-time series.
 
     Every (T, K) count comes from one binomial call of one generator,
     np.random.default_rng(seed); a scan passes [seed, point index], so a
-    point's counts depend on nothing but its own seed.  The light-shift
-    systematic enters as a phase slope in rad/us; the extraction step
-    subtracts the same slope, mirroring how the measured shift is
-    calibrated out.
+    point's counts depend on nothing but its own seed.
     """
-    times_us = np.asarray(times_us, dtype=float)
     n_total = config.detections_per_point
-    p_eff = fringe_probabilities(times_us, visibility, phase, config)
+    p_eff = fringe_probabilities(visibility, phase, config)
     counts = np.random.default_rng(seed).binomial(n_total, p_eff)
     fit = fit_fringes(config.phase_grid, counts, n_total, config.loss_fraction)
-    return FringeSeries(times_us, config.phase_grid, n_total, counts, fit)
+    return FringeSeries(config.phase_grid, n_total, counts, fit)
 
 
-def _window_fit(times_us: np.ndarray, y: np.ndarray, t_max: float, powers: tuple, what: str):
+def _window_fit(times: np.ndarray, y: np.ndarray, t_max: float, powers: tuple, what: str):
     """Least squares of y on the three powers t^p over t <= t_max, with the
     residual covariance of the coefficients."""
-    times_us, y = np.asarray(times_us, dtype=float), np.asarray(y, dtype=float)
-    mask = times_us <= t_max * (1 + 1e-12)
+    times, y = np.asarray(times, dtype=float), np.asarray(y, dtype=float)
+    mask = times <= t_max * (1 + 1e-12)
     if mask.sum() < 7:
         raise ParameterError(f"need at least 7 {what} samples in the window, got {int(mask.sum())}")
-    t = times_us[mask]
+    t = times[mask]
     return least_squares(np.column_stack([t**p for p in powers]), y[mask])
 
 
-def extract_mean_energy(times_us: np.ndarray, phi_series: np.ndarray, e_n: float,
-                        light_shift_slope: float, recoil_hertz: float,
-                        tau_mt_us: float, window: float = 0.35):
+def extract_mean_energy(times: np.ndarray, phi_series: np.ndarray, e_n: float,
+                        tau_mt: float, window: float = 0.35):
     """Mean energy from the phase series, E = a1 + E_n (E_R).
 
-    Subtracts the known light-shift slope, rewraps to (-pi, pi], unwraps
-    with np.unwrap (each step to the nearest branch), then fits
-    phi(t) = a1 t + a3 t^3 + a5 t^5 on [0, min(window * tau_MT, first wrap)].
-    Returns (e, e_err) in E_R.
+    Rewraps to (-pi, pi], unwraps with np.unwrap (each step to the nearest
+    branch), then fits phi(t) = a1 t + a3 t^3 + a5 t^5 on
+    [0, min(window * tau_MT, first wrap)].  Returns (e, e_err) in E_R.
     """
-    times_us = np.asarray(times_us, dtype=float)
-    phi_series = np.asarray(phi_series, dtype=float)
-    rad_per_us_per_er = 2.0 * np.pi * recoil_hertz * 1e-6
-    detrended = phi_series - light_shift_slope * times_us
-    wrapped = np.angle(np.exp(1j * detrended))
-    unwrapped = np.unwrap(wrapped)
-    t_max = window * tau_mt_us
+    times = np.asarray(times, dtype=float)
+    unwrapped = np.unwrap(np.angle(np.exp(1j * np.asarray(phi_series, dtype=float))))
+    t_max = window * tau_mt
     beyond = np.nonzero(np.abs(unwrapped) > np.pi)[0]
     if beyond.size:
-        t_max = min(t_max, times_us[beyond[0]])
-    coef, cov = _window_fit(times_us, unwrapped, t_max, (1, 3, 5), "phase")
-    e = coef[0] / rad_per_us_per_er + e_n
-    e_err = np.sqrt(max(cov[0, 0], 0.0)) / rad_per_us_per_er
-    return float(e), float(e_err)
+        t_max = min(t_max, times[beyond[0]])
+    coef, cov = _window_fit(times, unwrapped, t_max, (1, 3, 5), "phase")
+    return float(coef[0] + e_n), float(np.sqrt(max(cov[0, 0], 0.0)))
 
 
-def extract_uncertainty(times_us: np.ndarray, v_series: np.ndarray,
-                        recoil_hertz: float, tau_mt_us: float,
+def extract_uncertainty(times: np.ndarray, v_series: np.ndarray, tau_mt: float,
                         window: float = 1.0):
     """Energy uncertainty from the visibility series (E_R).
 
@@ -209,26 +194,21 @@ def extract_uncertainty(times_us: np.ndarray, v_series: np.ndarray,
     O(t^8) terms below counting noise over the full trace window; b2 >= 0
     after the fit means the visibility decay is unresolved.
     """
-    coef, cov = _window_fit(times_us, np.asarray(v_series, dtype=float) - 1.0,
-                            window * tau_mt_us, (2, 4, 6), "visibility")
+    coef, cov = _window_fit(times, np.asarray(v_series, dtype=float) - 1.0,
+                            window * tau_mt, (2, 4, 6), "visibility")
     if coef[0] >= 0.0:
         raise EstimationError("fitted quadratic visibility coefficient is not negative; "
                               "signal too flat to resolve dE")
-    rad_per_us_per_er = 2.0 * np.pi * recoil_hertz * 1e-6
-    de_rad_us = np.sqrt(-2.0 * coef[0])
-    de = de_rad_us / rad_per_us_per_er
-    de_err = np.sqrt(max(cov[0, 0], 0.0)) / de_rad_us / rad_per_us_per_er
-    return float(de), float(de_err)
+    de = np.sqrt(-2.0 * coef[0])
+    return float(de), float(np.sqrt(max(cov[0, 0], 0.0)) / de)
 
 
-def extract_xi(times_us: np.ndarray, v_series: np.ndarray, tau_mt_us: float):
+def extract_xi(times: np.ndarray, v_series: np.ndarray, tau_mt: float):
     """Deviation coefficient from a visibility series.
 
     Converts V to the geodesic-to-path ratio arccos(V)/((pi/2) t/tau_MT) and
     delegates to the short-window geometry fit.
     """
-    times_us = np.asarray(times_us, dtype=float)
-    v_series = np.asarray(v_series, dtype=float)
-    de_rad = np.pi / (2.0 * tau_mt_us)
-    ratio = geodesic_ratio(v_series, de_rad * times_us)
-    return deviation_from_geometry(times_us, ratio, tau_mt_us)
+    times = np.asarray(times, dtype=float)
+    ratio = geodesic_ratio(np.asarray(v_series, dtype=float), np.pi / (2.0 * tau_mt) * times)
+    return deviation_from_geometry(times, ratio, tau_mt)

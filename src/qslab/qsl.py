@@ -234,10 +234,8 @@ def qubit_model(zeta: float, omega: float) -> QubitModel:
 
 @dataclass(frozen=True)
 class QslReport:
-    """Summary of one evolution against both bounds.
-
-    Times are stored dimensionless and converted through time_us_per_unit
-    when serialized; regime is "ML" when dE > E (crossover present) and
+    """Summary of one evolution against both bounds, times in hbar/E_R and
+    energies in E_R; regime is "ML" when dE > E (crossover present) and
     "MT" otherwise.
     """
 
@@ -250,25 +248,9 @@ class QslReport:
     xi_spectral: float
     xi_fit: float
     min_margin: float
-    time_us_per_unit: float
-
-    def to_json_dict(self) -> dict:
-        scale = self.time_us_per_unit
-        return {
-            "e_Er": float(self.e),
-            "de_Er": float(self.de),
-            "tau_mt_us": float(self.tau_mt * scale),
-            "tau_ml_us": float(self.tau_ml * scale) if np.isfinite(self.tau_ml) else None,
-            "tau_c_us": float(self.tau_c * scale) if self.tau_c is not None else None,
-            "regime": self.regime,
-            "xi_spectral": float(self.xi_spectral),
-            "xi_fit": float(self.xi_fit),
-            "min_margin": float(self.min_margin),
-        }
 
 
-def report(moms: SpectralMoments, trace: OverlapTrace,
-           time_us_per_unit: float = 1.0) -> QslReport:
+def report(moms: SpectralMoments, trace: OverlapTrace) -> QslReport:
     """Evaluate bounds, crossover, margins and both xi estimates on a trace
     that reaches tau_MT, which a stationary state (tau_MT = inf) cannot."""
     tau_mt = moms.tau_mt
@@ -285,5 +267,4 @@ def report(moms: SpectralMoments, trace: OverlapTrace,
     regime = "ML" if moms.de > moms.e else "MT"
     return QslReport(e=moms.e, de=moms.de, tau_mt=tau_mt, tau_ml=moms.tau_ml,
                      tau_c=crossover_time(moms.e, moms.de), regime=regime,
-                     xi_spectral=xi_spec, xi_fit=xi_fit, min_margin=min_margin,
-                     time_us_per_unit=time_us_per_unit)
+                     xi_spectral=xi_spec, xi_fit=xi_fit, min_margin=min_margin)

@@ -160,7 +160,9 @@ _KEYS = {
 
 def _fields(raw: dict, section: str) -> dict:
     """Converted keyword arguments for the keys present in one section."""
-    body = raw.get(section) or {}
+    body = raw.get(section)
+    if body is None:    # a missing or null section keeps the defaults; false, 0 or [] is an error
+        body = {}
     if not isinstance(body, dict):
         raise ParameterError(f"config section {section!r} must be a mapping")
     fields = {}
@@ -239,8 +241,7 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
     spectral = dynamics.to_spectral(packets[n], eig)
     moms = dynamics.moments(spectral)
     trace = dynamics.evolve_overlap(spectral, moms.tau_mt, config.time_points)
-    scale = model.recoil.time_us_per_unit
-    rep = qsl.report(moms, trace, time_us_per_unit=scale)
+    rep = qsl.report(moms, trace)
     e_n = float(eig.energies[0, n] - eig.ground_offset)
     result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
                          moments=moms, trace=trace, report=rep)
@@ -250,28 +251,27 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
 
 
 def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
-    scale = result.model.recoil.time_us_per_unit
-    times_us = result.trace.times * scale
-    phase = interferometer.fringe_phase(result.trace, result.e_n)
-    series = interferometer.simulate_series(times_us, result.trace.visibility, phase,
-                                            config.ramsey, [config.seed, point_index])
+    times, tau_mt, e_n = result.trace.times, result.report.tau_mt, result.e_n
+    # the beams' light shift, a phase slope in rad/us: the fringes carry it and
+    # the analysis subtracts it, as a measured shift is calibrated out
+    light = config.ramsey.light_shift_slope * (times * result.model.recoil.time_us_per_unit)
+    phase = interferometer.fringe_phase(result.trace, e_n) + light
+    series = interferometer.simulate_series(result.trace.visibility, phase, config.ramsey,
+                                            [config.seed, point_index])
     fit = series.fit
-    tau_mt_us = result.report.tau_mt * scale
-    hertz = result.model.recoil.hertz
     estimates = {}
     try:
-        e_hat, e_err = interferometer.extract_mean_energy(
-            times_us, fit.phi, result.e_n, config.ramsey.light_shift_slope, hertz, tau_mt_us)
+        e_hat, e_err = interferometer.extract_mean_energy(times, fit.phi - light, e_n, tau_mt)
         estimates.update(e_Er=e_hat, e_err_Er=e_err)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         estimates["e_error"] = str(exc)
     try:
-        de_hat, de_err = interferometer.extract_uncertainty(times_us, fit.v_raw, hertz, tau_mt_us)
+        de_hat, de_err = interferometer.extract_uncertainty(times, fit.v_raw, tau_mt)
         estimates.update(de_Er=de_hat, de_err_Er=de_err)
     except Exception as exc:  # noqa: BLE001
         estimates["de_error"] = str(exc)
     try:
-        xi_hat, xi_cov = interferometer.extract_xi(times_us, fit.v, tau_mt_us)
+        xi_hat, xi_cov = interferometer.extract_xi(times, fit.v, tau_mt)
         estimates.update(xi_fit=xi_hat, xi_err=float(np.sqrt(max(xi_cov[0, 0], 0.0))))
     except Exception as exc:  # noqa: BLE001
         estimates["xi_error"] = str(exc)
@@ -364,12 +364,24 @@ def write_json(path: str, payload) -> None:
 def _write_point(result: PointResult, out_dir: str) -> None:
     pdir = os.path.join(out_dir, result.label)
     make_out_dir(pdir)
-    t_us = result.trace.times * result.model.recoil.time_us_per_unit
+    scale = result.model.recoil.time_us_per_unit
+    t_us = result.trace.times * scale
     write_csv(os.path.join(pdir, "trace.csv"),
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
               [t_us, result.trace.overlaps.real, result.trace.overlaps.imag,
                result.trace.visibility, result.trace.fs_distance])
-    write_json(os.path.join(pdir, "report.json"), result.report.to_json_dict())
+    rep = result.report
+    write_json(os.path.join(pdir, "report.json"), {
+        "e_Er": float(rep.e),
+        "de_Er": float(rep.de),
+        "tau_mt_us": float(rep.tau_mt * scale),
+        "tau_ml_us": float(rep.tau_ml * scale) if np.isfinite(rep.tau_ml) else None,
+        "tau_c_us": float(rep.tau_c * scale) if rep.tau_c is not None else None,
+        "regime": rep.regime,
+        "xi_spectral": float(rep.xi_spectral),
+        "xi_fit": float(rep.xi_fit),
+        "min_margin": float(rep.min_margin),
+    })
     write_json(os.path.join(pdir, "diagnostics.json"), {
         "quadrature_defect": result.trace.quadrature_defect,
         "e_n_Er": result.e_n,
@@ -382,13 +394,13 @@ def _write_point(result: PointResult, out_dir: str) -> None:
         # each time, phase and the count total is formatted once; object arrays repeat the text
         times, phases = series.n_down.shape
         t_text, phi_text = (np.array([str(v) for v in a.tolist()], dtype=object)
-                            for a in (series.t_us, series.phi_r))
+                            for a in (t_us, series.phi_r))
         n_text = np.full(times * phases, _fmt(series.n_total), dtype=object)
         write_csv(os.path.join(pdir, "fringes.csv"), ["t_us", "phi_r", "n_total", "n_down"],
                   [np.repeat(t_text, phases), np.tile(phi_text, times), n_text,
                    series.n_down.ravel()])
         fit = series.fit
-        columns = zip(*(c.tolist() for c in (series.t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
+        columns = zip(*(c.tolist() for c in (t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
         write_json(os.path.join(pdir, "fits.json"),
                    [dict(zip(("t_us", "v", "v_err", "phi", "phi_err"), row)) for row in columns])
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
@@ -556,8 +568,8 @@ def aggregate_reports(out_dir: str) -> dict:
                 raise ParameterError(f"report file {rpath!r}: {exc.strerror}") from exc
             except ValueError as exc:   # a truncated file, or bytes that are not UTF-8
                 raise ParameterError(f"report file {rpath!r}: {exc}") from exc
-            if not (isinstance(rep, dict)
-                    and isinstance(rep.get("min_margin", ""), (int, float, type(None)))):
+            margin = rep.get("min_margin", "") if isinstance(rep, dict) else ""
+            if isinstance(margin, bool) or not isinstance(margin, (int, float, type(None))):
                 raise ParameterError(f"report file {rpath!r}: not a point report "
                                      "(no numeric or null min_margin)")
             rep["point"] = name

@@ -14,12 +14,11 @@ def test_fringe_probabilities_shapes():
     phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
     lossless = ifm.RamseyConfig(phase_grid=phis, loss_fraction=0.0)
     # t = 0: V = 1, phi = 0
-    p = ifm.fringe_probabilities(0.0, 1.0, 0.0, lossless)
+    p = ifm.fringe_probabilities(1.0, 0.0, lossless)
     assert p.shape == (48,)
     assert np.abs(p - (1 - np.cos(phis)) / 2).max() < 1e-15
     # a series gives one row per time, each with its own visibility and phase
-    series = ifm.fringe_probabilities([0.0, 1.0, 2.0], [1.0, 0.5, 0.0], [0.0, 0.3, 1.3],
-                                      lossless)
+    series = ifm.fringe_probabilities([1.0, 0.5, 0.0], [0.0, 0.3, 1.3], lossless)
     assert series.shape == (3, 48)
     assert np.array_equal(series[0], p)
     # vanishing visibility: flat fringe at one half
@@ -27,28 +26,28 @@ def test_fringe_probabilities_shapes():
     # amplitude equals the visibility (grid aligned so the extremes are hit)
     for v, ph in ((0.3, 0.7), (0.9, -2.0)):
         aligned = ifm.RamseyConfig(phase_grid=phis + ph, loss_fraction=0.0)
-        p = ifm.fringe_probabilities(0.0, v, ph, aligned)
+        p = ifm.fringe_probabilities(v, ph, aligned)
         assert p.max() - p.min() == pytest.approx(v, abs=1e-12)
     with pytest.raises(ParameterError):
-        ifm.fringe_probabilities(0.0, 1.2, 0.0, lossless)
+        ifm.fringe_probabilities(1.2, 0.0, lossless)
     with pytest.raises(ParameterError):
-        ifm.fringe_probabilities([0.0, 1.0], [1.0, 1.2], [0.0, 0.0], lossless)
+        ifm.fringe_probabilities([1.0, 1.2], [0.0, 0.0], lossless)
 
 
 def test_simulate_series_deterministic_and_envelope():
     config = ifm.RamseyConfig()
-    times, vis, phase = np.arange(4.0), np.full(4, 0.8), np.full(4, 0.4)
-    a = ifm.simulate_series(times, vis, phase, config, 42).n_down
-    b = ifm.simulate_series(times, vis, phase, config, 42).n_down
+    vis, phase = np.full(4, 0.8), np.full(4, 0.4)
+    a = ifm.simulate_series(vis, phase, config, 42).n_down
+    b = ifm.simulate_series(vis, phase, config, 42).n_down
     assert a.shape == (4, config.phase_grid.size)
     assert np.array_equal(a, b)
-    c = ifm.simulate_series(times, vis, phase, config, 43).n_down
+    c = ifm.simulate_series(vis, phase, config, 43).n_down
     assert not np.array_equal(a, c)
     # large-count limit: empirical probabilities within 3.5 sigma of ideal
     big = ifm.RamseyConfig(atoms_per_shot=1000, repetitions=1000, loss_fraction=0.0)
-    counts = ifm.simulate_series([0.0], [0.6], [1.0], big, 1).n_down
+    counts = ifm.simulate_series([0.6], [1.0], big, 1).n_down
     n = big.detections_per_point
-    p_true = ifm.fringe_probabilities(0.0, 0.6, 1.0, big)
+    p_true = ifm.fringe_probabilities(0.6, 1.0, big)
     sigma = np.sqrt(p_true * (1 - p_true) / n)
     assert np.all(np.abs(counts / n - p_true) <= 3.5 * sigma + 1e-9)
 
@@ -56,12 +55,12 @@ def test_simulate_series_deterministic_and_envelope():
 def test_fit_fringe_exact_recovery():
     phis = ifm.default_phase_grid(12)
     v_true, phi_true = 0.8, 1.0
-    y = ifm.fringe_probabilities(0.0, v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.0))
+    y = ifm.fringe_probabilities(v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.0))
     fit = ifm.fit_fringes(phis, [y * 200], 200.0)
     assert fit.v[0] == pytest.approx(v_true, abs=1e-10)
     assert fit.phi[0] == pytest.approx(phi_true, abs=1e-10)
     # loss renormalization cancels exactly
-    y_loss = ifm.fringe_probabilities(0.0, v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.05))
+    y_loss = ifm.fringe_probabilities(v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.05))
     fit2 = ifm.fit_fringes(phis, [y_loss * 200], 200.0, loss_fraction=0.05)
     assert fit2.v[0] == pytest.approx(v_true, abs=1e-10)
 
@@ -113,7 +112,7 @@ def test_visibility_estimator_calibration():
     trials = 1000
     config = ifm.RamseyConfig(phase_grid=phis, loss_fraction=0.0)
     for seed in range(trials):
-        fit = ifm.simulate_series([0.0], [1.0], [0.7], config, seed).fit
+        fit = ifm.simulate_series([1.0], [0.7], config, seed).fit
         if 0.9 <= fit.v[0] <= 1.0:
             hits += 1
     assert hits >= 950
@@ -123,10 +122,8 @@ def test_visibility_estimator_calibration():
 def test_visibility_never_exceeds_error_band(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 32)
-    times = trace.times
-    scale = model.recoil.time_us_per_unit
     phase = ifm.fringe_phase(trace, 0.0)
-    fit = ifm.simulate_series(times * scale, trace.visibility, phase, ifm.RamseyConfig(), 9).fit
+    fit = ifm.simulate_series(trace.visibility, phase, ifm.RamseyConfig(), 9).fit
     assert np.all(fit.v_raw <= 1.0 + 3.0 * fit.v_err)
     assert np.all((0.0 <= fit.v) & (fit.v <= 1.0))
 
@@ -134,13 +131,11 @@ def test_visibility_never_exceeds_error_band(point_008):
 def test_noiseless_round_trip_reproduces_overlap(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-    times = trace.times
-    scale = model.recoil.time_us_per_unit
     e_n = 0.0
     phase = ifm.fringe_phase(trace, e_n)
     config = ifm.RamseyConfig()
     n = config.detections_per_point
-    expected = n * ifm.fringe_probabilities(times * scale, trace.visibility, phase, config)
+    expected = n * ifm.fringe_probabilities(trace.visibility, phase, config)
     fit = ifm.fit_fringes(config.phase_grid, expected, n, config.loss_fraction)
     v_hat = fit.v
     phi_hat = np.unwrap(fit.phi)
@@ -152,35 +147,29 @@ def test_extract_mean_energy_noiseless_and_stationary(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
     times = trace.times
-    scale = model.recoil.time_us_per_unit
-    times_us = times * scale
-    tau_mt_us = moms.tau_mt * scale
-    hertz = model.recoil.hertz
     phase = ifm.fringe_phase(trace, 0.0)
-    e_hat, e_err = ifm.extract_mean_energy(times_us, phase, 0.0, 0.0, hertz, tau_mt_us)
+    e_hat, e_err = ifm.extract_mean_energy(times, phase, 0.0, moms.tau_mt)
     assert e_hat == pytest.approx(moms.e, rel=0.01)
     # stationary series: zero slope recovers E = E_n
     e_n = 31.0
-    flat = np.zeros_like(times_us)
-    e_flat, _ = ifm.extract_mean_energy(times_us, flat, e_n, 0.0, hertz, tau_mt_us)
+    flat = np.zeros_like(times)
+    e_flat, _ = ifm.extract_mean_energy(times, flat, e_n, moms.tau_mt)
     assert e_flat == pytest.approx(e_n, abs=1e-9)
     with pytest.raises(ParameterError):
-        ifm.extract_mean_energy(times_us[:5], phase[:5], 0.0, 0.0, hertz, tau_mt_us)
+        ifm.extract_mean_energy(times[:5], phase[:5], 0.0, moms.tau_mt)
 
 
 def test_light_shift_injected_then_subtracted(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
     times = trace.times
-    scale = model.recoil.time_us_per_unit
-    times_us = times * scale
-    tau_mt_us = moms.tau_mt * scale
-    hertz = model.recoil.hertz
-    slope = ifm.LIGHT_SHIFT_PRESET_RAD_PER_US
+    # 81 rad/us, as the scan forms it; the fitted phase lies in (-pi, pi], and
+    # the scan subtracts the shift from it before the estimator rewraps it
+    light = 81.0 * (times * model.recoil.time_us_per_unit)
     phase = ifm.fringe_phase(trace, 0.0)
-    e_clean, _ = ifm.extract_mean_energy(times_us, phase, 0.0, 0.0, hertz, tau_mt_us)
-    e_shifted, _ = ifm.extract_mean_energy(times_us, phase + slope * times_us, 0.0,
-                                           slope, hertz, tau_mt_us)
+    e_clean, _ = ifm.extract_mean_energy(times, phase, 0.0, moms.tau_mt)
+    fitted = np.angle(np.exp(1j * (phase + light)))
+    e_shifted, _ = ifm.extract_mean_energy(times, fitted - light, 0.0, moms.tau_mt)
     assert e_shifted == pytest.approx(e_clean, abs=1e-9)
 
 
@@ -188,33 +177,28 @@ def test_extract_uncertainty_noiseless(solver):
     # exact series at the reference displacement recovers dE within 2 percent
     model, eig, state, spectral, moms = solver.spectral_point(0, 0.16)
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-    times = trace.times
-    scale = model.recoil.time_us_per_unit
-    de_hat, de_err = ifm.extract_uncertainty(times * scale, trace.visibility,
-                                             model.recoil.hertz, moms.tau_mt * scale)
+    de_hat, de_err = ifm.extract_uncertainty(trace.times, trace.visibility, moms.tau_mt)
     assert de_hat == pytest.approx(moms.de, rel=0.02)
 
 
 def test_extract_uncertainty_qubit_taylor_limit():
     # |cos(de t)| series: the fitted quadratic coefficient approaches
     # -de^2/2 as the window shrinks
-    de_rad_us = 0.8
-    hertz = 1e6 / (2 * np.pi)      # makes rad/us equal E_R units
-    tau_mt = np.pi / (2 * de_rad_us)
+    de = 0.8
+    tau_mt = np.pi / (2 * de)
     times = np.linspace(0.0, tau_mt, 4096)
-    vis = np.abs(np.cos(de_rad_us * times))
+    vis = np.abs(np.cos(de * times))
     for window, tol in ((1.0, 2e-3), (0.25, 2e-5)):
-        de_hat, _ = ifm.extract_uncertainty(times, vis, hertz, tau_mt, window=window)
-        assert de_hat == pytest.approx(de_rad_us, rel=tol)
+        de_hat, _ = ifm.extract_uncertainty(times, vis, tau_mt, window=window)
+        assert de_hat == pytest.approx(de, rel=tol)
 
 
 def test_extract_uncertainty_flat_signal_errors():
-    hertz = 2000.0
     times = np.linspace(0.0, 10.0, 32)
     with pytest.raises(EstimationError):
-        ifm.extract_uncertainty(times, np.ones_like(times), hertz, 10.0)
+        ifm.extract_uncertainty(times, np.ones_like(times), 10.0)
     with pytest.raises(ParameterError):
-        ifm.extract_uncertainty(times[:5], np.ones(5), hertz, 10.0)
+        ifm.extract_uncertainty(times[:5], np.ones(5), 10.0)
 
 
 def test_extract_xi_gaussian_and_qubit():
@@ -241,9 +225,7 @@ def test_extract_xi_gaussian_and_qubit():
 def test_xi_chain_matches_spectral_on_lattice(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-    times = trace.times
-    scale = model.recoil.time_us_per_unit
-    xi_hat, _ = ifm.extract_xi(times * scale, trace.visibility, moms.tau_mt * scale)
+    xi_hat, _ = ifm.extract_xi(trace.times, trace.visibility, moms.tau_mt)
     xi_spec = (moms.beta2 - 1.0) / 2.0
     assert xi_hat == pytest.approx(xi_spec, rel=0.02)
 
@@ -253,18 +235,13 @@ def test_noisy_uncertainty_calibration_quick(point_008):
     # in full): >= 85 percent of 40 seeds within 5 percent
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-    times = trace.times
-    scale = model.recoil.time_us_per_unit
-    times_us = times * scale
-    tau_mt_us = moms.tau_mt * scale
-    hertz = model.recoil.hertz
     phase = ifm.fringe_phase(trace, 0.0)
     hits = 0
     config = ifm.RamseyConfig()
     for seed in range(40):
-        v_raw = ifm.simulate_series(times_us, trace.visibility, phase, config, seed).fit.v_raw
+        v_raw = ifm.simulate_series(trace.visibility, phase, config, seed).fit.v_raw
         try:
-            de_hat, _ = ifm.extract_uncertainty(times_us, v_raw, hertz, tau_mt_us)
+            de_hat, _ = ifm.extract_uncertainty(trace.times, v_raw, moms.tau_mt)
         except EstimationError:
             continue
         if abs(de_hat / moms.de - 1.0) <= 0.05:
@@ -280,18 +257,13 @@ def test_bounds_hold_on_estimated_quantities(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
     times = trace.times
-    scale = model.recoil.time_us_per_unit
-    times_us = times * scale
-    hertz = model.recoil.hertz
     phase = ifm.fringe_phase(trace, 0.0)
-    rad_per_us_per_er = 2 * np.pi * hertz * 1e-6
     config = ifm.RamseyConfig()
     for seed in (0, 1, 2):
-        fit = ifm.simulate_series(times_us, trace.visibility, phase, config, seed).fit
+        fit = ifm.simulate_series(trace.visibility, phase, config, seed).fit
         v_raw, v_err = fit.v_raw, fit.v_err
-        de_hat, _ = ifm.extract_uncertainty(times_us, v_raw, hertz,
-                                            moms.tau_mt * scale)
-        bound = np.asarray(qsl.mt_bound(de_hat * rad_per_us_per_er, times_us))
+        de_hat, _ = ifm.extract_uncertainty(times, v_raw, moms.tau_mt)
+        bound = np.asarray(qsl.mt_bound(de_hat, times))
         valid = ~np.isnan(bound)
         slack = 4.0 * v_err[valid] + 0.02
         assert np.all(v_raw[valid] >= bound[valid] - slack)
@@ -305,9 +277,7 @@ def test_xi_coalesces_near_one_in_nonharmonic_range(solver):
     for dx in (0.2016, 0.254, 0.32):
         model, _, _, spectral, moms = solver.spectral_point(0, dx)
         trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-        times = trace.times
-        scale = model.recoil.time_us_per_unit
-        xi, _ = ifm.extract_xi(times * scale, trace.visibility, moms.tau_mt * scale)
+        xi, _ = ifm.extract_xi(trace.times, trace.visibility, moms.tau_mt)
         xis[dx] = xi
         assert 0.7 <= xi <= 1.3
     assert abs(xis[0.32] - 1.0) < abs(xis[0.2016] - 1.0)

@@ -66,7 +66,7 @@ def test_crossover_time_is_tau_mt_squared_over_tau_ml(pairs):
 def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
     config = interferometer.RamseyConfig(loss_fraction=loss)
     n = config.detections_per_point
-    counts = n * interferometer.fringe_probabilities(0.0, visibility, phase, config)
+    counts = n * interferometer.fringe_probabilities(visibility, phase, config)
     fit = interferometer.fit_fringes(config.phase_grid, [counts], n, loss)
     assert fit.v[0] == pytest.approx(visibility, abs=1e-12)
     assert abs(np.angle(np.exp(1j * (fit.phi[0] - phase)))) <= 1e-10
@@ -95,19 +95,19 @@ def test_inverted_qubit_obeys_energy_from_above_bound(zeta, omega):
 
 @PROFILE
 @given(st.floats(0.5, 30.0), st.floats(0.2, 2.5), st.floats(-0.5, 0.5),
-       st.floats(-200.0, 200.0))
+       st.floats(-16000.0, 16000.0))
 def test_light_shift_slope_injected_then_subtracted(energy, window_phase, curvature, slope):
     # a noiseless phase series, the mean energy's linear term plus a cubic one,
-    # with a light-shift slope added and the same slope passed to the
-    # estimator, gives the slope-free estimate; tau_MT is set so that the
-    # phase reaches window_phase (< pi, no wrap) at the end of the fit window
-    hertz = 2.0e3
-    rate = 2.0 * np.pi * hertz * 1e-6 * energy          # rad/us
-    tau_mt_us = window_phase / (0.35 * rate)
-    times_us = np.linspace(0.0, tau_mt_us, 64)
-    phase = rate * times_us * (1.0 + curvature * (times_us / tau_mt_us) ** 2)
-    clean, _ = interferometer.extract_mean_energy(times_us, phase, 0.0, 0.0, hertz, tau_mt_us)
-    shifted, _ = interferometer.extract_mean_energy(times_us, phase + slope * times_us, 0.0,
-                                                    slope, hertz, tau_mt_us)
+    # with a light-shift slope s (rad per hbar/E_R; +-16000 is +-200 rad/us at
+    # E_R/h = 2 kHz) added, wrapped as a fitted phase is and the same s t
+    # subtracted, as the scan does, gives the slope-free estimate; tau_MT is
+    # set so that the phase reaches window_phase (< pi, no wrap) at the end of
+    # the fit window
+    tau_mt = window_phase / (0.35 * energy)
+    times = np.linspace(0.0, tau_mt, 64)
+    phase = energy * times * (1.0 + curvature * (times / tau_mt) ** 2)
+    clean, _ = interferometer.extract_mean_energy(times, phase, 0.0, tau_mt)
+    fitted = np.angle(np.exp(1j * (phase + slope * times)))
+    shifted, _ = interferometer.extract_mean_energy(times, fitted - slope * times, 0.0, tau_mt)
     assert clean == pytest.approx(energy, rel=1e-6)
     assert shifted == pytest.approx(clean, rel=1e-9)

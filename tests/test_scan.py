@@ -116,6 +116,17 @@ def test_config_rejects_unknown_keys():
         scan.config_from_dict({"lattise": {"sites": 9}})
     with pytest.raises(ParameterError, match="mapping"):
         scan.config_from_dict({"scan": [1, 2]})
+    # a null section keeps the defaults, as a missing one does
+    cfg = scan.config_from_dict({name: None for name in scan._KEYS})
+    assert (cfg.params, cfg.state_point, cfg.seed) == (LatticeParams(), None, scan.DEFAULT_SEED)
+
+
+@pytest.mark.parametrize("section", ["lattice", "state", "scan", "ramsey"])
+@pytest.mark.parametrize("value", [0, False, [], ""], ids=["0", "false", "[]", "''"])
+def test_config_section_that_is_no_mapping_is_an_error(section, value):
+    # "scan: 0" used to run the defaults and "state: false" to drop the state point
+    with pytest.raises(ParameterError, match=f"config section '{section}' must be a mapping"):
+        scan.config_from_dict({section: value})
     # a wrongly typed value names its key instead of leaking int()'s ValueError
     with pytest.raises(ParameterError, match="lattice.sites"):
         scan.config_from_dict({"lattice": {"sites": "x"}})
@@ -307,8 +318,10 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     assert os.path.isfile(os.path.join(pdir, "fringes.csv"))
     # fits.json holds one record per line; it parses to the document that
     # json.dumps(indent=2) of the point's series gives
-    series = scan.run_point(0, 0.12, cfg, scan.solve_displacement(0.12, cfg.params)).records
-    columns = {"t_us": series.t_us, "v": series.fit.v, "v_err": series.fit.v_err,
+    result = scan.run_point(0, 0.12, cfg, scan.solve_displacement(0.12, cfg.params))
+    series = result.records
+    columns = {"t_us": result.trace.times * result.model.recoil.time_us_per_unit,
+               "v": series.fit.v, "v_err": series.fit.v_err,
                "phi": series.fit.phi, "phi_err": series.fit.phi_err}
     records = [{key: float(c[i]) for key, c in columns.items()} for i in range(cfg.time_points)]
     text = read(os.path.join(pdir, "fits.json")).decode()
@@ -414,6 +427,36 @@ def test_scan_byte_identical_reruns(tmp_path):
     scan.run_scan(cfg_a)
     scan.run_scan(cfg_b)
     assert_same_files(cfg_a.out_dir, cfg_b.out_dir)
+
+
+def test_estimates_do_not_depend_on_the_wavelength(tmp_path):
+    # the Ramsey chain works in hbar/E_R and E_R: at zero light shift a
+    # wavelength changes only the microseconds of the written times, not one
+    # byte of the estimates or of fig4.csv
+    outs = []
+    for nm in (866, 1064):
+        cfg = small_config(tmp_path, estimator="experiment", seed=11,
+                           out_dir=str(tmp_path / f"nm{nm}"),
+                           params=dataclasses.replace(SMALL, wavelength=nm * 1e-9))
+        scan.run_scan(cfg)
+        outs.append(cfg.out_dir)
+    for label in ("n0_dx0.0400", "n0_dx0.1600"):
+        a, b = (read(os.path.join(out, label, "estimates.json")) for out in outs)
+        assert a == b, label
+    a, b = (read(os.path.join(out, "fig4.csv")) for out in outs)
+    assert a == b
+
+
+def test_scan_calibrates_the_light_shift_out(tmp_path):
+    # the scan adds the 81 rad/us light-shift phase to the fringes and takes
+    # it off the fitted phase; at 10^6 detections per phase the mean energy
+    # comes back within criterion 7's 1 percent of the exact one
+    ramsey = interferometer.RamseyConfig(atoms_per_shot=1000, repetitions=1000,
+                                         light_shift_slope=81.0)
+    cfg = small_config(tmp_path, estimator="experiment", seed=11, ramsey=ramsey)
+    for n, dx in ((0, 0.16), (1, 0.12)):
+        result = scan.run_point(n, dx, cfg, scan.solve_displacement(dx, cfg.params))
+        assert result.estimates["e_Er"] == pytest.approx(result.report.e, rel=0.01)
 
 
 def test_scan_different_seed_changes_experiment(tmp_path):
@@ -658,7 +701,8 @@ def test_cli_point_and_report(tmp_path, capsys):
     rpath = os.path.join(out, "n0_dx0.1000", "report.json")
     with open(rpath, "r", encoding="utf-8") as fh:
         truncated = fh.read(10)
-    for text in (truncated, "[1, 2]", "{}"):
+    # a boolean min_margin ({"min_margin": true}) used to count as the number 1
+    for text in (truncated, "[1, 2]", "{}", '{"min_margin": true}'):
         with open(rpath, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert cli.main(["report", "--dir", out]) == 2
