@@ -89,11 +89,10 @@ def cmd_qubit(args) -> int:
     model = LatticeModel(params=cfg.params)
     omega = model.homega
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.count)
-    models = [qsl.qubit_model(zeta, omega) for zeta in zetas]
+    e, de, xi = qsl.qubit_moments(zetas, omega)
     scan.make_out_dir(cfg.out_dir)
     scan.write_csv(os.path.join(cfg.out_dir, "qubit.csv"), ["zeta", "e_Er", "de_Er", "xi"],
-                   [zetas, [qb.e for qb in models], [qb.de for qb in models],
-                    [qb.xi for qb in models]])
+                   [zetas, e, de, xi])
     print(f"wrote {os.path.join(cfg.out_dir, 'qubit.csv')}")
     return 0
 

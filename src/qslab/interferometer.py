@@ -21,6 +21,8 @@ from .errors import EstimationError, ParameterError
 from .dynamics import OverlapTrace
 from .qsl import deviation_from_geometry, geodesic_ratio, least_squares
 
+PHASE_FIT_WINDOW = 0.35     # in units of tau_MT
+
 
 def default_phase_grid(k: int = 12) -> np.ndarray:
     return np.arange(k) * 2.0 * np.pi / k
@@ -168,16 +170,16 @@ def _window_fit(times: np.ndarray, y: np.ndarray, t_max: float, powers: tuple, w
 
 
 def extract_mean_energy(times: np.ndarray, phi_series: np.ndarray, e_n: float,
-                        tau_mt: float, window: float = 0.35):
+                        tau_mt: float):
     """Mean energy from the phase series, E = a1 + E_n (E_R).
 
     Rewraps to (-pi, pi], unwraps with np.unwrap (each step to the nearest
     branch), then fits phi(t) = a1 t + a3 t^3 + a5 t^5 on
-    [0, min(window * tau_MT, first wrap)].  Returns (e, e_err) in E_R.
+    [0, min(PHASE_FIT_WINDOW * tau_MT, first wrap)].  Returns (e, e_err) in E_R.
     """
     times = np.asarray(times, dtype=float)
     unwrapped = np.unwrap(np.angle(np.exp(1j * np.asarray(phi_series, dtype=float))))
-    t_max = window * tau_mt
+    t_max = PHASE_FIT_WINDOW * tau_mt
     beyond = np.nonzero(np.abs(unwrapped) > np.pi)[0]
     if beyond.size:
         t_max = min(t_max, times[beyond[0]])

@@ -49,23 +49,15 @@ def recoil_energy(wavelength: float) -> RecoilEnergy:
     return RecoilEnergy(joules=e_r, hertz=e_r / (2.0 * np.pi * HBAR_SI))
 
 
-def displacement_from_angle(theta: float) -> float:
-    """Relative displacement of the two spin lattices, in lambda/2 units.
+def angle_from_displacement(dx: float) -> float:
+    """Polarization angle theta = arctan((4/3) tan(pi Dx)) at which the two spin
+    lattices sit Dx apart, in lambda/2 units.
 
-    Dx(theta) = arctan((3/4) tan(theta)) / pi, monotone on [0, pi/2] with
-    Dx(0) = 0 and Dx(pi/2) = 0.5.  Both circular standing-wave components
-    contribute to each spin potential, which makes the dependence slightly
+    It inverts Dx(theta) = arctan((3/4) tan(theta)) / pi, monotone on
+    [0, pi/2] with Dx(0) = 0 and Dx(pi/2) = 0.5; both circular standing-wave
+    components contribute to each spin potential, which makes Dx slightly
     nonlinear in theta.
     """
-    if not 0.0 <= theta <= np.pi / 2.0 + 1e-15:
-        raise ParameterError(f"polarization angle must lie in [0, pi/2], got {theta}")
-    if theta >= np.pi / 2.0:
-        return 0.5
-    return float(np.arctan(0.75 * np.tan(theta)) / np.pi)
-
-
-def angle_from_displacement(dx: float) -> float:
-    """Inverse of :func:`displacement_from_angle`: theta = arctan((4/3) tan(pi Dx))."""
     if not 0.0 <= dx <= 0.5 + 1e-15:
         raise ParameterError(f"displacement must lie in [0, 0.5] lambda/2, got {dx}")
     if dx >= 0.5:
@@ -162,16 +154,3 @@ class LatticeModel:
     def homega(self) -> float:
         """hbar*omega_HO(theta) in E_R."""
         return trap_frequency(self.theta, self.params.depth_at_zero)
-
-    @property
-    def trap_frequency_rad_s(self) -> float:
-        return self.homega * 2.0 * np.pi * self.recoil.hertz
-
-    def coherent_alpha(self, dx: float) -> float:
-        """Coherent-state amplitude |alpha| = sqrt(m omega/(2 hbar)) * dx.
-
-        In lattice units the effective mass is pi^2/2, so
-        |alpha| = pi * U0(theta)^(1/4) * dx / sqrt(2).
-        """
-        m_eff = np.pi**2 / 2.0
-        return float(np.sqrt(m_eff * self.homega / 2.0) * dx)

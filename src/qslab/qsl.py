@@ -90,146 +90,44 @@ def least_squares(design: np.ndarray, y: np.ndarray):
     return coef, rss / dof * np.linalg.inv(design.T @ design)
 
 
-def deviation_from_geometry(times: np.ndarray, ratio: np.ndarray, tau_mt: float,
-                            window: float = XI_FIT_WINDOW):
+def deviation_from_geometry(times: np.ndarray, ratio: np.ndarray, tau_mt: float):
     """Least-squares xi from the short-time expansion of the length ratio.
 
     Fits ratio(t) = 1 - (pi^2 xi / 48)(t/tau_MT)^2 + c4 t^4 on 0 < t <=
-    window * tau_MT; the quartic nuisance term absorbs the next order of the
-    expansion.  Returns (xi, covariance of (xi, c4)).
+    XI_FIT_WINDOW * tau_MT; the quartic nuisance term absorbs the next order
+    of the expansion.  Returns (xi, covariance of (xi, c4)).
     """
     times = np.asarray(times, dtype=float)
     ratio = np.asarray(ratio, dtype=float)
-    mask = (times > 0) & (times <= window * tau_mt * (1 + 1e-12))
+    mask = (times > 0) & (times <= XI_FIT_WINDOW * tau_mt * (1 + 1e-12))
     if mask.sum() < 6:
         raise ParameterError(
-            f"need at least 6 samples below {window} tau_MT, got {int(mask.sum())}")
+            f"need at least 6 samples below {XI_FIT_WINDOW} tau_MT, got {int(mask.sum())}")
     t = times[mask]
     design = np.column_stack([-(np.pi**2 / 48.0) * (t / tau_mt) ** 2, t**4])
     coef, cov = least_squares(design, ratio[mask] - 1.0)
     return float(coef[0]), cov
 
 
-def bhatia_davis_cap(e: float, de: float, e_cutoff: float) -> float:
-    """Upper bound on xi for a spectrum supported on [0, e_cutoff].
-
-    The numerator of xi is the variance of (H - E)^2, a variable bounded by
-    max{(e_cutoff - E)^2, E^2}; the variance bound for bounded variables then
-    caps xi at (max{...}/dE^2 - 1)/2.
-    """
-    if not 0.0 <= e <= e_cutoff:
-        raise ParameterError(f"mean energy {e} outside spectrum support [0, {e_cutoff}]")
-    if de <= 0:
-        raise ParameterError("cap undefined for a stationary state")
-    z_max = max((e_cutoff - e) ** 2, e**2)
-    return 0.5 * (z_max / de**2 - 1.0)
-
-
-_XI_OFFSETS = {0: 1.0, 1: 1.0 / 3.0, 2: 7.0 / 25.0}
-
-
-def xi_harmonic(n: int, de: float, homega: float) -> float:
-    """Closed-form xi of a displaced vibrational level in a harmonic well.
-
-    xi_n = {1, 1/3, 7/25} + (hbar omega)^2/(2 dE^2) for n = 0, 1, 2.  The
-    offsets are the infinite-displacement asymptotes; for the level-n
-    populations the exact relation holds at every displacement since the
-    variance is (2n+1)|alpha|^2 times the level spacing squared.
-    """
-    if n not in _XI_OFFSETS:
-        raise ParameterError(f"closed form available for n in {{0,1,2}}, got {n}")
-    if de <= 0:
-        raise ParameterError("xi undefined for a stationary state")
-    return _XI_OFFSETS[n] + homega**2 / (2.0 * de**2)
-
-
-def displaced_populations(n: int, alpha: float, n_max: int | None = None) -> np.ndarray:
-    """Level populations of vibrational state n displaced by amplitude alpha.
-
-    With x = |alpha|^2 and Poisson weights P(x):
-    p0(k) = P(x)(k); p1(k) = (x - k)^2/x * p0(k);
-    p2(k) = (x^2 - 2 k x + k^2 - k)^2/(2 x^2) * p0(k).
-    Each sums to one; means are x + n and variances (2n+1) x.
-    """
-    if n not in (0, 1, 2):
-        raise ParameterError(f"populations available for n in {{0,1,2}}, got {n}")
-    if alpha < 0:
-        raise ParameterError("alpha is a magnitude, must be non-negative")
-    x = alpha**2
-    if n_max is None:
-        n_max = int(max(32, x + 12.0 * np.sqrt(x + 1.0) + 3 * n))
-    k = np.arange(n_max)
-    if x == 0.0:
-        p = np.zeros(n_max)
-        p[n] = 1.0
-        return p
-    # log k! by a running sum, since k is an integer
-    log_pois = -x + k * np.log(x) - np.cumsum(np.log(np.maximum(k, 1)))
-    base = np.exp(log_pois)
-    if n == 0:
-        return base
-    if n == 1:
-        return (x - k) ** 2 / x * base
-    return (x**2 - 2.0 * k * x + k**2 - k) ** 2 / (2.0 * x**2) * base
-
-
-@dataclass(frozen=True)
-class QubitModel:
-    """Spin precessing at angle zeta about a fixed axis with frequency omega.
+def qubit_moments(zeta, omega: float):
+    """(E, dE, xi) of a spin precessing at angle zeta about a fixed axis with
+    frequency omega, elementwise over an array of angles.
 
     The two levels sit at 0 and hbar*omega with populations cos^2(zeta/2)
-    and sin^2(zeta/2); this is the small-excitation limit of the displaced
-    wave packet and the only system that can saturate the uncertainty bound.
+    and sin^2(zeta/2): E = omega sin^2(zeta/2), dE = omega sin(zeta)/2 and
+    xi = 2((omega/2)^2/dE^2 - 1).  This is the small-excitation limit of the
+    displaced wave packet and the only system that can saturate the
+    uncertainty bound.
     """
-
-    zeta: float
-    omega: float
-
-    @property
-    def populations(self) -> tuple[float, float]:
-        return (float(np.cos(self.zeta / 2.0) ** 2), float(np.sin(self.zeta / 2.0) ** 2))
-
-    @property
-    def e(self) -> float:
-        return float(self.omega * np.sin(self.zeta / 2.0) ** 2)
-
-    @property
-    def de(self) -> float:
-        return float(self.omega * np.sin(self.zeta) / 2.0)
-
-    @property
-    def de_max(self) -> float:
-        return self.omega / 2.0
-
-    @property
-    def xi(self) -> float:
-        return 2.0 * (self.de_max**2 / self.de**2 - 1.0)
-
-    def overlap(self, t) -> np.ndarray:
-        """|A(t)| = sqrt(1 - sin^2(zeta) sin^2(omega t / 2))."""
-        t = np.asarray(t, dtype=float)
-        out = np.sqrt(1.0 - np.sin(self.zeta) ** 2 * np.sin(self.omega * t / 2.0) ** 2)
-        return out if out.ndim else float(out)
-
-    def inverted_population_bound(self, t) -> np.ndarray:
-        """Mean-energy-style bound from above, valid for pi/2 < zeta < pi.
-
-        With population inversion the energy measured from the *top* level
-        plays the mean-energy role: |A(t)| >= cos(sqrt(cos^2(zeta/2) pi omega t / 2)).
-        """
-        if not np.pi / 2.0 < self.zeta < np.pi:
-            raise ParameterError("inverted-population bound needs pi/2 < zeta < pi")
-        t = np.asarray(t, dtype=float)
-        out = np.cos(np.sqrt(np.cos(self.zeta / 2.0) ** 2 * np.pi * self.omega * t / 2.0))
-        return out if out.ndim else float(out)
-
-
-def qubit_model(zeta: float, omega: float) -> QubitModel:
-    if not 0.0 < zeta < np.pi:
-        raise ParameterError(f"zeta in (0, pi) required (stationary otherwise), got {zeta}")
-    if omega <= 0:
+    zeta = np.asarray(zeta, dtype=float)
+    outside = ~((zeta > 0.0) & (zeta < np.pi))
+    if outside.any():
+        raise ParameterError("zeta in (0, pi) required (stationary otherwise), "
+                             f"got {zeta[outside].flat[0]}")
+    if not omega > 0:
         raise ParameterError("precession frequency must be positive")
-    return QubitModel(zeta=zeta, omega=omega)
+    de = omega * np.sin(zeta) / 2.0
+    return omega * np.sin(zeta / 2.0) ** 2, de, 2.0 * ((omega / 2.0) ** 2 / de**2 - 1.0)
 
 
 @dataclass(frozen=True)

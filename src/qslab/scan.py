@@ -135,7 +135,9 @@ def _string(value) -> str:
 
 
 def _points(raw) -> tuple:
-    # null or an empty list keeps the default grid
+    # null or an empty list keeps the default grid; 0, false, "" or {} is an error
+    if not isinstance(raw, (list, tuple, type(None))):
+        raise TypeError(f"expected a list of [n, dx] pairs, got {raw!r}")
     return tuple((_integer(n), _real(dx)) for n, dx in raw or ()) or ScanConfig.points
 
 
@@ -289,14 +291,6 @@ def coherent_reference_curve(alphas: np.ndarray) -> np.ndarray:
     if np.any(alphas <= 0):
         raise ParameterError("alpha must be positive")
     return np.column_stack([4.0 * alphas**2, 4.0 * alphas])
-
-
-def qubit_reference_curve(zetas: np.ndarray) -> np.ndarray:
-    """Two-level limit: inv_tau_ml = 4 sin^2(zeta/2), inv_tau_mt = 2 sin(zeta)."""
-    zetas = np.asarray(zetas, dtype=float)
-    if np.any((zetas <= 0) | (zetas >= np.pi / 2.0)):
-        raise ParameterError("zeta must lie in (0, pi/2)")
-    return np.column_stack([4.0 * np.sin(zetas / 2.0) ** 2, 2.0 * np.sin(zetas)])
 
 
 def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[dict]:
@@ -527,9 +521,11 @@ def _run_scan(config: ScanConfig) -> dict:
     if config.curves:
         write_csv(os.path.join(config.out_dir, "fig3_curves.csv"),
                   ["n", "dx", "inv_tau_ml", "inv_tau_mt"], curves)
+        # two-level limit at omega = 1: inv_tau_ml = 4 E, inv_tau_mt = 4 dE
         zetas = np.linspace(0.02, np.pi / 2.0 - 0.02, 40)
+        e, de, _ = qsl.qubit_moments(zetas, 1.0)
         write_csv(os.path.join(config.out_dir, "fig3_qubit.csv"),
-                  ["zeta", "inv_tau_ml", "inv_tau_mt"], [zetas, *qubit_reference_curve(zetas).T])
+                  ["zeta", "inv_tau_ml", "inv_tau_mt"], [zetas, 4.0 * e, 4.0 * de])
         alphas = np.geomspace(0.05, 3.0, 40)
         write_csv(os.path.join(config.out_dir, "fig3_coherent.csv"),
                   ["alpha", "inv_tau_ml", "inv_tau_mt"],
@@ -569,9 +565,11 @@ def aggregate_reports(out_dir: str) -> dict:
             except ValueError as exc:   # a truncated file, or bytes that are not UTF-8
                 raise ParameterError(f"report file {rpath!r}: {exc}") from exc
             margin = rep.get("min_margin", "") if isinstance(rep, dict) else ""
-            if isinstance(margin, bool) or not isinstance(margin, (int, float, type(None))):
+            # json.load reads NaN and Infinity, and nan < -tol is false
+            if (isinstance(margin, bool) or not isinstance(margin, (int, float, type(None)))
+                    or isinstance(margin, float) and not np.isfinite(margin)):
                 raise ParameterError(f"report file {rpath!r}: not a point report "
-                                     "(no numeric or null min_margin)")
+                                     "(no finite or null min_margin)")
             rep["point"] = name
             points.append(rep)
     violations = sum(1 for rep in points

@@ -3,8 +3,13 @@ oracles of the Bloch solver (the dense Hamiltonian on the S-site grid, the
 Bloch blocks of a sampled cell and Mathieu's equation), the grid route the
 half-zone packets are checked against (real cell states of the q = 0 modes,
 zero-padded and shifted on the grid), the two-pass overlap sum the factored
-one is checked against, and the per-record fringe fit and per-cell CSV
-formatter the batched paths are checked against."""
+one is checked against, the per-record fringe fit and per-cell CSV
+formatter the batched paths are checked against, and the closed forms the
+package does not need (harmonic-oscillator populations and xi, the
+Bhatia-Davis cap, the angle-to-displacement map, the coherent amplitude,
+the trap frequency in rad/s and the two-level populations and overlap)."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -314,3 +319,140 @@ def fmt_oracle(value) -> str:
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
+
+
+def bhatia_davis_cap(e: float, de: float, e_cutoff: float) -> float:
+    """Upper bound on xi for a spectrum supported on [0, e_cutoff].
+
+    The numerator of xi is the variance of (H - E)^2, a variable bounded by
+    max{(e_cutoff - E)^2, E^2}; the variance bound for bounded variables then
+    caps xi at (max{...}/dE^2 - 1)/2.
+    """
+    if not 0.0 <= e <= e_cutoff:
+        raise ParameterError(f"mean energy {e} outside spectrum support [0, {e_cutoff}]")
+    if de <= 0:
+        raise ParameterError("cap undefined for a stationary state")
+    z_max = max((e_cutoff - e) ** 2, e**2)
+    return 0.5 * (z_max / de**2 - 1.0)
+
+
+_XI_OFFSETS = {0: 1.0, 1: 1.0 / 3.0, 2: 7.0 / 25.0}
+
+
+def xi_harmonic(n: int, de: float, homega: float) -> float:
+    """Closed-form xi of a displaced vibrational level in a harmonic well.
+
+    xi_n = {1, 1/3, 7/25} + (hbar omega)^2/(2 dE^2) for n = 0, 1, 2.  The
+    offsets are the infinite-displacement asymptotes; for the level-n
+    populations the exact relation holds at every displacement since the
+    variance is (2n+1)|alpha|^2 times the level spacing squared.
+    """
+    if n not in _XI_OFFSETS:
+        raise ParameterError(f"closed form available for n in {{0,1,2}}, got {n}")
+    if de <= 0:
+        raise ParameterError("xi undefined for a stationary state")
+    return _XI_OFFSETS[n] + homega**2 / (2.0 * de**2)
+
+
+def displaced_populations(n: int, alpha: float, n_max: int | None = None) -> np.ndarray:
+    """Level populations of vibrational state n displaced by amplitude alpha.
+
+    With x = |alpha|^2 and Poisson weights P(x):
+    p0(k) = P(x)(k); p1(k) = (x - k)^2/x * p0(k);
+    p2(k) = (x^2 - 2 k x + k^2 - k)^2/(2 x^2) * p0(k).
+    Each sums to one; means are x + n and variances (2n+1) x.
+    """
+    if n not in (0, 1, 2):
+        raise ParameterError(f"populations available for n in {{0,1,2}}, got {n}")
+    if alpha < 0:
+        raise ParameterError("alpha is a magnitude, must be non-negative")
+    x = alpha**2
+    if n_max is None:
+        n_max = int(max(32, x + 12.0 * np.sqrt(x + 1.0) + 3 * n))
+    k = np.arange(n_max)
+    if x == 0.0:
+        p = np.zeros(n_max)
+        p[n] = 1.0
+        return p
+    # log k! by a running sum, since k is an integer
+    log_pois = -x + k * np.log(x) - np.cumsum(np.log(np.maximum(k, 1)))
+    base = np.exp(log_pois)
+    if n == 0:
+        return base
+    if n == 1:
+        return (x - k) ** 2 / x * base
+    return (x**2 - 2.0 * k * x + k**2 - k) ** 2 / (2.0 * x**2) * base
+
+
+def displacement_from_angle(theta: float) -> float:
+    """Relative displacement of the two spin lattices, in lambda/2 units, the
+    inverse of model.angle_from_displacement.
+
+    Dx(theta) = arctan((3/4) tan(theta)) / pi, monotone on [0, pi/2] with
+    Dx(0) = 0 and Dx(pi/2) = 0.5.  Both circular standing-wave components
+    contribute to each spin potential, which makes the dependence slightly
+    nonlinear in theta.
+    """
+    if not 0.0 <= theta <= np.pi / 2.0 + 1e-15:
+        raise ParameterError(f"polarization angle must lie in [0, pi/2], got {theta}")
+    if theta >= np.pi / 2.0:
+        return 0.5
+    return float(np.arctan(0.75 * np.tan(theta)) / np.pi)
+
+
+def trap_frequency_rad_s(lattice) -> float:
+    """omega_HO of a LatticeModel in rad/s."""
+    return lattice.homega * 2.0 * np.pi * lattice.recoil.hertz
+
+
+def coherent_alpha(lattice, dx: float) -> float:
+    """Coherent-state amplitude |alpha| = sqrt(m omega/(2 hbar)) * dx in the
+    harmonic well of a LatticeModel.
+
+    In lattice units the effective mass is pi^2/2, so
+    |alpha| = pi * U0(theta)^(1/4) * dx / sqrt(2).
+    """
+    m_eff = np.pi**2 / 2.0
+    return float(np.sqrt(m_eff * lattice.homega / 2.0) * dx)
+
+
+@dataclass(frozen=True)
+class Qubit:
+    """Spin precessing at angle zeta about a fixed axis with frequency omega:
+    the two-level populations and overlap that qsl.qubit_moments' E, dE and
+    xi are checked against."""
+
+    zeta: float
+    omega: float
+
+    @property
+    def populations(self) -> tuple[float, float]:
+        return (float(np.cos(self.zeta / 2.0) ** 2), float(np.sin(self.zeta / 2.0) ** 2))
+
+    def overlap(self, t) -> np.ndarray:
+        """|A(t)| = sqrt(1 - sin^2(zeta) sin^2(omega t / 2))."""
+        t = np.asarray(t, dtype=float)
+        out = np.sqrt(1.0 - np.sin(self.zeta) ** 2 * np.sin(self.omega * t / 2.0) ** 2)
+        return out if out.ndim else float(out)
+
+    def inverted_population_bound(self, t) -> np.ndarray:
+        """Mean-energy-style bound from above, valid for pi/2 < zeta < pi.
+
+        With population inversion the energy measured from the *top* level
+        plays the mean-energy role: |A(t)| >= cos(sqrt(cos^2(zeta/2) pi omega t / 2)).
+        """
+        if not np.pi / 2.0 < self.zeta < np.pi:
+            raise ParameterError("inverted-population bound needs pi/2 < zeta < pi")
+        t = np.asarray(t, dtype=float)
+        out = np.cos(np.sqrt(np.cos(self.zeta / 2.0) ** 2 * np.pi * self.omega * t / 2.0))
+        return out if out.ndim else float(out)
+
+
+def bernoulli_moments(qubit: Qubit):
+    """(E, dE, xi) of the two levels 0 and omega from the oracle populations,
+    xi from their Bernoulli kurtosis."""
+    p0, p1 = qubit.populations
+    mean = p1 * qubit.omega
+    var = p0 * mean**2 + p1 * (qubit.omega - mean) ** 2
+    mu4 = p0 * mean**4 + p1 * (qubit.omega - mean) ** 4
+    return mean, np.sqrt(var), (mu4 / var**2 - 1.0) / 2.0

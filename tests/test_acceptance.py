@@ -19,7 +19,9 @@ from qslab import qsl, scan
 from qslab.eigensolve import band_structure, decompose
 from qslab.model import KAPPA, LatticeModel, LatticeParams
 
-from conftest import FullZone, grid_hamiltonian, mathieu_defect, ml_domain_margin
+from conftest import (FullZone, Qubit, bernoulli_moments, bhatia_davis_cap, coherent_alpha,
+                      grid_hamiltonian, mathieu_defect, ml_domain_margin, trap_frequency_rad_s,
+                      xi_harmonic)
 
 _SWEEP_TIME = {}
 
@@ -44,7 +46,7 @@ def _verdict(num, ok, detail):
 def test_criterion_01_trap_frequency():
     t0 = time.perf_counter()
     lattice = LatticeModel(params=LatticeParams(wavelength=866e-9, depth_at_zero=270.0))
-    freq_khz = lattice.trap_frequency_rad_s / (2 * np.pi) / 1e3
+    freq_khz = trap_frequency_rad_s(lattice) / (2 * np.pi) / 1e3
     elapsed = time.perf_counter() - t0
     ok = abs(freq_khz / 66.0 - 1.0) <= 0.03 and elapsed < 1.0
     assert _verdict(1, ok, f"omega_HO/2pi = {freq_khz:.2f} kHz (66 kHz +/- 3%), "
@@ -79,17 +81,13 @@ def test_criterion_03_regime_classification(sweep):
 
 def test_criterion_04_qubit_limit():
     omega = 2 * np.sqrt(270.0)
-    qb = qsl.qubit_model(np.pi / 2, omega)
+    _, de, _ = qsl.qubit_moments(np.pi / 2, omega)
     times = np.linspace(0.0, np.pi / omega, 257)
-    sat = np.abs(qb.overlap(times) - np.asarray(qsl.mt_bound(qb.de, times))).max()
+    sat = np.abs(Qubit(np.pi / 2, omega).overlap(times) - np.asarray(qsl.mt_bound(de, times))).max()
     worst_xi = 0.0
-    for zeta in np.linspace(0.05, np.pi - 0.05, 20):
-        q = qsl.qubit_model(zeta, omega)
-        p0, p1 = q.populations
-        mean = p1 * omega
-        var = p0 * mean**2 + p1 * (omega - mean) ** 2
-        mu4 = p0 * mean**4 + p1 * (omega - mean) ** 4
-        worst_xi = max(worst_xi, abs(q.xi - (mu4 / var**2 - 1.0) / 2.0))
+    zetas = np.linspace(0.05, np.pi - 0.05, 20)
+    for zeta, xi in zip(zetas, qsl.qubit_moments(zetas, omega)[2]):
+        worst_xi = max(worst_xi, abs(xi - bernoulli_moments(Qubit(zeta, omega))[2]))
     ok = sat <= 1e-12 and worst_xi <= 1e-12
     assert _verdict(4, ok, f"balanced-qubit saturation defect {sat:.1e}, "
                            f"xi vs Bernoulli kurtosis defect {worst_xi:.1e}")
@@ -97,7 +95,7 @@ def test_criterion_04_qubit_limit():
 
 def test_criterion_05a_poisson_populations(sweep):
     res = next(r for r in sweep if r.n == 0 and round(r.dx, 4) == 0.04)
-    x = res.model.coherent_alpha(res.dx) ** 2
+    x = coherent_alpha(res.model, res.dx) ** 2
     bands = res.spectral.populations.sum(axis=0)
     k = np.arange(bands.size)
     pois = np.exp(-x + k * np.log(x) - gammaln(k + 1))
@@ -115,7 +113,7 @@ def test_criterion_05a_poisson_populations(sweep):
 def test_criterion_05b_coherent_moments_at_3pct(sweep):
     res = next(r for r in sweep if r.n == 0 and round(r.dx, 4) == 0.04)
     homega = res.model.homega
-    alpha = res.model.coherent_alpha(res.dx)
+    alpha = coherent_alpha(res.model, res.dx)
     e_rel = abs(res.moments.e / (homega * alpha**2) - 1.0)
     de_rel = abs(res.moments.de / (homega * alpha) - 1.0)
     ok = e_rel <= 0.03 and de_rel <= 0.03
@@ -143,8 +141,8 @@ def test_criterion_06_xi_consistency(sweep):
         rel = abs(xi_fit / xi_spec - 1.0)
         worst_rel = max(worst_rel, rel)
         ok &= rel <= 0.10
-        cap = qsl.bhatia_davis_cap(res.moments.e, res.moments.de,
-                                   float(res.spectral.energies.max()))
+        cap = bhatia_davis_cap(res.moments.e, res.moments.de,
+                               float(res.spectral.energies.max()))
         ok &= xi_spec <= cap + 1e-9
     assert _verdict(6, ok, f"xi_spectral >= 0, worst |xi_fit/xi_spectral - 1| = "
                            f"{worst_rel:.2%} (<= 10%), Bhatia-Davis cap intact, "
@@ -161,7 +159,7 @@ def test_criterion_06_xi_tracks_harmonic_curve(sweep):
     for res in sweep:
         if res.n != 0 or res.dx > 0.2:
             continue
-        xi_ho = qsl.xi_harmonic(0, res.moments.de, res.model.homega)
+        xi_ho = xi_harmonic(0, res.moments.de, res.model.homega)
         worst = max(worst, abs(res.report.xi_spectral / xi_ho - 1.0))
     ok = worst <= 0.20
     _verdict("6c", ok, f"worst |xi/xi_HO - 1| = {worst:.1%} for n=0, dx <= 0.2 "

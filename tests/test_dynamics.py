@@ -13,7 +13,7 @@ from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
 from conftest import (FullZone, LatticeSolver, block_packets, cell_decompose, central_cell,
-                      grid_packet, overlap_oracle, q0_sites)
+                      coherent_alpha, grid_packet, overlap_oracle, q0_sites)
 
 
 def poisson_pmf(k, x):
@@ -80,7 +80,7 @@ def test_packets_ignore_the_global_phase_of_a_mode(solver):
 
 def test_populations_poisson_at_small_displacement(solver):
     model, eig, state, spectral, moms = solver.spectral_point(0, 0.04)
-    x = model.coherent_alpha(0.04) ** 2
+    x = coherent_alpha(model, 0.04) ** 2
     bands = spectral.populations.sum(axis=0)
     k = np.arange(bands.size)
     tv = 0.5 * np.abs(bands - poisson_pmf(k, x)).sum()
@@ -111,7 +111,7 @@ def test_moments_coherent_oracle(solver):
     # harmonic coherent model: E ~ homega x, dE ~ homega sqrt(x); the cos^2
     # well softens both by its anharmonicity (about 6 percent at 270 E_R)
     model, _, _, _, moms = solver.spectral_point(0, 0.04)
-    x = model.coherent_alpha(0.04) ** 2
+    x = coherent_alpha(model, 0.04) ** 2
     assert moms.e == pytest.approx(model.homega * x, rel=0.08)
     assert moms.de == pytest.approx(model.homega * np.sqrt(x), rel=0.07)
     assert moms.e >= 0.0

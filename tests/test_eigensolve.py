@@ -9,11 +9,11 @@ import pytest
 from qslab import dynamics as dyn
 from qslab import eigensolve as es
 from qslab.errors import ParameterError
-from qslab.model import KAPPA, LatticeModel, LatticeParams, displacement_from_angle
+from qslab.model import KAPPA, LatticeModel, LatticeParams
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
-from conftest import (FullZone, block_packets, cell_blocks, central_cell, grid_hamiltonian,
-                      grid_packet, mathieu_defect, q0_sites)
+from conftest import (FullZone, block_packets, cell_blocks, central_cell, displacement_from_angle,
+                      grid_hamiltonian, grid_packet, mathieu_defect, q0_sites)
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9

@@ -6,7 +6,8 @@ import pytest
 from qslab import model as m
 from qslab.errors import ParameterError
 
-from conftest import central_cell, grid_hamiltonian, grid_kinetic, grid_potential
+from conftest import (central_cell, coherent_alpha, displacement_from_angle, grid_hamiltonian,
+                      grid_kinetic, grid_potential, trap_frequency_rad_s)
 
 
 def test_recoil_energy_cesium_866nm():
@@ -29,16 +30,16 @@ def test_recoil_scaling_and_errors():
 
 
 def test_displacement_from_angle_endpoints_and_value():
-    assert m.displacement_from_angle(0.0) == 0.0
-    assert m.displacement_from_angle(np.pi / 2) == pytest.approx(0.5, abs=1e-15)
+    assert displacement_from_angle(0.0) == 0.0
+    assert displacement_from_angle(np.pi / 2) == pytest.approx(0.5, abs=1e-15)
     # arctan(3/4)/pi evaluated with 50-digit arithmetic
-    assert m.displacement_from_angle(np.pi / 4) == pytest.approx(
+    assert displacement_from_angle(np.pi / 4) == pytest.approx(
         0.20483276469913342, abs=1e-14)
     thetas = np.linspace(0, np.pi / 2, 101)
-    dxs = [m.displacement_from_angle(t) for t in thetas]
+    dxs = [displacement_from_angle(t) for t in thetas]
     assert np.all(np.diff(dxs) > 0)
     with pytest.raises(ParameterError):
-        m.displacement_from_angle(-0.1)
+        displacement_from_angle(-0.1)
 
 
 def test_angle_displacement_round_trip():
@@ -47,7 +48,7 @@ def test_angle_displacement_round_trip():
     assert m.angle_from_displacement(0.20483276469913342) == pytest.approx(
         np.pi / 4, abs=1e-12)
     for dx in np.linspace(0.001, 0.499, 37):
-        assert m.displacement_from_angle(m.angle_from_displacement(dx)) == pytest.approx(
+        assert displacement_from_angle(m.angle_from_displacement(dx)) == pytest.approx(
             dx, abs=1e-12)
     with pytest.raises(ParameterError):
         m.angle_from_displacement(0.6)
@@ -69,7 +70,7 @@ def test_trap_frequency_scaling_and_kilohertz():
     assert m.trap_frequency(np.pi / 2, 270.0) == pytest.approx(
         2 * np.sqrt(202.5), rel=1e-12)
     lattice = m.LatticeModel(params=m.LatticeParams())
-    freq_khz = lattice.trap_frequency_rad_s / (2 * np.pi) / 1e3
+    freq_khz = trap_frequency_rad_s(lattice) / (2 * np.pi) / 1e3
     assert freq_khz == pytest.approx(66.0, rel=0.03)
 
 
@@ -156,8 +157,8 @@ def test_apply_matches_matrix():
 def test_coherent_alpha_reference_value():
     # dx = 0.04 at 270 E_R: |alpha| about 0.36, a_HO about 34 nm
     lattice = m.LatticeModel(m.LatticeParams(), 0.04)
-    assert lattice.coherent_alpha(0.04) == pytest.approx(0.36, abs=0.01)
-    a_ho = np.sqrt(m.HBAR_SI / (m.CS133_MASS_SI * lattice.trap_frequency_rad_s))
+    assert coherent_alpha(lattice, 0.04) == pytest.approx(0.36, abs=0.01)
+    a_ho = np.sqrt(m.HBAR_SI / (m.CS133_MASS_SI * trap_frequency_rad_s(lattice)))
     assert a_ho == pytest.approx(34e-9, rel=0.03)
 
 

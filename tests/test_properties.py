@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from qslab import dynamics as dyn
 from qslab import interferometer, qsl
 
+from conftest import Qubit, bhatia_davis_cap
+
 PROFILE = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
 levels = st.lists(
@@ -45,7 +47,7 @@ def test_overlap_stays_above_unified_bound(pairs):
 @given(levels)
 def test_xi_between_zero_and_bhatia_davis_cap(pairs):
     spectral, moms = spectrum(pairs)
-    cap = qsl.bhatia_davis_cap(moms.e, moms.de, float(spectral.energies.max()))
+    cap = bhatia_davis_cap(moms.e, moms.de, float(spectral.energies.max()))
     xi = qsl.deviation_from_kurtosis(moms.beta2)   # a NumericError below beta2 = 1 - 1e-12
     assert xi <= cap * (1.0 + 1e-9) + 1e-12
 
@@ -75,12 +77,13 @@ def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
 @PROFILE
 @given(st.floats(0.01, np.pi - 0.01), st.floats(0.1, 100.0))
 def test_qubit_obeys_mt_bound_and_saturates_it_when_balanced(zeta, omega):
-    qubit = qsl.qubit_model(zeta, omega)
-    times = np.linspace(0.0, np.pi / (2.0 * qubit.de), 257)
-    assert np.all(qubit.overlap(times) >= qsl.mt_bound(qubit.de, times) - 1e-12)
-    balanced = qsl.qubit_model(np.pi / 2.0, omega)
-    times = np.linspace(0.0, np.pi / (2.0 * balanced.de), 257)
-    assert np.abs(balanced.overlap(times) - qsl.mt_bound(balanced.de, times)).max() <= 1e-12
+    _, de, _ = qsl.qubit_moments(zeta, omega)
+    times = np.linspace(0.0, np.pi / (2.0 * de), 257)
+    assert np.all(Qubit(zeta, omega).overlap(times) >= qsl.mt_bound(de, times) - 1e-12)
+    _, de, _ = qsl.qubit_moments(np.pi / 2.0, omega)
+    times = np.linspace(0.0, np.pi / (2.0 * de), 257)
+    balanced = Qubit(np.pi / 2.0, omega).overlap(times)
+    assert np.abs(balanced - qsl.mt_bound(de, times)).max() <= 1e-12
 
 
 @PROFILE
@@ -88,7 +91,7 @@ def test_qubit_obeys_mt_bound_and_saturates_it_when_balanced(zeta, omega):
 def test_inverted_qubit_obeys_energy_from_above_bound(zeta, omega):
     # the bound's domain ends where its argument reaches pi/2, at
     # t = pi / (2 E_top) with E_top = omega cos^2(zeta/2) measured from the top level
-    qubit = qsl.qubit_model(zeta, omega)
+    qubit = Qubit(zeta, omega)
     times = np.linspace(0.0, np.pi / (2.0 * omega * np.cos(zeta / 2.0) ** 2), 257)
     assert np.all(qubit.overlap(times) >= qubit.inverted_population_bound(times) - 1e-12)
 

@@ -7,6 +7,8 @@ from scipy.special import eval_genlaguerre, gammaln
 from qslab import qsl
 from qslab.errors import NumericError, ParameterError
 
+from conftest import Qubit, bernoulli_moments, bhatia_davis_cap, displaced_populations, xi_harmonic
+
 
 def test_mt_bound_values_and_domain():
     de = 2.0
@@ -116,13 +118,12 @@ def test_bhatia_davis_cap_qubit_and_loose_cases():
     omega = 1.0
     # the cap bounds xi for every mixing angle and becomes tight as the
     # excitation vanishes (population concentrated at the spectrum edge)
-    for zeta in np.linspace(0.05, np.pi / 2, 12):
-        qb = qsl.qubit_model(zeta, omega)
-        cap = qsl.bhatia_davis_cap(qb.e, qb.de, omega)
-        assert cap >= qb.xi - 1e-12
-    tiny = qsl.qubit_model(0.02, omega)
-    cap = qsl.bhatia_davis_cap(tiny.e, tiny.de, omega)
-    assert cap == pytest.approx(tiny.xi, rel=1e-3)
+    for e, de, xi in zip(*qsl.qubit_moments(np.linspace(0.05, np.pi / 2, 12), omega)):
+        cap = bhatia_davis_cap(e, de, omega)
+        assert cap >= xi - 1e-12
+    e, de, xi = qsl.qubit_moments(0.02, omega)
+    cap = bhatia_davis_cap(e, de, omega)
+    assert cap == pytest.approx(xi, rel=1e-3)
     # broad truncated coherent spectrum: xi ~ 1, cap far above it
     x = 40.0
     k = np.arange(400)
@@ -131,11 +132,11 @@ def test_bhatia_davis_cap_qubit_and_loose_cases():
     de = np.sqrt((p * (k - e) ** 2).sum())
     beta2 = (p * (k - e) ** 4).sum() / de**4
     xi = qsl.deviation_from_kurtosis(beta2)
-    cap = qsl.bhatia_davis_cap(e, de, float(k[-1]))
+    cap = bhatia_davis_cap(e, de, float(k[-1]))
     assert xi == pytest.approx(1.0, abs=0.05)
     assert cap > 10 * xi
     with pytest.raises(ParameterError):
-        qsl.bhatia_davis_cap(5.0, 1.0, 4.0)
+        bhatia_davis_cap(5.0, 1.0, 4.0)
 
 
 def _poisson_family_moments(n, x):
@@ -163,30 +164,30 @@ def test_xi_harmonic_matches_population_oracle(n, offset):
         assert var == pytest.approx((2 * n + 1) * x, rel=1e-10)
         xi_oracle = (mu4 / var**2 - 1.0) / 2.0
         de = omega * np.sqrt(var)
-        assert qsl.xi_harmonic(n, de, omega) == pytest.approx(xi_oracle, rel=1e-9)
+        assert xi_harmonic(n, de, omega) == pytest.approx(xi_oracle, rel=1e-9)
     # infinite-displacement asymptote
-    assert qsl.xi_harmonic(n, 1e9, omega) == pytest.approx(offset, abs=1e-12)
+    assert xi_harmonic(n, 1e9, omega) == pytest.approx(offset, abs=1e-12)
 
 
 def test_xi_harmonic_coherent_form():
     omega = 2.0
     alpha = 0.6
     de = omega * alpha
-    assert qsl.xi_harmonic(0, de, omega) == pytest.approx(1 + 1 / (2 * alpha**2), rel=1e-12)
+    assert xi_harmonic(0, de, omega) == pytest.approx(1 + 1 / (2 * alpha**2), rel=1e-12)
 
 
 def test_displaced_populations_normalization_and_values():
-    assert qsl.displaced_populations(0, 0.0)[0] == 1.0
-    p = qsl.displaced_populations(0, 1.0)
+    assert displaced_populations(0, 0.0)[0] == 1.0
+    p = displaced_populations(0, 1.0)
     assert p[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
     assert p[1] == pytest.approx(np.exp(-1.0), rel=1e-12)
     for n in (0, 1, 2):
         for alpha in (0.3, 1.0, 2.4):
-            pops = qsl.displaced_populations(n, alpha)
+            pops = displaced_populations(n, alpha)
             assert pops.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(pops >= -1e-15)
     # alpha = 0 with n > 0: delta at the original level
-    p2 = qsl.displaced_populations(2, 0.0)
+    p2 = displaced_populations(2, 0.0)
     assert p2[2] == 1.0 and p2.sum() == 1.0
 
 
@@ -195,7 +196,7 @@ def test_displaced_populations_match_displacement_operator(n):
     # oracle: |<k|exp(-i p dx)|n>|^2 via associated Laguerre matrix elements
     for alpha in (0.45, 1.2):
         x = alpha**2
-        pops = qsl.displaced_populations(n, alpha, n_max=60)
+        pops = displaced_populations(n, alpha, n_max=60)
         for k in range(12):
             lo, hi = min(k, n), max(k, n)
             amp2 = (np.exp(gammaln(lo + 1) - gammaln(hi + 1)) * x ** (hi - lo)
@@ -205,41 +206,41 @@ def test_displaced_populations_match_displacement_operator(n):
 
 def test_qubit_model_contract():
     omega = 2.0
-    qb = qsl.qubit_model(np.pi / 2, omega)
-    assert qb.de == pytest.approx(qb.de_max)
-    assert qb.xi == pytest.approx(0.0, abs=1e-12)
+    e, de, xi = qsl.qubit_moments(np.pi / 2, omega)
+    assert de == pytest.approx(omega / 2.0)
+    assert xi == pytest.approx(0.0, abs=1e-12)
+    qb = Qubit(np.pi / 2, omega)
     t = np.linspace(0.0, np.pi / omega, 100)     # up to tau_MT
     assert np.abs(qb.overlap(t) - np.abs(np.cos(omega * t / 2))).max() < 1e-12
     # no inversion: uncertainty exceeds the mean energy (crossover regime)
-    for zeta in (0.3, 1.0, 1.5):
-        qb = qsl.qubit_model(zeta, omega)
-        assert qb.de > qb.e
+    e, de, _ = qsl.qubit_moments(np.array([0.3, 1.0, 1.5]), omega)
+    assert np.all(de > e)
     # 40 degree precession: minimum overlap cos(40 deg)
-    qb40 = qsl.qubit_model(np.deg2rad(40.0), omega)
+    qb40 = Qubit(np.deg2rad(40.0), omega)
     t_star = np.pi / omega
     assert qb40.overlap(t_star) == pytest.approx(np.cos(np.deg2rad(40.0)), abs=1e-12)
     # inverted population: the energy-from-above bound holds
-    qb_inv = qsl.qubit_model(2.2, omega)
+    qb_inv = Qubit(2.2, omega)
     ts = np.linspace(0.0, 1.2, 300)
     bound = qb_inv.inverted_population_bound(ts)
     assert np.all(qb_inv.overlap(ts) >= bound - 1e-12)
+    # zeta outside (0, pi) is stationary, a NaN angle is no angle
+    for zeta in (0.0, np.pi, -0.1, np.nan, [0.5, 0.0]):
+        with pytest.raises(ParameterError, match="zeta in"):
+            qsl.qubit_moments(zeta, omega)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ParameterError, match="precession frequency"):
+            qsl.qubit_moments(1.0, bad)
     with pytest.raises(ParameterError):
-        qsl.qubit_model(0.0, omega)
-    with pytest.raises(ParameterError):
-        qsl.qubit_model(1.0, omega).inverted_population_bound(0.1)
+        Qubit(1.0, omega).inverted_population_bound(0.1)
 
 
 def test_qubit_xi_equals_bernoulli_kurtosis():
     omega = 1.7
-    for zeta in np.linspace(0.05, np.pi - 0.05, 20):
-        qb = qsl.qubit_model(zeta, omega)
-        p0, p1 = qb.populations
-        levels = np.array([0.0, omega])
-        mean = p0 * levels[0] + p1 * levels[1]
-        var = p0 * (levels[0] - mean) ** 2 + p1 * (levels[1] - mean) ** 2
-        mu4 = p0 * (levels[0] - mean) ** 4 + p1 * (levels[1] - mean) ** 4
-        xi_direct = (mu4 / var**2 - 1.0) / 2.0
-        assert qb.xi == pytest.approx(xi_direct, abs=1e-12)
+    zetas = np.linspace(0.05, np.pi - 0.05, 20)
+    for zeta, xi in zip(zetas, qsl.qubit_moments(zetas, omega)[2]):
+        _, _, xi_direct = bernoulli_moments(Qubit(zeta, omega))
+        assert xi == pytest.approx(xi_direct, abs=1e-12)
 
 
 def test_report_fields_and_regimes(solver):

@@ -13,9 +13,9 @@ import yaml
 
 from qslab import cli, eigensolve, interferometer, qsl, scan
 from qslab.errors import EstimationError, ParameterError
-from qslab.model import LatticeParams, recoil_energy
+from qslab.model import LatticeModel, LatticeParams, recoil_energy
 
-from conftest import fmt_oracle
+from conftest import Qubit, bernoulli_moments, fmt_oracle
 
 SMALL = LatticeParams(sites=9, points_per_site=32)
 
@@ -218,6 +218,16 @@ def test_config_string_keys_take_strings_only(key, good, bad):
     with pytest.raises(ParameterError, match=f"scan.{key}"):
         scan.config_from_dict({"scan": {key: bad}})
     scan.config_from_dict({"scan": {key: good}})
+
+
+@pytest.mark.parametrize("bad", [0, False, "", {}, 5, "points"],
+                         ids=["0", "false", "empty-string", "empty-mapping", "5", "string"])
+def test_config_points_other_than_null_or_empty_list_are_errors(bad):
+    # scan.points: 0, false, "" or {} used to run the 34-point default grid
+    with pytest.raises(ParameterError, match="scan.points"):
+        scan.config_from_dict({"scan": {"points": bad}})
+    for default in (None, []):
+        assert scan.config_from_dict({"scan": {"points": default}}).points == scan.ScanConfig.points
 
 
 def test_point_labels_are_unique():
@@ -608,14 +618,38 @@ def test_reference_curves():
     assert np.all(curve[:2, 0] < curve[:2, 1])   # small alpha: crossover regime
     assert np.all(curve[3:, 0] > curve[3:, 1])   # large alpha: uncertainty regime
     zetas = np.array([1e-3, 0.3, np.pi / 2 - 1e-9])
-    qcurve = scan.qubit_reference_curve(zetas)
+    qcurve = 4.0 * np.column_stack(qsl.qubit_moments(zetas, 1.0)[:2])   # fig3_qubit.csv's
     # small angle: inv_tau_ml ~ zeta^2 vanishes faster than inv_tau_mt ~ 2 zeta
     assert qcurve[0, 0] == pytest.approx(zetas[0] ** 2, rel=1e-5)
     assert qcurve[0, 1] == pytest.approx(2 * zetas[0], rel=1e-5)
     assert np.all(qcurve[:, 0] < qcurve[:, 1])   # entirely in the crossover region
     assert qcurve[-1, 1] == pytest.approx(2.0, rel=1e-6)  # maximal two-level speed
     with pytest.raises(ParameterError):
-        scan.qubit_reference_curve(np.array([2.0]))
+        qsl.qubit_moments(np.array([4.0]), 1.0)
+
+
+def test_qubit_artifacts_match_the_two_level_oracle(tmp_path, capsys):
+    # qubit.csv and fig3_qubit.csv read one closed form, qsl.qubit_moments;
+    # both are checked against E, dE and the Bernoulli kurtosis of the
+    # populations cos^2(zeta/2), sin^2(zeta/2) on the levels 0 and omega
+    cfgfile = write_small_yaml(tmp_path)
+    out = str(tmp_path / "qubit")
+    assert cli.main(["qubit", "--config", cfgfile, "--out", out]) == 0
+    capsys.readouterr()
+    omega = LatticeModel(params=SMALL).homega
+    rows = csv_columns(os.path.join(out, "qubit.csv"))
+    zetas = np.array(rows["zeta"], dtype=float)
+    assert zetas.size == 40 and (zetas[0], zetas[-1]) == (0.05, np.pi - 0.05)
+    oracle = np.array([bernoulli_moments(Qubit(zeta, omega)) for zeta in zetas])
+    for column, key in enumerate(("e_Er", "de_Er", "xi")):
+        assert np.abs(np.array(rows[key], dtype=float) - oracle[:, column]).max() <= 1e-12, key
+    cfg = small_config(tmp_path, points=((0, 0.16),), curves=True, curve_points=1)
+    scan.run_scan(cfg)
+    fig = csv_columns(os.path.join(cfg.out_dir, "fig3_qubit.csv"))
+    zetas = np.array(fig["zeta"], dtype=float)
+    oracle = np.array([bernoulli_moments(Qubit(zeta, omega))[:2] for zeta in zetas]) / omega
+    for column, key in enumerate(("inv_tau_ml", "inv_tau_mt")):
+        assert np.abs(np.array(fig[key], dtype=float) - 4.0 * oracle[:, column]).max() <= 1e-12
 
 
 def test_points_sit_on_lattice_theory_curve(tmp_path):
@@ -701,8 +735,10 @@ def test_cli_point_and_report(tmp_path, capsys):
     rpath = os.path.join(out, "n0_dx0.1000", "report.json")
     with open(rpath, "r", encoding="utf-8") as fh:
         truncated = fh.read(10)
-    # a boolean min_margin ({"min_margin": true}) used to count as the number 1
-    for text in (truncated, "[1, 2]", "{}", '{"min_margin": true}'):
+    # a boolean min_margin ({"min_margin": true}) used to count as the number 1,
+    # and a NaN or infinite one (which json.load reads) as a point with no violation
+    for text in (truncated, "[1, 2]", "{}", '{"min_margin": true}', '{"min_margin": NaN}',
+                 '{"min_margin": Infinity}', '{"min_margin": -Infinity}'):
         with open(rpath, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert cli.main(["report", "--dir", out]) == 2
@@ -847,6 +883,12 @@ def test_cli_bands_and_qubit(tmp_path, capsys):
     assert rc == 0
     assert os.path.isfile(os.path.join(out, "qubit.csv"))
     capsys.readouterr()
+    # an angle outside (0, pi) is stationary: one line, nothing written
+    empty = str(tmp_path / "qubit-zeta")
+    assert cli.main(["qubit", "--config", cfgfile, "--out", empty, "--zeta-min", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qslab qubit: error: zeta in (0, pi)") and err.count("\n") == 1
+    assert not os.path.exists(empty)
     # a count below 1 used to end in numpy's traceback (-1) or a header-only file (0)
     for count in ("0", "-1"):
         empty = str(tmp_path / f"qubit{count}")
