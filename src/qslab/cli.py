@@ -12,7 +12,7 @@ import numpy as np
 
 from . import eigensolve, qsl, scan
 from .errors import ParameterError
-from .model import LatticeModel
+from .model import LatticeModel, recoil_hertz
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -46,16 +46,17 @@ def cmd_point(args) -> int:
     n, dx = cfg.state_point or cfg.points[0]
     point = (n if args.n is None else args.n, dx if args.dx is None else args.dx)
     scan.check_point("--n/--dx", *point)
-    cfg = replace(cfg, points=(point,), curves=False)
-    summary = scan.run_scan(cfg)
-    if summary["points_failed"]:    # a failed point has no report, only its failure record
-        with open(os.path.join(cfg.out_dir, "failures.json"), "r", encoding="utf-8") as fh:
-            print(fh.read().rstrip(), file=sys.stderr)
+    # only the point's own directory is written: the fig*.csv, summary.json and
+    # failures.json of a scan in the same directory stay as they are
+    results, failures = scan.run_points(replace(cfg, points=(point,)))
+    if failures:    # a failed point has no report, only its failure record
+        print(json.dumps(failures[0], sort_keys=True), file=sys.stderr)
         return 1
-    report = os.path.join(cfg.out_dir, scan.point_label(*point), "report.json")
-    with open(report, "r", encoding="utf-8") as fh:
+    (result,) = results
+    with open(os.path.join(cfg.out_dir, result.label, "report.json"), "r",
+              encoding="utf-8") as fh:
         print(fh.read().rstrip())
-    return 0 if summary["bound_violations"] == 0 else 1
+    return 1 if result.report.min_margin < -qsl.BOUND_MARGIN_TOL else 0
 
 
 def cmd_bands(args) -> int:
@@ -65,19 +66,21 @@ def cmd_bands(args) -> int:
         raise ParameterError(f"--n-levels must lie in [1, {modes}] (sites x points per "
                              f"site), got {args.n_levels}")
     model = LatticeModel(params=cfg.params)
-    bands = eigensolve.band_structure(model, args.n_bands, args.q_points)
+    q, energies = eigensolve.band_structure(model, args.n_bands, args.q_points)
     out_dir = cfg.out_dir
     scan.make_out_dir(out_dir)
     scan.write_csv(os.path.join(out_dir, "bands.csv"), ["band", "q", "energy_Er"],
-                   [np.repeat([b.band_index for b in bands], args.q_points),
-                    *np.hstack([(b.quasimomenta, b.energies) for b in bands])])
+                   [np.repeat(np.arange(args.n_bands), q.size), np.tile(q, args.n_bands),
+                    energies.T.ravel()])
     eig = eigensolve.decompose(model.depth, cfg.params.sites, cfg.params.points_per_site)
     scan.write_csv(os.path.join(out_dir, "energies.csv"), ["index", "energy_Er"],
                    [np.arange(args.n_levels), eig.spectrum[: args.n_levels]])
-    hertz = model.recoil.hertz
+    widths = energies.max(axis=0) - energies.min(axis=0)
+    # tunneling time tau = 2 pi hbar / bandwidth, in seconds: 1 / (bandwidth * E_R/h);
+    # a definition, meaningful at order-of-magnitude level
     print(json.dumps({
-        "bandwidths_Er": [b.bandwidth for b in bands],
-        "tunneling_times_s": [b.tunneling_time_s(hertz) for b in bands],
+        "bandwidths_Er": widths.tolist(),
+        "tunneling_times_s": (1.0 / (widths * recoil_hertz(cfg.params.wavelength))).tolist(),
     }, indent=2))
     return 0
 

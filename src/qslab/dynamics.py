@@ -197,25 +197,19 @@ def evolve_overlap(spectral: SpectralState, t_end: float, count: int) -> Overlap
 
 
 def direct_moments(blocks: np.ndarray, packet: np.ndarray, weights: np.ndarray,
-                   ground_offset: float = 0.0) -> SpectralMoments:
-    """Moments from the half-zone Bloch blocks applied to a packet's (Q, P)
-    coefficients, with no eigenbasis: E = sum_q w_q a_q^dagger H_q a_q - E_0.
+                   ground_offset: float = 0.0) -> tuple[float, float]:
+    """(E, dE) from the half-zone Bloch blocks applied to a packet's (Q, P)
+    coefficients, with no eigenbasis: E = sum_q w_q a_q^dagger H_q a_q - E_0
+    and dE^2 = sum_q w_q ||(H_q - E_0 - E) a_q||^2.
 
     The reference curves' route; the spectral one (to_spectral, moments) is
-    its oracle: over the default points and curves e, de and beta2 agree to
-    about 1e-13 relative.
+    its oracle: over the default points and curves e and de agree to about
+    1e-13 relative.
     """
-    def shifted(x, shift):          # (H_q - shift) x_q in every block
-        return np.einsum("qab,qb->qa", blocks, x) - shift * x
-
     def mean(x, y):                 # sum_q w_q x_q^dagger y_q
         return float(np.einsum("q,qa,qa->", weights, x.conj(), y).real)
 
-    h_psi = shifted(packet, ground_offset)
+    h_psi = np.einsum("qab,qb->qa", blocks, packet) - ground_offset * packet
     e = mean(packet, h_psi)
     d_psi = h_psi - e * packet                    # (H - E) psi
-    de = np.sqrt(max(mean(d_psi, d_psi), 0.0))
-    if de < STATIONARY_DE:
-        return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
-    d2_psi = shifted(d_psi, ground_offset + e)
-    return SpectralMoments(e=e, de=de, beta2=mean(d2_psi, d2_psi) / de**4, stationary=False)
+    return e, float(np.sqrt(max(mean(d_psi, d_psi), 0.0)))

@@ -119,26 +119,11 @@ def bound_level_count(model: LatticeModel) -> int:
     return int(model.depth / model.homega)
 
 
-@dataclass(frozen=True)
-class BandStructure:
-    """One Bloch band: E_n(q) over quasimomenta in (-pi, pi] per lattice constant."""
-
-    band_index: int
-    quasimomenta: np.ndarray
-    energies: np.ndarray
-    bandwidth: float
-
-    def tunneling_time_s(self, recoil_hertz: float) -> float:
-        """tau = 2 pi hbar / bandwidth, converted to seconds.
-
-        The bandwidth-to-time map is a definition; the resulting magnitudes
-        are only meaningful at order-of-magnitude level and are tested as such.
-        """
-        return 1.0 / (self.bandwidth * recoil_hertz)
-
-
-def band_structure(model: LatticeModel, n_bands: int, q_points: int) -> list[BandStructure]:
-    """Band energies from the Bloch blocks of one site, at q_points quasimomenta."""
+def band_structure(model: LatticeModel, n_bands: int,
+                   q_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(quasimomenta, energies) of the lowest n_bands Bloch bands of one site:
+    q_points quasimomenta in (-pi, pi] per lattice constant and the (q_points,
+    n_bands) band energies in E_R, ascending along each row."""
     p = model.params.points_per_site
     if not 1 <= n_bands <= p:
         raise ParameterError(f"n_bands must lie in [1, {p}] (points per site)")
@@ -148,11 +133,4 @@ def band_structure(model: LatticeModel, n_bands: int, q_points: int) -> list[Ban
     # report their full width
     q_grid = np.linspace(-np.pi, np.pi, q_points + 1)[1:]
     blocks, _ = _bloch_blocks(model.depth, p, q_grid)
-    energies = np.linalg.eigvalsh(blocks)[:, :n_bands]
-    bands = []
-    for b in range(n_bands):
-        e_b = energies[:, b].copy()
-        e_b.flags.writeable = False
-        bands.append(BandStructure(band_index=b, quasimomenta=q_grid, energies=e_b,
-                                   bandwidth=float(e_b.max() - e_b.min())))
-    return bands
+    return q_grid, np.linalg.eigvalsh(blocks)[:, :n_bands]

@@ -5,8 +5,8 @@ constant lambda/2, energies in recoil energies E_R = (2*pi*hbar)^2/(2*m*lambda^2
 hbar = 1 and time in hbar/E_R.  In these units the kinetic prefactor
 hbar^2/(2*m*(lambda/2)^2) equals 1/pi^2 exactly, so the only physical inputs
 left are the trap depth (in E_R) and the spin lattices' relative displacement,
-which sets the polarization angle.  SI conversions happen at the I/O boundary
-through :class:`LatticeModel`.
+which sets the polarization angle.  SI conversions happen at the I/O boundary,
+through recoil_hertz and LatticeModel.time_us_per_unit.
 """
 
 from __future__ import annotations
@@ -27,26 +27,13 @@ CS133_MASS_U = 132.905451961
 CS133_MASS_SI = CS133_MASS_U * ATOMIC_MASS_SI
 
 
-@dataclass(frozen=True)
-class RecoilEnergy:
-    """Recoil energy of the atom in the lattice light field."""
-
-    joules: float
-    hertz: float  # E_R / h
-
-    @property
-    def time_us_per_unit(self) -> float:
-        """Microseconds per dimensionless time unit hbar/E_R."""
-        return 1e6 / (2.0 * np.pi * self.hertz)
-
-
-def recoil_energy(wavelength: float) -> RecoilEnergy:
-    """E_R = (2 pi hbar)^2 / (2 m lambda^2) of cesium-133, returned in J and as
-    E_R/h in Hz, for the lattice light wavelength in meters."""
+def recoil_hertz(wavelength: float) -> float:
+    """Recoil frequency E_R/h in Hz of cesium-133, E_R = (2 pi hbar)^2 / (2 m lambda^2),
+    for the lattice light wavelength in meters."""
     if wavelength <= 0:
         raise ParameterError(f"wavelength must be positive, got {wavelength}")
     e_r = (2.0 * np.pi * HBAR_SI) ** 2 / (2.0 * CS133_MASS_SI * wavelength**2)
-    return RecoilEnergy(joules=e_r, hertz=e_r / (2.0 * np.pi * HBAR_SI))
+    return e_r / (2.0 * np.pi * HBAR_SI)
 
 
 def angle_from_displacement(dx: float) -> float:
@@ -96,10 +83,10 @@ class LatticeParams:
     """Static lattice inputs.
 
     wavelength in meters, depth_at_zero in E_R.  sites must be odd so the
-    grid centers a well at the origin.  points_per_site must be a power of
-    two, at least 4 for the three packet states; it must be even, since
-    dynamics.packets puts the cell's first sample at u = -1/2 through a
-    (-1)^m sign.
+    grid centers a well at the origin.  points_per_site must be at least 4
+    for the three packet states, and even: dynamics.packets puts the cell's
+    first sample at u = -1/2 through a (-1)^m sign, and the cell
+    u = (l - P/2)/P starts there only for even P.  Nothing needs a power of two.
     """
 
     wavelength: float = 866e-9
@@ -118,8 +105,9 @@ class LatticeParams:
         if p < 4:
             raise ParameterError(f"points_per_site must be at least 4, got {p}: the "
                                  "packets n = 0, 1, 2 need three q = 0 cell states")
-        if (p & (p - 1)) != 0:
-            raise ParameterError("points_per_site must be a power of two")
+        if p % 2:
+            raise ParameterError(f"points_per_site must be even, got {p}: the packets' "
+                                 "(-1)^m origin shift needs the cell to start at u = -1/2")
 
 
 @dataclass(frozen=True)
@@ -138,8 +126,9 @@ class LatticeModel:
         angle_from_displacement(self.dx)    # a dx outside [0, 0.5] is a ParameterError
 
     @property
-    def recoil(self) -> RecoilEnergy:
-        return recoil_energy(self.params.wavelength)
+    def time_us_per_unit(self) -> float:
+        """Microseconds per dimensionless time unit hbar/E_R."""
+        return 1e6 / (2.0 * np.pi * recoil_hertz(self.params.wavelength))
 
     @property
     def theta(self) -> float:

@@ -256,7 +256,7 @@ def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
     times, tau_mt, e_n = result.trace.times, result.report.tau_mt, result.e_n
     # the beams' light shift, a phase slope in rad/us: the fringes carry it and
     # the analysis subtracts it, as a measured shift is calibrated out
-    light = config.ramsey.light_shift_slope * (times * result.model.recoil.time_us_per_unit)
+    light = config.ramsey.light_shift_slope * (times * result.model.time_us_per_unit)
     phase = interferometer.fringe_phase(result.trace, e_n) + light
     series = interferometer.simulate_series(result.trace.visibility, phase, config.ramsey,
                                             [config.seed, point_index])
@@ -308,10 +308,9 @@ def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[
                                                           config.params.points_per_site)
         site_e, vectors = np.linalg.eigh(blocks[0])
         for n, packet in enumerate(dynamics.packets(dx, vectors[:, :3], q, orders)):
-            moms = dynamics.direct_moments(blocks, packet, weights, site_e[0])
-            rows.append({"n": n, "dx": dx,
-                         "inv_tau_ml": 4.0 * moms.e / model.homega,
-                         "inv_tau_mt": 4.0 * moms.de / model.homega})
+            e, de = dynamics.direct_moments(blocks, packet, weights, site_e[0])
+            rows.append({"n": n, "dx": dx, "inv_tau_ml": 4.0 * e / model.homega,
+                         "inv_tau_mt": 4.0 * de / model.homega})
     return rows
 
 
@@ -358,7 +357,7 @@ def write_json(path: str, payload) -> None:
 def _write_point(result: PointResult, out_dir: str) -> None:
     pdir = os.path.join(out_dir, result.label)
     make_out_dir(pdir)
-    scale = result.model.recoil.time_us_per_unit
+    scale = result.model.time_us_per_unit
     t_us = result.trace.times * scale
     write_csv(os.path.join(pdir, "trace.csv"),
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
@@ -408,7 +407,7 @@ def _figure_columns(results: list[PointResult]):
     labels, traces, tau_text = [], [np.empty((4, 0))], []
     fig3, fig4 = [[] for _ in range(6)], [[] for _ in range(6)]
     for res in results:
-        scale = res.model.recoil.time_us_per_unit
+        scale = res.model.time_us_per_unit
         rep = res.report
         homega = res.model.homega
         times = res.trace.times
@@ -472,9 +471,10 @@ def _blas_threads():
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body on one BLAS thread and then restore the caller's count.
-    The scan's block solves and contractions are too small for a second
-    thread, which only spins.  The count is process-wide."""
+    """Run the body, or each call of a function it decorates, on one BLAS
+    thread and then restore the caller's count.  The scan's block solves and
+    contractions are too small for a second thread, which only spins.  The
+    count is process-wide."""
     threads = _blas_threads()
     if threads is None:
         yield
@@ -488,17 +488,11 @@ def _one_blas_thread():
         put(before)
 
 
-def run_scan(config: ScanConfig) -> dict:
-    """Execute every scan point on one BLAS thread, write artifacts, return
-    the summary; the caller's BLAS thread count is restored afterwards."""
-    with _one_blas_thread():
-        return _run_scan(config)
-
-
-def _run_scan(config: ScanConfig) -> dict:
-    if config.curves:   # before any output: a lattice too shallow for them writes nothing
-        rows = lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))
-        curves = [[r[key] for r in rows] for key in ("n", "dx", "inv_tau_ml", "inv_tau_mt")]
+@_one_blas_thread()
+def run_points(config: ScanConfig) -> tuple[list[PointResult], list[dict]]:
+    """Execute the configured points on one BLAS thread and write each
+    completed point's directory, and nothing else, into config.out_dir.
+    Returns the results in configuration order and the failure records."""
     make_out_dir(config.out_dir)
     by_dx: dict[float, list[tuple[int, int]]] = {}
     for idx, (n, dx) in enumerate(config.points):
@@ -510,7 +504,18 @@ def _run_scan(config: ScanConfig) -> dict:
     ordered = [results[i] for i in sorted(results)]
     for res in ordered:
         _write_point(res, config.out_dir)
+    return ordered, failures
 
+
+@_one_blas_thread()
+def run_scan(config: ScanConfig) -> dict:
+    """Execute every scan point and the reference curves on one BLAS thread,
+    write every artifact, return the summary; the caller's BLAS thread count
+    is restored afterwards."""
+    if config.curves:   # before any output: a lattice too shallow for them writes nothing
+        rows = lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))
+        curves = [[r[key] for r in rows] for key in ("n", "dx", "inv_tau_ml", "inv_tau_mt")]
+    ordered, failures = run_points(config)
     fig2, fig3, fig4 = _figure_columns(ordered)
     write_csv(os.path.join(config.out_dir, "fig2.csv"),
               ["point", "t_us", "abs_A", "mt_bound", "ml_bound", "tau_c_us"], fig2)

@@ -17,7 +17,7 @@ from scipy.special import mathieu_a, mathieu_b
 
 from qslab import dynamics, eigensolve, scan
 from qslab.errors import ParameterError
-from qslab.model import KAPPA, LatticeParams
+from qslab.model import KAPPA, LatticeParams, recoil_hertz
 
 
 class LatticeSolver:
@@ -402,7 +402,7 @@ def displacement_from_angle(theta: float) -> float:
 
 def trap_frequency_rad_s(lattice) -> float:
     """omega_HO of a LatticeModel in rad/s."""
-    return lattice.homega * 2.0 * np.pi * lattice.recoil.hertz
+    return lattice.homega * 2.0 * np.pi * recoil_hertz(lattice.params.wavelength)
 
 
 def coherent_alpha(lattice, dx: float) -> float:

@@ -165,7 +165,7 @@ def test_light_shift_injected_then_subtracted(point_008):
     times = trace.times
     # 81 rad/us, as the scan forms it; the fitted phase lies in (-pi, pi], and
     # the scan subtracts the shift from it before the estimator rewraps it
-    light = 81.0 * (times * model.recoil.time_us_per_unit)
+    light = 81.0 * (times * model.time_us_per_unit)
     phase = ifm.fringe_phase(trace, 0.0)
     e_clean, _ = ifm.extract_mean_energy(times, phase, 0.0, moms.tau_mt)
     fitted = np.angle(np.exp(1j * (phase + light)))

@@ -16,17 +16,17 @@ def test_recoil_energy_cesium_866nm():
     mass = 132.905451961 * 1.66053906892e-27
     lam = 866e-9
     expected_j = (2 * np.pi * hbar) ** 2 / (2 * mass * lam**2)
-    rec = m.recoil_energy(lam)
-    assert rec.joules == pytest.approx(expected_j, rel=1e-12)
-    assert rec.hertz == pytest.approx(2001.7, rel=1e-3)  # ~2.00 kHz
+    hertz = m.recoil_hertz(lam)
+    assert hertz == pytest.approx(expected_j / (2 * np.pi * hbar), rel=1e-12)
+    assert hertz == pytest.approx(2001.7, rel=1e-3)  # ~2.00 kHz
 
 
 def test_recoil_scaling_and_errors():
-    rec1 = m.recoil_energy(866e-9)
-    rec2 = m.recoil_energy(2 * 866e-9)
-    assert rec2.joules == pytest.approx(rec1.joules / 4.0, rel=1e-12)
+    hertz1 = m.recoil_hertz(866e-9)
+    hertz2 = m.recoil_hertz(2 * 866e-9)
+    assert hertz2 == pytest.approx(hertz1 / 4.0, rel=1e-12)
     with pytest.raises(ParameterError):
-        m.recoil_energy(-1.0)
+        m.recoil_hertz(-1.0)
 
 
 def test_displacement_from_angle_endpoints_and_value():
@@ -165,8 +165,11 @@ def test_coherent_alpha_reference_value():
 def test_params_validation():
     with pytest.raises(ParameterError):
         m.LatticeParams(sites=10)          # even
-    with pytest.raises(ParameterError):
-        m.LatticeParams(points_per_site=48)  # not a power of two
+    # P need not be a power of two, but the packets' (-1)^m origin shift needs it even
+    assert m.LatticeParams(points_per_site=48).points_per_site == 48
+    for p in (5, 33, 63):
+        with pytest.raises(ParameterError, match="must be even"):
+            m.LatticeParams(points_per_site=p)
     # the packets n = 0, 1, 2 are three modes of the P x P q = 0 block
     for p in (-4, 0, 1, 2):
         with pytest.raises(ParameterError, match="at least 4.*three q = 0 cell states"):

@@ -13,7 +13,7 @@ import yaml
 
 from qslab import cli, eigensolve, interferometer, qsl, scan
 from qslab.errors import EstimationError, ParameterError
-from qslab.model import LatticeModel, LatticeParams, recoil_energy
+from qslab.model import LatticeModel, LatticeParams, recoil_hertz
 
 from conftest import Qubit, bernoulli_moments, fmt_oracle
 
@@ -330,7 +330,7 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     # json.dumps(indent=2) of the point's series gives
     result = scan.run_point(0, 0.12, cfg, scan.solve_displacement(0.12, cfg.params))
     series = result.records
-    columns = {"t_us": result.trace.times * result.model.recoil.time_us_per_unit,
+    columns = {"t_us": result.trace.times * result.model.time_us_per_unit,
                "v": series.fit.v, "v_err": series.fit.v_err,
                "phi": series.fit.phi, "phi_err": series.fit.phi_err}
     records = [{key: float(c[i]) for key, c in columns.items()} for i in range(cfg.time_points)]
@@ -424,7 +424,7 @@ def test_csv_cells_are_shortest_round_trip(tmp_path, capsys):
     with open(os.path.join(pdir, "estimates.json")) as fh:
         est = json.load(fh)
     tau_c_est = qsl.crossover_time(est["e_Er"], est["de_Er"])
-    scale = recoil_energy(cfg.params.wavelength).time_us_per_unit
+    scale = LatticeModel(cfg.params).time_us_per_unit
     assert csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))["tau_c_us"][0] == \
         ("" if tau_c_est is None else repr(tau_c_est * scale))
 
@@ -775,6 +775,26 @@ def test_cli_point_prints_the_failure_of_a_failed_point(tmp_path, capsys):
     assert "bound levels" in capsys.readouterr().err
 
 
+def test_cli_point_leaves_a_scans_top_level_artifacts(tmp_path, capsys):
+    # a point run into a scan's directory used to rewrite fig2.csv, fig3.csv,
+    # fig4.csv and summary.json for its one point and to remove the scan's
+    # failures.json; it writes its own point directory and nothing else
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"lattice": {"sites": 9, "points_per_site": 32},
+                                    "scan": {"points": [[0, 1e-4], [1, 0.1]],
+                                             "curve_points": 3}}))
+    out = tmp_path / "out"
+    # n = 0 at dx = 1e-4 is stationary, so the scan records one failure
+    assert cli.main(["scan", "--config", str(path), "--out", str(out)]) == 1
+    top = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert {"failures.json", "fig3_curves.csv", "summary.json"} <= set(top)
+    assert cli.main(["point", "--config", str(path), "--out", str(out), "--n", "0",
+                     "--dx", "0.08", "--estimator", "experiment"]) == 0
+    assert '"regime"' in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == top
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["n0_dx0.0800", "n1_dx0.1000"]
+
+
 def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, monkeypatch, capsys):
     # a value out of range on the command line or in the config is an error
     # message naming where it came from, not a traceback
@@ -867,6 +887,29 @@ def test_cli_scan_experiment(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["points_failed"] == 0
     assert os.path.isfile(os.path.join(out, "n0_dx0.1000", "fringes.csv"))
+
+
+def test_cli_bands_values(tmp_path, capsys):
+    # bands.csv and energies.csv hold the solver's floats bit for bit, and
+    # the printed tunneling times are 1 / (bandwidth * E_R/h)
+    out = str(tmp_path / "bands")
+    assert cli.main(["bands", "--config", write_small_yaml(tmp_path), "--out", out,
+                     "--n-bands", "4", "--q-points", "16", "--n-levels", "8"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    q, energies = eigensolve.band_structure(LatticeModel(SMALL), 4, 16)
+    bands = csv_columns(os.path.join(out, "bands.csv"))
+    assert bands["band"] == [str(b) for b in range(4) for _ in range(16)]
+    assert [float(v) for v in bands["q"]] == np.tile(q, 4).tolist()
+    assert [float(v) for v in bands["energy_Er"]] == energies.T.ravel().tolist()
+    levels = csv_columns(os.path.join(out, "energies.csv"))
+    spectrum = eigensolve.decompose(LatticeModel(SMALL).depth, SMALL.sites,
+                                    SMALL.points_per_site).spectrum
+    assert levels["index"] == [str(i) for i in range(8)]
+    assert [float(v) for v in levels["energy_Er"]] == spectrum[:8].tolist()
+    widths = np.array(payload["bandwidths_Er"])
+    assert widths.tolist() == np.ptp(energies, axis=0).tolist()
+    assert payload["tunneling_times_s"] == \
+        (1.0 / (widths * recoil_hertz(SMALL.wavelength))).tolist()
 
 
 def test_cli_bands_and_qubit(tmp_path, capsys):

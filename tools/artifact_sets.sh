@@ -1,0 +1,37 @@
+#!/bin/sh
+# Write five artifact sets, each with its stdout, into the directory OUT:
+#   exact/        qslab scan, default grid, estimator exact, seed 11
+#   experiment/   qslab scan, default grid, estimator experiment, seed 11
+#   fine-grid/    qslab scan with the fine-grid config of perfbench/workloads.py, seed 11
+#   bands/        qslab bands with its defaults
+#   qubit/        qslab qubit with its defaults
+# A change that must keep every artifact byte-identical runs this script in
+# a checkout of each side and compares the two results:
+#   tools/artifact_sets.sh /tmp/before      (in the parent's checkout)
+#   tools/artifact_sets.sh /tmp/after       (in this checkout)
+#   diff -r /tmp/before /tmp/after
+# Every path the commands print is relative to OUT, so the two sides compare.
+set -eu
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+cd "$1"
+export PYTHONPATH="$root/src" PYTHONDONTWRITEBYTECODE=1
+qslab() { python3 -m qslab.cli "$@"; }
+
+qslab scan --seed 11 --estimator exact --out exact > exact.stdout
+qslab scan --seed 11 --estimator experiment --out experiment > experiment.stdout
+python3 - "$root/perfbench" <<'PY'
+import sys
+import yaml
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS, config_dict
+with open("fine-grid.yaml", "w", encoding="utf-8") as fh:
+    yaml.safe_dump(config_dict(WORKLOADS["fine-grid"], 11, "fine-grid"), fh)
+PY
+qslab scan --config fine-grid.yaml > fine-grid.stdout
+qslab bands --out bands > bands.stdout
+qslab qubit --out qubit > qubit.stdout
