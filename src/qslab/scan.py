@@ -13,7 +13,7 @@ import ctypes
 import itertools
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,10 +327,17 @@ def make_out_dir(path: str) -> None:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file; a path that cannot take the file is a
+    ParameterError naming it, and the temporary file is removed."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise ParameterError(f"output file {path!r}: {exc.strerror}") from exc
 
 
 def write_csv(path: str, header: list[str], columns) -> None:
@@ -341,27 +348,29 @@ def write_csv(path: str, header: list[str], columns) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-# indent selects the pure-Python encoder; a list is written one C-encoded record per line
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def write_json(path: str, payload) -> None:
-    """A dict payload with indent=2; a list as [, one record per line, ]."""
+    """A dict payload with indent=2; a list (failures.json) as [, one record per line, ]."""
     if isinstance(payload, list):
-        text = "[\n" + ",\n".join(map(_RECORD_ENCODER.encode, payload)) + "\n]"
+        text = "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in payload) + "\n]"
     else:
         text = json.dumps(payload, indent=2, sort_keys=True)
     _write_atomic(path, text + "\n")
+
+
+# a fits.json record as json.dumps(sort_keys=True) prints it: fit_fringes gives
+# finite floats only, whose JSON text is their repr, and t_us comes as text
+_FIT_RECORD = '{"phi": %r, "phi_err": %r, "t_us": %s, "v": %r, "v_err": %r}'
 
 
 def _write_point(result: PointResult, out_dir: str) -> None:
     pdir = os.path.join(out_dir, result.label)
     make_out_dir(pdir)
     scale = result.model.time_us_per_unit
-    t_us = result.trace.times * scale
+    # each time is formatted once; trace.csv, fringes.csv and fits.json share the text
+    t_text = list(map(str, (result.trace.times * scale).tolist()))
     write_csv(os.path.join(pdir, "trace.csv"),
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
-              [t_us, result.trace.overlaps.real, result.trace.overlaps.imag,
+              [t_text, result.trace.overlaps.real, result.trace.overlaps.imag,
                result.trace.visibility, result.trace.fs_distance])
     rep = result.report
     write_json(os.path.join(pdir, "report.json"), {
@@ -384,18 +393,16 @@ def _write_point(result: PointResult, out_dir: str) -> None:
     })
     series = result.records
     if series is not None:
-        # each time, phase and the count total is formatted once; object arrays repeat the text
-        times, phases = series.n_down.shape
-        t_text, phi_text = (np.array([str(v) for v in a.tolist()], dtype=object)
-                            for a in (t_us, series.phi_r))
-        n_text = np.full(times * phases, _fmt(series.n_total), dtype=object)
-        write_csv(os.path.join(pdir, "fringes.csv"), ["t_us", "phi_r", "n_total", "n_down"],
-                  [np.repeat(t_text, phases), np.tile(phi_text, times), n_text,
-                   series.n_down.ravel()])
+        # a fringes.csv row is its time's text, its phase's ",phi_r,n_total," and its count
+        mid = [f",{phi},{series.n_total}," for phi in series.phi_r.tolist()]
+        rows = [f"{t}{m}{count}" for t, counts in zip(t_text, series.n_down.tolist())
+                for m, count in zip(mid, counts)]
+        _write_atomic(os.path.join(pdir, "fringes.csv"),
+                      "\n".join(["t_us,phi_r,n_total,n_down", *rows]) + "\n")
         fit = series.fit
-        columns = zip(*(c.tolist() for c in (t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
-        write_json(os.path.join(pdir, "fits.json"),
-                   [dict(zip(("t_us", "v", "v_err", "phi", "phi_err"), row)) for row in columns])
+        records = map(_FIT_RECORD.__mod__, zip(fit.phi.tolist(), fit.phi_err.tolist(), t_text,
+                                               fit.v.tolist(), fit.v_err.tolist()))
+        _write_atomic(os.path.join(pdir, "fits.json"), "[\n" + ",\n".join(records) + "\n]\n")
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
 
 

@@ -4,11 +4,14 @@ Bloch blocks of a sampled cell and Mathieu's equation), the grid route the
 half-zone packets are checked against (real cell states of the q = 0 modes,
 zero-padded and shifted on the grid), the two-pass overlap sum the factored
 one is checked against, the per-record fringe fit and per-cell CSV
-formatter the batched paths are checked against, and the closed forms the
+formatter the batched paths are checked against, the column and encoder
+composition of a point's fringes.csv and fits.json that the row templates
+are checked against, and the closed forms the
 package does not need (harmonic-oscillator populations and xi, the
 Bhatia-Davis cap, the angle-to-displacement map, the coherent amplitude,
 the trap frequency in rad/s and the two-level populations and overlap)."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,6 +322,28 @@ def fmt_oracle(value) -> str:
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
+
+
+def ramsey_artifacts_oracle(t_us: np.ndarray, series) -> tuple[str, str]:
+    """The text of a point's fringes.csv and fits.json as the column writer
+    and the C JSON encoder composed them: object arrays of each time's and
+    phase's text, repeated and tiled over the (T, K) counts and joined four
+    cells a row, and json.JSONEncoder(sort_keys=True) per record, one a line
+    between [ and ]."""
+    times, phases = series.n_down.shape
+    t_text, phi_text = (np.array([str(v) for v in a.tolist()], dtype=object)
+                        for a in (t_us, series.phi_r))
+    n_text = np.full(times * phases, fmt_oracle(series.n_total), dtype=object)
+    columns = [np.repeat(t_text, phases), np.tile(phi_text, times), n_text,
+               series.n_down.ravel()]
+    cells = [map(str, column.tolist()) for column in columns]
+    fringes = "\n".join(["t_us,phi_r,n_total,n_down", *map(",".join, zip(*cells))]) + "\n"
+    fit = series.fit
+    encoder = json.JSONEncoder(sort_keys=True)
+    rows = zip(*(c.tolist() for c in (t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
+    records = [encoder.encode(dict(zip(("t_us", "v", "v_err", "phi", "phi_err"), row)))
+               for row in rows]
+    return fringes, "[\n" + ",\n".join(records) + "\n]\n"
 
 
 def bhatia_davis_cap(e: float, de: float, e_cutoff: float) -> float:

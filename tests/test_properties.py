@@ -3,7 +3,7 @@
 Each spectrum example is a handful of levels with random populations on
 non-negative energies (measured from the ground state), run through the
 library's own moments and overlap routines; the qubit and fringe-fit
-examples draw their angles, frequencies and visibilities at random.
+examples draw their angles, frequencies, visibilities and counts at random.
 """
 
 import numpy as np
@@ -72,6 +72,25 @@ def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
     fit = interferometer.fit_fringes(config.phase_grid, [counts], n, loss)
     assert fit.v[0] == pytest.approx(visibility, abs=1e-12)
     assert abs(np.angle(np.exp(1j * (fit.phi[0] - phase)))) <= 1e-10
+
+
+DETECTIONS = interferometer.RamseyConfig().detections_per_point
+PHASES = interferometer.default_phase_grid()
+count_rows = st.lists(st.lists(st.integers(0, DETECTIONS), min_size=PHASES.size,
+                               max_size=PHASES.size), max_size=6)
+
+
+@PROFILE
+@given(count_rows, st.floats(0.0, 0.5))
+def test_fringe_fits_are_finite(rows, loss):
+    # fits.json prints each fit value by repr, which would write nan and inf
+    # where JSON wants NaN and Infinity: every count row in [0, n_total], the
+    # flat and the alternating ones among them, fits to finite values
+    flat = [[0] * PHASES.size, [DETECTIONS] * PHASES.size]
+    alternating = [[DETECTIONS * (k % 2) for k in range(PHASES.size)]]
+    fit = interferometer.fit_fringes(PHASES, rows + flat + alternating, DETECTIONS, loss)
+    for values in (fit.v, fit.v_err, fit.phi, fit.phi_err):
+        assert np.all(np.isfinite(values))
 
 
 @PROFILE

@@ -15,7 +15,7 @@ from qslab import cli, eigensolve, interferometer, qsl, scan
 from qslab.errors import EstimationError, ParameterError
 from qslab.model import LatticeModel, LatticeParams, recoil_hertz
 
-from conftest import Qubit, bernoulli_moments, fmt_oracle
+from conftest import Qubit, bernoulli_moments, fmt_oracle, ramsey_artifacts_oracle
 
 SMALL = LatticeParams(sites=9, points_per_site=32)
 
@@ -345,6 +345,34 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     lines = read(os.path.join(pdir, "fringes.csv")).decode().splitlines()
     assert lines[0] == "t_us,phi_r,n_total,n_down"
     assert len(lines) == 1 + cfg.time_points * cfg.ramsey.phase_grid.size
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1e16, 0.1]
+
+
+def test_ramsey_artifacts_match_the_column_and_encoder_oracle(tmp_path):
+    # fringes.csv and fits.json hold the bytes that the column writer and the
+    # C JSON encoder gave, on a real point and on the same point carrying edge
+    # floats (signed zero, a subnormal, exponent forms) and edge counts
+    cfg = small_config(tmp_path, estimator="experiment", points=((1, 0.12),))
+    result = scan.run_point(1, 0.12, cfg, scan.solve_displacement(0.12, cfg.params))
+    series, count = result.records, cfg.time_points
+    edge = [np.resize(np.roll(EDGE_FLOATS, k), count) for k in range(5)]
+    trace = dataclasses.replace(result.trace, times=edge[0])
+    fit = dataclasses.replace(series.fit, v=edge[1], v_err=edge[2], phi=edge[3],
+                              phi_err=edge[4])
+    counts = np.resize([0, series.n_total, 7], series.n_down.shape)
+    edged = dataclasses.replace(
+        result, trace=trace, records=dataclasses.replace(series, n_down=counts, fit=fit))
+    for point, out in ((result, "real"), (edged, "edge")):
+        scan._write_point(point, str(tmp_path / out))
+        fringes, fits = ramsey_artifacts_oracle(
+            point.trace.times * point.model.time_us_per_unit, point.records)
+        pdir = tmp_path / out / point.label
+        assert read(pdir / "fringes.csv") == fringes.encode()
+        assert read(pdir / "fits.json") == fits.encode()
+    text = read(tmp_path / "edge" / result.label / "fits.json").decode()
+    assert {"-0.0", "5e-324", "1e-300", "1e+16", "0.1"} <= set(re.findall(r"[-+.e\d]+", text))
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
@@ -877,6 +905,22 @@ def test_cli_bad_input_prints_one_line_and_exits_2(tmp_path, monkeypatch, capsys
     assert cli.main(["scan", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("qslab scan: error: output directory '': ") and err.count("\n") == 1
+
+
+def test_cli_unwritable_artifact_exits_2_and_leaves_no_temporary_file(tmp_path, capsys):
+    # a directory where an artifact goes used to end in an IsADirectoryError
+    # traceback, leaving the artifact's temporary file behind
+    cfgfile = write_small_yaml(tmp_path, estimator="experiment")
+    for name in ("summary.json", os.path.join("n0_dx0.1000", "report.json")):
+        out = tmp_path / name.replace(os.sep, "_")
+        blocked = str(out / name)
+        os.makedirs(blocked)
+        assert cli.main(["scan", "--config", cfgfile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"qslab scan: error: output file {blocked!r}: ")
+        assert err.count("\n") == 1
+        assert [os.path.join(root, f) for root, _, files in os.walk(out)
+                for f in files if ".tmp." in f] == []
 
 
 def test_cli_scan_experiment(tmp_path, capsys):

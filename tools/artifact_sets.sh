@@ -1,8 +1,10 @@
 #!/bin/sh
-# Write five artifact sets, each with its stdout, into the directory OUT:
+# Write six artifact sets, each with its stdout, into the directory OUT:
 #   exact/        qslab scan, default grid, estimator exact, seed 11
 #   experiment/   qslab scan, default grid, estimator experiment, seed 11
 #   fine-grid/    qslab scan with the fine-grid config of perfbench/workloads.py, seed 11
+#   ramsey-dense/ qslab scan with the ramsey-dense config of perfbench/workloads.py,
+#                 seed 11: 3 points x 2048 times x 24 phases of fringes.csv rows
 #   bands/        qslab bands with its defaults
 #   qubit/        qslab qubit with its defaults
 # A change that must keep every artifact byte-identical runs this script in
@@ -29,9 +31,11 @@ import sys
 import yaml
 sys.path.insert(0, sys.argv[1])
 from workloads import WORKLOADS, config_dict
-with open("fine-grid.yaml", "w", encoding="utf-8") as fh:
-    yaml.safe_dump(config_dict(WORKLOADS["fine-grid"], 11, "fine-grid"), fh)
+for name in ("fine-grid", "ramsey-dense"):
+    with open(f"{name}.yaml", "w", encoding="utf-8") as fh:
+        yaml.safe_dump(config_dict(WORKLOADS[name], 11, name), fh)
 PY
 qslab scan --config fine-grid.yaml > fine-grid.stdout
+qslab scan --config ramsey-dense.yaml > ramsey-dense.stdout
 qslab bands --out bands > bands.stdout
 qslab qubit --out qubit > qubit.stdout
