@@ -13,7 +13,7 @@ microseconds only where it writes artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .qsl import deviation_from_geometry, geodesic_ratio, least_squares
 PHASE_FIT_WINDOW = 0.35     # in units of tau_MT
 
 
-def default_phase_grid(k: int = 12) -> np.ndarray:
+def phase_grid(k: int) -> np.ndarray:
+    """The K control phases 2 pi j / K of the second pulse."""
     return np.arange(k) * 2.0 * np.pi / k
 
 
@@ -32,6 +33,7 @@ def default_phase_grid(k: int = 12) -> np.ndarray:
 class RamseyConfig:
     """Sampling configuration for the simulated interrogation.
 
+    Each time is read at the K = phases control phases of phase_grid.
     atoms_per_shot * repetitions detections enter each phase point; losses
     shrink the detected fraction and are divided out during normalization.
     The random stream is not part of the configuration: simulate_series
@@ -41,18 +43,15 @@ class RamseyConfig:
     subtracts it from the fitted phase, so the functions here never see it.
     """
 
-    phase_grid: np.ndarray = field(default_factory=default_phase_grid)
+    phases: int = 12
     atoms_per_shot: int = 20
     repetitions: int = 10
     loss_fraction: float = 0.05
     light_shift_slope: float = 0.0    # rad/us
 
     def __post_init__(self):
-        grid = np.asarray(self.phase_grid, dtype=float)
-        grid.flags.writeable = False
-        object.__setattr__(self, "phase_grid", grid)
-        if grid.size < 6 or np.unique(np.round(grid, 12)).size < 6:
-            raise ParameterError("need at least 6 distinct Ramsey phases")
+        if self.phases < 6:
+            raise ParameterError(f"ramsey.phases must be at least 6, got {self.phases}")
         if self.atoms_per_shot < 1 or self.repetitions < 1:
             raise ParameterError("atoms_per_shot and repetitions must be positive")
         if not 0.0 <= self.loss_fraction < 1.0:
@@ -90,10 +89,14 @@ class FringeFit:
 class FringeSeries:
     """Counts and fits of an evolution-time series: T times by K control phases."""
 
-    phi_r: np.ndarray      # (K,)
     n_total: int
     n_down: np.ndarray     # (T, K)
     fit: FringeFit         # length-T arrays
+
+    @property
+    def phi_r(self) -> np.ndarray:
+        """The (K,) control phases of the count columns."""
+        return phase_grid(self.n_down.shape[-1])
 
 
 def fringe_probabilities(visibility, phase, config: RamseyConfig) -> np.ndarray:
@@ -105,40 +108,37 @@ def fringe_probabilities(visibility, phase, config: RamseyConfig) -> np.ndarray:
     visibility = np.asarray(visibility, dtype=float)
     if np.any(np.abs(visibility) > 1.0 + 1e-10):
         raise ParameterError(f"visibility {np.abs(visibility).max()} outside [0, 1]")
-    phase = np.asarray(phase, dtype=float)
-    p_down = (1.0 - visibility[..., None] * np.cos(config.phase_grid - phase[..., None])) / 2.0
+    shift = phase_grid(config.phases) - np.asarray(phase, dtype=float)[..., None]
+    p_down = (1.0 - visibility[..., None] * np.cos(shift)) / 2.0
     return np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
 
 
-def fit_fringes(phi_r: np.ndarray, n_down: np.ndarray, n_total: float,
-                loss_fraction: float = 0.0) -> FringeFit:
+def fit_fringes(n_down: np.ndarray, n_total: float, loss_fraction: float = 0.0) -> FringeFit:
     """Least squares of a + b cos(phi_R) + c sin(phi_R) on each row of the
-    (T, K) normalized counts, every row against one design matrix.
+    (T, K) normalized counts, taken at the K phases of phase_grid.
+
+    On that grid 1, cos and sin are orthogonal with norms K, K/2 and K/2, so
+    the fit is each row's first DFT bin and the coefficients' covariance is
+    sigma^2 diag(1/K, 2/K, 2/K), sigma^2 = RSS / (K - 3).
     V = 2 sqrt(b^2 + c^2), phi = atan2(-c, -b) to match the fringe sign
-    convention; standard errors come from each row's residual covariance.
+    convention; a row with V <= 1e-12 has no direction, so its V error takes
+    the whole (b, c) variance and its phase error is pi.
     """
-    phi_r = np.asarray(phi_r, dtype=float)
-    if phi_r.size < 6 or np.unique(np.round(phi_r, 12)).size < 6:
-        raise ParameterError("need at least 6 distinct Ramsey phases")
     y = np.asarray(n_down, dtype=float) / (n_total * (1.0 - loss_fraction))
-    design = np.column_stack([np.ones_like(phi_r), np.cos(phi_r), np.sin(phi_r)])
-    gram = design.T @ design
-    if np.linalg.cond(gram) > 1e12:
-        raise ParameterError("degenerate phase design; spread the phase grid")
-    coef = np.linalg.lstsq(design, y.T, rcond=None)[0].T
-    resid = y - coef @ design.T
-    sigma2 = np.einsum("tk,tk->t", resid, resid) / max(phi_r.size - 3, 1)
+    k = y.shape[-1]
+    if k < 6:
+        raise ParameterError(f"need at least 6 Ramsey phases, got {k}")
+    grid = phase_grid(k)
+    basis = np.array([np.ones(k), np.cos(grid), np.sin(grid)])
+    coef = (y @ basis.T) * (np.array([1.0, 2.0, 2.0]) / k)
+    resid = y - coef @ basis
+    var_bc = 2.0 / k * np.sum(resid * resid, axis=-1) / (k - 3)     # of b and of c
     _, b, c = coef.T
     v_raw = 2.0 * np.hypot(b, c)
     resolved = v_raw > 1e-12
     norm = np.where(resolved, v_raw / 2.0, 1.0)
-    along = coef[:, 1:] / norm[:, None]      # V moves along (b, c), phi across it
-    across = along[:, ::-1] * [1.0, -1.0]
-    inv_bc = np.linalg.inv(gram)[1:, 1:]
-    var_v = np.where(resolved, np.einsum("ti,ij,tj->t", along, inv_bc, along), np.trace(inv_bc))
-    var_p = np.einsum("ti,ij,tj->t", across, inv_bc, across)
-    v_err = 2.0 * np.sqrt(np.maximum(sigma2 * var_v, 0.0))
-    phi_err = np.where(resolved, np.sqrt(np.maximum(sigma2 * var_p, 0.0)) / norm, np.pi)
+    v_err = 2.0 * np.sqrt(np.where(resolved, var_bc, 2.0 * var_bc))
+    phi_err = np.where(resolved, np.sqrt(var_bc) / norm, np.pi)
     return FringeFit(v=np.clip(v_raw, 0.0, 1.0), v_raw=v_raw, v_err=v_err,
                      phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi))
 
@@ -154,8 +154,7 @@ def simulate_series(visibility: np.ndarray, phase: np.ndarray, config: RamseyCon
     n_total = config.detections_per_point
     p_eff = fringe_probabilities(visibility, phase, config)
     counts = np.random.default_rng(seed).binomial(n_total, p_eff)
-    fit = fit_fringes(config.phase_grid, counts, n_total, config.loss_fraction)
-    return FringeSeries(config.phase_grid, n_total, counts, fit)
+    return FringeSeries(n_total, counts, fit_fringes(counts, n_total, config.loss_fraction))
 
 
 def _window_fit(times: np.ndarray, y: np.ndarray, t_max: float, powers: tuple, what: str):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, eigensolve, interferometer, qsl
-from .errors import ParameterError
+from .errors import EstimationError, ParameterError
 from .model import LatticeModel, LatticeParams
 
 DEFAULT_SEED = 20260809
@@ -152,8 +152,7 @@ _KEYS = {
              "seed": ("seed", _integer), "out": ("out_dir", _string),
              "time_points": ("time_points", _integer),
              "curves": ("curves", _boolean), "curve_points": ("curve_points", _integer)},
-    "ramsey": {"phases": ("phase_grid",
-                          lambda k: interferometer.default_phase_grid(_integer(k))),
+    "ramsey": {"phases": ("phases", _integer),
                "atoms_per_shot": ("atoms_per_shot", _integer),
                "repetitions": ("repetitions", _integer), "loss_fraction": ("loss_fraction", _real),
                "light_shift_slope_rad_per_us": ("light_shift_slope", _real)},
@@ -265,17 +264,17 @@ def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
     try:
         e_hat, e_err = interferometer.extract_mean_energy(times, fit.phi - light, e_n, tau_mt)
         estimates.update(e_Er=e_hat, e_err_Er=e_err)
-    except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+    except (EstimationError, ParameterError) as exc:    # recorded, not fatal
         estimates["e_error"] = str(exc)
     try:
         de_hat, de_err = interferometer.extract_uncertainty(times, fit.v_raw, tau_mt)
         estimates.update(de_Er=de_hat, de_err_Er=de_err)
-    except Exception as exc:  # noqa: BLE001
+    except (EstimationError, ParameterError) as exc:
         estimates["de_error"] = str(exc)
     try:
         xi_hat, xi_cov = interferometer.extract_xi(times, fit.v, tau_mt)
         estimates.update(xi_fit=xi_hat, xi_err=float(np.sqrt(max(xi_cov[0, 0], 0.0))))
-    except Exception as exc:  # noqa: BLE001
+    except (EstimationError, ParameterError) as exc:
         estimates["xi_error"] = str(exc)
     return series, estimates
 

@@ -179,7 +179,7 @@ def test_criterion_07_estimator_chain(point_008):
     config = ifm.RamseyConfig()
     n = config.detections_per_point
     expected = n * ifm.fringe_probabilities(trace.visibility, phase, config)
-    fit = ifm.fit_fringes(config.phase_grid, expected, n, config.loss_fraction)
+    fit = ifm.fit_fringes(expected, n, config.loss_fraction)
     v_hat = fit.v
     phi_hat = np.unwrap(fit.phi)
     round_trip = max(np.abs(v_hat - trace.visibility).max(),

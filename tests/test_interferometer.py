@@ -11,8 +11,8 @@ from conftest import fit_fringe_oracle
 
 
 def test_fringe_probabilities_shapes():
-    phis = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
-    lossless = ifm.RamseyConfig(phase_grid=phis, loss_fraction=0.0)
+    phis = ifm.phase_grid(48)
+    lossless = ifm.RamseyConfig(phases=48, loss_fraction=0.0)
     # t = 0: V = 1, phi = 0
     p = ifm.fringe_probabilities(1.0, 0.0, lossless)
     assert p.shape == (48,)
@@ -23,10 +23,10 @@ def test_fringe_probabilities_shapes():
     assert np.array_equal(series[0], p)
     # vanishing visibility: flat fringe at one half
     assert np.abs(series[2] - 0.5).max() < 1e-15
-    # amplitude equals the visibility (grid aligned so the extremes are hit)
-    for v, ph in ((0.3, 0.7), (0.9, -2.0)):
-        aligned = ifm.RamseyConfig(phase_grid=phis + ph, loss_fraction=0.0)
-        p = ifm.fringe_probabilities(v, ph, aligned)
+    # amplitude equals the visibility (phase on the grid, so both extremes,
+    # at ph and ph + pi, are hit)
+    for v, ph in ((0.3, phis[5]), (0.9, phis[33] - 2 * np.pi)):
+        p = ifm.fringe_probabilities(v, ph, lossless)
         assert p.max() - p.min() == pytest.approx(v, abs=1e-12)
     with pytest.raises(ParameterError):
         ifm.fringe_probabilities(1.2, 0.0, lossless)
@@ -39,7 +39,7 @@ def test_simulate_series_deterministic_and_envelope():
     vis, phase = np.full(4, 0.8), np.full(4, 0.4)
     a = ifm.simulate_series(vis, phase, config, 42).n_down
     b = ifm.simulate_series(vis, phase, config, 42).n_down
-    assert a.shape == (4, config.phase_grid.size)
+    assert a.shape == (4, config.phases)
     assert np.array_equal(a, b)
     c = ifm.simulate_series(vis, phase, config, 43).n_down
     assert not np.array_equal(a, c)
@@ -53,64 +53,67 @@ def test_simulate_series_deterministic_and_envelope():
 
 
 def test_fit_fringe_exact_recovery():
-    phis = ifm.default_phase_grid(12)
     v_true, phi_true = 0.8, 1.0
     y = ifm.fringe_probabilities(v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.0))
-    fit = ifm.fit_fringes(phis, [y * 200], 200.0)
+    fit = ifm.fit_fringes([y * 200], 200.0)
     assert fit.v[0] == pytest.approx(v_true, abs=1e-10)
     assert fit.phi[0] == pytest.approx(phi_true, abs=1e-10)
     # loss renormalization cancels exactly
     y_loss = ifm.fringe_probabilities(v_true, phi_true, ifm.RamseyConfig(loss_fraction=0.05))
-    fit2 = ifm.fit_fringes(phis, [y_loss * 200], 200.0, loss_fraction=0.05)
+    fit2 = ifm.fit_fringes([y_loss * 200], 200.0, loss_fraction=0.05)
     assert fit2.v[0] == pytest.approx(v_true, abs=1e-10)
 
 
 def test_fit_fringe_flags_vanishing_visibility():
-    phis = ifm.default_phase_grid(12)
     rng = np.random.default_rng(5)
-    counts = rng.binomial(200, 0.5, size=(1, phis.size))
-    fit = ifm.fit_fringes(phis, counts, 200.0)
+    counts = rng.binomial(200, 0.5, size=(1, 12))
+    fit = ifm.fit_fringes(counts, 200.0)
     assert fit.phi_err[0] > 0.3
     with pytest.raises(ParameterError):
-        ifm.fit_fringes(phis[:4], counts[:, :4], 200.0)
+        ifm.fit_fringes(counts[:, :5], 200.0)
 
 
-@pytest.mark.parametrize("k", [12, 24])
+@pytest.mark.parametrize("k", [6, 8, 12, 24])
 def test_batched_fit_matches_per_record_oracle(k):
-    # random binomial counts over one phase grid, with a flat row whose
-    # amplitude vanishes (v_raw <= 1e-12, phi_err = pi); every row agrees
-    # with the one-lstsq-per-record fit
+    # random binomial counts over the K-phase grid, with a flat row whose
+    # amplitude vanishes (v_raw <= 1e-12, phi_err = pi); every resolved row
+    # agrees with the one-lstsq-per-record fit
     rng = np.random.default_rng(k)
-    phis = ifm.default_phase_grid(k)
+    phis = ifm.phase_grid(k)
     n_total, loss = 200, 0.05
     v = rng.uniform(0.0, 1.0, 50)
     p = (1.0 - v[:, None] * np.cos(phis - rng.uniform(-np.pi, np.pi, 50)[:, None])) / 2.0
     counts = rng.binomial(n_total, p * (1.0 - loss)).astype(float)
     counts[7] = 95.0
-    fit = ifm.fit_fringes(phis, counts, n_total, loss)
+    fit = ifm.fit_fringes(counts, n_total, loss)
     assert fit.v_raw[7] <= 1e-12 and fit.phi_err[7] == np.pi
+    resolved = np.arange(50) != 7
     for name in ("v", "v_raw", "v_err", "phi", "phi_err"):
         got = getattr(fit, name)
         want = np.array([fit_fringe_oracle(phis, row, n_total, loss)[name] for row in counts])
         assert got.shape == (50,)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
-    # a multi-right-hand-side lstsq rounds a row by the batch size, so a
+        np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0.0,
+                                   err_msg=name)
+        # the flat row's amplitude and its errors are rounding noise of an exact
+        # zero in both fits; its phi is the angle of that noise, hence phi_err = pi
+        if name != "phi":
+            np.testing.assert_allclose(got[7], want[7], rtol=0.0, atol=1e-15, err_msg=name)
+    # a batched matrix product may round a row by the batch size, so a
     # one-row batch agrees with the full batch's row 0 to the same 1e-12
-    one = ifm.fit_fringes(phis, counts[:1], n_total, loss)
+    one = ifm.fit_fringes(counts[:1], n_total, loss)
     for name in ("v", "v_raw", "v_err", "phi", "phi_err"):
         assert getattr(one, name)[0] == pytest.approx(getattr(fit, name)[0], rel=1e-12, abs=0.0)
-    for bad in (phis[:5], np.r_[phis[:3], phis[:3]], np.linspace(0.0, 1e-6, k)):
+    for width in (5, 3, 0):
         with pytest.raises(ParameterError):
-            ifm.fit_fringes(bad, counts[:, :bad.size], n_total)
+            ifm.fit_fringes(counts[:, :width], n_total)
 
 
 def test_visibility_estimator_calibration():
     # frozen calibration: V = 1, K = 12, 200 detections -> clipped estimate
     # inside [0.9, 1.0] for at least 95 percent of seeds
-    phis = ifm.default_phase_grid(12)
     hits = 0
     trials = 1000
-    config = ifm.RamseyConfig(phase_grid=phis, loss_fraction=0.0)
+    config = ifm.RamseyConfig(phases=12, loss_fraction=0.0)
     for seed in range(trials):
         fit = ifm.simulate_series([1.0], [0.7], config, seed).fit
         if 0.9 <= fit.v[0] <= 1.0:
@@ -136,7 +139,7 @@ def test_noiseless_round_trip_reproduces_overlap(point_008):
     config = ifm.RamseyConfig()
     n = config.detections_per_point
     expected = n * ifm.fringe_probabilities(trace.visibility, phase, config)
-    fit = ifm.fit_fringes(config.phase_grid, expected, n, config.loss_fraction)
+    fit = ifm.fit_fringes(expected, n, config.loss_fraction)
     v_hat = fit.v
     phi_hat = np.unwrap(fit.phi)
     assert np.abs(v_hat - trace.visibility).max() < 1e-9
@@ -284,8 +287,10 @@ def test_xi_coalesces_near_one_in_nonharmonic_range(solver):
 
 
 def test_ramsey_config_validation():
-    with pytest.raises(ParameterError):
-        ifm.RamseyConfig(phase_grid=np.array([0.0, 1.0, 2.0]))
+    for phases in (5, 0, -3):
+        with pytest.raises(ParameterError, match="ramsey.phases"):
+            ifm.RamseyConfig(phases=phases)
+    assert ifm.RamseyConfig(phases=6).phases == 6
     with pytest.raises(ParameterError):
         ifm.RamseyConfig(loss_fraction=1.0)
     with pytest.raises(ParameterError):

@@ -69,15 +69,15 @@ def test_fit_fringe_recovers_noiseless_fringe(visibility, phase, loss):
     config = interferometer.RamseyConfig(loss_fraction=loss)
     n = config.detections_per_point
     counts = n * interferometer.fringe_probabilities(visibility, phase, config)
-    fit = interferometer.fit_fringes(config.phase_grid, [counts], n, loss)
+    fit = interferometer.fit_fringes([counts], n, loss)
     assert fit.v[0] == pytest.approx(visibility, abs=1e-12)
     assert abs(np.angle(np.exp(1j * (fit.phi[0] - phase)))) <= 1e-10
 
 
 DETECTIONS = interferometer.RamseyConfig().detections_per_point
-PHASES = interferometer.default_phase_grid()
-count_rows = st.lists(st.lists(st.integers(0, DETECTIONS), min_size=PHASES.size,
-                               max_size=PHASES.size), max_size=6)
+PHASES = interferometer.RamseyConfig().phases
+count_rows = st.lists(st.lists(st.integers(0, DETECTIONS), min_size=PHASES,
+                               max_size=PHASES), max_size=6)
 
 
 @PROFILE
@@ -86,9 +86,9 @@ def test_fringe_fits_are_finite(rows, loss):
     # fits.json prints each fit value by repr, which would write nan and inf
     # where JSON wants NaN and Infinity: every count row in [0, n_total], the
     # flat and the alternating ones among them, fits to finite values
-    flat = [[0] * PHASES.size, [DETECTIONS] * PHASES.size]
-    alternating = [[DETECTIONS * (k % 2) for k in range(PHASES.size)]]
-    fit = interferometer.fit_fringes(PHASES, rows + flat + alternating, DETECTIONS, loss)
+    flat = [[0] * PHASES, [DETECTIONS] * PHASES]
+    alternating = [[DETECTIONS * (k % 2) for k in range(PHASES)]]
+    fit = interferometer.fit_fringes(rows + flat + alternating, DETECTIONS, loss)
     for values in (fit.v, fit.v_err, fit.phi, fit.phi_err):
         assert np.all(np.isfinite(values))
 
