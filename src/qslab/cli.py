@@ -56,7 +56,7 @@ def cmd_point(args) -> int:
     with open(os.path.join(cfg.out_dir, result.label, "report.json"), "r",
               encoding="utf-8") as fh:
         print(fh.read().rstrip())
-    return 1 if result.report.min_margin < -qsl.BOUND_MARGIN_TOL else 0
+    return 1 if result.min_margin < -qsl.BOUND_MARGIN_TOL else 0
 
 
 def cmd_bands(args) -> int:

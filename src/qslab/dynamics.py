@@ -43,25 +43,20 @@ class SpectralMoments:
     """Mean energy, uncertainty and kurtosis of the excitation spectrum.
 
     beta2 is None for a stationary state (de below STATIONARY_DE), where the
-    kurtosis is undefined instead of propagating NaN.
+    kurtosis is undefined instead of propagating NaN, and tau_mt is inf.
     """
 
     e: float
     de: float
     beta2: float | None
-    stationary: bool
 
     @property
     def tau_mt(self) -> float:
-        if self.stationary:
-            return np.inf
-        return np.pi / (2.0 * self.de)
+        return np.inf if self.beta2 is None else np.pi / (2.0 * self.de)
 
     @property
     def tau_ml(self) -> float:
-        if self.e <= 0:
-            return np.inf
-        return np.pi / (2.0 * self.e)
+        return np.inf if self.e <= 0 else np.pi / (2.0 * self.e)
 
 
 @dataclass(frozen=True)
@@ -142,9 +137,9 @@ def moments(spectral: SpectralState) -> SpectralMoments:
     var = float((p * (e_k - e) ** 2).sum())
     de = np.sqrt(max(var, 0.0))
     if de < STATIONARY_DE:
-        return SpectralMoments(e=e, de=de, beta2=None, stationary=True)
+        return SpectralMoments(e=e, de=de, beta2=None)
     mu4 = float((p * (e_k - e) ** 4).sum())
-    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4, stationary=False)
+    return SpectralMoments(e=e, de=de, beta2=mu4 / de**4)
 
 
 def _block_overlaps(populations: np.ndarray, energies: np.ndarray, dt: float,

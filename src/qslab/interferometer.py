@@ -186,17 +186,16 @@ def extract_mean_energy(times: np.ndarray, phi_series: np.ndarray, e_n: float,
     return float(coef[0] + e_n), float(np.sqrt(max(cov[0, 0], 0.0)))
 
 
-def extract_uncertainty(times: np.ndarray, v_series: np.ndarray, tau_mt: float,
-                        window: float = 1.0):
+def extract_uncertainty(times: np.ndarray, v_series: np.ndarray, tau_mt: float):
     """Energy uncertainty from the visibility series (E_R).
 
-    Fits V(t) = 1 + b2 t^2 + b4 t^4 + b6 t^6 on [0, window * tau_MT] and
+    Fits V(t) = 1 + b2 t^2 + b4 t^4 + b6 t^6 on [0, tau_MT] and
     maps dE = sqrt(-2 b2).  The even sixth-order form keeps the omitted
     O(t^8) terms below counting noise over the full trace window; b2 >= 0
     after the fit means the visibility decay is unresolved.
     """
     coef, cov = _window_fit(times, np.asarray(v_series, dtype=float) - 1.0,
-                            window * tau_mt, (2, 4, 6), "visibility")
+                            tau_mt, (2, 4, 6), "visibility")
     if coef[0] >= 0.0:
         raise EstimationError("fitted quadratic visibility coefficient is not negative; "
                               "signal too flat to resolve dE")

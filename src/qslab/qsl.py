@@ -16,8 +16,6 @@ the Fubini-Study metric: the geodesic-to-path length ratio expands as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import OverlapTrace, SpectralMoments
@@ -33,8 +31,9 @@ def _bound(rate: float, t, curve):
     if np.any(t < 0):
         raise ParameterError("bound domain starts at t = 0")
     if rate <= 0:
-        return np.full_like(t, np.nan)
-    out = np.where(t <= np.pi / (2.0 * rate) * (1 + 1e-12), curve(t), np.nan)
+        out = np.full_like(t, np.nan)
+    else:
+        out = np.where(t <= np.pi / (2.0 * rate) * (1 + 1e-12), curve(t), np.nan)
     return out if out.ndim else float(out)
 
 
@@ -130,27 +129,11 @@ def qubit_moments(zeta, omega: float):
     return omega * np.sin(zeta / 2.0) ** 2, de, 2.0 * ((omega / 2.0) ** 2 / de**2 - 1.0)
 
 
-@dataclass(frozen=True)
-class QslReport:
-    """Summary of one evolution against both bounds, times in hbar/E_R and
-    energies in E_R; regime is "ML" when dE > E (crossover present) and
-    "MT" otherwise.
-    """
-
-    e: float
-    de: float
-    tau_mt: float
-    tau_ml: float
-    tau_c: float | None
-    regime: str
-    xi_spectral: float
-    xi_fit: float
-    min_margin: float
-
-
-def report(moms: SpectralMoments, trace: OverlapTrace) -> QslReport:
-    """Evaluate bounds, crossover, margins and both xi estimates on a trace
-    that reaches tau_MT, which a stationary state (tau_MT = inf) cannot."""
+def report(moms: SpectralMoments, trace: OverlapTrace) -> dict:
+    """Bounds, crossover, margin and both xi estimates on a trace that reaches
+    tau_MT, which a stationary state (tau_MT = inf) cannot: report.json's
+    scalars, in E_R and hbar/E_R, keyed by scan.PointResult's field names.
+    regime is "ML" when dE > E (crossover present) and "MT" otherwise."""
     tau_mt = moms.tau_mt
     if trace.times[-1] < tau_mt * (1.0 - 1e-9):
         raise ParameterError(
@@ -162,7 +145,6 @@ def report(moms: SpectralMoments, trace: OverlapTrace) -> QslReport:
     ratio = geodesic_ratio(vis, moms.de * trace.times)
     xi_fit, _ = deviation_from_geometry(trace.times, ratio, tau_mt)
     xi_spec = deviation_from_kurtosis(moms.beta2)
-    regime = "ML" if moms.de > moms.e else "MT"
-    return QslReport(e=moms.e, de=moms.de, tau_mt=tau_mt, tau_ml=moms.tau_ml,
-                     tau_c=crossover_time(moms.e, moms.de), regime=regime,
-                     xi_spectral=xi_spec, xi_fit=xi_fit, min_margin=min_margin)
+    return dict(e=moms.e, de=moms.de, tau_mt=tau_mt, tau_ml=moms.tau_ml,
+                tau_c=crossover_time(moms.e, moms.de), regime="ML" if moms.de > moms.e else "MT",
+                xi_spectral=xi_spec, xi_fit=xi_fit, min_margin=min_margin)

@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -195,16 +195,25 @@ def config_from_dict(raw: dict) -> ScanConfig:
                       state_point=state_point, **scan)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointResult:
+    """One point's record; e to min_margin are qsl.report's, in E_R and hbar/E_R."""
+
     n: int
     dx: float
     model: LatticeModel
-    e_n: float
     spectral: dynamics.SpectralState
-    moments: dynamics.SpectralMoments
     trace: dynamics.OverlapTrace
-    report: qsl.QslReport
+    e_n: float
+    e: float
+    de: float
+    tau_mt: float
+    tau_ml: float
+    tau_c: float | None
+    regime: str
+    xi_spectral: float
+    xi_fit: float
+    min_margin: float
     records: interferometer.FringeSeries | None = None
     estimates: dict | None = None
 
@@ -242,17 +251,17 @@ def run_point(n: int, dx: float, config: ScanConfig, solved,
     spectral = dynamics.to_spectral(packets[n], eig)
     moms = dynamics.moments(spectral)
     trace = dynamics.evolve_overlap(spectral, moms.tau_mt, config.time_points)
-    rep = qsl.report(moms, trace)
-    e_n = float(eig.energies[0, n] - eig.ground_offset)
-    result = PointResult(n=n, dx=dx, model=model, e_n=e_n, spectral=spectral,
-                         moments=moms, trace=trace, report=rep)
+    result = PointResult(n=n, dx=dx, model=model, spectral=spectral, trace=trace,
+                         e_n=float(eig.energies[0, n] - eig.ground_offset),
+                         **qsl.report(moms, trace))
     if config.estimator == "experiment":
-        result.records, result.estimates = _run_experiment(result, config, point_index)
+        records, estimates = _run_experiment(result, config, point_index)
+        result = replace(result, records=records, estimates=estimates)
     return result
 
 
 def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
-    times, tau_mt, e_n = result.trace.times, result.report.tau_mt, result.e_n
+    times, tau_mt, e_n = result.trace.times, result.tau_mt, result.e_n
     # the beams' light shift, a phase slope in rad/us: the fringes carry it and
     # the analysis subtracts it, as a measured shift is calibrated out
     light = config.ramsey.light_shift_slope * (times * result.model.time_us_per_unit)
@@ -371,17 +380,17 @@ def _write_point(result: PointResult, out_dir: str) -> None:
               ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
               [t_text, result.trace.overlaps.real, result.trace.overlaps.imag,
                result.trace.visibility, result.trace.fs_distance])
-    rep = result.report
+    # json prints an np.float64, a float subclass, as its repr, as it does a float
     write_json(os.path.join(pdir, "report.json"), {
-        "e_Er": float(rep.e),
-        "de_Er": float(rep.de),
-        "tau_mt_us": float(rep.tau_mt * scale),
-        "tau_ml_us": float(rep.tau_ml * scale) if np.isfinite(rep.tau_ml) else None,
-        "tau_c_us": float(rep.tau_c * scale) if rep.tau_c is not None else None,
-        "regime": rep.regime,
-        "xi_spectral": float(rep.xi_spectral),
-        "xi_fit": float(rep.xi_fit),
-        "min_margin": float(rep.min_margin),
+        "e_Er": result.e,
+        "de_Er": result.de,
+        "tau_mt_us": result.tau_mt * scale,
+        "tau_ml_us": result.tau_ml * scale if np.isfinite(result.tau_ml) else None,
+        "tau_c_us": result.tau_c * scale if result.tau_c is not None else None,
+        "regime": result.regime,
+        "xi_spectral": result.xi_spectral,
+        "xi_fit": result.xi_fit,
+        "min_margin": result.min_margin,
     })
     write_json(os.path.join(pdir, "diagnostics.json"), {
         "quadrature_defect": result.trace.quadrature_defect,
@@ -409,26 +418,21 @@ def _figure_columns(results: list[PointResult]):
     """The columns of fig2.csv, fig3.csv and fig4.csv.  A point's label and
     tau_c_us text is formatted once and repeated down its fig2 rows.  A point
     with a dE estimate gives fig3 (its tau_c too) and fig4 its estimates, any
-    other its report."""
+    other its record."""
     labels, traces, tau_text = [], [np.empty((4, 0))], []
     fig3, fig4 = [[] for _ in range(6)], [[] for _ in range(6)]
     for res in results:
         scale = res.model.time_us_per_unit
-        rep = res.report
         homega = res.model.homega
         times = res.trace.times
-        tau_c_us = rep.tau_c * scale if rep.tau_c is not None else ""
+        tau_c_us = res.tau_c * scale if res.tau_c is not None else ""
         labels += [res.label] * times.size
         tau_text += [_fmt(tau_c_us)] * times.size
         traces.append([times * scale, res.trace.visibility,
-                       qsl.mt_bound(rep.de, times), qsl.ml_bound(rep.e, times)])
-        if res.estimates and "de_Er" in res.estimates:
-            e_val = res.estimates.get("e_Er", rep.e)
-            de_val = res.estimates["de_Er"]
-            xi_val = res.estimates.get("xi_fit", rep.xi_fit)
-        else:
-            e_val, de_val, xi_val = rep.e, rep.de, rep.xi_fit
-        xi = max(xi_val, 0.0)
+                       qsl.mt_bound(res.de, times), qsl.ml_bound(res.e, times)])
+        est = {"e_Er": res.e, "de_Er": res.de, "xi_fit": res.xi_fit} | (
+            res.estimates if "de_Er" in (res.estimates or ()) else {})
+        e_val, de_val, xi = est["e_Er"], est["de_Er"], max(est["xi_fit"], 0.0)
         tau_c = qsl.crossover_time(e_val, de_val)
         cells3 = (res.n, res.dx, 4.0 * e_val / homega, 4.0 * de_val / homega,
                   "ML" if de_val > e_val else "MT", tau_c * scale if tau_c is not None else "")
@@ -542,7 +546,7 @@ def run_scan(config: ScanConfig) -> dict:
                   ["alpha", "inv_tau_ml", "inv_tau_mt"],
                   [alphas, *coherent_reference_curve(alphas).T])
 
-    violations = sum(1 for r in ordered if r.report.min_margin < -qsl.BOUND_MARGIN_TOL)
+    violations = sum(1 for r in ordered if r.min_margin < -qsl.BOUND_MARGIN_TOL)
     summary = {
         "grid": GRID_LABEL if tuple(config.points) == tuple(default_grid()) else "custom",
         "points_completed": len(ordered),

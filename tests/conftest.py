@@ -270,9 +270,8 @@ def ml_domain_margin(result) -> float:
     """min |A| - ml_bound over [0, tau_ML] at 64 points (may exceed tau_MT)."""
     from qslab import qsl
 
-    moms = result.moments
-    trace = dynamics.evolve_overlap(result.spectral, moms.tau_ml, 64)
-    bound = np.asarray(qsl.ml_bound(moms.e, trace.times))
+    trace = dynamics.evolve_overlap(result.spectral, result.tau_ml, 64)
+    bound = np.asarray(qsl.ml_bound(result.e, trace.times))
     return float((trace.visibility - bound).min())
 
 

@@ -59,7 +59,7 @@ def test_criterion_02_bound_validity_sweep(sweep):
     t0 = time.perf_counter()
     worst_mt, worst_ml = np.inf, np.inf
     for res in sweep:
-        mt = np.asarray(qsl.mt_bound(res.moments.de, res.trace.times))
+        mt = np.asarray(qsl.mt_bound(res.de, res.trace.times))
         margin_mt = float((res.trace.visibility - mt)[~np.isnan(mt)].min())
         worst_mt = min(worst_mt, margin_mt)
         worst_ml = min(worst_ml, ml_domain_margin(res))
@@ -72,11 +72,11 @@ def test_criterion_02_bound_validity_sweep(sweep):
 def test_criterion_03_regime_classification(sweep):
     by_key = {(r.n, round(r.dx, 4)): r for r in sweep}
     ml_points = [by_key[(0, 0.04)], by_key[(0, 0.08)]]
-    ok = all(r.report.regime == "ML" and 0.0 < r.report.tau_c < r.report.tau_mt
+    ok = all(r.regime == "ML" and 0.0 < r.tau_c < r.tau_mt
              for r in ml_points)
-    ok &= by_key[(0, 0.16)].report.regime == "MT"
+    ok &= by_key[(0, 0.16)].regime == "MT"
     excited = [r for r in sweep if r.n in (1, 2)]
-    ok &= all(r.report.regime == "MT" for r in excited)
+    ok &= all(r.regime == "MT" for r in excited)
     assert _verdict(3, ok, "(0, 0.04) and (0, 0.08) ML with 0 < tau_c < tau_MT; "
                            "(0, 0.16) and every n in {1, 2} point MT")
 
@@ -116,8 +116,8 @@ def test_criterion_05b_coherent_moments_at_3pct(sweep):
     res = next(r for r in sweep if r.n == 0 and round(r.dx, 4) == 0.04)
     homega = res.model.homega
     alpha = coherent_alpha(res.model, res.dx)
-    e_rel = abs(res.moments.e / (homega * alpha**2) - 1.0)
-    de_rel = abs(res.moments.de / (homega * alpha) - 1.0)
+    e_rel = abs(res.e / (homega * alpha**2) - 1.0)
+    de_rel = abs(res.de / (homega * alpha) - 1.0)
     ok = e_rel <= 0.03 and de_rel <= 0.03
     _verdict("5b", ok, f"E off harmonic model by {e_rel:.1%}, dE by {de_rel:.1%} "
                        f"(stated tolerance 3%; expected failure)")
@@ -126,7 +126,7 @@ def test_criterion_05b_coherent_moments_at_3pct(sweep):
 
 def test_criterion_05c_minimum_overlap(sweep):
     res = next(r for r in sweep if r.n == 0 and round(r.dx, 4) == 0.04)
-    trace = dyn.evolve_overlap(res.spectral, 6.0 * res.moments.tau_mt, 2048)
+    trace = dyn.evolve_overlap(res.spectral, 6.0 * res.tau_mt, 2048)
     vmin = float(trace.visibility.min())
     ok = abs(vmin - np.cos(np.deg2rad(40.0))) <= 0.05
     assert _verdict("5c", ok, f"min |A| = {vmin:.3f} vs cos(40 deg) = "
@@ -137,13 +137,13 @@ def test_criterion_06_xi_consistency(sweep):
     worst_rel = 0.0
     ok = True
     for res in sweep:
-        xi_spec = res.report.xi_spectral
-        xi_fit = res.report.xi_fit
+        xi_spec = res.xi_spectral
+        xi_fit = res.xi_fit
         ok &= xi_spec >= 0.0
         rel = abs(xi_fit / xi_spec - 1.0)
         worst_rel = max(worst_rel, rel)
         ok &= rel <= 0.10
-        cap = bhatia_davis_cap(res.moments.e, res.moments.de,
+        cap = bhatia_davis_cap(res.e, res.de,
                                float(res.spectral.energies.max()))
         ok &= xi_spec <= cap + 1e-9
     assert _verdict(6, ok, f"xi_spectral >= 0, worst |xi_fit/xi_spectral - 1| = "
@@ -161,8 +161,8 @@ def test_criterion_06_xi_tracks_harmonic_curve(sweep):
     for res in sweep:
         if res.n != 0 or res.dx > 0.2:
             continue
-        xi_ho = xi_harmonic(0, res.moments.de, res.model.homega)
-        worst = max(worst, abs(res.report.xi_spectral / xi_ho - 1.0))
+        xi_ho = xi_harmonic(0, res.de, res.model.homega)
+        worst = max(worst, abs(res.xi_spectral / xi_ho - 1.0))
     ok = worst <= 0.20
     _verdict("6c", ok, f"worst |xi/xi_HO - 1| = {worst:.1%} for n=0, dx <= 0.2 "
                        f"(stated tolerance 20%; expected failure)")

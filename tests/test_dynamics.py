@@ -33,7 +33,7 @@ def test_prepare_stationary_at_zero_displacement(solver, n):
     moms = dyn.moments(spectral)
     trace = dyn.evolve_overlap(spectral, 0.2, 16)
     assert np.all(trace.visibility > 1.0 - 1e-9)
-    assert moms.stationary
+    assert moms.tau_mt == np.inf
     assert moms.beta2 is None
     # mean energy pinned to the vibrational level above the ground state
     assert moms.e == pytest.approx(site_e[n] - site_e[0], abs=1e-2)

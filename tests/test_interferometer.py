@@ -186,13 +186,13 @@ def test_extract_uncertainty_noiseless(solver):
 
 def test_extract_uncertainty_qubit_taylor_limit():
     # |cos(de t)| series: the fitted quadratic coefficient approaches
-    # -de^2/2 as the window shrinks
+    # -de^2/2 as the window [0, window * tau_mt] shrinks
     de = 0.8
     tau_mt = np.pi / (2 * de)
     times = np.linspace(0.0, tau_mt, 4096)
     vis = np.abs(np.cos(de * times))
     for window, tol in ((1.0, 2e-3), (0.25, 2e-5)):
-        de_hat, _ = ifm.extract_uncertainty(times, vis, tau_mt, window=window)
+        de_hat, _ = ifm.extract_uncertainty(times, vis, window * tau_mt)
         assert de_hat == pytest.approx(de, rel=tol)
 
 

@@ -28,7 +28,7 @@ def spectrum(pairs):
     pops = weights / weights.sum()
     spectral = dyn.SpectralState(populations=pops, energies=energies)
     moms = dyn.moments(spectral)
-    assume(not moms.stationary)
+    assume(moms.beta2 is not None)
     return spectral, moms
 
 

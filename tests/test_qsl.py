@@ -20,6 +20,17 @@ def test_mt_bound_values_and_domain():
         qsl.mt_bound(de, -0.1)
 
 
+def test_bounds_give_a_float_for_a_scalar_time():
+    # a scalar t gives a Python float whether or not the rate is positive;
+    # an array t keeps its shape
+    for bound in (qsl.mt_bound, qsl.ml_bound):
+        for rate, t in ((-1.0, 0.5), (0.0, 0.5), (1.0, 0.5), (1.0, 5.0)):
+            assert type(bound(rate, t)) is float
+        for rate in (0.0, 1.0):
+            assert bound(rate, np.zeros((2, 3))).shape == (2, 3)
+    assert np.isnan(qsl.mt_bound(0.0, 1.0)) and np.isnan(qsl.ml_bound(0.0, 1.0))
+
+
 def test_ml_bound_values_and_domain():
     e = 3.0
     tau = np.pi / (2 * e)
@@ -250,12 +261,12 @@ def test_report_fields_and_regimes(solver):
         _, _, _, spectral, moms = solver.spectral_point(0, dx)
         trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
         rep = qsl.report(moms, trace)
-        assert rep.regime == regime
-        assert rep.min_margin >= -1e-9
+        assert rep["regime"] == regime
+        assert rep["min_margin"] >= -1e-9
         if regime == "ML":
-            assert 0.0 < rep.tau_c < rep.tau_mt
+            assert 0.0 < rep["tau_c"] < rep["tau_mt"]
         else:
-            assert rep.tau_c is None
+            assert rep["tau_c"] is None
     # a stationary state has tau_MT = inf, which no trace reaches
     model, _, _, spectral, moms = solver.spectral_point(1, 0.0)
     trace = dyn.evolve_overlap(spectral, 1.0, 16)

@@ -344,6 +344,35 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     assert len(lines) == 1 + cfg.time_points * cfg.ramsey.phases
 
 
+@pytest.mark.parametrize("estimator, point", [("exact", (0, 0.04)), ("experiment", (0, 0.16))])
+def test_point_files_are_the_record(tmp_path, estimator, point):
+    # report.json and diagnostics.json hold the record's fields and nothing
+    # else, times in us; (0, 0.04) has a crossover and (0, 0.16) none
+    cfg = small_config(tmp_path, estimator=estimator, points=(point,))
+    (result,), failures = scan.run_points(cfg)
+    assert failures == []
+    scale = result.model.time_us_per_unit
+    pdir = os.path.join(cfg.out_dir, result.label)
+    with open(os.path.join(pdir, "report.json")) as fh:
+        assert json.load(fh) == {
+            "e_Er": result.e, "de_Er": result.de, "tau_mt_us": result.tau_mt * scale,
+            "tau_ml_us": None if result.tau_ml == np.inf else result.tau_ml * scale,
+            "tau_c_us": None if result.tau_c is None else result.tau_c * scale,
+            "regime": result.regime, "xi_spectral": result.xi_spectral,
+            "xi_fit": result.xi_fit, "min_margin": result.min_margin}
+    with open(os.path.join(pdir, "diagnostics.json")) as fh:
+        assert json.load(fh) == {
+            "quadrature_defect": result.trace.quadrature_defect, "e_n_Er": result.e_n,
+            "depth_Er": result.model.depth, "homega_Er": result.model.homega,
+            "theta_rad": result.model.theta}
+    assert (result.estimates is None) == (estimator == "exact")
+    if result.estimates is not None:
+        with open(os.path.join(pdir, "estimates.json")) as fh:
+            assert json.load(fh) == result.estimates
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.min_margin = 0.0
+
+
 EDGE_FLOATS = [-0.0, 5e-324, 1e-300, 1e16, 0.1]
 
 
@@ -491,7 +520,7 @@ def test_scan_calibrates_the_light_shift_out(tmp_path):
     cfg = small_config(tmp_path, estimator="experiment", seed=11, ramsey=ramsey)
     for n, dx in ((0, 0.16), (1, 0.12)):
         result = scan.run_point(n, dx, cfg, scan.solve_displacement(dx, cfg.params))
-        assert result.estimates["e_Er"] == pytest.approx(result.report.e, rel=0.01)
+        assert result.estimates["e_Er"] == pytest.approx(result.e, rel=0.01)
 
 
 def test_scan_different_seed_changes_experiment(tmp_path):

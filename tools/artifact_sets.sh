@@ -7,8 +7,13 @@
 #                 seed 11: 3 points x 2048 times x 24 phases of fringes.csv rows
 #   bands/        qslab bands with its defaults
 #   qubit/        qslab qubit with its defaults
-# A change that must keep every artifact byte-identical runs this script in
-# a checkout of each side and compares the two results:
+# and acceptance.stdout, the "[criterion ...]" verdict lines of
+# tests/test_acceptance.py in order, with each line's trailing elapsed time
+# (", 0.9 s", ", 0.1 ms") masked as ", <elapsed>", so two runs of one tree
+# write identical files.
+# A change that must keep every artifact byte-identical and every verdict
+# unchanged runs this script in a checkout of each side and compares the two
+# results:
 #   tools/artifact_sets.sh /tmp/before      (in the parent's checkout)
 #   tools/artifact_sets.sh /tmp/after       (in this checkout)
 #   diff -r /tmp/before /tmp/after
@@ -41,3 +46,6 @@ qslab scan --config fine-grid.yaml > fine-grid.stdout
 qslab scan --config ramsey-dense.yaml > ramsey-dense.stdout
 qslab bands --out bands > bands.stdout
 qslab qubit --out qubit > qubit.stdout
+(cd "$root" && python3 -m pytest -q -s -p no:cacheprovider tests/test_acceptance.py) \
+    | grep -o '\[criterion .*' | sed -E 's/, [0-9]+(\.[0-9]+)? m?s$/, <elapsed>/' \
+    > acceptance.stdout
