@@ -5,8 +5,9 @@ onto the spin-down probability p(phi_R) = (1 - V cos(phi_R - phi))/2, where
 phi_R is the control phase of the second pulse.  The chain simulated here
 draws binomial counts per phase point, fits the cosine to recover (V, phi),
 and turns the short-time series into estimates of the mean energy (odd
-polynomial in the phase), the energy uncertainty (even polynomial in the
-visibility) and the geometric deviation coefficient.  Times are in hbar/E_R
+polynomial in the phase) and the energy uncertainty (even polynomial in the
+visibility); qsl.deviation_from_visibility fits the geometric deviation
+coefficient to the same visibility series.  Times are in hbar/E_R
 and energies in E_R, as in every other stage; a scan converts to
 microseconds only where it writes artifacts.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import EstimationError, ParameterError
 from .dynamics import OverlapTrace
-from .qsl import deviation_from_geometry, geodesic_ratio, least_squares
+from .qsl import least_squares
 
 PHASE_FIT_WINDOW = 0.35     # in units of tau_MT
 
@@ -75,23 +76,16 @@ def fringe_phase(trace: OverlapTrace, e_n: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FringeFit:
-    """Cosine-fit results of a series, length-T arrays: one entry per evolution time."""
+class FringeSeries:
+    """Counts of an evolution-time series, T times by K control phases, and their fits."""
 
-    v: np.ndarray          # clipped to [0, 1]
+    n_total: int
+    n_down: np.ndarray     # (T, K)
+    v: np.ndarray          # (T,), clipped to [0, 1]
     v_raw: np.ndarray      # unclipped amplitude estimate
     v_err: np.ndarray
     phi: np.ndarray        # in (-pi, pi]
     phi_err: np.ndarray
-
-
-@dataclass(frozen=True)
-class FringeSeries:
-    """Counts and fits of an evolution-time series: T times by K control phases."""
-
-    n_total: int
-    n_down: np.ndarray     # (T, K)
-    fit: FringeFit         # length-T arrays
 
     @property
     def phi_r(self) -> np.ndarray:
@@ -113,9 +107,10 @@ def fringe_probabilities(visibility, phase, config: RamseyConfig) -> np.ndarray:
     return np.clip(p_down * (1.0 - config.loss_fraction), 0.0, 1.0)
 
 
-def fit_fringes(n_down: np.ndarray, n_total: float, loss_fraction: float = 0.0) -> FringeFit:
-    """Least squares of a + b cos(phi_R) + c sin(phi_R) on each row of the
-    (T, K) normalized counts, taken at the K phases of phase_grid.
+def fit_fringes(n_down: np.ndarray, n_total: float, loss_fraction: float = 0.0) -> FringeSeries:
+    """The series record of the (T, K) counts: least squares of
+    a + b cos(phi_R) + c sin(phi_R) on each row of the normalized counts,
+    taken at the K phases of phase_grid.
 
     On that grid 1, cos and sin are orthogonal with norms K, K/2 and K/2, so
     the fit is each row's first DFT bin and the coefficients' covariance is
@@ -124,7 +119,8 @@ def fit_fringes(n_down: np.ndarray, n_total: float, loss_fraction: float = 0.0) 
     convention; a row with V <= 1e-12 has no direction, so its V error takes
     the whole (b, c) variance and its phase error is pi.
     """
-    y = np.asarray(n_down, dtype=float) / (n_total * (1.0 - loss_fraction))
+    n_down = np.asarray(n_down)
+    y = n_down / (n_total * (1.0 - loss_fraction))
     k = y.shape[-1]
     if k < 6:
         raise ParameterError(f"need at least 6 Ramsey phases, got {k}")
@@ -139,8 +135,8 @@ def fit_fringes(n_down: np.ndarray, n_total: float, loss_fraction: float = 0.0) 
     norm = np.where(resolved, v_raw / 2.0, 1.0)
     v_err = 2.0 * np.sqrt(np.where(resolved, var_bc, 2.0 * var_bc))
     phi_err = np.where(resolved, np.sqrt(var_bc) / norm, np.pi)
-    return FringeFit(v=np.clip(v_raw, 0.0, 1.0), v_raw=v_raw, v_err=v_err,
-                     phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi))
+    return FringeSeries(n_total, n_down, v=np.clip(v_raw, 0.0, 1.0), v_raw=v_raw, v_err=v_err,
+                        phi=np.arctan2(-c, -b), phi_err=np.minimum(phi_err, np.pi))
 
 
 def simulate_series(visibility: np.ndarray, phase: np.ndarray, config: RamseyConfig,
@@ -154,7 +150,7 @@ def simulate_series(visibility: np.ndarray, phase: np.ndarray, config: RamseyCon
     n_total = config.detections_per_point
     p_eff = fringe_probabilities(visibility, phase, config)
     counts = np.random.default_rng(seed).binomial(n_total, p_eff)
-    return FringeSeries(n_total, counts, fit_fringes(counts, n_total, config.loss_fraction))
+    return fit_fringes(counts, n_total, config.loss_fraction)
 
 
 def _window_fit(times: np.ndarray, y: np.ndarray, t_max: float, powers: tuple, what: str):
@@ -202,13 +198,3 @@ def extract_uncertainty(times: np.ndarray, v_series: np.ndarray, tau_mt: float):
     de = np.sqrt(-2.0 * coef[0])
     return float(de), float(np.sqrt(max(cov[0, 0], 0.0)) / de)
 
-
-def extract_xi(times: np.ndarray, v_series: np.ndarray, tau_mt: float):
-    """Deviation coefficient from a visibility series.
-
-    Converts V to the geodesic-to-path ratio arccos(V)/((pi/2) t/tau_MT) and
-    delegates to the short-window geometry fit.
-    """
-    times = np.asarray(times, dtype=float)
-    ratio = geodesic_ratio(np.asarray(v_series, dtype=float), np.pi / (2.0 * tau_mt) * times)
-    return deviation_from_geometry(times, ratio, tau_mt)

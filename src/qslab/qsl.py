@@ -66,13 +66,6 @@ def crossover_time(e: float, de: float) -> float | None:
     return np.pi * e / (2.0 * de**2)
 
 
-def geodesic_ratio(visibility, path_length):
-    """Geodesic-to-path length ratio arccos|A| / (dE t), 1 at t = 0."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(path_length > 0,
-                        np.arccos(np.clip(visibility, -1.0, 1.0)) / path_length, 1.0)
-
-
 def deviation_from_kurtosis(beta2: float) -> float:
     """xi = (beta2 - 1)/2; beta2 < 1 violates Cauchy-Schwarz upstream."""
     if beta2 < 1.0 - 1e-12:
@@ -89,23 +82,27 @@ def least_squares(design: np.ndarray, y: np.ndarray):
     return coef, rss / dof * np.linalg.inv(design.T @ design)
 
 
-def deviation_from_geometry(times: np.ndarray, ratio: np.ndarray, tau_mt: float):
-    """Least-squares xi from the short-time expansion of the length ratio.
+def deviation_from_visibility(times, visibility, de: float):
+    """Least-squares xi and its error from the short-time expansion of the
+    geodesic-to-path length ratio arccos(V) / (dE t).
 
     Fits ratio(t) = 1 - (pi^2 xi / 48)(t/tau_MT)^2 + c4 t^4 on 0 < t <=
-    XI_FIT_WINDOW * tau_MT; the quartic nuisance term absorbs the next order
-    of the expansion.  Returns (xi, covariance of (xi, c4)).
+    XI_FIT_WINDOW * tau_MT, tau_MT = pi/(2 dE); the quartic nuisance term
+    absorbs the next order of the expansion.  Returns (xi, xi_err).
     """
+    if not de > 0:
+        raise ParameterError(f"xi needs a positive energy uncertainty, got {de}")
     times = np.asarray(times, dtype=float)
-    ratio = np.asarray(ratio, dtype=float)
+    tau_mt = np.pi / (2.0 * de)
     mask = (times > 0) & (times <= XI_FIT_WINDOW * tau_mt * (1 + 1e-12))
     if mask.sum() < 6:
         raise ParameterError(
             f"need at least 6 samples below {XI_FIT_WINDOW} tau_MT, got {int(mask.sum())}")
     t = times[mask]
+    ratio = np.arccos(np.clip(np.asarray(visibility, dtype=float)[mask], -1.0, 1.0)) / (de * t)
     design = np.column_stack([-(np.pi**2 / 48.0) * (t / tau_mt) ** 2, t**4])
-    coef, cov = least_squares(design, ratio[mask] - 1.0)
-    return float(coef[0]), cov
+    coef, cov = least_squares(design, ratio - 1.0)
+    return float(coef[0]), float(np.sqrt(max(cov[0, 0], 0.0)))
 
 
 def qubit_moments(zeta, omega: float):
@@ -142,8 +139,7 @@ def report(moms: SpectralMoments, trace: OverlapTrace) -> dict:
     vis = trace.visibility
     valid = ~np.isnan(bound)
     min_margin = float((vis[valid] - bound[valid]).min())
-    ratio = geodesic_ratio(vis, moms.de * trace.times)
-    xi_fit, _ = deviation_from_geometry(trace.times, ratio, tau_mt)
+    xi_fit, _ = deviation_from_visibility(trace.times, vis, moms.de)
     xi_spec = deviation_from_kurtosis(moms.beta2)
     return dict(e=moms.e, de=moms.de, tau_mt=tau_mt, tau_ml=moms.tau_ml,
                 tau_c=crossover_time(moms.e, moms.de), regime="ML" if moms.de > moms.e else "MT",

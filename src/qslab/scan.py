@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 import json
+import numbers
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
@@ -58,7 +59,7 @@ class ScanConfig:
         if self.estimator not in ("exact", "experiment"):
             raise ParameterError(f"estimator must be 'exact' or 'experiment', got {self.estimator!r}")
         # linspace(0, tau_MT, N) puts floor(0.3 (N - 1)) samples in (0, 0.3 tau_MT], the
-        # xi fit window of qsl.deviation_from_geometry, which needs 6; N = 21 is the least
+        # xi fit window of qsl.deviation_from_visibility, which needs 6; N = 21 is the least
         if self.time_points < 21:
             raise ParameterError(f"time_points must be at least 21, got {self.time_points}")
         if self.seed < 0:
@@ -83,10 +84,11 @@ def point_label(n: int, dx: float) -> str:
 
 
 def check_point(where: str, n: int, dx: float) -> None:
-    if n not in (0, 1, 2):
-        raise ParameterError(f"{where}: packet shape n must be 0, 1 or 2, got {n}")
-    if not 0.0 < dx <= 0.5:
-        raise ParameterError(f"{where}: displacement must lie in (0, 0.5], got {dx}")
+    """An integral n in {0, 1, 2} and a real dx in (0, 0.5], numpy scalars too; no bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (0, 1, 2):
+        raise ParameterError(f"{where}: packet shape n must be the integer 0, 1 or 2, got {n!r}")
+    if isinstance(dx, bool) or not isinstance(dx, numbers.Real) or not 0.0 < dx <= 0.5:
+        raise ParameterError(f"{where}: displacement must lie in (0, 0.5], got {dx!r}")
 
 
 def load_config(path: str) -> ScanConfig:
@@ -268,21 +270,20 @@ def _run_experiment(result: PointResult, config: ScanConfig, point_index: int):
     phase = interferometer.fringe_phase(result.trace, e_n) + light
     series = interferometer.simulate_series(result.trace.visibility, phase, config.ramsey,
                                             [config.seed, point_index])
-    fit = series.fit
     estimates = {}
     try:
-        e_hat, e_err = interferometer.extract_mean_energy(times, fit.phi - light, e_n, tau_mt)
+        e_hat, e_err = interferometer.extract_mean_energy(times, series.phi - light, e_n, tau_mt)
         estimates.update(e_Er=e_hat, e_err_Er=e_err)
     except (EstimationError, ParameterError) as exc:    # recorded, not fatal
         estimates["e_error"] = str(exc)
     try:
-        de_hat, de_err = interferometer.extract_uncertainty(times, fit.v_raw, tau_mt)
+        de_hat, de_err = interferometer.extract_uncertainty(times, series.v_raw, tau_mt)
         estimates.update(de_Er=de_hat, de_err_Er=de_err)
     except (EstimationError, ParameterError) as exc:
         estimates["de_error"] = str(exc)
     try:
-        xi_hat, xi_cov = interferometer.extract_xi(times, fit.v, tau_mt)
-        estimates.update(xi_fit=xi_hat, xi_err=float(np.sqrt(max(xi_cov[0, 0], 0.0))))
+        xi_hat, xi_err = qsl.deviation_from_visibility(times, series.v, result.de)
+        estimates.update(xi_fit=xi_hat, xi_err=xi_err)
     except (EstimationError, ParameterError) as exc:
         estimates["xi_error"] = str(exc)
     return series, estimates
@@ -407,9 +408,8 @@ def _write_point(result: PointResult, out_dir: str) -> None:
                 for m, count in zip(mid, counts)]
         _write_atomic(os.path.join(pdir, "fringes.csv"),
                       "\n".join(["t_us,phi_r,n_total,n_down", *rows]) + "\n")
-        fit = series.fit
-        records = map(_FIT_RECORD.__mod__, zip(fit.phi.tolist(), fit.phi_err.tolist(), t_text,
-                                               fit.v.tolist(), fit.v_err.tolist()))
+        records = map(_FIT_RECORD.__mod__, zip(series.phi.tolist(), series.phi_err.tolist(),
+                                               t_text, series.v.tolist(), series.v_err.tolist()))
         _write_atomic(os.path.join(pdir, "fits.json"), "[\n" + ",\n".join(records) + "\n]\n")
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
 

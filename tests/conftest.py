@@ -285,8 +285,9 @@ def overlap_oracle(populations, energies, times):
 
 
 def fit_fringe_oracle(phi_r, n_down, n_total, loss_fraction=0.0) -> dict:
-    """One record's cosine fit, one lstsq per record: the fields of
-    interferometer.FringeFit as Python scalars."""
+    """One record's cosine fit, one lstsq per record: its entry of each fit
+    array of interferometer.FringeSeries (v, v_raw, v_err, phi, phi_err) as
+    Python scalars."""
     phi_r = np.asarray(phi_r, dtype=float)
     n_down = np.asarray(n_down, dtype=float)
     if phi_r.size < 6 or np.unique(np.round(phi_r, 12)).size < 6:
@@ -337,9 +338,9 @@ def ramsey_artifacts_oracle(t_us: np.ndarray, series) -> tuple[str, str]:
                series.n_down.ravel()]
     cells = [map(str, column.tolist()) for column in columns]
     fringes = "\n".join(["t_us,phi_r,n_total,n_down", *map(",".join, zip(*cells))]) + "\n"
-    fit = series.fit
     encoder = json.JSONEncoder(sort_keys=True)
-    rows = zip(*(c.tolist() for c in (t_us, fit.v, fit.v_err, fit.phi, fit.phi_err)))
+    rows = zip(*(c.tolist() for c in (t_us, series.v, series.v_err, series.phi,
+                                      series.phi_err)))
     records = [encoder.encode(dict(zip(("t_us", "v", "v_err", "phi", "phi_err"), row)))
                for row in rows]
     return fringes, "[\n" + ",\n".join(records) + "\n]\n"

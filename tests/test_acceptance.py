@@ -193,7 +193,7 @@ def test_criterion_07_estimator_chain(point_008):
     hits = 0
     seeds = 200
     for seed in range(seeds):
-        v_raw = ifm.simulate_series(trace.visibility, phase, config, seed).fit.v_raw
+        v_raw = ifm.simulate_series(trace.visibility, phase, config, seed).v_raw
         try:
             de_noisy, _ = ifm.extract_uncertainty(times, v_raw, moms.tau_mt)
         except Exception:

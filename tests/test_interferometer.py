@@ -5,6 +5,7 @@ import pytest
 
 from qslab import dynamics as dyn
 from qslab import interferometer as ifm
+from qslab import qsl
 from qslab.errors import EstimationError, ParameterError
 
 from conftest import fit_fringe_oracle
@@ -115,7 +116,7 @@ def test_visibility_estimator_calibration():
     trials = 1000
     config = ifm.RamseyConfig(phases=12, loss_fraction=0.0)
     for seed in range(trials):
-        fit = ifm.simulate_series([1.0], [0.7], config, seed).fit
+        fit = ifm.simulate_series([1.0], [0.7], config, seed)
         if 0.9 <= fit.v[0] <= 1.0:
             hits += 1
     assert hits >= 950
@@ -126,7 +127,7 @@ def test_visibility_never_exceeds_error_band(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 32)
     phase = ifm.fringe_phase(trace, 0.0)
-    fit = ifm.simulate_series(trace.visibility, phase, ifm.RamseyConfig(), 9).fit
+    fit = ifm.simulate_series(trace.visibility, phase, ifm.RamseyConfig(), 9)
     assert np.all(fit.v_raw <= 1.0 + 3.0 * fit.v_err)
     assert np.all((0.0 <= fit.v) & (fit.v <= 1.0))
 
@@ -215,20 +216,20 @@ def test_extract_xi_gaussian_and_qubit():
     tau_mt = np.pi / (2 * de)
     times = np.linspace(0.0, tau_mt, 64)
     amp = np.abs(np.exp(-1j * np.outer(times, levels)) @ pops)
-    xi, _ = ifm.extract_xi(times, amp, tau_mt)
+    xi, _ = qsl.deviation_from_visibility(times, amp, de)
     assert xi == pytest.approx(1.0, rel=0.02)
     # balanced qubit series: geodesic evolution, xi = 0
     de_q = 1.3
     tau_q = np.pi / (2 * de_q)
     tq = np.linspace(0.0, tau_q, 64)
-    xi_q, _ = ifm.extract_xi(tq, np.abs(np.cos(de_q * tq)), tau_q)
+    xi_q, _ = qsl.deviation_from_visibility(tq, np.abs(np.cos(de_q * tq)), de_q)
     assert xi_q == pytest.approx(0.0, abs=1e-6)
 
 
 def test_xi_chain_matches_spectral_on_lattice(point_008):
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-    xi_hat, _ = ifm.extract_xi(trace.times, trace.visibility, moms.tau_mt)
+    xi_hat, _ = qsl.deviation_from_visibility(trace.times, trace.visibility, moms.de)
     xi_spec = (moms.beta2 - 1.0) / 2.0
     assert xi_hat == pytest.approx(xi_spec, rel=0.02)
 
@@ -242,7 +243,7 @@ def test_noisy_uncertainty_calibration_quick(point_008):
     hits = 0
     config = ifm.RamseyConfig()
     for seed in range(40):
-        v_raw = ifm.simulate_series(trace.visibility, phase, config, seed).fit.v_raw
+        v_raw = ifm.simulate_series(trace.visibility, phase, config, seed).v_raw
         try:
             de_hat, _ = ifm.extract_uncertainty(trace.times, v_raw, moms.tau_mt)
         except EstimationError:
@@ -255,15 +256,13 @@ def test_noisy_uncertainty_calibration_quick(point_008):
 def test_bounds_hold_on_estimated_quantities(point_008):
     # the uncertainty bound evaluated with the *estimated* dE stays below
     # the measured visibility within counting-noise tolerance
-    from qslab import qsl
-
     model, eig, state, spectral, moms = point_008
     trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
     times = trace.times
     phase = ifm.fringe_phase(trace, 0.0)
     config = ifm.RamseyConfig()
     for seed in (0, 1, 2):
-        fit = ifm.simulate_series(trace.visibility, phase, config, seed).fit
+        fit = ifm.simulate_series(trace.visibility, phase, config, seed)
         v_raw, v_err = fit.v_raw, fit.v_err
         de_hat, _ = ifm.extract_uncertainty(times, v_raw, moms.tau_mt)
         bound = np.asarray(qsl.mt_bound(de_hat, times))
@@ -280,7 +279,7 @@ def test_xi_coalesces_near_one_in_nonharmonic_range(solver):
     for dx in (0.2016, 0.254, 0.32):
         model, _, _, spectral, moms = solver.spectral_point(0, dx)
         trace = dyn.evolve_overlap(spectral, moms.tau_mt, 64)
-        xi, _ = ifm.extract_xi(trace.times, trace.visibility, moms.tau_mt)
+        xi, _ = qsl.deviation_from_visibility(trace.times, trace.visibility, moms.de)
         xis[dx] = xi
         assert 0.7 <= xi <= 1.3
     assert abs(xis[0.32] - 1.0) < abs(xis[0.2016] - 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from qslab import qsl
+from qslab import qsl, scan
 from qslab.errors import NumericError, ParameterError
 
 from conftest import Qubit, bernoulli_moments, bhatia_davis_cap, displaced_populations, xi_harmonic
@@ -88,20 +88,31 @@ def test_deviation_from_kurtosis():
 
 def test_geometry_fit_round_trip_and_qubit():
     tau_mt = 2.0
+    de = np.pi / (2 * tau_mt)
     t = np.linspace(0.0, tau_mt, 64)
     ratio = 1.0 - (np.pi**2 * 1.0 / 48.0) * (t / tau_mt) ** 2   # xi = 1, no noise
-    xi, cov = qsl.deviation_from_geometry(t, ratio, tau_mt)
+    vis = np.cos(de * t * ratio)    # the series whose arccos(V) / (dE t) is that ratio
+    xi, xi_err = qsl.deviation_from_visibility(t, vis, de)
     assert xi == pytest.approx(1.0, abs=1e-6)
-    assert cov.shape == (2, 2)
+    assert 0.0 <= xi_err < 1e-6
     # balanced two-level evolution moves along a geodesic: ratio identically 1
-    de = np.pi / (2 * tau_mt)
-    vis = np.abs(np.cos(de * t))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio_qubit = np.where(t > 0, np.arccos(vis) / (de * t), 1.0)
-    xi_qubit, _ = qsl.deviation_from_geometry(t, ratio_qubit, tau_mt)
+    xi_qubit, _ = qsl.deviation_from_visibility(t, np.abs(np.cos(de * t)), de)
     assert xi_qubit == pytest.approx(0.0, abs=1e-6)
     with pytest.raises(ParameterError):
-        qsl.deviation_from_geometry(t[:4], ratio[:4], tau_mt)
+        qsl.deviation_from_visibility(t[:4], vis[:4], de)
+    for stationary in (0.0, np.float64(0.0), -de):
+        with pytest.raises(ParameterError):
+            qsl.deviation_from_visibility(t, vis, stationary)
+
+
+def test_report_xi_is_the_visibility_fit_on_the_default_scan(solver):
+    # one xi fit: the report's xi_fit is deviation_from_visibility of the
+    # exact visibility with the record's dE, bit for bit, at every default point
+    config = scan.ScanConfig(curves=False)
+    for n, dx in scan.default_grid():
+        r = scan.run_point(n, dx, config, solver.solve(dx)[:3])
+        xi, _ = qsl.deviation_from_visibility(r.trace.times, r.trace.visibility, r.de)
+        assert xi == r.xi_fit, r.label
 
 
 def test_geometric_and_overlap_forms_agree(solver):

@@ -60,6 +60,18 @@ def test_scan_config_validation():
         scan.ScanConfig(points=((5, 0.1),))
     with pytest.raises(ParameterError):
         scan.ScanConfig(estimator="guess")
+    # a library point is an integral n and a real dx, neither a bool; numpy
+    # scalars are both
+    for point, where in (((True, 0.1), "packet shape n"), ((1.0, 0.1), "packet shape n"),
+                         ((np.True_, 0.1), "packet shape n"), ((1, "0.1"), "displacement"),
+                         ((1, True), "displacement"), ((1, None), "displacement")):
+        with pytest.raises(ParameterError, match=f"scan.points: {where}"):
+            scan.ScanConfig(points=(point,))
+        with pytest.raises(ParameterError, match=f"state: {where}"):
+            scan.ScanConfig(state_point=point)
+    numpy_point = (np.int64(1), np.float64(0.1))
+    assert scan.ScanConfig(points=(numpy_point,), state_point=numpy_point).points == (
+        numpy_point,)
 
 
 def test_config_yaml_round_trip(tmp_path):
@@ -328,8 +340,7 @@ def test_run_scan_experiment_mode_artifacts(tmp_path):
     result = scan.run_point(0, 0.12, cfg, scan.solve_displacement(0.12, cfg.params))
     series = result.records
     columns = {"t_us": result.trace.times * result.model.time_us_per_unit,
-               "v": series.fit.v, "v_err": series.fit.v_err,
-               "phi": series.fit.phi, "phi_err": series.fit.phi_err}
+               "v": series.v, "v_err": series.v_err, "phi": series.phi, "phi_err": series.phi_err}
     records = [{key: float(c[i]) for key, c in columns.items()} for i in range(cfg.time_points)]
     text = read(os.path.join(pdir, "fits.json")).decode()
     lines = text.splitlines()
@@ -385,11 +396,9 @@ def test_ramsey_artifacts_match_the_column_and_encoder_oracle(tmp_path):
     series, count = result.records, cfg.time_points
     edge = [np.resize(np.roll(EDGE_FLOATS, k), count) for k in range(5)]
     trace = dataclasses.replace(result.trace, times=edge[0])
-    fit = dataclasses.replace(series.fit, v=edge[1], v_err=edge[2], phi=edge[3],
-                              phi_err=edge[4])
     counts = np.resize([0, series.n_total, 7], series.n_down.shape)
-    edged = dataclasses.replace(
-        result, trace=trace, records=dataclasses.replace(series, n_down=counts, fit=fit))
+    edged = dataclasses.replace(result, trace=trace, records=dataclasses.replace(
+        series, n_down=counts, v=edge[1], v_err=edge[2], phi=edge[3], phi_err=edge[4]))
     for point, out in ((result, "real"), (edged, "edge")):
         scan._write_point(point, str(tmp_path / out))
         fringes, fits = ramsey_artifacts_oracle(
@@ -663,6 +672,26 @@ def test_figures_take_estimates_where_de_was_estimated(tmp_path, monkeypatch):
     assert "de_error" in est and "e_Er" in est and "xi_fit" in est
     assert values == expected(rep, diag["homega_Er"])
 
+    # one whose mean-energy estimate failed takes E from its exact report and
+    # dE and xi from its estimates, and fig3's regime and tau_c from that
+    # (E, dE) pair; dx = 0.04 puts the pair in the ML regime, with a tau_c
+    monkeypatch.undo()
+
+    def no_phase(*args, **kwargs):
+        raise EstimationError("synthetic unresolved phase")
+
+    monkeypatch.setattr(interferometer, "extract_mean_energy", no_phase)
+    cfg = small_config(tmp_path, estimator="experiment", points=((0, 0.04),))
+    pdir = os.path.join(cfg.out_dir, "n0_dx0.0400")
+    values, diag, rep, est = figure_values()
+    assert "e_error" in est and "e_Er" not in est and "de_Er" in est and "xi_fit" in est
+    pair = {"e_Er": rep["e_Er"], "de_Er": est["de_Er"], "xi_fit": est["xi_fit"]}
+    assert values == expected(pair, diag["homega_Er"])
+    fig3 = csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))
+    tau_c = qsl.crossover_time(rep["e_Er"], est["de_Er"])
+    scale = LatticeModel(cfg.params, 0.04).time_us_per_unit
+    assert (fig3["regime"], fig3["tau_c_us"]) == (["ML"], [repr(tau_c * scale)])
+
 
 def test_estimator_fault_is_a_point_failure(tmp_path, monkeypatch):
     # estimates.json records only the estimators' own EstimationError and
@@ -672,7 +701,7 @@ def test_estimator_fault_is_a_point_failure(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("synthetic fault")
 
-    monkeypatch.setattr(interferometer, "extract_xi", broken)
+    monkeypatch.setattr(interferometer, "extract_mean_energy", broken)
     summary = scan.run_scan(cfg)
     assert (summary["points_completed"], summary["points_failed"]) == (0, 1)
     with open(os.path.join(cfg.out_dir, "failures.json")) as fh:
@@ -780,6 +809,28 @@ def write_small_yaml(tmp_path, **scan_extra):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(payload))
     return str(path)
+
+
+def test_cli_seed_flag_replaces_the_config_seed(tmp_path, capsys):
+    # scan and point write the bytes that the library writes with seed 7;
+    # a negative seed is one line on stderr and exit status 2
+    cfgfile = write_small_yaml(tmp_path)
+    lib, out = tmp_path / "lib", tmp_path / "cli"
+    scan.run_scan(dataclasses.replace(scan.load_config(cfgfile), seed=7,
+                                      estimator="experiment", out_dir=str(lib)))
+    flags = ["--config", cfgfile, "--seed", "7", "--estimator", "experiment"]
+    assert cli.main(["scan", *flags, "--out", str(out)]) == 0
+    assert_same_files(lib, out)
+    assert_same_files(out, lib)
+    assert cli.main(["point", *flags, "--out", str(tmp_path / "point")]) == 0
+    assert_same_files(lib / "n0_dx0.1000", tmp_path / "point" / "n0_dx0.1000")
+    assert_same_files(tmp_path / "point" / "n0_dx0.1000", lib / "n0_dx0.1000")
+    capsys.readouterr()
+    for verb in ("scan", "point"):
+        assert cli.main([verb, "--config", cfgfile, "--seed", "-1",
+                         "--out", str(tmp_path / "negative")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"qslab {verb}: error: seed must be non-negative, got -1\n"
 
 
 def test_cli_point_and_report(tmp_path, capsys):

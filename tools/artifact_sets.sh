@@ -10,7 +10,8 @@
 # and acceptance.stdout, the "[criterion ...]" verdict lines of
 # tests/test_acceptance.py in order, with each line's trailing elapsed time
 # (", 0.9 s", ", 0.1 ms") masked as ", <elapsed>", so two runs of one tree
-# write identical files.
+# write identical files.  The script exits with pytest's status when the
+# acceptance module fails, and keeps its full output as acceptance.log.
 # A change that must keep every artifact byte-identical and every verdict
 # unchanged runs this script in a checkout of each side and compares the two
 # results:
@@ -46,6 +47,15 @@ qslab scan --config fine-grid.yaml > fine-grid.stdout
 qslab scan --config ramsey-dense.yaml > ramsey-dense.stdout
 qslab bands --out bands > bands.stdout
 qslab qubit --out qubit > qubit.stdout
+# pytest writes to a file first: sh has no pipefail, so a pipe would hide
+# its status, and a module that fails must fail this script
+status=0
 (cd "$root" && python3 -m pytest -q -s -p no:cacheprovider tests/test_acceptance.py) \
-    | grep -o '\[criterion .*' | sed -E 's/, [0-9]+(\.[0-9]+)? m?s$/, <elapsed>/' \
+    > acceptance.log || status=$?
+grep -o '\[criterion .*' acceptance.log | sed -E 's/, [0-9]+(\.[0-9]+)? m?s$/, <elapsed>/' \
     > acceptance.stdout
+if [ "$status" -ne 0 ]; then
+    echo "$0: tests/test_acceptance.py exited $status; see $PWD/acceptance.log" >&2
+    exit "$status"
+fi
+rm acceptance.log
