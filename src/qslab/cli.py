@@ -45,7 +45,7 @@ def cmd_point(args) -> int:
     # each flag replaces its half of the state section's point, else of the first scan point
     n, dx = cfg.state_point or cfg.points[0]
     point = (n if args.n is None else args.n, dx if args.dx is None else args.dx)
-    scan.check_point("--n/--dx", *point)
+    scan.check_point("--n/--dx", point)
     # only the point's own directory is written: the fig*.csv, summary.json and
     # failures.json of a scan in the same directory stay as they are
     results, failures = scan.run_points(replace(cfg, points=(point,)))

@@ -14,6 +14,7 @@ microseconds only where it writes artifacts.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,11 @@ class RamseyConfig:
     light_shift_slope: float = 0.0    # rad/us
 
     def __post_init__(self):
-        if self.phases < 6:
-            raise ParameterError(f"ramsey.phases must be at least 6, got {self.phases}")
-        if self.atoms_per_shot < 1 or self.repetitions < 1:
-            raise ParameterError("atoms_per_shot and repetitions must be positive")
+        for name, least in (("phases", 6), ("atoms_per_shot", 1), ("repetitions", 1)):
+            value = getattr(self, name)     # numpy integers too; no bool, no float
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ParameterError(f"ramsey.{name} must be an integer of at least {least}, "
+                                     f"got {value!r}")
         if not 0.0 <= self.loss_fraction < 1.0:
             raise ParameterError("loss fraction must lie in [0, 1)")
         if not np.isfinite(self.light_shift_slope):
@@ -186,9 +188,11 @@ def extract_uncertainty(times: np.ndarray, v_series: np.ndarray, tau_mt: float):
     """Energy uncertainty from the visibility series (E_R).
 
     Fits V(t) = 1 + b2 t^2 + b4 t^4 + b6 t^6 on [0, tau_MT] and
-    maps dE = sqrt(-2 b2).  The even sixth-order form keeps the omitted
-    O(t^8) terms below counting noise over the full trace window; b2 >= 0
-    after the fit means the visibility decay is unresolved.
+    maps dE = sqrt(-2 b2); b2 >= 0 after the fit means the visibility decay
+    is unresolved.  The truncation biases dE low: fitted to the exact,
+    noiseless visibility the form misses dE by -4.8% at (n = 0, dx = 0.04),
+    -2.4% at (0, 0.0504) and -3.3% at (0, 0.5), the first above that point's
+    2.1% counting noise (ROADMAP item 10).
     """
     coef, cov = _window_fit(times, np.asarray(v_series, dtype=float) - 1.0,
                             tau_mt, (2, 4, 6), "visibility")

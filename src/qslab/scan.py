@@ -14,6 +14,7 @@ import itertools
 import json
 import numbers
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 
@@ -67,11 +68,11 @@ class ScanConfig:
         if self.curve_points < 1:
             raise ParameterError(f"curve_points must be at least 1, got {self.curve_points}")
         if self.state_point is not None:
-            check_point("state", *self.state_point)
+            check_point("state", self.state_point)
         seen = set()
-        for n, dx in self.points:
-            check_point("scan.points", n, dx)
-            label = point_label(n, dx)
+        for point in self.points:
+            check_point("scan.points", point)
+            label = point_label(*point)
             if label in seen:
                 raise ParameterError(f"duplicate scan point {label}: a point's directory "
                                      "name carries dx to 4 decimals")
@@ -83,8 +84,12 @@ def point_label(n: int, dx: float) -> str:
     return f"n{n}_dx{dx:.4f}"
 
 
-def check_point(where: str, n: int, dx: float) -> None:
-    """An integral n in {0, 1, 2} and a real dx in (0, 0.5], numpy scalars too; no bool."""
+def check_point(where: str, point) -> None:
+    """An (n, dx) pair: an integral n in {0, 1, 2} and a real dx in (0, 0.5],
+    numpy scalars too; no bool."""
+    if not isinstance(point, Sequence) or len(point) != 2:
+        raise ParameterError(f"{where}: a point must be an (n, dx) pair, got {point!r}")
+    n, dx = point
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (0, 1, 2):
         raise ParameterError(f"{where}: packet shape n must be the integer 0, 1 or 2, got {n!r}")
     if isinstance(dx, bool) or not isinstance(dx, numbers.Real) or not 0.0 < dx <= 0.5:
@@ -484,7 +489,10 @@ def _one_blas_thread():
     """Run the body, or each call of a function it decorates, on one BLAS
     thread and then restore the caller's count.  The scan's block solves and
     contractions are too small for a second thread, which only spins.  The
-    count is process-wide."""
+    count is process-wide.  A process that imports qslab before numpy already
+    has one thread and no OpenBLAS worker from the start (see qslab/__init__);
+    this covers a process that loaded numpy first, such as a test session or
+    a notebook."""
     threads = _blas_threads()
     if threads is None:
         yield

@@ -45,7 +45,7 @@ def test_prepare_input_validation(solver):
     with pytest.raises(ParameterError, match="displacement"):
         scan.solve_displacement(0.7, solver.params)
     with pytest.raises(ParameterError, match="packet shape"):
-        scan.check_point("state", 3, 0.1)
+        scan.check_point("state", (3, 0.1))
 
 
 def test_shift_is_norm_preserving_and_silent(solver):

@@ -294,3 +294,10 @@ def test_ramsey_config_validation():
         ifm.RamseyConfig(loss_fraction=1.0)
     with pytest.raises(ParameterError):
         ifm.RamseyConfig(atoms_per_shot=0)
+    # the counts are integers: a float or a bool from a library caller is refused,
+    # as YAML input is by the config reader (12.5 phases ran and estimated E wrongly)
+    for name in ("phases", "atoms_per_shot", "repetitions"):
+        for value in (12.5, 12.0, True, "12"):
+            with pytest.raises(ParameterError, match=f"ramsey.{name}"):
+                ifm.RamseyConfig(**{name: value})
+    assert ifm.RamseyConfig(phases=np.int64(8)).phases == 8

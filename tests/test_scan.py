@@ -1,6 +1,7 @@
 """Sweep orchestration, figure artifacts, determinism and the CLI."""
 
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+import qslab
 from qslab import cli, eigensolve, interferometer, qsl, scan
 from qslab.errors import EstimationError, ParameterError
 from qslab.model import LatticeModel, LatticeParams, recoil_hertz
@@ -69,6 +71,13 @@ def test_scan_config_validation():
             scan.ScanConfig(points=(point,))
         with pytest.raises(ParameterError, match=f"state: {where}"):
             scan.ScanConfig(state_point=point)
+    # a point that is not an (n, dx) pair is named as such, not unpacked
+    for point in ((1,), 0.1, (0, 0.1, 2), None):
+        with pytest.raises(ParameterError, match="scan.points: a point must be an"):
+            scan.ScanConfig(points=(point,))
+        if point is not None:   # a None state_point means the config has no state section
+            with pytest.raises(ParameterError, match="state: a point must be an"):
+                scan.ScanConfig(state_point=point)
     numpy_point = (np.int64(1), np.float64(0.1))
     assert scan.ScanConfig(points=(numpy_point,), state_point=numpy_point).points == (
         numpy_point,)
@@ -289,6 +298,28 @@ def test_run_scan_solves_on_one_blas_thread_and_restores_the_count(tmp_path, mon
         assert seen == [1] and get() == caller
     finally:
         put(original)
+
+
+def test_qslab_first_process_starts_numpy_on_one_blas_thread():
+    if scan._blas_threads() is None:
+        pytest.skip("numpy.linalg's BLAS exports no OpenBLAS thread setter")
+    # a fresh interpreter that imports qslab before numpy: OpenBLAS starts on one
+    # thread and the variable that asked for it is gone again; a count the
+    # caller set through the environment is kept, and so is the variable
+    chosen = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+              "OPENBLAS_DEFAULT_NUM_THREADS")
+    clean = {k: v for k, v in os.environ.items() if k not in chosen}
+    clean["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    probe = ("import os, qslab.scan; "
+             "print(qslab.scan._blas_threads()[0](), os.environ.get('OPENBLAS_NUM_THREADS'))")
+    for extra, expected in (({}, "1 None"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 2")):
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**clean, **extra}).stdout
+        assert out.split() == expected.split(), extra
+    # this session loaded numpy before qslab, so importing the package again sets nothing
+    before = dict(os.environ)
+    importlib.reload(qslab)
+    assert dict(os.environ) == before
 
 
 def test_blas_thread_count_never_reaches_the_artifacts(tmp_path, monkeypatch):
