@@ -14,12 +14,11 @@ microseconds only where it writes artifacts.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, ParameterError
+from .errors import EstimationError, ParameterError, check_fields
 from .dynamics import OverlapTrace
 from .qsl import least_squares
 
@@ -52,11 +51,7 @@ class RamseyConfig:
     light_shift_slope: float = 0.0    # rad/us
 
     def __post_init__(self):
-        for name, least in (("phases", 6), ("atoms_per_shot", 1), ("repetitions", 1)):
-            value = getattr(self, name)     # numpy integers too; no bool, no float
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ParameterError(f"ramsey.{name} must be an integer of at least {least}, "
-                                     f"got {value!r}")
+        check_fields(self, "ramsey", phases=6, atoms_per_shot=1, repetitions=1)
         if not 0.0 <= self.loss_fraction < 1.0:
             raise ParameterError("loss fraction must lie in [0, 1)")
         if not np.isfinite(self.light_shift_slope):

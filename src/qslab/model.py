@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_fields
 
 # kinetic prefactor hbar^2/(2 m (lambda/2)^2) in units of E_R (lambda/2)^2
 KAPPA = 1.0 / np.pi**2
@@ -95,6 +95,7 @@ class LatticeParams:
     points_per_site: int = 64
 
     def __post_init__(self):
+        check_fields(self, "lattice")
         if not 0 < self.wavelength < np.inf:
             raise ParameterError("wavelength must be positive and finite")
         if not 0 < self.depth_at_zero < np.inf:

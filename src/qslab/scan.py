@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 import json
-import numbers
 import os
 from collections.abc import Sequence
 from contextlib import contextmanager, suppress
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dynamics, eigensolve, interferometer, qsl
-from .errors import EstimationError, ParameterError
+from .errors import EstimationError, ParameterError, check_fields, check_kind
 from .model import LatticeModel, LatticeParams
 
 DEFAULT_SEED = 20260809
@@ -47,7 +46,7 @@ class ScanConfig:
     params: LatticeParams = field(default_factory=LatticeParams)
     estimator: str = "exact"            # "exact" | "experiment"
     seed: int = DEFAULT_SEED
-    out_dir: str = "qslab-out"
+    out_dir: str | os.PathLike = "qslab-out"
     time_points: int = 64
     curves: bool = True
     curve_points: int = 25
@@ -57,16 +56,17 @@ class ScanConfig:
     workers = 1     # not a field: perfbench/child.py records it until the next benchmark change
 
     def __post_init__(self):
-        if self.estimator not in ("exact", "experiment"):
-            raise ParameterError(f"estimator must be 'exact' or 'experiment', got {self.estimator!r}")
         # linspace(0, tau_MT, N) puts floor(0.3 (N - 1)) samples in (0, 0.3 tau_MT], the
         # xi fit window of qsl.deviation_from_visibility, which needs 6; N = 21 is the least
-        if self.time_points < 21:
-            raise ParameterError(f"time_points must be at least 21, got {self.time_points}")
+        check_fields(self, "scan", time_points=21, curve_points=1)
+        for name, kind in (("points", Sequence), ("params", LatticeParams),
+                           ("ramsey", interferometer.RamseyConfig)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ParameterError(f"scan.{name} must be a {kind.__name__}, got {value!r}")
+        if self.estimator not in ("exact", "experiment"):
+            raise ParameterError(f"estimator must be 'exact' or 'experiment', got {self.estimator!r}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
-        if self.curve_points < 1:
-            raise ParameterError(f"curve_points must be at least 1, got {self.curve_points}")
         if self.state_point is not None:
             check_point("state", self.state_point)
         seen = set()
@@ -85,14 +85,15 @@ def point_label(n: int, dx: float) -> str:
 
 
 def check_point(where: str, point) -> None:
-    """An (n, dx) pair: an integral n in {0, 1, 2} and a real dx in (0, 0.5],
-    numpy scalars too; no bool."""
+    """An (n, dx) pair: an integral n in {0, 1, 2} and a real dx in (0, 0.5]."""
     if not isinstance(point, Sequence) or len(point) != 2:
         raise ParameterError(f"{where}: a point must be an (n, dx) pair, got {point!r}")
     n, dx = point
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n not in (0, 1, 2):
+    check_kind(f"{where}: packet shape n", n, "int")
+    if n not in (0, 1, 2):
         raise ParameterError(f"{where}: packet shape n must be the integer 0, 1 or 2, got {n!r}")
-    if isinstance(dx, bool) or not isinstance(dx, numbers.Real) or not 0.0 < dx <= 0.5:
+    check_kind(f"{where}: displacement", dx, "float")
+    if not 0.0 < dx <= 0.5:
         raise ParameterError(f"{where}: displacement must lie in (0, 0.5], got {dx!r}")
 
 
@@ -113,61 +114,31 @@ def load_config(path: str) -> ScanConfig:
     return config_from_dict({} if raw is None else raw)
 
 
-def _integer(value) -> int:
-    """An int that is not a bool, or an integral float such as 9.0."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def _integral(value):
+    """YAML's float spelling of an integer, such as 9.0, as the int it spells."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def _real(value) -> float:
-    """An int or float that is not a bool, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _points(raw) -> tuple:
-    # null or an empty list keeps the default grid; 0, false, "" or {} is an error
-    if not isinstance(raw, (list, tuple, type(None))):
-        raise TypeError(f"expected a list of [n, dx] pairs, got {raw!r}")
-    return tuple((_integer(n), _real(dx)) for n, dx in raw or ()) or ScanConfig.points
-
-
-# config key -> (field name, converter) per section; a key left out keeps its
-# dataclass default, so each default is set in one place
+# config key -> field name per section; a key left out keeps its dataclass default,
+# so each default is set in one place
 _KEYS = {
-    "lattice": {"wavelength_nm": ("wavelength", lambda nm: _real(nm) * 1e-9),
-                "depth_Er": ("depth_at_zero", _real), "sites": ("sites", _integer),
-                "points_per_site": ("points_per_site", _integer)},
-    "state": {"n": ("n", _integer), "dx_halflambda": ("dx", _real)},
-    "scan": {"points": ("points", _points), "estimator": ("estimator", _string),
-             "seed": ("seed", _integer), "out": ("out_dir", _string),
-             "time_points": ("time_points", _integer),
-             "curves": ("curves", _boolean), "curve_points": ("curve_points", _integer)},
-    "ramsey": {"phases": ("phases", _integer),
-               "atoms_per_shot": ("atoms_per_shot", _integer),
-               "repetitions": ("repetitions", _integer), "loss_fraction": ("loss_fraction", _real),
-               "light_shift_slope_rad_per_us": ("light_shift_slope", _real)},
+    "lattice": {"wavelength_nm": "wavelength", "depth_Er": "depth_at_zero", "sites": "sites",
+                "points_per_site": "points_per_site"},
+    "state": {"n": "n", "dx_halflambda": "dx"},
+    "scan": {"points": "points", "estimator": "estimator", "seed": "seed", "out": "out_dir",
+             "time_points": "time_points", "curves": "curves", "curve_points": "curve_points"},
+    "ramsey": {"phases": "phases", "atoms_per_shot": "atoms_per_shot",
+               "repetitions": "repetitions", "loss_fraction": "loss_fraction",
+               "light_shift_slope_rad_per_us": "light_shift_slope"},
 }
+# field name -> annotation per section; the state section is an (n, dx) point
+_ANNOTATIONS = {"lattice": LatticeParams.__annotations__, "state": {"n": "int", "dx": "float"},
+                "scan": ScanConfig.__annotations__,
+                "ramsey": interferometer.RamseyConfig.__annotations__}
 
 
 def _fields(raw: dict, section: str) -> dict:
-    """Converted keyword arguments for the keys present in one section."""
+    """Keyword arguments for one section's keys, each of its field's kind or an error naming it."""
     body = raw.get(section)
     if body is None:    # a missing or null section keeps the defaults; false, 0 or [] is an error
         body = {}
@@ -177,12 +148,17 @@ def _fields(raw: dict, section: str) -> dict:
     for key, value in body.items():
         if key not in _KEYS[section]:
             raise ParameterError(f"unknown config key {section}.{key}")
-        name, kind = _KEYS[section][key]
-        try:
-            fields[name] = kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(
-                f"config key {section}.{key} has an invalid value {value!r}") from exc
+        name, where = _KEYS[section][key], f"config key {section}.{key}"
+        kind = _ANNOTATIONS[section][name]
+        value = _integral(value) if kind == "int" else value
+        if name != "points":
+            check_kind(where, value, kind)
+        elif not isinstance(value, (list, tuple, type(None))):  # 0, false, "" or {}
+            raise ParameterError(f"{where} must be a list of [n, dx] pairs, got {value!r}")
+        else:   # null or [] keeps the default grid; check_point refuses an entry that is no pair
+            value = tuple((_integral(p[0]), p[1]) if isinstance(p, (list, tuple)) and len(p) == 2
+                          else p for p in value or ()) or ScanConfig.points
+        fields[name] = value * 1e-9 if key == "wavelength_nm" else value
     return fields
 
 

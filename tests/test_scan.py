@@ -248,6 +248,76 @@ def test_config_points_other_than_null_or_empty_list_are_errors(bad):
         assert scan.config_from_dict({"scan": {"points": default}}).points == scan.ScanConfig.points
 
 
+@pytest.mark.parametrize("points", [[[1]], [0.1], [[0, 0.1, 2]]], ids=["[1]", "0.1", "triple"])
+def test_config_points_that_are_not_pairs_are_errors(points):
+    # a YAML entry that is no [n, dx] pair is refused by name, not unpacked
+    with pytest.raises(ParameterError, match="scan.points"):
+        scan.config_from_dict({"scan": {"points": points}})
+
+
+# (dataclass, its keyword arguments, the field its error names, the YAML config, the key
+# its error names): a library caller and a config file meet one kind check.  params and
+# ramsey have no YAML spelling, and YAML reads sites: 9.0 as 9, so 9.5 stands in there
+KIND_PROBES = [
+    (scan.ScanConfig, {"seed": "7"}, "scan.seed", {"scan": {"seed": "7"}}, "scan.seed"),
+    (LatticeParams, {"points_per_site": "64"}, "lattice.points_per_site",
+     {"lattice": {"points_per_site": "64"}}, "lattice.points_per_site"),
+    (scan.ScanConfig, {"points": 5}, "scan.points", {"scan": {"points": 5}}, "scan.points"),
+    (LatticeParams, {"sites": 9.0}, "lattice.sites", {"lattice": {"sites": 9.5}},
+     "lattice.sites"),
+    (scan.ScanConfig, {"time_points": 64.5}, "scan.time_points",
+     {"scan": {"time_points": 64.5}}, "scan.time_points"),
+    (scan.ScanConfig, {"curves": 1}, "scan.curves", {"scan": {"curves": 1}}, "scan.curves"),
+    (scan.ScanConfig, {"out_dir": None}, "scan.out_dir", {"scan": {"out": None}}, "scan.out"),
+    (scan.ScanConfig, {"params": None}, "scan.params", None, None),
+    (scan.ScanConfig, {"ramsey": {}}, "scan.ramsey", None, None),
+    (LatticeParams, {"depth_at_zero": "270"}, "lattice.depth_at_zero",
+     {"lattice": {"depth_Er": "270"}}, "lattice.depth_Er"),
+    (LatticeParams, {"wavelength": "866e-9"}, "lattice.wavelength",
+     {"lattice": {"wavelength_nm": "866"}}, "lattice.wavelength_nm"),
+    (interferometer.RamseyConfig, {"loss_fraction": "0.1"}, "ramsey.loss_fraction",
+     {"ramsey": {"loss_fraction": "0.1"}}, "ramsey.loss_fraction"),
+]
+
+
+@pytest.mark.parametrize("cls,kwargs,name,raw,key", KIND_PROBES,
+                         ids=[f"{p[2]}={next(iter(p[1].values()))!r}" for p in KIND_PROBES])
+def test_library_and_config_values_meet_one_kind_check(cls, kwargs, name, raw, key):
+    # seed="7" and points=5 raised a raw TypeError; sites=9.0, time_points=64.5,
+    # curves=1, out_dir=None, params=None and ramsey={} were accepted
+    with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be "):
+        cls(**kwargs)
+    if raw is not None:
+        with pytest.raises(ParameterError, match=rf"^config key {re.escape(key)} must be "):
+            scan.config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw,direct", [
+    ({"lattice": {"sites": 9.0, "points_per_site": 32.0, "wavelength_nm": 866, "depth_Er": 270}},
+     dict(params=LatticeParams(sites=9, points_per_site=32))),
+    ({"scan": {"points": [[0.0, 0.08], [2, 0.16]], "seed": 11.0, "out": "here"}},
+     dict(points=((0, 0.08), (2, 0.16)), seed=11, out_dir="here")),
+    ({"state": {"n": 1.0, "dx_halflambda": 0.1}}, dict(state_point=(1, 0.1))),
+    ({"ramsey": {"phases": 12.0, "loss_fraction": 0, "light_shift_slope_rad_per_us": 81}},
+     dict(ramsey=interferometer.RamseyConfig(phases=12, loss_fraction=0.0,
+                                             light_shift_slope=81.0))),
+], ids=["lattice", "scan", "state", "ramsey"])
+def test_config_equals_the_library_config(raw, direct):
+    # only the config reader turns an integral float into the int it spells
+    cfg = scan.config_from_dict(raw)
+    assert cfg == scan.ScanConfig(**direct)
+    integers = [cfg.params.sites, cfg.params.points_per_site, cfg.seed, cfg.ramsey.phases,
+                *(n for n, _ in cfg.points), *(cfg.state_point or ())[:1]]
+    assert all(type(value) is int for value in integers)
+
+
+def test_out_dir_takes_a_path_object(tmp_path):
+    summary = scan.run_scan(small_config(tmp_path, out_dir=tmp_path / "out", points=((0, 0.16),)))
+    assert (summary["points_completed"], summary["points_failed"]) == (1, 0)
+    assert (tmp_path / "out" / "n0_dx0.1600" / "report.json").is_file()
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
 def test_point_labels_are_unique():
     # 0.10001 and 0.10002 both wrote n0_dx0.1000, the second point over the first
     assert scan.point_label(0, 0.10001) == "n0_dx0.1000"

@@ -1,10 +1,12 @@
 #!/bin/sh
-# Write six artifact sets, each with its stdout, into the directory OUT:
+# Write seven artifact sets, each with its stdout, into the directory OUT:
 #   exact/        qslab scan, default grid, estimator exact, seed 11
 #   experiment/   qslab scan, default grid, estimator experiment, seed 11
 #   fine-grid/    qslab scan with the fine-grid config of perfbench/workloads.py, seed 11
 #   ramsey-dense/ qslab scan with the ramsey-dense config of perfbench/workloads.py,
 #                 seed 11: 3 points x 2048 times x 24 phases of fringes.csv rows
+#   yaml-kinds/   qslab scan with a config that spells integers as floats
+#                 (sites: 9.0, seed: 11.0) and reals as integers (wavelength_nm: 866)
 #   bands/        qslab bands with its defaults
 #   qubit/        qslab qubit with its defaults
 # and acceptance.stdout, the "[criterion ...]" verdict lines of
@@ -45,6 +47,13 @@ for name in ("fine-grid", "ramsey-dense"):
 PY
 qslab scan --config fine-grid.yaml > fine-grid.stdout
 qslab scan --config ramsey-dense.yaml > ramsey-dense.stdout
+cat > yaml-kinds.yaml <<'YAML'
+lattice: {wavelength_nm: 866, depth_Er: 270, sites: 9.0, points_per_site: 32.0}
+scan: {points: [[0.0, 0.08], [2, 0.16]], seed: 11.0, curves: true, curve_points: 3,
+       estimator: experiment, out: yaml-kinds}
+ramsey: {phases: 12.0, loss_fraction: 0, light_shift_slope_rad_per_us: 81}
+YAML
+qslab scan --config yaml-kinds.yaml > yaml-kinds.stdout
 qslab bands --out bands > bands.stdout
 qslab qubit --out qubit > qubit.stdout
 # pytest writes to a file first: sh has no pipefail, so a pipe would hide
