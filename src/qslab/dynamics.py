@@ -121,8 +121,9 @@ def to_spectral(packet: np.ndarray, eig: EigenDecomposition) -> SpectralState:
     Time reversal maps a real packet's coefficients in block q onto block
     -q, whose modes are the conjugates, so w_q = 2 for q > 0 counts both.
     """
-    amplitudes = np.einsum("qab,qa->qb", eig.vectors.conj(), packet)
-    populations = eig.weights[:, None] * np.abs(amplitudes) ** 2
+    # V^T Re a - i V^T Im a, the conjugate of V^dagger a for real and complex V alike
+    re, im = (np.einsum("qab,qa->qb", eig.vectors, part) for part in (packet.real, packet.imag))
+    populations = eig.weights[:, None] * np.abs(re - 1j * im) ** 2
     total = float(populations.sum())
     if abs(total - 1.0) > 1e-10:
         raise NumericError(f"Parseval defect {abs(total - 1.0):.2e}; packet not normalised")
@@ -189,22 +190,3 @@ def evolve_overlap(spectral: SpectralState, t_end: float, count: int) -> Overlap
     defect = None if step is None else float(
         np.abs(overlaps - step * partials[:, ::step].sum(axis=1)).max())
     return OverlapTrace(times=times, overlaps=overlaps, quadrature_defect=defect)
-
-
-def direct_moments(blocks: np.ndarray, packet: np.ndarray, weights: np.ndarray,
-                   ground_offset: float = 0.0) -> tuple[float, float]:
-    """(E, dE) from the half-zone Bloch blocks applied to a packet's (Q, P)
-    coefficients, with no eigenbasis: E = sum_q w_q a_q^dagger H_q a_q - E_0
-    and dE^2 = sum_q w_q ||(H_q - E_0 - E) a_q||^2.
-
-    The reference curves' route; the spectral one (to_spectral, moments) is
-    its oracle: over the default points and curves e and de agree to about
-    1e-13 relative.
-    """
-    def mean(x, y):                 # sum_q w_q x_q^dagger y_q
-        return float(np.einsum("q,qa,qa->", weights, x.conj(), y).real)
-
-    h_psi = np.einsum("qab,qb->qa", blocks, packet) - ground_offset * packet
-    e = mean(packet, h_psi)
-    d_psi = h_psi - e * packet                    # (H - E) psi
-    return e, float(np.sqrt(max(mean(d_psi, d_psi), 0.0)))

@@ -28,6 +28,11 @@ def check_kind(where: str, value, annotation: str) -> None:
     kind, name = _KINDS[annotation]
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ParameterError(f"{where} must be {name}, got {value!r}")
+    if annotation == "float":
+        try:
+            float(value)
+        except OverflowError:   # an integer past 1.8e308, whose repr may be too long to print
+            raise ParameterError(f"{where} must be {name}, got one too large for a float") from None
 
 
 def check_fields(config, section: str, **least) -> None:

@@ -86,7 +86,10 @@ class LatticeParams:
     grid centers a well at the origin.  points_per_site must be at least 4
     for the three packet states, and even: dynamics.packets puts the cell's
     first sample at u = -1/2 through a (-1)^m sign, and the cell
-    u = (l - P/2)/P starts there only for even P.  Nothing needs a power of two.
+    u = (l - P/2)/P starts there only for even P; and only for even P does
+    m -> -m map block q = 0's plane waves onto themselves, which splits it
+    into the even and odd halves of eigensolve.q0_modes.  Nothing needs a
+    power of two.
     """
 
     wavelength: float = 866e-9
@@ -107,8 +110,8 @@ class LatticeParams:
             raise ParameterError(f"points_per_site must be at least 4, got {p}: the "
                                  "packets n = 0, 1, 2 need three q = 0 cell states")
         if p % 2:
-            raise ParameterError(f"points_per_site must be even, got {p}: the packets' "
-                                 "(-1)^m origin shift needs the cell to start at u = -1/2")
+            raise ParameterError(f"points_per_site must be even, got {p}: the packets' (-1)^m "
+                                 "origin shift and the q = 0 parity halves need it")
 
 
 @dataclass(frozen=True)

@@ -286,21 +286,28 @@ def coherent_reference_curve(alphas: np.ndarray) -> np.ndarray:
 def lattice_reference_curves(config: ScanConfig, dx_values: np.ndarray) -> list[dict]:
     """Exact-model (inv_tau_ml, inv_tau_mt) curves, one per packet shape.
 
-    E and dE need only the q = 0 block's eigenbasis: that solve gives the
-    packets (dynamics.packets) and E_0, as it does for the points, and
-    dynamics.direct_moments applies the half-zone Bloch blocks to each
-    packet's block coefficients, with the points' weights.
+    E and dE need only the three lowest q = 0 modes, which one
+    eigensolve.q0_modes call solves at every displacement: they give the
+    packets (dynamics.packets) and E_0, as decompose does for the points.  The
+    half-zone blocks act on the packets, with the points' weights, by their
+    stencil (H - E_0) a = (kappa k^2 - U0/2 - E_0) a - (U0/4) (a[m + 1] + a[m - 1]).
     """
-    rows = []
-    for dx in map(float, dx_values):
-        model = _site_model(dx, config.params)
-        blocks, orders, q, weights = eigensolve.half_zone(model.depth, config.params.sites,
-                                                          config.params.points_per_site)
-        site_e, vectors = np.linalg.eigh(blocks[0])
-        for n, packet in enumerate(dynamics.packets(dx, vectors[:, :3], q, orders)):
-            e, de = dynamics.direct_moments(blocks, packet, weights, site_e[0])
-            rows.append({"n": n, "dx": dx, "inv_tau_ml": 4.0 * e / model.homega,
-                         "inv_tau_mt": 4.0 * de / model.homega})
+    params = config.params
+    models = [_site_model(dx, params) for dx in map(float, dx_values)]
+    site_e, modes = eigensolve.q0_modes([model.depth for model in models],
+                                        params.points_per_site, 3)
+    q, weights = eigensolve.half_zone(params.sites)
+    orders, kinetic, up, down = eigensolve.plane_waves(params.points_per_site, q)
+    block, rows = np.arange(q.size)[:, None], []
+    for model, ground, cell_modes in zip(models, site_e[:, 0], modes):
+        a, depth = dynamics.packets(model.dx, cell_modes, q, orders), model.depth
+        h_a = (kinetic - depth / 2.0 - ground) * a \
+            - depth / 4.0 * (a[:, block, up] + a[:, block, down])       # (H - E_0) a
+        e = (a.conj() * h_a).real.sum(axis=2) @ weights
+        de = np.sqrt((np.abs(h_a - e[:, None, None] * a) ** 2).sum(axis=2) @ weights)
+        ml, mt = (4.0 * np.array([e, de]) / model.homega).tolist()
+        rows += [{"n": n, "dx": model.dx, "inv_tau_ml": ml[n], "inv_tau_mt": mt[n]}
+                 for n in range(3)]
     return rows
 
 
@@ -352,16 +359,21 @@ def write_json(path: str, payload) -> None:
 _FIT_RECORD = '{"phi": %r, "phi_err": %r, "t_us": %s, "v": %r, "v_err": %r}'
 
 
-def _write_point(result: PointResult, out_dir: str) -> None:
+def _write_point(result: PointResult, out_dir: str) -> str:
+    """Write the point's directory; returns its fig2.csv rows, from the same
+    text of its times and |A|."""
     pdir = os.path.join(out_dir, result.label)
     make_out_dir(pdir)
     scale = result.model.time_us_per_unit
-    # each time is formatted once; trace.csv, fringes.csv and fits.json share the text
-    t_text = list(map(str, (result.trace.times * scale).tolist()))
-    write_csv(os.path.join(pdir, "trace.csv"),
-              ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
-              [t_text, result.trace.overlaps.real, result.trace.overlaps.imag,
-               result.trace.visibility, result.trace.fs_distance])
+    trace = result.trace
+    # each time and |A| is formatted once, as str of a float: trace.csv,
+    # fringes.csv, fits.json and fig2.csv share the text
+    t_text = list(map(str, (trace.times * scale).tolist()))
+    abs_text = list(map(str, trace.visibility.tolist()))
+    rows = map("{},{},{},{},{}".format, t_text, trace.overlaps.real.tolist(),
+               trace.overlaps.imag.tolist(), abs_text, trace.fs_distance.tolist())
+    _write_atomic(os.path.join(pdir, "trace.csv"),
+                  "\n".join(["t_us,re_A,im_A,abs_A,fs_distance", *rows]) + "\n")
     # json prints an np.float64, a float subclass, as its repr, as it does a float
     write_json(os.path.join(pdir, "report.json"), {
         "e_Er": result.e,
@@ -393,24 +405,19 @@ def _write_point(result: PointResult, out_dir: str) -> None:
                                                t_text, series.v.tolist(), series.v_err.tolist()))
         _write_atomic(os.path.join(pdir, "fits.json"), "[\n" + ",\n".join(records) + "\n]\n")
         write_json(os.path.join(pdir, "estimates.json"), result.estimates)
+    tau_c_us = _fmt(result.tau_c * scale if result.tau_c is not None else "")
+    row = f"{result.label},{{}},{{}},{{}},{{}},{tau_c_us}\n".format
+    return "".join(map(row, t_text, abs_text, qsl.mt_bound(result.de, trace.times).tolist(),
+                       qsl.ml_bound(result.e, trace.times).tolist()))
 
 
 def _figure_columns(results: list[PointResult]):
-    """The columns of fig2.csv, fig3.csv and fig4.csv.  A point's label and
-    tau_c_us text is formatted once and repeated down its fig2 rows.  A point
-    with a dE estimate gives fig3 (its tau_c too) and fig4 its estimates, any
-    other its record."""
-    labels, traces, tau_text = [], [np.empty((4, 0))], []
+    """The columns of fig3.csv and fig4.csv.  A point with a dE estimate
+    gives fig3 (its tau_c too) and fig4 its estimates, any other its record."""
     fig3, fig4 = [[] for _ in range(6)], [[] for _ in range(6)]
     for res in results:
         scale = res.model.time_us_per_unit
         homega = res.model.homega
-        times = res.trace.times
-        tau_c_us = res.tau_c * scale if res.tau_c is not None else ""
-        labels += [res.label] * times.size
-        tau_text += [_fmt(tau_c_us)] * times.size
-        traces.append([times * scale, res.trace.visibility,
-                       qsl.mt_bound(res.de, times), qsl.ml_bound(res.e, times)])
         est = {"e_Er": res.e, "de_Er": res.de, "xi_fit": res.xi_fit} | (
             res.estimates if "de_Er" in (res.estimates or ()) else {})
         e_val, de_val, xi = est["e_Er"], est["de_Er"], max(est["xi_fit"], 0.0)
@@ -420,7 +427,7 @@ def _figure_columns(results: list[PointResult]):
         cells4 = (res.n, res.dx, de_val / homega, xi, xi**0.25, int(res.dx > 0.25))
         for column, cell in zip(fig3 + fig4, cells3 + cells4):
             column.append(cell)
-    return [labels, *np.hstack(traces), tau_text], fig3, fig4
+    return fig3, fig4
 
 
 def _failure(n: int, dx: float, stage: str, exc: Exception) -> dict:
@@ -482,11 +489,8 @@ def _one_blas_thread():
         put(before)
 
 
-@_one_blas_thread()
-def run_points(config: ScanConfig) -> tuple[list[PointResult], list[dict]]:
-    """Execute the configured points on one BLAS thread and write each
-    completed point's directory, and nothing else, into config.out_dir.
-    Returns the results in configuration order and the failure records."""
+def _run_points(config: ScanConfig):
+    """run_points, plus each result's fig2.csv rows."""
     make_out_dir(config.out_dir)
     by_dx: dict[float, list[tuple[int, int]]] = {}
     for idx, (n, dx) in enumerate(config.points):
@@ -496,9 +500,15 @@ def run_points(config: ScanConfig) -> tuple[list[PointResult], list[dict]]:
     for dx, group in by_dx.items():
         _run_group(dx, group, config, results, failures)
     ordered = [results[i] for i in sorted(results)]
-    for res in ordered:
-        _write_point(res, config.out_dir)
-    return ordered, failures
+    return ordered, failures, [_write_point(res, config.out_dir) for res in ordered]
+
+
+@_one_blas_thread()
+def run_points(config: ScanConfig) -> tuple[list[PointResult], list[dict]]:
+    """Execute the configured points on one BLAS thread and write each
+    completed point's directory, and nothing else, into config.out_dir.
+    Returns the results in configuration order and the failure records."""
+    return _run_points(config)[:2]
 
 
 @_one_blas_thread()
@@ -509,10 +519,10 @@ def run_scan(config: ScanConfig) -> dict:
     if config.curves:   # before any output: a lattice too shallow for them writes nothing
         rows = lattice_reference_curves(config, np.geomspace(0.025, 0.5, config.curve_points))
         curves = [[r[key] for r in rows] for key in ("n", "dx", "inv_tau_ml", "inv_tau_mt")]
-    ordered, failures = run_points(config)
-    fig2, fig3, fig4 = _figure_columns(ordered)
-    write_csv(os.path.join(config.out_dir, "fig2.csv"),
-              ["point", "t_us", "abs_A", "mt_bound", "ml_bound", "tau_c_us"], fig2)
+    ordered, failures, fig2 = _run_points(config)
+    _write_atomic(os.path.join(config.out_dir, "fig2.csv"),
+                  "".join(["point,t_us,abs_A,mt_bound,ml_bound,tau_c_us\n", *fig2]))
+    fig3, fig4 = _figure_columns(ordered)
     write_csv(os.path.join(config.out_dir, "fig3.csv"),
               ["n", "dx", "inv_tau_ml", "inv_tau_mt", "regime", "tau_c_us"], fig3)
     write_csv(os.path.join(config.out_dir, "fig4.csv"),

@@ -1,15 +1,16 @@
 """Shared fixtures: cached lattice solutions, the default-grid sweep, the
 oracles of the Bloch solver (the dense Hamiltonian on the S-site grid, the
-Bloch blocks of a sampled cell and Mathieu's equation), the grid route the
-half-zone packets are checked against (real cell states of the q = 0 modes,
-zero-padded and shifted on the grid), the two-pass overlap sum the factored
-one is checked against, the per-record fringe fit and per-cell CSV
-formatter the batched paths are checked against, the column and encoder
-composition of a point's fringes.csv and fits.json that the row templates
-are checked against, and the closed forms the
-package does not need (harmonic-oscillator populations and xi, the
-Bhatia-Davis cap, the angle-to-displacement map, the coherent amplitude,
-the trap frequency in rad/s and the two-level populations and overlap)."""
+Bloch blocks of a sampled cell and by gather, and Mathieu's equation), the
+block-product moments the reference curves' stencil is checked against, the
+grid route the half-zone packets are checked against (real cell states of
+the q = 0 modes, zero-padded and shifted on the grid), the two-pass overlap
+sum the factored one is checked against, the per-record fringe fit and
+per-cell CSV formatter the batched paths are checked against, the column
+and encoder composition of a point's fringes.csv and fits.json that the row
+templates are checked against, and the closed forms the package does not
+need (harmonic-oscillator populations and xi, the Bhatia-Davis cap, the
+angle-to-displacement map, the coherent amplitude, the trap frequency in
+rad/s and the two-level populations and overlap)."""
 
 import json
 from dataclasses import dataclass
@@ -106,6 +107,37 @@ def cell_blocks(cell, quasimomenta):
     coupling = v_g[(orders[:, :, None] - orders[:, None, :]) % p]
     kinetic = KAPPA * (q + 2.0 * np.pi * orders) ** 2
     return coupling + kinetic[:, :, None] * np.eye(p), orders
+
+
+def gather_blocks(depth, points, quasimomenta):
+    """The Bloch blocks of eigensolve._bloch_blocks by gather, its bitwise
+    oracle: the three Fourier components V[0] = -U0/2 and V[1] = V[P - 1] =
+    -U0/4 read from a (Q, P, P) table of order differences (m - m') mod P,
+    plus the kinetic diagonal."""
+    q = np.asarray(quasimomenta, dtype=float)[:, None]
+    window = np.ceil(-points / 2 - q / (2.0 * np.pi)).astype(int) + np.arange(points)
+    orders = np.take_along_axis(
+        window, np.argsort(np.abs(q + 2.0 * np.pi * window), axis=1, kind="stable"), axis=1)
+    v_g = np.zeros(points)
+    v_g[0], v_g[1], v_g[-1] = -depth / 2.0, -depth / 4.0, -depth / 4.0
+    coupling = v_g[(orders[:, :, None] - orders[:, None, :]) % points]
+    kinetic = KAPPA * (q + 2.0 * np.pi * orders) ** 2
+    return coupling + kinetic[:, :, None] * np.eye(points), orders
+
+
+def direct_moments(blocks, packet, weights, ground_offset=0.0):
+    """(E, dE) from the half-zone Bloch blocks applied to a packet's (Q, P)
+    coefficients, with no eigenbasis: E = sum_q w_q a_q^dagger H_q a_q - E_0
+    and dE^2 = sum_q w_q ||(H_q - E_0 - E) a_q||^2.  The oracle of the
+    reference curves' stencil (dynamics.stencil_moments), itself checked
+    against the spectral route (to_spectral, moments)."""
+    def mean(x, y):                 # sum_q w_q x_q^dagger y_q
+        return float(np.einsum("q,qa,qa->", weights, x.conj(), y).real)
+
+    h_psi = np.einsum("qab,qb->qa", blocks, packet) - ground_offset * packet
+    e = mean(packet, h_psi)
+    d_psi = h_psi - e * packet                    # (H - E) psi
+    return e, float(np.sqrt(max(mean(d_psi, d_psi), 0.0)))
 
 
 def cell_decompose(cell, sites):

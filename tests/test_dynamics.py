@@ -13,7 +13,7 @@ from qslab.errors import NumericError, ParameterError
 from qslab.model import LatticeModel, LatticeParams
 
 from conftest import (FullZone, LatticeSolver, block_packets, cell_decompose, central_cell,
-                      coherent_alpha, grid_packet, overlap_oracle, q0_sites)
+                      coherent_alpha, direct_moments, grid_packet, overlap_oracle, q0_sites)
 
 
 def poisson_pmf(k, x):
@@ -65,15 +65,15 @@ def test_packets_ignore_the_global_phase_of_a_mode(solver):
     # phase drops out of the populations and of the moments
     dx = 0.16
     model, eig, packets, _ = solver.solve(dx)
-    blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
-                                      model.params.points_per_site)
+    blocks, _ = eigensolve._bloch_blocks(model.depth, model.params.points_per_site,
+                                         eig.quasimomenta)
     phases = np.array([-1.0, np.exp(0.7j), np.exp(-2.3j)])
     rephased = dyn.packets(dx, eig.vectors[0, :, :3] * phases, eig.quasimomenta, eig.orders)
     for packet, other in zip(packets, rephased):
         pops = dyn.to_spectral(packet, eig).populations
         assert np.abs(dyn.to_spectral(other, eig).populations - pops).max() <= 1e-15
         (e, de), (other_e, other_de) = (
-            dyn.direct_moments(blocks, a, eig.weights, eig.ground_offset) for a in (packet, other))
+            direct_moments(blocks, a, eig.weights, eig.ground_offset) for a in (packet, other))
         assert abs(other_e / e - 1.0) <= 1e-14
         assert abs(other_de / de - 1.0) <= 1e-14
 
@@ -238,34 +238,56 @@ def test_direct_moments_cross_check(solver):
     # the two routes agree to about 1e-13 relative
     for dx in (0.025, 0.08, 0.5):
         model, eig, packets, _ = solver.solve(dx)
-        blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
-                                          model.params.points_per_site)
+        blocks, _ = eigensolve._bloch_blocks(model.depth, model.params.points_per_site,
+                                             eig.quasimomenta)
         for packet in packets:
             spec_moms = dyn.moments(dyn.to_spectral(packet, eig))
-            e, de = dyn.direct_moments(blocks, packet, eig.weights, eig.ground_offset)
+            e, de = direct_moments(blocks, packet, eig.weights, eig.ground_offset)
             assert abs(e / spec_moms.e - 1.0) <= 1e-11
             assert abs(de / spec_moms.de - 1.0) <= 1e-11
 
 
+def test_curves_stencil_matches_block_product():
+    # the reference curves' E and dE from the three-term stencil on the q = 0
+    # parity modes of one batched solve, against the half-zone blocks
+    # applied to packets from decompose, on the 25 default displacements
+    config = scan.ScanConfig()
+    dx_values = np.geomspace(0.025, 0.5, config.curve_points)
+    rows = scan.lattice_reference_curves(config, dx_values)
+    params = config.params
+    for i, dx in enumerate(dx_values):
+        model = LatticeModel(params, dx)
+        eig = eigensolve.decompose(model.depth, params.sites, params.points_per_site)
+        blocks, _ = eigensolve._bloch_blocks(model.depth, params.points_per_site,
+                                             eig.quasimomenta)
+        for n, packet in enumerate(block_packets(dx, eig)):
+            e, de = direct_moments(blocks, packet, eig.weights, eig.ground_offset)
+            row = rows[3 * i + n]
+            assert (row["n"], row["dx"]) == (n, dx)
+            assert row["inv_tau_ml"] == pytest.approx(4.0 * e / model.homega, rel=1e-12)
+            assert row["inv_tau_mt"] == pytest.approx(4.0 * de / model.homega, rel=1e-12)
+
+
 def test_direct_moments_stationary_and_plane_wave(solver):
     model, eig, *_ = solver.solve(0.0)
-    blocks, *_ = eigensolve.half_zone(model.depth, model.params.sites,
-                                      model.params.points_per_site)
+    blocks, _ = eigensolve._bloch_blocks(model.depth, model.params.points_per_site,
+                                         eig.quasimomenta)
     ground = np.zeros(eig.orders.shape)
     ground[0] = eig.vectors[0][:, 0]
-    e, de = dyn.direct_moments(blocks, ground, eig.weights, eig.ground_offset)
+    e, de = direct_moments(blocks, ground, eig.weights, eig.ground_offset)
     assert e == pytest.approx(0.0, abs=1e-9)
     assert de < dyn.STATIONARY_DE
     # a standing wave on a flat potential is an exact eigenstate of the
     # kinetic term: cos(k1 u) is the plane wave k1 and its -q partner
     from qslab.model import KAPPA
 
-    blocks, orders, q, weights = eigensolve.half_zone(0.0, 5, 32)
+    q, weights = eigensolve.half_zone(5)
+    blocks, orders = eigensolve._bloch_blocks(0.0, 32, q)
     k1 = 2.0 * np.pi / 5
     assert q[1] == pytest.approx(k1, rel=1e-15)
     wave = np.zeros(orders.shape, dtype=complex)
     wave[1, orders[1] == 0] = np.sqrt(0.5)
-    e0, de0 = dyn.direct_moments(blocks, wave, weights)
+    e0, de0 = direct_moments(blocks, wave, weights)
     assert e0 == pytest.approx(KAPPA * k1**2, rel=1e-12)
     assert de0 == pytest.approx(0.0, abs=1e-9)
 

@@ -13,7 +13,7 @@ from qslab.model import KAPPA, LatticeModel, LatticeParams, recoil_hertz
 from qslab.scan import ScanConfig, lattice_reference_curves, run_point, solve_displacement
 
 from conftest import (FullZone, block_packets, cell_blocks, central_cell, displacement_from_angle,
-                      grid_hamiltonian, grid_packet, mathieu_defect, q0_sites)
+                      gather_blocks, grid_hamiltonian, grid_packet, mathieu_defect, q0_sites)
 
 ORTHO_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -63,12 +63,13 @@ def test_time_reversal_half_zone_solve(sites, monkeypatch):
     # block -q is block q with plane-wave orders m -> -m, so it is never built
     model = LatticeModel(replace(SMALL, sites=sites), 0.11)
     eigh, solved = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(len(b)) or eigh(b))
+    monkeypatch.setattr(np.linalg, "eigh", lambda b: solved.append(b.shape) or eigh(b))
     eig = es.decompose(model.depth, sites, SMALL.points_per_site)
-    # only the q >= 0 blocks are diagonalised, and nothing is kept for -q
-    assert solved == [(sites + 1) // 2]
+    # only the q >= 0 blocks are diagonalised, q = 0 by its two parity
+    # halves, and nothing is kept for -q
     half = (sites + 1) // 2
     p = SMALL.points_per_site
+    assert solved == [(1, p // 2 + 1, p // 2 + 1), (1, p // 2 - 1, p // 2 - 1), (half - 1, p, p)]
     assert eig.energies.shape == (half, p) and eig.vectors.shape == (half, p, p)
     assert np.array_equal(eig.quasimomenta, 2.0 * np.pi * np.arange(half) / sites)
     # the mirrored blocks complete the full zone's eigenmodes
@@ -144,6 +145,42 @@ def test_three_term_blocks_match_sampled_cell():
         assert np.array_equal(orders, ref_orders)
         assert np.abs(blocks - ref).max() <= 1e-14 * model.depth, (p, dx, depth)
         assert np.abs(np.linalg.eigvalsh(blocks) - np.linalg.eigvalsh(ref)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("depth", [270.0, 3.7])
+def test_scatter_blocks_equal_gather_formula(depth):
+    # the blocks written from each row's neighbour rows are the gathered
+    # (m - m') mod P table's, bit for bit, on half zones and on the q grid of
+    # band_structure, whose last point is the zone edge q = pi
+    q_grid = np.linspace(-np.pi, np.pi, 9)[1:]
+    cases = [(2.0 * np.pi * np.arange(s // 2 + 1) / s, p)
+             for s, p in ((1, 4), (5, 6), (3, 32), (9, 64), (9, 128))]
+    for q, p in cases + [(q_grid, 4), (q_grid, 64)]:
+        blocks, orders = es._bloch_blocks(depth, p, q)
+        ref, ref_orders = gather_blocks(depth, p, q)
+        assert np.array_equal(orders, ref_orders)
+        assert blocks.tobytes() == ref.tobytes(), (p, q.size)
+
+
+@pytest.mark.parametrize("p", [4, 6, 32, 64, 128])
+def test_q0_parity_solve_matches_full_block(p):
+    # the even and odd halves give the full q = 0 block's spectrum and
+    # modes, and each mode is exactly even or exactly odd on (m, -m)
+    for depth in (270.0, 3.7):
+        eig = es.decompose(depth, 3, p)
+        block, orders = gather_blocks(depth, p, [0.0])
+        energies, modes = eig.energies[0], eig.vectors[0]
+        ref = np.linalg.eigvalsh(block[0])
+        scale = np.abs(ref).max()
+        assert np.abs(energies - ref).max() <= 1e-12 * scale
+        assert np.all(np.diff(energies) >= 0.0) and eig.ground_offset == energies[0]
+        assert np.abs(block[0] @ modes - modes * energies).max() <= 1e-12 * scale
+        assert np.abs(modes.T @ modes - np.eye(p)).max() <= 1e-12
+        partner = np.argsort(orders[0] % p)[-orders[0] % p]     # the row of order -m
+        even = np.all(modes[partner] == modes, axis=0)
+        odd = np.all(modes[partner] == -modes, axis=0)
+        assert np.all(even ^ odd)
+        assert (even.sum(), odd.sum()) == (p // 2 + 1, p // 2 - 1)
 
 
 def test_decompose_input_errors():
@@ -238,25 +275,35 @@ def test_site_energies_independent_of_box_size():
 
 @pytest.mark.parametrize("sites", [11, 33])
 def test_site_ground_energy_is_lattice_ground_offset(sites, monkeypatch):
-    # the reference curves solve only the q = 0 block and subtract its ground
-    # energy; the points subtract decompose's ground_offset, the same value
-    offsets, direct = [], dyn.direct_moments
-    monkeypatch.setattr(dyn, "direct_moments",
-                        lambda b, a, w, e_0: offsets.append(e_0) or direct(b, a, w, e_0))
+    # the reference curves measure E from the ground energy of their one
+    # batched q = 0 solve; the points from decompose's ground_offset, the
+    # same value
     config = ScanConfig(params=LatticeParams(sites=sites))
-    for dx in (0.025, 0.1, 0.5):
-        offsets.clear()
-        lattice_reference_curves(config, [dx])
-        model = LatticeModel(config.params, dx)
-        ground = es.decompose(model.depth, sites, model.params.points_per_site).ground_offset
-        assert offsets == [ground] * 3
+    dx_values = (0.025, 0.1, 0.5)
+    models = [LatticeModel(config.params, dx) for dx in dx_values]
+    offsets = [es.decompose(model.depth, sites, model.params.points_per_site).ground_offset
+               for model in models]
+    solve, grounds = es.q0_modes, []
+    monkeypatch.setattr(es, "q0_modes",
+                        lambda *args: grounds.append((out := solve(*args))[0][:, 0]) or out)
+    rows = lattice_reference_curves(config, dx_values)
+    assert len(grounds) == 1 and grounds[0].tolist() == offsets
+    # a ground energy 1 E_R higher lowers each curve's E by 1 E_R, not its dE
+    monkeypatch.setattr(es, "q0_modes",
+                        lambda *args: ((out := solve(*args))[0] + [1.0, 0.0, 0.0], out[1]))
+    moved = lattice_reference_curves(config, dx_values)
+    for row, shifted, model in zip(rows, moved, np.repeat(models, 3)):
+        assert shifted["inv_tau_ml"] == pytest.approx(row["inv_tau_ml"] - 4.0 / model.homega,
+                                                      rel=1e-9)
+        assert shifted["inv_tau_mt"] == pytest.approx(row["inv_tau_mt"], rel=1e-9)
 
 
 def test_each_displacement_solves_its_q0_block_once(monkeypatch):
     # the half-zone solve is the only q = 0 solve: one block build, one eigh
-    # and one packets call per displacement for the points, none more per
-    # point, and one build, one q = 0 eigh and one packets call per curve
-    # displacement
+    # per parity half of q = 0, one of the q > 0 blocks and one packets call
+    # per displacement for the points, none more per point; the curve
+    # displacements share one eigh per parity half of their q = 0 blocks,
+    # build no block and make one packets call each
     builds, solves, packets = [], [], []
     bloch_blocks, eigh, make_packets = es._bloch_blocks, np.linalg.eigh, dyn.packets
     monkeypatch.setattr(es, "_bloch_blocks",
@@ -264,15 +311,17 @@ def test_each_displacement_solves_its_q0_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda b: solves.append(b.shape) or eigh(b))
     monkeypatch.setattr(dyn, "packets", lambda dx, *a: packets.append(dx) or make_packets(dx, *a))
     half, p = (SMALL.sites + 1) // 2, SMALL.points_per_site
+    even, odd = (p // 2 + 1,) * 2, (p // 2 - 1,) * 2
     config = ScanConfig(params=SMALL)
     solved = solve_displacement(0.1, SMALL)
     for n in (0, 1, 2):
         run_point(n, 0.1, config, solved)
-    assert builds == [half] and solves == [(half, p, p)] and packets == [0.1]
+    assert builds == [half] and packets == [0.1]
+    assert solves == [(1, *even), (1, *odd), (half - 1, p, p)]
     for calls in (builds, solves, packets):
         calls.clear()
     lattice_reference_curves(config, [0.05, 0.1])
-    assert builds == [half, half] and solves == [(p, p), (p, p)] and packets == [0.05, 0.1]
+    assert builds == [] and solves == [(2, *even), (2, *odd)] and packets == [0.05, 0.1]
 
 
 def test_single_site_matches_full_lattice_band_centers(solver):

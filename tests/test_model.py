@@ -131,17 +131,19 @@ def test_lattice_ground_state_near_harmonic_value(solver):
 
 
 def test_apply_matches_matrix():
-    # the half-zone Bloch blocks, which the reference curves apply to a
-    # packet, act on a real state's plane-wave coefficients as the dense H
-    # on the grid; block -q follows by complex conjugation
-    from qslab.eigensolve import half_zone
+    # the half-zone Bloch blocks, whose three-term stencil the reference
+    # curves apply to a packet, act on a real state's plane-wave
+    # coefficients as the dense H on the grid; block -q follows by complex
+    # conjugation
+    from qslab.eigensolve import _bloch_blocks, half_zone
 
     lattice = m.LatticeModel(params=m.LatticeParams(sites=5, points_per_site=32))
     s, size = 5, 5 * 32
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(size)
     psi /= np.linalg.norm(psi)
-    blocks, orders, q, _ = half_zone(lattice.depth, s, 32)
+    q, _ = half_zone(s)
+    blocks, orders = _bloch_blocks(lattice.depth, 32, q)
     n = np.arange(q.size)[:, None] + s * orders   # wavenumber 2 pi n / S
     sign = (-1.0) ** n                             # transform origin at u = 0
     coeff = sign * np.fft.fft(psi, norm="ortho")[n % size]

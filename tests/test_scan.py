@@ -292,6 +292,18 @@ def test_library_and_config_values_meet_one_kind_check(cls, kwargs, name, raw, k
             scan.config_from_dict(raw)
 
 
+def test_integers_too_large_for_a_float_meet_the_kind_check():
+    # each passed the number check: the scan then ended in a raw OverflowError
+    # at model.trap_depth, or the ramsey section in a raw TypeError from np.isfinite
+    with pytest.raises(ParameterError, match=r"^lattice\.wavelength must be a number"):
+        LatticeParams(wavelength=10**400)
+    for section, key in (("lattice", "depth_Er"), ("lattice", "wavelength_nm"),
+                         ("ramsey", "light_shift_slope_rad_per_us")):
+        with pytest.raises(ParameterError,
+                           match=rf"^config key {section}\.{key} must be a number"):
+            scan.config_from_dict({section: {key: 10**400}})
+
+
 @pytest.mark.parametrize("raw,direct", [
     ({"lattice": {"sites": 9.0, "points_per_site": 32.0, "wavelength_nm": 866, "depth_Er": 270}},
      dict(params=LatticeParams(sites=9, points_per_site=32))),
@@ -591,6 +603,33 @@ def test_csv_cells_are_shortest_round_trip(tmp_path, capsys):
     scale = LatticeModel(cfg.params).time_us_per_unit
     assert csv_columns(os.path.join(cfg.out_dir, "fig3.csv"))["tau_c_us"][0] == \
         ("" if tau_c_est is None else repr(tau_c_est * scale))
+
+
+def test_trace_and_fig2_rows_match_the_column_writer(tmp_path):
+    # trace.csv and fig2.csv are composed row by row from each time's and
+    # |A|'s text, formatted once; they are the bytes write_csv prints from
+    # the numeric columns
+    cfg = small_config(tmp_path, estimator="experiment", curves=False,
+                       points=((0, 0.04), (1, 0.5), (2, 0.16)))
+    results, _ = scan.run_points(dataclasses.replace(cfg, out_dir=str(tmp_path / "points")))
+    scan.run_scan(cfg)
+    columns = [[] for _ in range(6)]
+    for res in results:
+        trace, scale = res.trace, res.model.time_us_per_unit
+        tau_c = res.tau_c * scale if res.tau_c is not None else ""
+        path = str(tmp_path / f"{res.label}.csv")
+        scan.write_csv(path, ["t_us", "re_A", "im_A", "abs_A", "fs_distance"],
+                       [trace.times * scale, trace.overlaps.real, trace.overlaps.imag,
+                        trace.visibility, trace.fs_distance])
+        assert read(os.path.join(cfg.out_dir, res.label, "trace.csv")) == read(path)
+        cells = ([res.label] * trace.times.size, (trace.times * scale).tolist(),
+                 trace.visibility.tolist(), qsl.mt_bound(res.de, trace.times).tolist(),
+                 qsl.ml_bound(res.e, trace.times).tolist(), [tau_c] * trace.times.size)
+        for column, part in zip(columns, cells):
+            column += part
+    path = str(tmp_path / "fig2.csv")
+    scan.write_csv(path, ["point", "t_us", "abs_A", "mt_bound", "ml_bound", "tau_c_us"], columns)
+    assert read(os.path.join(cfg.out_dir, "fig2.csv")) == read(path)
 
 
 def test_scan_byte_identical_reruns(tmp_path):

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Largest relative change |a - b| / max(|a|, |b|) per CSV column and JSON key,
-pooled over the files of one name, between two tools/artifact_sets.sh outputs:
+"""Largest relative change |a - b| / max(|a|, |b|) and largest absolute change
+|a - b| per CSV column and JSON key, pooled over the files of one name,
+between two tools/artifact_sets.sh outputs:
 
     python3 tools/artifact_drift.py BEFORE AFTER
 
+prints one line per field: file name, field, relative change, absolute change.
+A value at rounding level, such as cos(dE t) near t = tau_MT, can read as a
+large relative move; its absolute change shows that it is not one.
 JSON covers the .stdout files too; any other file must be byte-identical.
 Exits 1 when the file set, a key set, a row count or a non-numeric cell differs.
 """
@@ -37,7 +41,9 @@ def compare(a, b, field, where, drift, faults):
             compare(x, y, field, where, drift, faults)
     elif (x := number(a)) is not None and (y := number(b)) is not None:
         key = (os.path.basename(where), str(field))
-        drift[key] = max(drift.get(key, 0.0), abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0)
+        rel, change = drift.get(key, (0.0, 0.0))
+        drift[key] = (max(rel, abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0),
+                      max(change, abs(x - y)))
     elif repr(a) != repr(b):
         faults.append(f"{where}: {field}: {a!r:.60} -> {b!r:.60}")
 
@@ -61,8 +67,8 @@ def main(before, after):
     for name in sorted(names[0] & names[1]):
         compare(*(load(os.path.join(root, name)) for root in (before, after)), None, name,
                 drift, faults)
-    for (base, field), change in sorted(drift.items()):
-        print(f"{base} {field} {change:.2g}")
+    for (base, field), (rel, change) in sorted(drift.items()):
+        print(f"{base} {field} {rel:.2g} {change:.2g}")
     for fault in faults:
         print("DIFFERS", fault, file=sys.stderr)
     return 1 if faults else 0

@@ -20,7 +20,8 @@
 #   tools/artifact_sets.sh /tmp/before      (in the parent's checkout)
 #   tools/artifact_sets.sh /tmp/after       (in this checkout)
 #   diff -r /tmp/before /tmp/after
-# A change that may move numbers lists the largest move per field with
+# A change that may move numbers lists the largest relative and the largest
+# absolute move per field with
 #   python3 tools/artifact_drift.py /tmp/before /tmp/after
 # Every path the commands print is relative to OUT, so the two sides compare.
 set -eu
